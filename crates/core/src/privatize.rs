@@ -160,7 +160,7 @@ pub fn check_hold_alarm(part: &Partition) -> bool {
     if held < threshold {
         return false;
     }
-    part.stats.privatize_hold_alarms(0, 1);
+    part.stats.privatize_hold_alarms(1);
     alarm_limiter().warn(&format!(
         "partition '{}' has been privatized for {held:?} \
          (alarm threshold {threshold:?}): a PrivateGuard looks leaked or \
@@ -314,7 +314,7 @@ impl PrivateGuard {
         );
         self.part.config.store(word, Ordering::SeqCst);
         self.part.privatized_at_micros.store(0, Ordering::Release);
-        self.part.stats.republishes(0, 1);
+        self.part.stats.republishes(1);
         if telemetry::enabled() {
             let held_us = held.as_micros() as u64;
             telemetry::global().privatize_hold_us.record(held_us);
@@ -370,7 +370,7 @@ fn privatize_body(stm: &Stm, partition: &Arc<Partition>) -> Result<PrivateGuard,
         // exactly as found (nothing was mutated). We own the word while
         // the flag is set, so a plain store is race-free.
         partition.config.store(old, Ordering::SeqCst);
-        partition.stats.privatize_rollbacks(0, 1);
+        partition.stats.privatize_rollbacks(1);
         let timeout = inner.quiesce_timeout;
         if cfg!(debug_assertions) {
             panic!(
@@ -385,7 +385,7 @@ fn privatize_body(stm: &Stm, partition: &Arc<Partition>) -> Result<PrivateGuard,
         ));
         return Err(PrivatizeError::TimedOut);
     }
-    partition.stats.privatizations(0, 1);
+    partition.stats.privatizations(1);
     partition
         .privatized_at_micros
         .store(telemetry::now_micros().max(1), Ordering::Release);

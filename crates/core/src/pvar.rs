@@ -67,18 +67,34 @@ impl PVarBinding {
         self.ptr.load(Ordering::SeqCst)
     }
 
+    /// Current binding as a reference, good for as long as the binding is
+    /// borrowed — even across a concurrent rebind, which parks the old
+    /// partition instead of dropping it. This is what lets the engine's
+    /// partition views borrow instead of counting a reference.
+    #[inline(always)]
+    pub(crate) fn load_ref(&self) -> &Partition {
+        // SAFETY: every pointer this binding ever held has a strong count
+        // >= 1 until the binding is dropped (owned by it, or parked in
+        // `RETIRED` forever — see `arc_of`), and dropping needs exclusive
+        // access, which the returned borrow rules out.
+        unsafe { &*self.load() }
+    }
+
     /// Clones out the bound partition.
     pub(crate) fn partition_arc(&self) -> Arc<Partition> {
         Self::arc_of(self.load())
     }
 
     /// Manufactures an owning handle for a pointer previously loaded from
-    /// *some* binding via [`PVarBinding::load`].
+    /// *some* binding via [`PVarBinding::load`], or taken with
+    /// `Arc::as_ptr` from a handle that is still alive (the engine's
+    /// raw-tier views, whose `&'e Arc<Partition>` outlives the attempt).
     pub(crate) fn arc_of(p: *const Partition) -> Arc<Partition> {
-        // SAFETY: `p` came from `Arc::into_raw` and its strong count is
-        // >= 1 until process exit: the owning reference is either still in
-        // a binding or was parked in `RETIRED` by a rebind (never
-        // dropped). The only dropped reference is the current one at
+        // SAFETY: `p` came from `Arc::into_raw`/`Arc::as_ptr` and its
+        // strong count is >= 1 for as long as the caller's borrow lasts:
+        // a live handle holds one, or the owning reference is still in a
+        // binding or was parked in `RETIRED` by a rebind (never dropped).
+        // The only dropped binding reference is the current one at
         // `PVarBinding::drop`, which requires exclusive access — no
         // shared-borrow caller can still be running then.
         unsafe {
@@ -91,8 +107,7 @@ impl PVarBinding {
     /// may return the pre-migration partition for an instant); transactions
     /// never rely on it — the engine revalidates the binding itself.
     pub fn partition_id(&self) -> PartitionId {
-        // SAFETY: pointer validity as in `partition_arc`.
-        unsafe { (*self.load()).id() }
+        self.load_ref().id()
     }
 
     /// Rebinds to `dst`, parking the previous owning reference.

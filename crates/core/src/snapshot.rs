@@ -179,7 +179,7 @@ use crate::config::{self, Granularity};
 use crate::error::{Abort, TxResult};
 use crate::orec::{is_locked, version_of, Orec, RingSlot};
 use crate::partition::{orec_index, Partition};
-use crate::pvar::{PVar, PVarBinding};
+use crate::pvar::PVar;
 use crate::stm::{StmInner, ThreadCtx};
 use crate::tvar::TVar;
 use crate::word::TxWord;
@@ -188,9 +188,10 @@ use crate::word::TxWord;
 /// the engine's partition view (same one-decode-per-attempt soundness
 /// argument, see the `txn` module docs), without the write-side fields.
 pub(crate) struct RoView {
-    part: Arc<Partition>,
-    /// `Arc::as_ptr(&part)`, for lookups.
-    ptr: *const Partition,
+    /// The partition, borrowed for the attempt exactly as in the engine's
+    /// `PartView` (a `&'e Partition` at view creation; no reference count
+    /// is touched). Also the lookup key.
+    part: *const Partition,
     granularity: Granularity,
     table: *const Orec,
     mask: usize,
@@ -203,10 +204,21 @@ pub(crate) struct RoView {
     hist_reads: u32,
 }
 
+impl RoView {
+    #[inline(always)]
+    fn part(&self) -> &Partition {
+        // SAFETY: `part` was a `&'e Partition` when the view was created,
+        // and views exist only while the `ReadTx<'e, '_>` that created
+        // them does (`ReadTx::begin` and `Drop for ReadTx` clear the
+        // table), so `'e` is still running.
+        unsafe { &*self.part }
+    }
+}
+
 impl core::fmt::Debug for RoView {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RoView")
-            .field("partition", &self.part.id())
+            .field("partition", &self.part)
             .field("generation", &self.generation)
             .finish_non_exhaustive()
     }
@@ -250,17 +262,14 @@ impl<'e, 's> ReadTx<'e, 's> {
 
     fn begin(&mut self) {
         let slot = &self.stm.slots[self.slot];
-        let seq = slot.seq.fetch_add(1, Ordering::SeqCst);
-        debug_assert!(
-            seq.is_multiple_of(2),
-            "snapshot begin from inside a transaction"
-        );
-        slot.start_epoch.store(
-            self.stm.switch_epoch.load(Ordering::SeqCst),
-            Ordering::SeqCst,
-        );
+        // Same begin as `Tx::begin` (see "One full fence per attempt" in
+        // the `txn` module docs): the `seq` RMW is the fence of the
+        // quiesce handshake, `start_epoch` only needs release.
+        slot.enter_attempt(&self.stm.switch_epoch);
         // Publish-then-re-read pin (module docs): the floor scan must be
         // able to see `p` before we trust any timestamp derived from it.
+        // This store→load ordering is the pin handshake itself, so the
+        // store stays `SeqCst` — the snapshot path's second and last fence.
         let p = self.stm.clock.now();
         slot.ro_snap.store(p, Ordering::SeqCst);
         self.t = self.stm.clock.now();
@@ -273,8 +282,11 @@ impl<'e, 's> ReadTx<'e, 's> {
     /// restart and the panic-unwind drop).
     fn end_slot(&mut self) {
         let slot = &self.stm.slots[self.slot];
-        slot.ro_snap.store(u64::MAX, Ordering::SeqCst);
-        slot.seq.fetch_add(1, Ordering::SeqCst); // -> even
+        // Both single-writer release stores: a floor scan that still sees
+        // the old pin computes a lower (more conservative) floor, and a
+        // quiescer that still sees the odd `seq` keeps waiting.
+        slot.ro_snap.store(u64::MAX, Ordering::Release);
+        slot.leave_attempt();
         self.in_attempt = false;
     }
 
@@ -284,14 +296,14 @@ impl<'e, 's> ReadTx<'e, 's> {
         #[cfg(debug_assertions)]
         for v in self.views.iter() {
             debug_assert_eq!(
-                config::generation(v.part.config_word()),
+                config::generation(v.part().config_word()),
                 v.generation,
                 "partition config switched mid-snapshot (quiesce protocol violated)"
             );
         }
         self.end_slot();
         for v in self.views.iter_mut() {
-            let st = &v.part.stats;
+            let st = &v.part().stats;
             st.starts(self.slot, 1);
             st.commits(self.slot, 1);
             st.ro_commits(self.slot, 1);
@@ -306,12 +318,12 @@ impl<'e, 's> ReadTx<'e, 's> {
         self.end_slot();
         if self.restart == Restart::User {
             if let Some(v) = self.views.first() {
-                v.part.stats.aborts_user(self.slot, 1);
-                v.part.stats.snapshot_restarts(self.slot, 1);
+                v.part().stats.aborts_user(self.slot, 1);
+                v.part().stats.snapshot_restarts(self.slot, 1);
             }
         }
         for v in self.views.iter() {
-            let st = &v.part.stats;
+            let st = &v.part().stats;
             st.starts(self.slot, 1);
             st.reads(self.slot, v.reads as u64);
             st.snapshot_reads(self.slot, v.reads as u64);
@@ -322,11 +334,10 @@ impl<'e, 's> ReadTx<'e, 's> {
     /// Resolves (or creates) the view for a partition. A set switching
     /// flag restarts the attempt — abort-not-spin, so the switcher waiting
     /// for our quiescence is never deadlocked (module docs).
-    fn view_of(&mut self, part: *const Partition) -> Result<u16, Abort> {
-        if let Some(i) = self.views.iter().position(|v| v.ptr == part) {
+    fn view_of(&mut self, part: &'e Partition) -> Result<u16, Abort> {
+        if let Some(i) = self.views.iter().position(|v| core::ptr::eq(v.part, part)) {
             return Ok(i as u16);
         }
-        let part = PVarBinding::arc_of(part);
         assert_eq!(
             part.stm_id, self.stm.id,
             "partition belongs to a different Stm"
@@ -347,10 +358,8 @@ impl<'e, 's> ReadTx<'e, 's> {
         let (table, mask) = part.table_view();
         let (ring, ring_depth) = part.ring_view();
         let cfg = config::decode(word);
-        let ptr = Arc::as_ptr(&part);
         self.views.push(RoView {
             part,
-            ptr,
             granularity: cfg.granularity,
             table,
             mask,
@@ -366,20 +375,15 @@ impl<'e, 's> ReadTx<'e, 's> {
     /// Snapshot read of a partition-bound variable.
     #[inline]
     pub fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
-        let ptr = var.binding.load();
-        let vi = self.view_of(ptr)?;
+        let part = var.binding.load_ref();
+        let vi = self.view_of(part)?;
         // Binding recheck, exactly as the regular bound tier: a changed
         // pointer means the load straddled a completing migration — the
         // attempt restarts as if it had caught the switching flag itself.
-        if var.binding.load() != ptr {
-            self.views[vi as usize]
-                .part
-                .stats
-                .snapshot_restarts(self.slot, 1);
-            self.views[vi as usize]
-                .part
-                .stats
-                .aborts_switching(self.slot, 1);
+        if !core::ptr::eq(var.binding.load(), part) {
+            let st = &self.views[vi as usize].part().stats;
+            st.snapshot_restarts(self.slot, 1);
+            st.aborts_switching(self.slot, 1);
             self.restart = Restart::Attributed;
             return Err(Abort(()));
         }
@@ -394,7 +398,7 @@ impl<'e, 's> ReadTx<'e, 's> {
         part: &'e Arc<Partition>,
         var: &'e TVar<T>,
     ) -> TxResult<T> {
-        let vi = self.view_of(Arc::as_ptr(part))?;
+        let vi = self.view_of(part)?;
         self.read_at(vi, var)
     }
 
@@ -515,8 +519,8 @@ impl<'e, 's> ReadTx<'e, 's> {
                 // overflow record found after an unprotected gap could
                 // otherwise shadow a smaller-stamped ring record published
                 // into the gap (the second marching variant; module docs).
-                if v.part.overflow_len() > 0 {
-                    if let Some((val, to)) = v.part.overflow_best(addr, t) {
+                if v.part().overflow_len() > 0 {
+                    if let Some((val, to)) = v.part().overflow_best(addr, t) {
                         if best.is_none_or(|(bt, _)| to < bt) {
                             best = Some((to, val));
                         }
@@ -553,6 +557,8 @@ impl Drop for ReadTx<'_, '_> {
         if self.in_attempt {
             self.end_slot();
         }
+        // The views borrow partitions for `'e` (see `RoView::part`).
+        self.views.clear();
     }
 }
 

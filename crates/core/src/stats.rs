@@ -2,94 +2,128 @@
 //!
 //! The runtime tuner's decisions are driven entirely by these counters, so
 //! collection must be cheap: threads accumulate into per-transaction local
-//! counters and flush once per transaction into a *sharded* set of atomics
-//! (8 shards, thread slot modulo 8) to avoid a single contended cache line.
+//! counters and flush once per transaction into the shard of their own
+//! thread slot.
+//!
+//! ## Single-writer shards
+//!
+//! There is one cache-padded shard per thread slot ([`MAX_THREADS`] of
+//! them, 16 KiB per partition, inline in the partition). A shard is
+//! written only by the thread that currently owns the slot, so a bump is a
+//! relaxed load plus a relaxed store — no locked instruction, and no line
+//! another worker writes. Slot hand-over is ordered by registration
+//! (`ThreadCtx::drop` pushes the slot under the free-list mutex,
+//! `try_register_thread` pops it under the same mutex), so the next owner
+//! continues from the previous owner's last store and totals stay exact.
+//! [`PartitionStats::snapshot`] sums the shards; a concurrent snapshot sees
+//! each counter at some recent value, which is all the monotone counters
+//! promise.
+//!
+//! The control plane has no slot: `privatize`, `republish` and the
+//! hold-age alarm run on whatever thread calls them, concurrently with
+//! every slot's owner. Their counters live in a separate control shard
+//! that keeps the atomic read-modify-write, and their bump functions take
+//! no slot.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 
-/// Applies a macro to every statistics counter field. Single source of truth
-/// for the field list.
+use crate::stm::MAX_THREADS;
+
+/// Applies a macro to the statistics counter fields, in two groups: `slot`
+/// counters are bumped by transaction threads into their own slot's shard,
+/// `control` counters by control-plane code that owns no slot. Single
+/// source of truth for the field list.
 macro_rules! for_each_stat {
     ($mac:ident) => {
         $mac!(
-            /// Transaction attempts that touched the partition.
-            starts,
-            /// Committed transactions that touched the partition.
-            commits,
-            /// Commits that performed no write in this partition.
-            ro_commits,
-            /// Commits that wrote this partition.
-            update_commits,
-            /// Aborts caused by a write-locked orec in this partition.
-            aborts_wlock,
-            /// Aborts caused by writer-vs-visible-reader arbitration.
-            aborts_rlock,
-            /// Aborts caused by failed validation / snapshot extension.
-            aborts_validation,
-            /// Aborts caused by a remote kill.
-            aborts_killed,
-            /// Aborts caused by an in-progress configuration switch.
-            aborts_switching,
-            /// Aborts requested by user code.
-            aborts_user,
-            /// Transactional reads served from this partition.
-            reads,
-            /// Transactional writes into this partition.
-            writes,
-            /// Successful snapshot extensions attributed to this partition.
-            extensions,
-            /// Reader kills issued by writers in this partition.
-            kills_issued,
-            /// Conflict aborts whose orec acquisition hint named the touched address (true data conflicts; see `orec::Orec::hint`).
-            conflicts_true,
-            /// Conflict aborts whose hint named a different address (orec aliasing, i.e. false conflicts — the resize signal).
-            conflicts_aliased,
-            /// Snapshot (read-only fast path) transactions committed against this partition.
-            snapshot_commits,
-            /// Snapshot transaction restarts (switch collision or user retry — never a data conflict; see `crate::snapshot`).
-            snapshot_restarts,
-            /// Reads served to snapshot transactions from this partition.
-            snapshot_reads,
-            /// Snapshot reads that were served from a version-ring/overflow record rather than the live cell.
-            snapshot_history_reads,
-            /// Committed-version records diverted to the overflow list because the ring victim was still reader-protected.
-            ring_overflow_pushes,
-            /// Completed privatizations of this partition (flag→quiesce window won and a `PrivateGuard` was handed out).
-            privatizations,
-            /// Privatization attempts rolled back because quiescence timed out (config word restored exactly).
-            privatize_rollbacks,
-            /// Republish events: a `PrivateGuard` returned the partition to transactional service under gen+1.
-            republishes,
-            /// Transactional attempts that aborted against a *privatized* (not merely switching) partition.
-            privatized_collisions,
-            /// Hold-age alarms: windows in which a `PrivateGuard` on this partition was observed held past the configured threshold (see `crate::privatize::set_hold_alarm_threshold`).
-            privatize_hold_alarms
+            slot {
+                /// Transaction attempts that touched the partition.
+                starts,
+                /// Committed transactions that touched the partition.
+                commits,
+                /// Commits that performed no write in this partition.
+                ro_commits,
+                /// Commits that wrote this partition.
+                update_commits,
+                /// Aborts caused by a write-locked orec in this partition.
+                aborts_wlock,
+                /// Aborts caused by writer-vs-visible-reader arbitration.
+                aborts_rlock,
+                /// Aborts caused by failed validation / snapshot extension.
+                aborts_validation,
+                /// Aborts caused by a remote kill.
+                aborts_killed,
+                /// Aborts caused by an in-progress configuration switch.
+                aborts_switching,
+                /// Aborts requested by user code.
+                aborts_user,
+                /// Transactional reads served from this partition.
+                reads,
+                /// Transactional writes into this partition.
+                writes,
+                /// Successful snapshot extensions attributed to this partition.
+                extensions,
+                /// Reader kills issued by writers in this partition.
+                kills_issued,
+                /// Conflict aborts whose orec acquisition hint named the touched address (true data conflicts; see `orec::Orec::hint`).
+                conflicts_true,
+                /// Conflict aborts whose hint named a different address (orec aliasing, i.e. false conflicts — the resize signal).
+                conflicts_aliased,
+                /// Snapshot (read-only fast path) transactions committed against this partition.
+                snapshot_commits,
+                /// Snapshot transaction restarts (switch collision or user retry — never a data conflict; see `crate::snapshot`).
+                snapshot_restarts,
+                /// Reads served to snapshot transactions from this partition.
+                snapshot_reads,
+                /// Snapshot reads that were served from a version-ring/overflow record rather than the live cell.
+                snapshot_history_reads,
+                /// Committed-version records diverted to the overflow list because the ring victim was still reader-protected.
+                ring_overflow_pushes,
+                /// Transactional attempts that aborted against a *privatized* (not merely switching) partition.
+                privatized_collisions
+            }
+            control {
+                /// Completed privatizations of this partition (flag→quiesce window won and a `PrivateGuard` was handed out).
+                privatizations,
+                /// Privatization attempts rolled back because quiescence timed out (config word restored exactly).
+                privatize_rollbacks,
+                /// Republish events: a `PrivateGuard` returned the partition to transactional service under gen+1.
+                republishes,
+                /// Hold-age alarms: windows in which a `PrivateGuard` on this partition was observed held past the configured threshold (see `crate::privatize::set_hold_alarm_threshold`).
+                privatize_hold_alarms
+            }
         );
     };
 }
 
 macro_rules! define_counters {
-    ($(#[$doc:meta] $f:ident),+ $(,)?) => {
+    (
+        slot { $(#[$sdoc:meta] $s:ident),+ $(,)? }
+        control { $(#[$cdoc:meta] $c:ident),+ $(,)? }
+    ) => {
         /// Plain (non-atomic) snapshot of the partition counters.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct StatCounters {
-            $(#[$doc] pub $f: u64,)+
+            $(#[$sdoc] pub $s: u64,)+
+            $(#[$cdoc] pub $c: u64,)+
         }
 
         impl StatCounters {
             /// Element-wise difference `self - earlier` (saturating).
             pub fn delta(&self, earlier: &StatCounters) -> StatCounters {
                 StatCounters {
-                    $($f: self.$f.saturating_sub(earlier.$f),)+
+                    $($s: self.$s.saturating_sub(earlier.$s),)+
+                    $($c: self.$c.saturating_sub(earlier.$c),)+
                 }
             }
 
             /// Element-wise sum.
             pub fn add(&self, other: &StatCounters) -> StatCounters {
                 StatCounters {
-                    $($f: self.$f.wrapping_add(other.$f),)+
+                    $($s: self.$s.wrapping_add(other.$s),)+
+                    $($c: self.$c.wrapping_add(other.$c),)+
                 }
             }
 
@@ -117,52 +151,50 @@ macro_rules! define_counters {
             }
         }
 
-        #[derive(Debug, Default)]
-        struct StatShard {
-            $($f: AtomicU64,)+
+        /// One thread slot's counters; written only by the slot's owner.
+        #[derive(Default)]
+        struct SlotShard {
+            $($s: AtomicU64,)+
         }
 
-        impl StatShard {
-            fn snapshot(&self) -> StatCounters {
-                StatCounters {
-                    $($f: self.$f.load(Ordering::Relaxed),)+
-                }
-            }
+        /// The control plane's counters; written by any thread, with RMWs.
+        #[derive(Default)]
+        struct ControlShard {
+            $($c: AtomicU64,)+
         }
-    };
-}
 
-for_each_stat!(define_counters);
-
-const SHARDS: usize = 8;
-
-/// Sharded atomic statistics for one partition.
-#[derive(Debug, Default)]
-pub struct PartitionStats {
-    shards: [CachePadded<StatShard>; SHARDS],
-}
-
-macro_rules! define_bump {
-    ($(#[$doc:meta] $f:ident),+ $(,)?) => {
         impl PartitionStats {
             $(
-                #[$doc]
+                #[$sdoc]
+                ///
+                /// Single-writer: only the thread that owns `slot` may call
+                /// this (module docs).
                 #[inline]
-                pub fn $f(&self, slot: usize, n: u64) {
+                pub(crate) fn $s(&self, slot: usize, n: u64) {
                     if n != 0 {
-                        self.shards[slot % SHARDS]
-                            .$f
-                            .fetch_add(n, Ordering::Relaxed);
+                        let c = &self.slots[slot].$s;
+                        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
                     }
+                }
+            )+
+
+            $(
+                #[$cdoc]
+                #[inline]
+                pub(crate) fn $c(&self, n: u64) {
+                    self.control.$c.fetch_add(n, Ordering::Relaxed);
                 }
             )+
 
             /// Sums all shards into a consistent-enough snapshot (counters
             /// are monotonically increasing; tuning tolerates slight skew).
             pub fn snapshot(&self) -> StatCounters {
-                let mut acc = StatCounters::default();
-                for s in &self.shards {
-                    acc = acc.add(&s.snapshot());
+                let mut acc = StatCounters {
+                    $($c: self.control.$c.load(Ordering::Relaxed),)+
+                    ..StatCounters::default()
+                };
+                for shard in self.slots.iter() {
+                    $(acc.$s = acc.$s.wrapping_add(shard.$s.load(Ordering::Relaxed));)+
                 }
                 acc
             }
@@ -170,7 +202,30 @@ macro_rules! define_bump {
     };
 }
 
-for_each_stat!(define_bump);
+/// Per-slot sharded statistics for one partition (module docs).
+pub struct PartitionStats {
+    slots: [CachePadded<SlotShard>; MAX_THREADS],
+    control: ControlShard,
+}
+
+for_each_stat!(define_counters);
+
+impl Default for PartitionStats {
+    fn default() -> Self {
+        PartitionStats {
+            slots: core::array::from_fn(|_| CachePadded::default()),
+            control: ControlShard::default(),
+        }
+    }
+}
+
+impl core::fmt::Debug for PartitionStats {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_tuple("PartitionStats")
+            .field(&self.snapshot())
+            .finish()
+    }
+}
 
 /// Per-transaction, per-partition local counters, flushed once at
 /// transaction end.
@@ -194,8 +249,8 @@ pub struct LocalStats {
 }
 
 impl LocalStats {
-    /// Flush into the partition aggregate.
-    pub fn flush(&self, stats: &PartitionStats, slot: usize) {
+    /// Flush into the partition aggregate, as the owner of `slot`.
+    pub(crate) fn flush(&self, stats: &PartitionStats, slot: usize) {
         stats.reads(slot, self.reads as u64);
         stats.writes(slot, self.writes as u64);
         stats.extensions(slot, self.extensions as u64);
@@ -213,14 +268,25 @@ mod tests {
     #[test]
     fn bumps_land_in_snapshot_across_shards() {
         let s = PartitionStats::default();
-        for slot in 0..32 {
+        for slot in 0..MAX_THREADS {
             s.commits(slot, 1);
             s.reads(slot, 10);
         }
+        s.republishes(3);
         let snap = s.snapshot();
-        assert_eq!(snap.commits, 32);
-        assert_eq!(snap.reads, 320);
+        assert_eq!(snap.commits, MAX_THREADS as u64);
+        assert_eq!(snap.reads, 10 * MAX_THREADS as u64);
+        assert_eq!(snap.republishes, 3);
         assert_eq!(snap.aborts(), 0);
+    }
+
+    #[test]
+    fn slot_shards_stay_within_the_documented_footprint() {
+        assert!(core::mem::size_of::<PartitionStats>() <= 16 * 1024 + 128);
+        assert_eq!(
+            core::mem::size_of::<CachePadded<SlotShard>>() * MAX_THREADS,
+            16 * 1024
+        );
     }
 
     #[test]
@@ -293,20 +359,31 @@ mod tests {
 
     #[test]
     fn concurrent_bumps_do_not_lose_counts() {
-        use std::sync::Arc;
-        let s = Arc::new(PartitionStats::default());
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    s.commits(t, 1);
+        // One writer per slot (the single-writer contract), all of them
+        // racing control-plane bumps and a snapshotting reader.
+        let s = PartitionStats::default();
+        std::thread::scope(|sc| {
+            for t in 0..8 {
+                let s = &s;
+                sc.spawn(move || {
+                    for _ in 0..10_000 {
+                        s.commits(t, 1);
+                        s.privatizations(1);
+                    }
+                });
+            }
+            let s = &s;
+            sc.spawn(move || {
+                let mut last = 0;
+                for _ in 0..100 {
+                    let now = s.snapshot().commits;
+                    assert!(now >= last, "counters are monotone");
+                    last = now;
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.snapshot().commits, 80_000);
+            });
+        });
+        let snap = s.snapshot();
+        assert_eq!(snap.commits, 80_000);
+        assert_eq!(snap.privatizations, 80_000);
     }
 }

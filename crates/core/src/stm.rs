@@ -80,6 +80,32 @@ pub(crate) struct ThreadSlot {
     pub(crate) registered: AtomicBool,
 }
 
+impl ThreadSlot {
+    /// Announces an attempt (update or snapshot): turns `seq` odd, then
+    /// publishes the switch epoch the attempt began under. The `SeqCst`
+    /// RMW is the attempt's one store→load fence against
+    /// [`bump_epoch_and_quiesce`]; `start_epoch` only needs release (the
+    /// argument is in the `txn` module docs, "One full fence per
+    /// attempt").
+    #[inline(always)]
+    pub(crate) fn enter_attempt(&self, switch_epoch: &AtomicU64) {
+        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
+        debug_assert!(seq.is_multiple_of(2), "begin from inside a transaction");
+        self.start_epoch
+            .store(switch_epoch.load(Ordering::SeqCst), Ordering::Release);
+    }
+
+    /// Returns `seq` to even. Only the slot's owner writes `seq`, so a
+    /// release store of "my odd value + 1" suffices: a quiescer that
+    /// acquires the even value sees everything the attempt did, and one
+    /// that still sees the odd value merely keeps waiting.
+    #[inline(always)]
+    pub(crate) fn leave_attempt(&self) {
+        self.seq
+            .store(self.seq.load(Ordering::Relaxed) + 1, Ordering::Release);
+    }
+}
+
 pub(crate) struct StmInner {
     pub(crate) id: u64,
     pub(crate) clock: GlobalClock,

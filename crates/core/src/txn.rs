@@ -44,8 +44,9 @@
 //! 1. the switcher sets the partition's *switching* flag **before** bumping
 //!    the global switch epoch, so any attempt that begins after the bump
 //!    (its `start_epoch` is past the bump) observes the flag at first touch
-//!    — all the loads involved are `SeqCst` — and aborts without caching
-//!    anything;
+//!    — all the loads involved are `SeqCst`, ordered after the attempt's
+//!    one fence (see "One full fence per attempt" below) — and aborts
+//!    without caching anything;
 //! 2. the switcher waits for every attempt begun **before** the bump (odd
 //!    `seq`, older `start_epoch`) to finish before it resets (or swaps)
 //!    the orec table and installs the new config word.
@@ -56,6 +57,126 @@
 //! is stable until the attempt's `seq` returns to even. (Tables retired by
 //! a resize are additionally *parked*, never freed, so even a stale orec
 //! pointer could only read stale telemetry, never freed memory.)
+//!
+//! ## One full fence per attempt
+//!
+//! The quiesce handshake is a store-buffering (Dekker) pattern: an attempt
+//! announces itself and then loads config words; a switcher sets a flag
+//! and then loads the announcements; at least one side must see the
+//! other. On the attempt's side that takes exactly one store→load fence,
+//! and it is the `SeqCst` `fetch_add` that turns the slot's `seq` odd in
+//! `Tx::begin` (`ThreadSlot::enter_attempt`). Everything else `begin` and
+//! the end of the attempt publish has a single writer (the slot's owner)
+//! and needs release ordering at most. The switcher's side (`bump_epoch_and_quiesce`,
+//! `raise_kills`, the flag CAS) stays `SeqCst` throughout. Write *S* for
+//! the total order of `SeqCst` operations; the switcher runs `flag CAS <S
+//! epoch bump <S seq load <S start_epoch load`, an attempt runs `seq RMW
+//! <S epoch load <S config loads`.
+//!
+//! * **`seq` → odd: `SeqCst` RMW, cannot be weaker.** If the switcher's
+//!   `seq` load returns an even value, the `seq` RMW of every later
+//!   attempt follows that load in *S* (else the load would have returned
+//!   the RMW's value or a later one), hence follows the flag CAS, and the
+//!   attempt's config load observes the flag. If it returns an odd value
+//!   and that attempt did *not* observe the flag, the attempt's config
+//!   load — and so its epoch load — precedes the flag CAS in *S*: it
+//!   loaded an epoch below the bumped one and the drain waits for it.
+//! * **`start_epoch`: release store.** Epochs only grow, and a slot only
+//!   publishes epochs it loaded after a `seq` RMW. So whatever the drain
+//!   reads — this attempt's value or, when the store has not landed yet,
+//!   an earlier attempt's — is at most the epoch this attempt loaded: **a
+//!   stale `start_epoch` is only ever older, so the drain only ever waits
+//!   longer.** A value at or above the bumped epoch, whichever attempt
+//!   stored it, proves an epoch load of this slot followed the bump in
+//!   *S*; every config load program-ordered after that load (the rest of
+//!   that attempt and all later ones) follows the flag CAS and observes
+//!   the flag.
+//! * **leaving (`seq` → even): release store of "my odd value + 1".** The
+//!   switcher mutates a partition only after acquiring an even `seq` or a
+//!   `start_epoch` at or above its epoch, both release-stored after
+//!   everything the drained attempt did, so the attempt's reads, unlocks
+//!   and reader-bit clears happen-before the mutation. Seeing the even
+//!   value late only prolongs the wait. Nothing after an attempt depends
+//!   on a store→load fence here: the tuner hook that may run a switch
+//!   next reads its own slot's `seq` in program order.
+//! * **kill-clear → serial-publish: release, acquired by the killer.** A
+//!   killer loads the victim's `serial` and stores that value into
+//!   `kill`. Having read serial *n* it synchronised with the release
+//!   store of *n*, which follows the clear in program order; the clear
+//!   therefore happens-before the kill store and precedes it in `kill`'s
+//!   modification order — the request cannot be erased by the clear of
+//!   the attempt it names. Having read an older serial, the request names
+//!   a finished attempt and matches nothing. There is no store→load
+//!   pattern here, and the victim *polls* `kill`, so release/acquire plus
+//!   eventual visibility is all it needs.
+//!
+//! The snapshot read path ([`crate::snapshot`]) announces itself the same
+//! way and then pays one fence of its own: the pin handshake with the
+//! eviction floor (publish `ro_snap`, *then* re-read the clock) is a
+//! second store-buffering pattern, so that store stays `SeqCst`. Unpinning
+//! and leaving are release stores.
+//!
+//! ## Refcount-free views
+//!
+//! A view *borrows* its partition; it never touches the `Arc` strong
+//! count, a line every thread of the partition would otherwise RMW twice
+//! per transaction. The borrow is a plain `&'e Partition`:
+//!
+//! * raw tier — the caller's `&'e Arc<Partition>` is alive for `'e`;
+//! * bound tier — the pointer was loaded from a `&'e PVarBinding`, and
+//!   every pointer a binding ever held is owned by it or parked in the
+//!   retired list forever (the argument at `PVarBinding::arc_of`).
+//!
+//! The view stores it as a raw pointer only because the scratch tables
+//! outlive `'e`; they are emptied when the `Tx` drops, so no pointer is
+//! dereferenced outside the `run` call that created it. An owning `Arc` is
+//! manufactured in one place: the tuner hook, for *tunable* partitions.
+//!
+//! ## Synchronization budget
+//!
+//! Every atomic access of a conflict-free update commit — the benchmark's
+//! two-account transfer: read, read, write, write in one default-config
+//! partition (invisible reads, encounter-time locks), nothing sampled —
+//! with its ordering and the reason it is not weaker. "Locked" counts
+//! instructions that drain the store buffer on x86-64 (atomic RMWs and
+//! `SeqCst` stores), the "expensive synchronization" of Ravi's cost model;
+//! loads of any ordering and release/relaxed stores are plain `mov`s.
+//!
+//! | phase | access | ordering | why not weaker | locked, before → now |
+//! |---|---|---|---|---|
+//! | begin | `kill` clear, `serial` publish | release stores | clear must be visible to a killer that acquires `serial` | 2 → 0 |
+//! | begin | `seq` → odd | `SeqCst` RMW | *the* fence of the quiesce handshake | 1 → 1 |
+//! | begin | `switch_epoch` load, `start_epoch` store | `SeqCst` load, release store | load must follow the `seq` RMW in *S*; the store only ever reports an older epoch | 1 → 0 |
+//! | begin | clock load (`rv`) | acquire | sees the write-back of every commit ≤ `rv` | 0 |
+//! | begin | `profile_period`, telemetry switch | relaxed loads | on/off switches, publish nothing | 0 |
+//! | first touch | binding load ×2, config-word load | `SeqCst` loads | the handshake's load side; binding recheck is ordered against the flag | 0 |
+//! | first touch | table / mask / ring / depth loads | acquire | see the installed table's contents | 0 |
+//! | first touch | `Arc<Partition>` strong count | — (gone) | views borrow | 1 → 0 |
+//! | read ×2 | `kill` poll; orec `l1`, cell, orec `l2` | `SeqCst` load; acquire ×3 | seqlock sandwich pairs with the writer's release unlock | 0 |
+//! | write ×2 | `kill` poll, orec lock load | `SeqCst` loads | — | 0 |
+//! | write ×2 | orec CAS | `SeqCst` RMW | lock acquisition; `SeqCst` because lock-then-check-readers races set-bit-then-check-lock | 2 → 2 |
+//! | write ×2 | hint store; reader-bitmap load; fault switch | relaxed; `SeqCst` load; relaxed | telemetry; arbitration's load side; on/off switch | 0 |
+//! | commit | `kill` poll, `ro_floor` load | `SeqCst` loads | — | 0 |
+//! | commit | clock `fetch_add` (`wv`) | acq-rel RMW | the commit order | 1 → 1 |
+//! | commit ×2 | ring: stamp loads, `ring_epoch` bump ×2, slot publish (5 stores) | `SeqCst` | marching-hazard seqlock — **unchanged here, the next issue** | 14 → 14 |
+//! | commit ×2 | cell load / store, orec unlock | acquire / release, release | unlock publishes the written data | 0 |
+//! | leave | `seq` → even | release store (was `SeqCst` RMW) | single writer; a late even value only prolongs a drain | 1 → 0 |
+//! | leave | clock load for `free_tag` | acquire | only when the free log is non-empty | 0 |
+//! | leave | `starts`, `commits`, `update_commits`, `reads`, `writes` | relaxed load + store, own shard (were `fetch_add`s on a shared shard) | single writer per slot ([`crate::stats`]) | 5 → 0 |
+//! | leave | view table clear, tuner hook's `Arc` clone + drop | — (gone for non-tunable partitions) | `tunable` is tested before the clone | 3 → 0 |
+//! | | **total** | | | **31 → 18** (protocol 4, ring 14) |
+//!
+//! [`ThreadCtx::snapshot_read`] of one partition, before → now: 13 → 2
+//! locked instructions. What remains is the `seq` RMW and the `SeqCst`
+//! `ro_snap` pin (the two store→load fences of the quiesce and pin
+//! handshakes). Gone: the `start_epoch` `SeqCst` store, the `Arc` count
+//! pair, six statistics `fetch_add`s, the `SeqCst` unpin and the leaving
+//! RMW. Per read it performs the same three acquire loads as above; the
+//! ring is scanned (`SeqCst` loads) only when an orec moved past the pin.
+//!
+//! A *tunable* partition's commit additionally takes the tuner `RwLock`,
+//! clones the policy `Arc` and the partition `Arc`, and RMWs the shared
+//! `tune_gate` — untouched here, measured, and its own next issue.
 //!
 //! ## Aliasing telemetry
 //!
@@ -157,9 +278,10 @@ struct WriteEntry {
 /// the module docs for why that is sound); every later access resolves to
 /// this cached snapshot.
 struct PartView {
-    part: Arc<Partition>,
-    /// `Arc::as_ptr(&part)`, cached for the MRU fast-path comparison.
-    ptr: *const Partition,
+    /// The partition, *borrowed* for the attempt — a `&'e Partition` at
+    /// view creation, kept as a pointer because the scratch state outlives
+    /// `'e` (module docs, "Refcount-free views"). Also the lookup key.
+    part: *const Partition,
     cfg: DynConfig,
     /// Orec-table base pointer, snapshotted with `mask` at view creation
     /// (stable for the attempt — see the module docs on resizes).
@@ -178,6 +300,17 @@ struct PartView {
     generation: u32,
     stats: LocalStats,
     wrote: bool,
+}
+
+impl PartView {
+    #[inline(always)]
+    fn part(&self) -> &Partition {
+        // SAFETY: `part` was a `&'e Partition` when the view was created,
+        // and views exist only while the `Tx<'e, '_>` that created them
+        // does (`Tx::begin` and `Drop for Tx` clear the table), so `'e` is
+        // still running.
+        unsafe { &*self.part }
+    }
 }
 
 /// Type-erased deferred arena operation (see [`crate::arena`]).
@@ -412,7 +545,7 @@ impl<'e, 's> Tx<'e, 's> {
         self.s
             .views
             .iter()
-            .find(|v| v.ptr == ptr)
+            .find(|v| v.part == ptr)
             .map(|v| v.generation)
     }
 
@@ -420,17 +553,15 @@ impl<'e, 's> Tx<'e, 's> {
         let s = &mut *self.s;
         s.serial += 1;
         let slot = &self.stm.slots[self.slot];
-        // Clear the kill word *before* publishing the new serial so a
-        // killer that reads the new serial cannot have its request erased
-        // (both SeqCst; see DESIGN.md reconfiguration notes).
-        slot.kill.store(0, Ordering::SeqCst);
-        slot.serial.store(s.serial, Ordering::SeqCst);
-        let seq = slot.seq.fetch_add(1, Ordering::SeqCst);
-        debug_assert_q(seq.is_multiple_of(2), "begin from inside a transaction");
-        slot.start_epoch.store(
-            self.stm.switch_epoch.load(Ordering::SeqCst),
-            Ordering::SeqCst,
-        );
+        // Clear the kill word *before* publishing the new serial: a killer
+        // that acquires the new serial then orders its kill store after
+        // the clear, so its request cannot be erased (release/acquire on
+        // `serial`; module docs, "One full fence per attempt").
+        slot.kill.store(0, Ordering::Release);
+        slot.serial.store(s.serial, Ordering::Release);
+        // THE fence of the attempt: orders "I am in an attempt" before the
+        // epoch load and every config-word load after it.
+        slot.enter_attempt(&self.stm.switch_epoch);
         s.rv = self.stm.clock.now();
         s.read_set.clear();
         s.write_set.clear();
@@ -466,7 +597,7 @@ impl<'e, 's> Tx<'e, 's> {
     #[inline(always)]
     fn view_lookup(&mut self, ptr: *const Partition) -> Option<u16> {
         let li = self.s.last_view as usize;
-        if li < self.s.views.len() && self.s.views[li].ptr == ptr {
+        if li < self.s.views.len() && self.s.views[li].part == ptr {
             return Some(li as u16);
         }
         if let Some(i) = self.s.view_index.get(ptr as usize) {
@@ -480,7 +611,7 @@ impl<'e, 's> Tx<'e, 's> {
     /// once, decodes it and records the view. Aborts if the partition is
     /// mid-switch. See the module docs for why one decode per attempt is
     /// sound.
-    fn view_create(&mut self, part: Arc<Partition>) -> Result<u16, Abort> {
+    fn view_create(&mut self, part: &'e Partition) -> Result<u16, Abort> {
         assert_eq!(
             part.stm_id, self.stm.id,
             "partition belongs to a different Stm"
@@ -499,7 +630,6 @@ impl<'e, 's> Tx<'e, 's> {
             self.s.engine_fail = true;
             return Err(Abort(()));
         }
-        let ptr = Arc::as_ptr(&part);
         // Snapshot the orec-table registers *after* observing the flag
         // clear: the resize protocol swaps them only inside a flagged
         // window our attempt provably does not straddle (module docs).
@@ -508,7 +638,6 @@ impl<'e, 's> Tx<'e, 's> {
         let i = self.s.views.len() as u32;
         self.s.views.push(PartView {
             part,
-            ptr,
             cfg: config::decode(word),
             table,
             mask,
@@ -518,7 +647,9 @@ impl<'e, 's> Tx<'e, 's> {
             stats: LocalStats::default(),
             wrote: false,
         });
-        self.s.view_index.insert(ptr as usize, i);
+        self.s
+            .view_index
+            .insert(part as *const Partition as usize, i);
         self.s.last_view = i;
         Ok(i as u16)
     }
@@ -530,7 +661,7 @@ impl<'e, 's> Tx<'e, 's> {
         if let Some(i) = self.view_lookup(ptr) {
             return Ok(i);
         }
-        self.view_create(Arc::clone(part))
+        self.view_create(part)
     }
 
     /// Resolves the partition view for a bound variable from its binding
@@ -552,12 +683,12 @@ impl<'e, 's> Tx<'e, 's> {
     /// binding load equalling the view's pointer extends the same argument
     /// to this access.
     fn view_of_binding(&mut self, binding: &'e PVarBinding) -> Result<u16, Abort> {
-        let ptr = binding.load();
-        if let Some(i) = self.view_lookup(ptr) {
+        let part = binding.load_ref();
+        if let Some(i) = self.view_lookup(part) {
             return Ok(i);
         }
-        let ti = self.view_create(PVarBinding::arc_of(ptr))?;
-        if binding.load() != ptr {
+        let ti = self.view_create(part)?;
+        if !core::ptr::eq(binding.load(), part) {
             return Err(self.fail(ti, AbortKind::Switching));
         }
         Ok(ti)
@@ -583,7 +714,7 @@ impl<'e, 's> Tx<'e, 's> {
     /// Records an abort cause against a partition and flags the attempt as
     /// engine-failed. Returns the `Abort` token to propagate.
     fn fail(&mut self, ti: u16, kind: AbortKind) -> Abort {
-        let st = &self.s.views[ti as usize].part.stats;
+        let st = &self.s.views[ti as usize].part().stats;
         match kind {
             AbortKind::WLockConflict => st.aborts_wlock(self.slot, 1),
             AbortKind::RLockConflict => st.aborts_rlock(self.slot, 1),
@@ -1253,7 +1384,7 @@ impl<'e, 's> Tx<'e, 's> {
                 // SAFETY: orec alive via the touched partition.
                 unsafe { &*orec }.ring_publish_begin();
                 self.s.views[ti as usize]
-                    .part
+                    .part()
                     .overflow_push(addr, old, wv, *floor);
                 // SAFETY: as above.
                 unsafe { &*orec }.ring_publish_end();
@@ -1281,7 +1412,7 @@ impl<'e, 's> Tx<'e, 's> {
         #[cfg(debug_assertions)]
         for t in &self.s.views {
             debug_assert_eq!(
-                config::generation(t.part.config_word()),
+                config::generation(t.part().config_word()),
                 t.generation,
                 "partition config switched mid-attempt (quiesce protocol violated)"
             );
@@ -1291,17 +1422,19 @@ impl<'e, 's> Tx<'e, 's> {
             // SAFETY: orecs alive via touched partitions.
             unsafe { &*orec }.remove_reader(bit);
         }
-        // Freed slots become reusable only by transactions whose snapshot
-        // is at least "now" (see ensure_snapshot_at_least).
-        let free_tag = self.stm.clock.now();
-        for f in &self.s.free_log {
-            // SAFETY: logged by Arena::free with a matching reclaim fn; the
-            // arena outlives `'e`.
-            unsafe { (f.push_free)(f.arena, f.raw, free_tag) }
+        if !self.s.free_log.is_empty() {
+            // Freed slots become reusable only by transactions whose
+            // snapshot is at least "now" (see ensure_snapshot_at_least).
+            let free_tag = self.stm.clock.now();
+            for f in &self.s.free_log {
+                // SAFETY: logged by Arena::free with a matching reclaim fn;
+                // the arena outlives `'e`.
+                unsafe { (f.push_free)(f.arena, f.raw, free_tag) }
+            }
         }
-        self.my_slot().seq.fetch_add(1, Ordering::SeqCst); // -> even
+        self.my_slot().leave_attempt();
         for t in &self.s.views {
-            let st = &t.part.stats;
+            let st = &t.part().stats;
             st.starts(self.slot, 1);
             st.commits(self.slot, 1);
             if t.wrote {
@@ -1353,7 +1486,7 @@ impl<'e, 's> Tx<'e, 's> {
             .views
             .iter()
             .map(|t| SampleTouch {
-                partition: t.part.id(),
+                partition: t.part().id(),
                 reads: t.stats.reads,
                 writes: t.stats.writes,
                 buckets: Vec::new(),
@@ -1410,10 +1543,10 @@ impl<'e, 's> Tx<'e, 's> {
             // never published, so the pre-existing constraint still rules.
             unsafe { (a.push_free)(a.arena, a.raw, a.tag) }
         }
-        self.my_slot().seq.fetch_add(1, Ordering::SeqCst); // -> even
+        self.my_slot().leave_attempt();
         for t in &self.s.views {
-            t.part.stats.starts(self.slot, 1);
-            t.stats.flush(&t.part.stats, self.slot);
+            t.part().stats.starts(self.slot, 1);
+            t.stats.flush(&t.part().stats, self.slot);
         }
         self.s.in_attempt = false;
         self.s.attempts += 1;
@@ -1467,7 +1600,7 @@ impl<'e, 's> Tx<'e, 's> {
             Ok(())
         } else {
             if let Some(t) = self.s.views.first() {
-                t.part.stats.aborts_validation(self.slot, 1);
+                t.part().stats.aborts_validation(self.slot, 1);
             }
             self.s.engine_fail = true;
             Err(Abort(()))
@@ -1478,10 +1611,10 @@ impl<'e, 's> Tx<'e, 's> {
     /// fills, evaluate the installed policy and apply its decision.
     fn after_commit_tuning(&mut self) {
         for i in 0..self.s.views.len() {
-            let part = Arc::clone(&self.s.views[i].part);
-            if !part.tunable {
+            if !self.s.views[i].part().tunable {
                 continue;
             }
+            let part = PVarBinding::arc_of(self.s.views[i].part);
             let tuner = {
                 let guard = self.stm.tuner.read();
                 match &*guard {
@@ -1528,6 +1661,9 @@ impl Drop for Tx<'_, '_> {
         if self.s.in_attempt {
             self.rollback();
         }
+        // The views borrow partitions for `'e`, which may end right after
+        // this `Tx` does (see `PartView::part`).
+        self.s.views.clear();
     }
 }
 
@@ -1589,7 +1725,7 @@ impl ThreadCtx {
                 Err(_) => {
                     if !tx.s.engine_fail {
                         if let Some(t) = tx.s.views.first() {
-                            t.part.stats.aborts_user(tx.slot, 1);
+                            t.part().stats.aborts_user(tx.slot, 1);
                         }
                     }
                     tx.rollback();

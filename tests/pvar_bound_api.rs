@@ -235,3 +235,156 @@ fn cached_generation_is_stable_within_an_attempt() {
         Ok(())
     });
 }
+
+/// The engine's debug-only generation tripwire, as a storm that also runs
+/// in `--release`: no attempt may span a structural window.
+///
+/// Workers loop one- and two-variable transactions and, as the last thing
+/// each attempt does, compare the generation its view cached at first
+/// touch with the partition's generation *now*. While the attempt is in
+/// flight a window may have raised its flag, but it cannot have closed
+/// (generation + 1) — it is waiting for this attempt to leave. A switcher
+/// issues `switch_partition`, `resize_orecs` and `migrate_pvars`
+/// back-to-back, with nothing in between, so every attempt begins inside
+/// or right next to a window. This exercises exactly the orderings the
+/// fence diet relaxed: `seq` leaves with a release store, `start_epoch` is
+/// a release store, and the quiesce's only fence on the attempt's side is
+/// the `seq` RMW (see "One full fence per attempt" in the `txn` docs).
+#[test]
+fn no_attempt_spans_a_window_under_a_back_to_back_control_storm() {
+    const ACCOUNTS: usize = 16;
+    const ROUNDS: usize = 1000;
+    let stm = Stm::new();
+    let a = stm.new_partition(PartitionConfig::named("storm-a").orecs(64));
+    let b = stm.new_partition(PartitionConfig::named("storm-b").orecs(64));
+    let vars: Vec<PVar<i64>> = (0..ACCOUNTS).map(|_| a.tvar(1_000)).collect();
+    let expect = ACCOUNTS as i64 * 1_000;
+    let stop = AtomicBool::new(false);
+    let span_violations = AtomicUsize::new(0);
+    let torn_sums = AtomicUsize::new(0);
+    let windows = AtomicUsize::new(0);
+
+    // The tripwire: every partition this attempt touched still carries the
+    // generation the view cached.
+    let check = |tx: &partstm::core::Tx<'_, '_>| {
+        for p in [&a, &b] {
+            if tx.cached_generation(p).is_some_and(|g| g != p.generation()) {
+                span_violations.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    };
+
+    std::thread::scope(|s| {
+        for t in 0..2usize {
+            let ctx = stm.register_thread();
+            let (vars, stop, check) = (&vars, &stop, &check);
+            s.spawn(move || {
+                let mut r = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                while !stop.load(Ordering::Relaxed) {
+                    r ^= r << 13;
+                    r ^= r >> 7;
+                    r ^= r << 17;
+                    let from = (r % ACCOUNTS as u64) as usize;
+                    let to = ((r >> 8) % ACCOUNTS as u64) as usize;
+                    if r & (1 << 20) == 0 {
+                        // One in 64 of these lingers between first touch
+                        // and the check for about as long as a window
+                        // takes, so a drain that failed to wait for it
+                        // would close the window underneath it.
+                        let linger = r & (63 << 24) == 0;
+                        ctx.run(|tx| {
+                            tx.read(&vars[from])?;
+                            if linger {
+                                for _ in 0..20_000 {
+                                    std::hint::spin_loop();
+                                }
+                            }
+                            check(tx);
+                            Ok(())
+                        });
+                    } else if from != to {
+                        ctx.run(|tx| {
+                            tx.modify(&vars[from], |v| v - 7)?;
+                            tx.modify(&vars[to], |v| v + 7)?;
+                            check(tx);
+                            Ok(())
+                        });
+                    }
+                }
+            });
+        }
+        // Auditor: the conserved sum, through both read paths.
+        {
+            let ctx = stm.register_thread();
+            let (vars, stop, check, torn_sums) = (&vars, &stop, &check, &torn_sums);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let validated = ctx.run(|tx| {
+                        let mut sum = 0;
+                        for v in vars {
+                            sum += tx.read(v)?;
+                        }
+                        check(tx);
+                        Ok(sum)
+                    });
+                    let snapshot = ctx.snapshot_read(|tx| {
+                        let mut sum = 0;
+                        for v in vars {
+                            sum += tx.read(v)?;
+                        }
+                        Ok(sum)
+                    });
+                    if validated != expect || snapshot != expect {
+                        torn_sums.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        // Switcher (this thread): three different windows per round, no
+        // pause between them; the variables change home every round.
+        let all: Vec<&dyn partstm::core::Migratable> = vars.iter().map(|v| v as _).collect();
+        let (mut home, mut away) = (&a, &b);
+        for _ in 0..ROUNDS {
+            let mut cfg = home.current_config();
+            cfg.read_mode = match cfg.read_mode {
+                ReadMode::Invisible => ReadMode::Visible,
+                ReadMode::Visible => ReadMode::Invisible,
+            };
+            let orecs = if home.orec_count() == 64 { 1024 } else { 64 };
+            let outcomes = [
+                stm.switch_partition(home, cfg),
+                stm.resize_orecs(home, orecs),
+                stm.migrate_pvars(&all, away),
+            ];
+            // Nothing else owns these partitions and every transaction is
+            // short: no window may be contended or time out.
+            if outcomes.iter().all(|o| o.switched()) {
+                windows.fetch_add(outcomes.len(), Ordering::Relaxed);
+            }
+            std::mem::swap(&mut home, &mut away);
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    assert_eq!(
+        span_violations.load(Ordering::Relaxed),
+        0,
+        "an attempt observed a generation change mid-flight"
+    );
+    assert_eq!(torn_sums.load(Ordering::Relaxed), 0, "sum not conserved");
+    assert_eq!(
+        windows.load(Ordering::Relaxed),
+        3 * ROUNDS,
+        "a window failed"
+    );
+    let total: i64 = vars.iter().map(|v| v.load_direct()).sum();
+    assert_eq!(total, expect);
+    for p in [&a, &b] {
+        let (locked, owners, _) = p.debug_scan();
+        assert_eq!(locked, 0, "{}: leaked locks owned by {owners:?}", p.name());
+    }
+    // ROUNDS is even: the variables are back home.
+    for v in &vars {
+        assert_eq!(v.partition_id(), a.id());
+    }
+}
