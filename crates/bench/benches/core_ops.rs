@@ -64,6 +64,29 @@ fn bench_writes(c: &mut Criterion) {
     g.finish();
 }
 
+/// The benchmark's two-account transfer (read, read, write, write, no
+/// snapshot reader) at four version-ring depths. Publication looks at the
+/// one slot under the orec's cursor, so the cost must not grow with depth.
+fn bench_commit_ring_depth(c: &mut Criterion) {
+    let mut g = c.benchmark_group("commit_2w_ring_depth");
+    for depth in [1usize, 4, 16, 64] {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::named("p").ring(depth));
+        let (from, to) = (p.tvar(1_000u64), p.tvar(1_000u64));
+        let ctx = stm.register_thread();
+        g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
+            b.iter(|| {
+                ctx.run(|tx| {
+                    let (f, t) = (tx.read(&from)?, tx.read(&to)?);
+                    tx.write(&from, f.wrapping_sub(1))?;
+                    tx.write(&to, t.wrapping_add(1))
+                })
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_granularity_mapping(c: &mut Criterion) {
     let mut g = c.benchmark_group("granularity");
     for (label, gran) in [
@@ -124,6 +147,7 @@ criterion_group!(
     bench_empty_txn,
     bench_reads,
     bench_writes,
+    bench_commit_ring_depth,
     bench_granularity_mapping,
     bench_read_own_writes
 );

@@ -66,8 +66,23 @@ struct Opts {
     rec: BenchRecorder,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
-    let mut secs = 0.5;
+/// Prints the usage line and exits with status 2 (the response to an
+/// empty or malformed command line).
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro <f2|f3|f4|t1|t2|f5|f6|f7|f8|a1|a2|a3|repart|hotkey|orecs|readpath|\
+         privatize|chaos|report|all>.. \
+         [--secs S] [--threads ..] [--quick] [--json [file]] [--prom [file]]"
+    );
+    std::process::exit(2);
+}
+
+/// Parses the flags; `None` when one is unknown, lacks its value, or
+/// carries a value that does not parse or is out of range (`--secs` must
+/// be positive and finite, thread counts 1..=64 — the runtime's slot
+/// limit).
+fn parse_opts(args: &[String]) -> Option<Opts> {
+    let mut secs: f64 = 0.5;
     let mut threads = thread_sweep(usize::MAX);
     let mut json = None;
     let mut prom = None;
@@ -75,14 +90,18 @@ fn parse_opts(args: &[String]) -> Opts {
     while i < args.len() {
         match args[i].as_str() {
             "--secs" => {
-                secs = args[i + 1].parse().expect("--secs takes a float");
+                secs = args.get(i + 1)?.parse().ok()?;
+                if !(secs > 0.0 && secs.is_finite()) {
+                    return None;
+                }
                 i += 2;
             }
             "--threads" => {
-                threads = args[i + 1]
+                threads = args
+                    .get(i + 1)?
                     .split(',')
-                    .map(|t| t.parse().expect("--threads takes a list"))
-                    .collect();
+                    .map(|t| t.parse().ok().filter(|n| (1..=64).contains(n)))
+                    .collect::<Option<_>>()?;
                 i += 2;
             }
             "--quick" => {
@@ -110,16 +129,16 @@ fn parse_opts(args: &[String]) -> Opts {
                     i += 1;
                 }
             }
-            other => panic!("unknown option {other}"),
+            _ => return None,
         }
     }
-    Opts {
+    Some(Opts {
         secs,
         threads,
         json,
         prom,
         rec: BenchRecorder::new(),
-    }
+    })
 }
 
 /// A tuner with windows small enough for short harness runs.
@@ -142,14 +161,9 @@ fn main() {
         .unwrap_or(args.len());
     let (cmds, flags) = args.split_at(split);
     if cmds.is_empty() {
-        eprintln!(
-            "usage: repro <f2|f3|f4|t1|t2|f5|f6|f7|f8|a1|a2|a3|repart|hotkey|orecs|readpath|\
-             privatize|chaos|report|all>.. \
-             [--secs S] [--threads ..] [--quick] [--json [file]] [--prom [file]]"
-        );
-        std::process::exit(2);
+        usage();
     }
-    let opts = parse_opts(flags);
+    let opts = parse_opts(flags).unwrap_or_else(|| usage());
     // The harness is the consumer the observability layer exists for:
     // record everything (histograms, flight recorder, sampled lifecycle).
     telemetry::set_enabled(true);

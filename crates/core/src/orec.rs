@@ -27,9 +27,10 @@
 //! that was current at its pinned timestamp even after later commits have
 //! overwritten the live cell. Slots are written only by the orec's current
 //! lock holder (so publications are mutually serialized) and read by
-//! anyone, via a per-slot seqlock.
+//! anyone, inside the orec's `ring_epoch` seqlock
+//! ([`Orec::ring_publish_begin`] / [`Orec::ring_read_begin`]).
 
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 /// Lock-word low bit: set while a writer owns the orec.
 pub const LOCK_BIT: u64 = 1;
@@ -70,8 +71,9 @@ pub fn make_locked(slot: usize) -> u64 {
 ///
 /// ## Why 64 bytes
 ///
-/// The record itself is three words (lock, readers, aliasing hint). At the
-/// bare 24 bytes, two to four neighbouring orecs share one cache line, so
+/// The record itself is five words (lock, readers, aliasing hint, and the
+/// version ring's epoch and cursor). Unpadded, neighbouring orecs share a
+/// cache line, so
 /// under the address-mixing hash *unrelated* stripes ping-pong the same
 /// line between writers — false sharing stacked on top of the hash
 /// aliasing the table size already causes, and invisible to the aliasing
@@ -109,16 +111,18 @@ pub struct Orec {
     /// Word address of the last write acquisition (0 = none yet);
     /// aliasing telemetry only, see the type docs.
     pub hint: AtomicU64,
-    /// Ring-scan seqlock: odd while a version-ring publish for this orec
-    /// is in flight, bumped twice per publish. A snapshot reader's ring
-    /// scan is not atomic, so commits can cycle records *behind* its scan
-    /// cursor — publishing the record it needs into a slot it has already
-    /// visited. A scan that overlapped any publish (epoch odd, or changed
-    /// across the scan) must retry; see the marching-eviction hazard in
-    /// [`crate::snapshot`]. Bumps never race each other: publishes happen
-    /// only under this orec's write lock. Fits the existing 64-byte
-    /// padding, so the field is free.
-    pub ring_epoch: AtomicU64,
+    /// History seqlock: odd while a history publication for this orec — a
+    /// ring-slot publish or an overflow divert — is in flight. **Single
+    /// writer**: only the holder of this orec's write lock stores it
+    /// (plain stores, no RMW); successive holders are ordered by the lock
+    /// word. A snapshot lookup that overlapped a publication retries — the
+    /// marching hazard and the orderings are in [`crate::snapshot`].
+    ring_epoch: AtomicU64,
+    /// Index, within this orec's ring, of the slot the next publication
+    /// looks at: empty, or the ring's smallest close stamp
+    /// ([`crate::snapshot`], "The writer looks at one slot"). Writer-owned
+    /// like `ring_epoch`; relaxed, readers never look.
+    ring_cursor: AtomicUsize,
 }
 
 impl Default for Orec {
@@ -128,6 +132,7 @@ impl Default for Orec {
             readers: AtomicU64::new(0),
             hint: AtomicU64::new(0),
             ring_epoch: AtomicU64::new(0),
+            ring_cursor: AtomicUsize::new(0),
         }
     }
 }
@@ -198,25 +203,55 @@ impl Orec {
         self.hint.load(Ordering::Relaxed)
     }
 
-    /// Opens the ring-scan seqlock for one version-ring publish (-> odd).
-    /// Caller must hold this orec's write lock.
+    /// Opens the history seqlock for one publication (-> odd). Caller must
+    /// hold this orec's write lock, which makes it the only writer. The
+    /// release fence orders the bump before the record stores that follow
+    /// and pairs with the fence in [`Orec::ring_read_validate`].
     #[inline(always)]
     pub fn ring_publish_begin(&self) {
-        self.ring_epoch.fetch_add(1, Ordering::SeqCst);
+        let e = self.ring_epoch.load(Ordering::Relaxed);
+        debug_assert!(e.is_multiple_of(2), "nested history publication");
+        self.ring_epoch.store(e.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
     }
 
-    /// Closes the ring-scan seqlock after a publish (-> even).
+    /// Closes the history seqlock (-> even). Release: a reader that
+    /// acquires the even value sees the whole record.
     #[inline(always)]
     pub fn ring_publish_end(&self) {
-        self.ring_epoch.fetch_add(1, Ordering::SeqCst);
+        let e = self.ring_epoch.load(Ordering::Relaxed);
+        self.ring_epoch.store(e.wrapping_add(1), Ordering::Release);
     }
 
-    /// Current ring-scan epoch (odd = a publish is in flight). Snapshot
-    /// readers bracket their ring scan with two loads and retry unless
-    /// both are the same even value.
+    /// Reader side, opening load: `Some(epoch)` when no publication is in
+    /// flight. Acquire: pairs with [`Orec::ring_publish_end`].
     #[inline(always)]
-    pub fn ring_epoch(&self) -> u64 {
-        self.ring_epoch.load(Ordering::SeqCst)
+    pub fn ring_read_begin(&self) -> Option<u64> {
+        let e = self.ring_epoch.load(Ordering::Acquire);
+        e.is_multiple_of(2).then_some(e)
+    }
+
+    /// Reader side, closing check: `true` when the loads since
+    /// [`Orec::ring_read_begin`] returned `epoch` overlapped no
+    /// publication (a load that observed one makes its odd epoch visible
+    /// past the acquire fence).
+    #[inline(always)]
+    pub fn ring_read_validate(&self, epoch: u64) -> bool {
+        fence(Ordering::Acquire);
+        self.ring_epoch.load(Ordering::Relaxed) == epoch
+    }
+
+    /// The ring cursor. Caller must hold this orec's write lock (or be
+    /// inside a quiesce window); likewise for [`Orec::set_ring_cursor`].
+    #[inline(always)]
+    pub fn ring_cursor(&self) -> usize {
+        self.ring_cursor.load(Ordering::Relaxed)
+    }
+
+    /// Moves the ring cursor.
+    #[inline(always)]
+    pub fn set_ring_cursor(&self, k: usize) {
+        self.ring_cursor.store(k, Ordering::Relaxed);
     }
 }
 
@@ -230,15 +265,15 @@ impl Orec {
 /// strictly greater than `T`" — and the live cell when no such record
 /// exists (see the [`crate::snapshot`] module docs for the proof).
 ///
-/// Concurrency: `publish` is called only while the caller holds the
-/// owning orec's write-lock, so writers never race each other on a slot;
-/// readers race writers and are fenced out by the `seq` seqlock (odd =
-/// mid-publication). `to == 0` marks an empty slot — commit timestamps
-/// start at 1, so 0 is never a valid stamp.
+/// Concurrency: `publish` is called only by the owning orec's lock holder
+/// with the orec's epoch bracket ([`Orec::ring_publish_begin`]) open, so
+/// writers never race each other and a reader that raced one discards
+/// what it loaded: every access is relaxed, the bracket orders them.
+/// `to == 0` marks an empty slot — commit timestamps start at 1. Aligned
+/// to its 32-byte size so that no slot straddles a cache line.
 #[derive(Debug, Default)]
+#[repr(align(32))]
 pub struct RingSlot {
-    /// Seqlock word: odd while a publication is in progress.
-    seq: AtomicU64,
     /// Word address the recorded value belonged to.
     addr: AtomicU64,
     /// The overwritten value.
@@ -248,56 +283,36 @@ pub struct RingSlot {
 }
 
 impl RingSlot {
-    /// The record's `to` stamp (0 = empty). Racy by design: victim
-    /// selection tolerates a concurrent publication (the caller holds the
-    /// orec lock, so on the write path there is none).
+    /// The record's `to` stamp (0 = empty); exact for the lock holder.
     #[inline(always)]
     pub fn close_stamp(&self) -> u64 {
-        self.to.load(Ordering::SeqCst)
+        self.to.load(Ordering::Relaxed)
     }
 
     /// Overwrites the slot with a fresh record. Caller must hold the
-    /// owning orec's write-lock.
-    #[inline]
+    /// owning orec's write-lock with the epoch bracket open.
+    #[inline(always)]
     pub fn publish(&self, addr: u64, val: u64, to: u64) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::SeqCst); // -> odd
-        self.addr.store(addr, Ordering::SeqCst);
-        self.val.store(val, Ordering::SeqCst);
-        self.to.store(to, Ordering::SeqCst);
-        self.seq.store(s.wrapping_add(2), Ordering::SeqCst); // -> even
+        self.addr.store(addr, Ordering::Relaxed);
+        self.val.store(val, Ordering::Relaxed);
+        self.to.store(to, Ordering::Relaxed);
     }
 
-    /// Clears the slot (control-plane only: inside a quiesce window, or on
-    /// a freshly allocated ring).
+    /// Clears the slot (control-plane only: inside a quiesce window, whose
+    /// closing config-word store publishes it, or on a fresh ring).
     pub fn clear(&self) {
-        self.addr.store(0, Ordering::SeqCst);
-        self.val.store(0, Ordering::SeqCst);
-        self.to.store(0, Ordering::SeqCst);
+        self.publish(0, 0, 0);
     }
 
-    /// Reads a stable `(addr, val, to)` triple, spinning out concurrent
-    /// publications (they are three stores under the orec lock, so the
-    /// wait is short; `to == 0` in the result means the slot is empty).
-    pub fn read_stable(&self) -> (u64, u64, u64) {
-        let mut spins = 0u32;
-        loop {
-            let s1 = self.seq.load(Ordering::SeqCst);
-            if s1.is_multiple_of(2) {
-                let addr = self.addr.load(Ordering::SeqCst);
-                let val = self.val.load(Ordering::SeqCst);
-                let to = self.to.load(Ordering::SeqCst);
-                if self.seq.load(Ordering::SeqCst) == s1 {
-                    return (addr, val, to);
-                }
-            }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                core::hint::spin_loop();
-            }
-        }
+    /// Loads `(addr, val, to)`, possibly torn by a concurrent publication:
+    /// usable only once [`Orec::ring_read_validate`] has passed.
+    #[inline(always)]
+    pub fn load(&self) -> (u64, u64, u64) {
+        (
+            self.addr.load(Ordering::Relaxed),
+            self.val.load(Ordering::Relaxed),
+            self.to.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -379,12 +394,12 @@ mod tests {
     fn ring_slot_publish_read_clear_roundtrip() {
         let s = RingSlot::default();
         assert_eq!(s.close_stamp(), 0, "fresh slot is empty");
-        assert_eq!(s.read_stable().2, 0);
+        assert_eq!(s.load().2, 0);
         s.publish(0xBEE8, 41, 7);
         assert_eq!(s.close_stamp(), 7);
-        assert_eq!(s.read_stable(), (0xBEE8, 41, 7));
+        assert_eq!(s.load(), (0xBEE8, 41, 7));
         s.publish(0x1000, 99, 12);
-        assert_eq!(s.read_stable(), (0x1000, 99, 12), "latest record wins");
+        assert_eq!(s.load(), (0x1000, 99, 12), "latest record wins");
         s.clear();
         assert_eq!(s.close_stamp(), 0);
     }
@@ -393,7 +408,63 @@ mod tests {
     fn ring_slot_is_32_bytes() {
         // 32 bytes keeps a depth-4 ring on two cache lines; the partition
         // sizes its flat ring allocation as orec_count * depth of these.
+        // Aligned to its size, so no slot straddles a line.
         assert_eq!(core::mem::size_of::<RingSlot>(), 32);
+        assert_eq!(core::mem::align_of::<RingSlot>(), 32);
+    }
+
+    #[test]
+    fn ring_epoch_bracket_rejects_overlapping_reads() {
+        let o = Orec::default();
+        let e = o.ring_read_begin().expect("idle orec: even epoch");
+        assert!(o.ring_read_validate(e), "nothing published in between");
+        o.ring_publish_begin();
+        assert_eq!(o.ring_read_begin(), None, "publication in flight");
+        assert!(!o.ring_read_validate(e), "read overlapped the publish");
+        o.ring_publish_end();
+        assert!(!o.ring_read_validate(e), "and stays rejected afterwards");
+        let e2 = o.ring_read_begin().expect("closed again");
+        assert_eq!(e2, e + 2, "two plain bumps per publication");
+        assert!(o.ring_read_validate(e2));
+    }
+
+    /// One writer republishes self-checking records (`val == !addr`, `to ==
+    /// addr`) into one slot under the epoch bracket; readers must never
+    /// validate a torn triple. Small enough for Miri, whose weak-memory
+    /// emulation is what makes the relaxed slot accesses interesting.
+    #[test]
+    fn ring_epoch_bracket_never_validates_a_torn_record() {
+        let o = Orec::default();
+        let s = RingSlot::default();
+        let rounds: u64 = if cfg!(miri) { 200 } else { 20_000 };
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                for i in 1..=rounds {
+                    o.ring_publish_begin();
+                    s.publish(i, !i, i);
+                    o.ring_publish_end();
+                }
+            });
+            for _ in 0..2 {
+                sc.spawn(|| {
+                    let mut last = 0;
+                    while last < rounds {
+                        let Some(e) = o.ring_read_begin() else {
+                            core::hint::spin_loop();
+                            continue;
+                        };
+                        let (a, v, to) = s.load();
+                        if !o.ring_read_validate(e) {
+                            continue;
+                        }
+                        assert_eq!(e, 2 * to, "record belongs to the epoch read");
+                        assert!(to == 0 || (v == !a && to == a), "torn record validated");
+                        assert!(to >= last, "records never go backwards");
+                        last = to;
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -49,8 +49,7 @@ struct TableHold {
 
 /// One record evicted (or diverted) from an orec's version ring into the
 /// partition's overflow list because a pinned snapshot reader may still
-/// need it. Same semantics as [`RingSlot`], without the seqlock (the list
-/// is mutex-guarded).
+/// need it. Same semantics as [`RingSlot`]; the list is mutex-guarded.
 #[derive(Debug, Clone, Copy)]
 struct OverflowRecord {
     addr: usize,
@@ -402,6 +401,8 @@ impl Partition {
         // pinned before this window were drained by the quiesce; readers
         // that pin after it get T ≥ the reset clock, which upper-bounds
         // every discarded record's close stamp).
+        // The orecs' ring cursors stay where they are: round-robin from any
+        // slot of an empty ring still fills it in stamp order.
         for s in hold.ring.iter() {
             s.clear();
         }
@@ -464,6 +465,11 @@ impl Partition {
         debug_assert!((config::MIN_RING_DEPTH..=config::MAX_RING_DEPTH).contains(&depth));
         let mut hold = self.tables.lock();
         let new_ring = alloc_ring(hold.current.len(), depth);
+        // The orec table stays: rewind its cursors onto the empty ring (a
+        // cursor left from a deeper ring could point past the new depth).
+        for o in hold.current.iter() {
+            o.set_ring_cursor(0);
+        }
         self.ring
             .store(new_ring.as_ptr() as *mut RingSlot, Ordering::Release);
         self.ring_depth.store(depth, Ordering::Release);
@@ -672,10 +678,10 @@ mod tests {
         assert_ne!(new_ptr, old_ptr, "fresh allocation");
         assert_eq!(depth, 6);
         // SAFETY: fresh ring, alive as long as `p`.
-        assert_eq!(unsafe { &*new_ptr }.read_stable().2, 0, "empty");
+        assert_eq!(unsafe { &*new_ptr }.load().2, 0, "empty");
         // The parked ring stays dereferenceable.
         // SAFETY: parked allocation, alive as long as `p`.
-        assert_eq!(unsafe { &*old_ptr }.read_stable(), (0x40, 11, 5));
+        assert_eq!(unsafe { &*old_ptr }.load(), (0x40, 11, 5));
     }
 
     #[test]
@@ -693,7 +699,7 @@ mod tests {
         assert_eq!(depth, 2);
         for i in 0..32 * depth {
             // SAFETY: fresh ring of 32 × 2 slots, alive as long as `p`.
-            assert_eq!(unsafe { &*ptr.add(i) }.read_stable().2, 0);
+            assert_eq!(unsafe { &*ptr.add(i) }.load().2, 0);
         }
     }
 
@@ -724,7 +730,7 @@ mod tests {
         p.overflow_push(0x10, 78, 10, 0);
         p.reset_orecs(42);
         // SAFETY: same ring (reset clears in place, no swap).
-        assert_eq!(unsafe { &*ptr }.read_stable().2, 0);
+        assert_eq!(unsafe { &*ptr }.load().2, 0);
         assert_eq!(p.overflow_len(), 0);
     }
 

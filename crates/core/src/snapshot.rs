@@ -76,17 +76,65 @@
 //!   one of those — shadowing the smaller-stamped ring record published
 //!   into the gap.
 //!
-//! This is the **marching hazard**. The cure is a per-orec ring epoch
-//! ([`Orec::ring_epoch`]): committing writers bump it to odd before and
-//! even after every history publication for that orec — slot publishes
-//! *and* overflow diverts; they hold the orec lock, so bumps never race —
-//! and the reader brackets ring scan plus overflow look with two epoch
-//! loads, retrying until both are the same even value. A stable pass
-//! overlapped no history mutation for the orec, so it is equivalent to
-//! reading ring and overflow at one instant — and at any instant that
-//! pair contains every record a pinned reader needs (previous paragraph:
-//! protected records are neither evicted nor pruned, and they never
-//! migrate between ring and overflow).
+//! This is the **marching hazard**. The cure is one seqlock per orec, the
+//! ring epoch ([`Orec::ring_publish_begin`]): a committing writer makes it
+//! odd before and even after every history publication for that orec —
+//! slot publishes *and* overflow diverts — and the reader brackets ring
+//! scan plus overflow look with two epoch loads, retrying until both are
+//! the same even value. It is the *only* seqlock on the history: every
+//! slot store sits inside the bracket, so a torn record is just another
+//! overlapped pass and slots need no sequence word of their own.
+//!
+//! **The orderings.** The epoch has one writer at a time, the orec's lock
+//! holder, and successive holders are ordered by the lock word (release
+//! unlock, acquiring CAS), so the epoch only grows. Nothing in publication
+//! is a store→load handshake (the Dekker pattern nearby, pin vs floor, is
+//! `ro_snap` against the clock RMW and stays `SeqCst`), so nothing here is
+//! `SeqCst` or an RMW. *Writer:* epoch → odd, relaxed, then
+//! `fence(Release)`; the record — three relaxed slot stores, or the
+//! overflow push under its mutex; epoch → even, release; all before the
+//! cell store and the orec's release unlock. *Reader:* acquire load of the
+//! epoch (`e`, even); relaxed slot loads and the overflow look;
+//! `fence(Acquire)`; a relaxed re-load that must return `e`. A pass that
+//! reads `e` twice observed the history exactly as the publication that
+//! closed at `e` left it:
+//!
+//! * *Nothing older.* The opening load acquires a closing release store
+//!   whose writer follows every earlier publication in the lock chain, so
+//!   all of them happen-before the pass's loads.
+//! * *Nothing newer, from the ring.* A slot load that returns a later
+//!   publication's store sits between that publisher's release fence and
+//!   the reader's acquire fence, so the fences synchronize: the odd epoch
+//!   stored before the former (above `e`) is visible to the re-load.
+//! * *Nothing newer, from overflow.* A divert sets the epoch odd before
+//!   taking the overflow mutex (and before its release store of the list
+//!   length); a reader that sees its record or its length re-loads the
+//!   epoch after that hand-over, and sees the odd value.
+//!
+//! The same chain makes the reader *start* late enough. It reaches the
+//! lookup having acquired an orec word — a version above `T`, or a lock —
+//! and every publication ordered before that word's store (its writer's
+//! own records, which precede its unlock, and everything earlier in the
+//! lock chain) happens-before the opening epoch load: a reader that sees
+//! commit `wv` on the orec never opens at an epoch older than `wv`'s
+//! records.
+//!
+//! A stable pass is therefore equivalent to reading ring and overflow at
+//! one instant — and at any instant that pair contains every record a
+//! pinned reader needs (previous paragraph: protected records are neither
+//! evicted nor pruned, and they never migrate between ring and overflow).
+//!
+//! **The writer looks at one slot.** Each orec keeps a cursor into its
+//! ring, owned by the lock holder like the epoch. Stamps published under
+//! one orec lock only grow (a later holder draws its `wv` after the
+//! earlier one unlocked), a publish fills the cursor slot and advances
+//! round-robin, and a divert touches neither ring nor cursor. The ring is
+//! thus in stamp order starting at the cursor: that slot is empty or,
+//! once the ring has wrapped, holds the smallest stamp — the victim "any
+//! empty slot, else the minimum" would pick — and if it is above the
+//! floor, so is every other. This holds from any cursor over an empty
+//! ring, so windows that clear rings in place leave cursors alone;
+//! `set_ring_depth` keeps the orec table, and rewinds them.
 //!
 //! Per read, the orec's versioned lock word arbitrates:
 //!
@@ -160,16 +208,18 @@
 //!
 //! # Cost model
 //!
-//! Writers pay one ring scan (`ring_depth` stamps, one cache line for
-//! depth ≤ 2... 4 slots per line at 32 B/slot) plus one seqlock publish
-//! and two ring-epoch bumps (on an orec line the writer already owns
-//! exclusively) per written word — on the commit path only, after the
-//! point of no return. Readers pay two clock loads and two slot stores per
-//! transaction, and per read the same sandwich as the regular path; the
-//! ring is scanned only when an orec moved past `T`. Memory is
-//! `orec_count × ring_depth × 32` bytes per partition, bounded; the
-//! overflow list is pruned against the floor at a doubling watermark, so
-//! it is proportional to records actually protected by a live pin.
+//! Writers pay, per written word and only after the point of no return,
+//! plain stores on lines they already own: two epoch stores and a cursor
+//! store on the orec's line, one stamp load and three record stores on
+//! one ring line (a slot is 32 B, aligned, so it never straddles two) —
+//! no atomic read-modify-write, no `SeqCst` store, and nothing that
+//! depends on `ring_depth`. Readers pay two clock loads and two slot
+//! stores per transaction, and per read the same sandwich as the regular
+//! path; the ring is scanned (relaxed loads inside the epoch bracket) only
+//! when an orec moved past `T`. Memory is `orec_count × ring_depth × 32`
+//! bytes per partition, bounded; the overflow list is pruned against the
+//! floor at a doubling watermark, so it is proportional to records
+//! actually protected by a live pin.
 
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -474,15 +524,10 @@ impl<'e, 's> ReadTx<'e, 's> {
     /// the smallest stamp — across the orec's ring and, only when
     /// non-empty, the partition overflow list. Returns `(val, to)`.
     ///
-    /// The ring scan visits slots one at a time, so on its own it is *not*
-    /// a consistent snapshot of the ring: while the scan is parked between
-    /// two slots, commits can keep cycling the ring — each eviction
-    /// individually legal (victims stamped at or below the floor) — and
-    /// publish the very record this reader needs into a slot the cursor
-    /// has already passed (the *marching hazard*; module docs). The scan
-    /// is therefore bracketed by the orec's ring epoch and retried until
-    /// it overlapped no publish, which makes it equivalent to an atomic
-    /// read of the ring at one instant.
+    /// The pass is bracketed by the orec's ring epoch and retried until it
+    /// overlapped no publication, which makes it an atomic read of ring +
+    /// overflow (the *marching hazard*; module docs). Nothing loaded inside
+    /// the bracket is used before the closing check.
     fn history_lookup(
         &self,
         vi: u16,
@@ -497,28 +542,24 @@ impl<'e, 's> ReadTx<'e, 's> {
         let orec = unsafe { &*orec };
         // SAFETY: the ring has `(mask + 1) * ring_depth` slots and `idx <=
         // mask`; alive and stable as the table is (module docs).
-        let base = unsafe { v.ring.add(idx * v.ring_depth) };
+        let ring =
+            unsafe { core::slice::from_raw_parts(v.ring.add(idx * v.ring_depth), v.ring_depth) };
         let mut best: Option<(u64, u64)>; // (to, val)
         let mut tries = 0u32;
         let mut scanned = 0u64;
         loop {
-            let e1 = orec.ring_epoch();
-            if e1.is_multiple_of(2) {
+            if let Some(epoch) = orec.ring_read_begin() {
                 best = None;
-                for k in 0..v.ring_depth {
-                    // SAFETY: `k < ring_depth`, within the allocation.
-                    let (a, val, to) = unsafe { &*base.add(k) }.read_stable();
+                for slot in ring {
+                    let (a, val, to) = slot.load();
                     scanned += 1;
-                    if to != 0 && a == addr as u64 && to > t && best.is_none_or(|(bt, _)| to < bt) {
+                    if a == addr as u64 && to > t && best.is_none_or(|(bt, _)| to < bt) {
                         best = Some((to, val));
                     }
                 }
-                // The overflow look must sit INSIDE the epoch bracket:
-                // commits bump the epoch on diverts too, so a stable pass
-                // proves ring + overflow were observed as one instant. An
-                // overflow record found after an unprotected gap could
-                // otherwise shadow a smaller-stamped ring record published
-                // into the gap (the second marching variant; module docs).
+                // INSIDE the bracket: an overflow record found after an
+                // unprotected gap could shadow a smaller-stamped ring
+                // record published into the gap (second marching variant).
                 if v.part().overflow_len() > 0 {
                     if let Some((val, to)) = v.part().overflow_best(addr, t) {
                         if best.is_none_or(|(bt, _)| to < bt) {
@@ -526,7 +567,7 @@ impl<'e, 's> ReadTx<'e, 's> {
                         }
                     }
                 }
-                if orec.ring_epoch() == e1 {
+                if orec.ring_read_validate(epoch) {
                     break;
                 }
             }
@@ -780,6 +821,279 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.snapshot_commits, 500);
         assert_eq!(s.snapshot_restarts, 0, "no switch ran: zero restarts");
+    }
+
+    /// One orec's history driven step by step against a `BTreeMap` model
+    /// of each address's commit history. Everything runs on one thread:
+    /// snapshot readers are simulated by pinning registered slots by hand,
+    /// so the rig can hold several pins across commits and interrogate
+    /// `history_lookup` for each of them after every step.
+    mod history_model {
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+
+        use proptest::prelude::*;
+
+        use super::super::{ReadTx, Restart};
+        use crate::config::{AcquireMode, PartitionConfig};
+        use crate::partition::Partition;
+        use crate::pvar::PVar;
+        use crate::stm::{Stm, ThreadCtx};
+        use core::marker::PhantomData;
+        use core::sync::atomic::Ordering;
+
+        #[derive(Clone, Copy, Debug)]
+        pub(super) enum Step {
+            /// Commit an overwrite of one variable.
+            Write(usize),
+            /// Commit an overwrite of two variables (same orec, same stamp).
+            WritePair(usize, usize),
+            /// Pin reader `k` at the current clock.
+            Pin(usize),
+            /// Release reader `k`'s pin.
+            Unpin(usize),
+            /// Configuration switch: a window that clears rings in place.
+            Clear,
+            /// `set_ring_depth`: a window that swaps the rings.
+            Depth(usize),
+        }
+
+        const VARS: usize = 3;
+        const READERS: usize = 3;
+
+        pub(super) struct Rig {
+            stm: Stm,
+            part: Arc<Partition>,
+            vars: Vec<PVar<u64>>,
+            /// Current committed value of each variable.
+            cur: [u64; VARS],
+            /// Per variable: commit stamp -> the value that commit overwrote.
+            model: [BTreeMap<u64, u64>; VARS],
+            writer: ThreadCtx,
+            readers: Vec<ThreadCtx>,
+            pins: [Option<u64>; READERS],
+        }
+
+        impl Rig {
+            pub(super) fn new(depth: usize) -> Self {
+                let stm = Stm::new();
+                // One orec: every variable shares it, every publish lands in
+                // the same ring.
+                let part = stm.new_partition(PartitionConfig::default().orecs(1).ring(depth));
+                let vars = (0..VARS).map(|i| part.tvar(i as u64)).collect();
+                let writer = stm.register_thread();
+                let readers = (0..READERS).map(|_| stm.register_thread()).collect();
+                Rig {
+                    stm,
+                    part,
+                    vars,
+                    cur: core::array::from_fn(|i| i as u64),
+                    model: Default::default(),
+                    writer,
+                    readers,
+                    pins: [None; READERS],
+                }
+            }
+
+            fn set_pin(&mut self, k: usize, pin: Option<u64>) {
+                self.stm.inner.slots[self.readers[k].slot()]
+                    .ro_snap
+                    .store(pin.unwrap_or(u64::MAX), Ordering::SeqCst);
+                self.pins[k] = pin;
+            }
+
+            /// A window drains every reader pinned before it.
+            fn drain_pins(&mut self) {
+                for k in 0..READERS {
+                    self.set_pin(k, None);
+                }
+            }
+
+            fn commit(&mut self, targets: &[usize]) {
+                let vars = &self.vars;
+                let cur = &self.cur;
+                self.writer.run(|tx| {
+                    for &i in targets {
+                        tx.write(&vars[i], cur[i] + 10)?;
+                    }
+                    Ok(())
+                });
+                let wv = self.stm.clock_now();
+                for &i in targets {
+                    self.model[i].insert(wv, self.cur[i]);
+                    self.cur[i] += 10;
+                }
+            }
+
+            pub(super) fn step(&mut self, step: Step) {
+                match step {
+                    Step::Write(i) => self.commit(&[i % VARS]),
+                    Step::WritePair(i, j) => {
+                        let mut targets = vec![i % VARS, j % VARS];
+                        targets.dedup();
+                        self.commit(&targets)
+                    }
+                    Step::Pin(k) => self.set_pin(k % READERS, Some(self.stm.clock_now())),
+                    Step::Unpin(k) => self.set_pin(k % READERS, None),
+                    Step::Clear => {
+                        self.drain_pins();
+                        let mut cfg = self.part.current_config();
+                        cfg.acquire = match cfg.acquire {
+                            AcquireMode::Encounter => AcquireMode::Commit,
+                            AcquireMode::Commit => AcquireMode::Encounter,
+                        };
+                        assert!(self.stm.switch_partition(&self.part, cfg).switched());
+                    }
+                    Step::Depth(d) => {
+                        self.drain_pins();
+                        let _ = self.stm.set_ring_depth(&self.part, d);
+                        assert_eq!(self.part.ring_depth(), d);
+                    }
+                }
+                self.check(step);
+            }
+
+            fn check(&self, after: Step) {
+                let (table, mask) = self.part.table_view();
+                let (ring, depth) = self.part.ring_view();
+                assert_eq!(mask, 0);
+                // SAFETY: a one-orec table and its `depth`-slot ring, both
+                // alive as long as the partition.
+                let (orec, slots) = unsafe { (&*table, core::slice::from_raw_parts(ring, depth)) };
+                // (i) The cursor slot is empty or the ring's minimum.
+                let cursor = orec.ring_cursor();
+                assert!(
+                    cursor < depth,
+                    "after {after:?}: cursor {cursor} >= depth {depth}"
+                );
+                let victim = slots[cursor].close_stamp();
+                assert!(
+                    victim == 0 || slots.iter().all(|s| s.close_stamp() >= victim),
+                    "after {after:?}: cursor slot holds {victim}, ring {:?}",
+                    slots.iter().map(|s| s.close_stamp()).collect::<Vec<_>>()
+                );
+                // (ii) Every pinned reader reconstructs the model's answer.
+                for (k, pin) in self.pins.iter().enumerate() {
+                    let Some(t) = *pin else { continue };
+                    let mut views = Vec::new();
+                    let mut rtx = ReadTx {
+                        stm: &self.stm.inner,
+                        slot: self.readers[k].slot(),
+                        views: &mut views,
+                        t,
+                        in_attempt: false,
+                        restart: Restart::User,
+                        _env: PhantomData,
+                    };
+                    let vi = rtx.view_of(&self.part).expect("no window is open");
+                    for i in 0..VARS {
+                        let addr = self.vars[i].var().cell.as_ptr() as usize;
+                        let want = self.model[i].range(t + 1..).next();
+                        assert_eq!(
+                            rtx.history_lookup(vi, table, addr, t),
+                            want.map(|(&to, &old)| (old, to)),
+                            "after {after:?}: var {i} at pin {t}"
+                        );
+                        let value = rtx.read(&self.vars[i]).expect("reads cannot fail");
+                        assert_eq!(value, want.map_or(self.cur[i], |(_, &old)| old));
+                    }
+                }
+            }
+        }
+
+        /// Scripted walk through every transition the cursor has to
+        /// survive: wrap, divert under a pin, recycle after the unpin, an
+        /// in-place clear mid-ring, and swaps to a smaller, a
+        /// non-power-of-two, the minimum and a larger depth.
+        #[test]
+        fn cursor_and_lookup_follow_the_model_through_every_transition() {
+            use Step::*;
+            let mut rig = Rig::new(2);
+            let script = [
+                Write(0),
+                Write(1),
+                Write(0), // fill, then wrap
+                Pin(0),
+                Write(0),
+                WritePair(1, 2),
+                Write(0), // protected: diverts
+                Pin(1),
+                Write(2),
+                Write(0),
+                Unpin(0),
+                Write(1), // floor rose to pin 1: recycles again
+                Unpin(1),
+                Write(0),
+                Write(0),
+                Write(0),
+                Clear,
+                Write(1),
+                Pin(2),
+                Write(1),
+                Write(1),
+                Write(1),
+                Depth(8),
+                Write(0),
+                Write(1),
+                Write(2),
+                Write(0),
+                Write(1), // cursor at 5
+                Depth(3),
+                Pin(0),
+                Write(0),
+                Write(1),
+                Write(2),
+                Write(0),
+                Write(1),
+                Depth(1),
+                Write(0),
+                Pin(1),
+                Write(0),
+                Write(0),
+                Unpin(1),
+                Write(0),
+                Depth(2),
+                Write(2),
+                Clear,
+                Write(2),
+                Write(2),
+                Write(2),
+            ];
+            for step in script {
+                rig.step(step);
+            }
+            let s = rig.part.stats();
+            assert!(
+                s.ring_overflow_pushes > 0,
+                "the script diverts under its pins"
+            );
+        }
+
+        fn step_strategy() -> impl Strategy<Value = Step> {
+            (0..100u8, 0..6usize, 0..6usize).prop_map(|(kind, a, b)| match kind {
+                0..=39 => Step::Write(a),
+                40..=59 => Step::WritePair(a, b),
+                60..=74 => Step::Pin(a),
+                75..=84 => Step::Unpin(a),
+                85..=89 => Step::Clear,
+                _ => Step::Depth([1, 2, 3, 8][a % 4]),
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 96 }))]
+
+            #[test]
+            fn cursor_and_lookup_follow_the_model_under_random_steps(
+                depth in 0..4usize,
+                steps in proptest::collection::vec(step_strategy(), 1..120),
+            ) {
+                let mut rig = Rig::new([1, 2, 3, 8][depth]);
+                for step in steps {
+                    rig.step(step);
+                }
+            }
+        }
     }
 
     #[test]

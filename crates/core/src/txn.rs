@@ -158,13 +158,13 @@
 //! | write ×2 | hint store; reader-bitmap load; fault switch | relaxed; `SeqCst` load; relaxed | telemetry; arbitration's load side; on/off switch | 0 |
 //! | commit | `kill` poll, `ro_floor` load | `SeqCst` loads | — | 0 |
 //! | commit | clock `fetch_add` (`wv`) | acq-rel RMW | the commit order | 1 → 1 |
-//! | commit ×2 | ring: stamp loads, `ring_epoch` bump ×2, slot publish (5 stores) | `SeqCst` | marching-hazard seqlock — **unchanged here, the next issue** | 14 → 14 |
+//! | commit ×2 | ring: cursor + stamp load, `ring_epoch` → odd, `fence(Release)`, record ×3, cursor, `ring_epoch` → even | relaxed; release fence; relaxed ×4; release | single-writer seqlock under the orec lock, no store→load handshake ([`crate::snapshot`], "The orderings"); was two `SeqCst` RMWs + five `SeqCst` stores + a min-scan of `ring_depth` stamps | 14 → 0 |
 //! | commit ×2 | cell load / store, orec unlock | acquire / release, release | unlock publishes the written data | 0 |
 //! | leave | `seq` → even | release store (was `SeqCst` RMW) | single writer; a late even value only prolongs a drain | 1 → 0 |
 //! | leave | clock load for `free_tag` | acquire | only when the free log is non-empty | 0 |
 //! | leave | `starts`, `commits`, `update_commits`, `reads`, `writes` | relaxed load + store, own shard (were `fetch_add`s on a shared shard) | single writer per slot ([`crate::stats`]) | 5 → 0 |
 //! | leave | view table clear, tuner hook's `Arc` clone + drop | — (gone for non-tunable partitions) | `tunable` is tested before the clone | 3 → 0 |
-//! | | **total** | | | **31 → 18** (protocol 4, ring 14) |
+//! | | **total** | | | **31 → 4**: the `seq` RMW, two orec CASes, the clock RMW — the protocol itself |
 //!
 //! [`ThreadCtx::snapshot_read`] of one partition, before → now: 13 → 2
 //! locked instructions. What remains is the `seq` RMW and the `SeqCst`
@@ -172,7 +172,10 @@
 //! handshakes). Gone: the `start_epoch` `SeqCst` store, the `Arc` count
 //! pair, six statistics `fetch_add`s, the `SeqCst` unpin and the leaving
 //! RMW. Per read it performs the same three acquire loads as above; the
-//! ring is scanned (`SeqCst` loads) only when an orec moved past the pin.
+//! ring is scanned only when an orec moved past the pin, with relaxed
+//! loads between an acquire load and an acquire fence + re-load of the
+//! orec's `ring_epoch` (plus the overflow mutex when that list is
+//! non-empty) — no locked instruction on the lock-free part.
 //!
 //! A *tunable* partition's commit additionally takes the tuner `RwLock`,
 //! clones the policy `Arc` and the partition `Arc`, and RMWs the shared
@@ -1325,14 +1328,17 @@ impl<'e, 's> Tx<'e, 's> {
 
     /// Publishes one overwritten value into the version ring of `orec`
     /// (held by this transaction): the record `(addr, old, to = wv)` says
-    /// "`addr` held `old` until commit `wv`". Victim slot: any empty slot,
-    /// else the record with the smallest close stamp. A victim whose stamp
-    /// is above the snapshot eviction floor may still be needed by a
-    /// pinned reader, so the *new* record is diverted to the partition's
-    /// overflow list instead and the ring is left untouched (records never
-    /// migrate between the two — see `crate::snapshot` for why that
-    /// matters). `floor` is the commit-local cached floor; it is recomputed
-    /// at most once per commit (`floor_fresh`).
+    /// "`addr` held `old` until commit `wv`". Victim: the slot under the
+    /// orec's cursor — empty, or the ring's smallest close stamp, so the
+    /// cost does not depend on the depth. A victim above the snapshot
+    /// eviction floor may still be needed by a pinned reader, so the *new*
+    /// record is diverted to the partition's overflow list and the ring is
+    /// left untouched (records never migrate between the two). Either way
+    /// the mutation sits inside the orec's epoch bracket, which makes any
+    /// overlapping snapshot lookup retry — see `crate::snapshot` for all
+    /// three arguments. `floor` is the commit-local cached floor,
+    /// recomputed at most once per commit (`floor_fresh`). Everything here
+    /// is a plain store on lines this transaction already owns.
     #[allow(clippy::too_many_arguments)]
     fn ring_publish(
         &mut self,
@@ -1348,61 +1354,36 @@ impl<'e, 's> Tx<'e, 's> {
         let idx = (orec as usize - v.table as usize) / core::mem::size_of::<Orec>();
         debug_assert!(idx <= v.mask, "write-set orec outside the view's table");
         let depth = v.ring_depth;
+        // SAFETY: orec alive via the touched partition, and held by us.
+        let orec = unsafe { &*orec };
         // SAFETY: the ring has `(mask + 1) * depth` slots and `idx <=
         // mask`; the allocation is alive for the partition's lifetime and
         // stable for the attempt (same argument as the orec table).
-        let base = unsafe { v.ring.add(idx * depth) };
-        let mut victim = base;
-        let mut vmin = u64::MAX;
-        for k in 0..depth {
-            // SAFETY: `k < depth`, see above.
-            let slot = unsafe { base.add(k) };
-            // SAFETY: slot within the ring allocation.
-            let to = unsafe { &*slot }.close_stamp();
-            if to == 0 {
-                victim = slot;
-                vmin = 0;
-                break;
-            }
-            if to < vmin {
-                vmin = to;
-                victim = slot;
-            }
+        let ring = unsafe { core::slice::from_raw_parts(v.ring.add(idx * depth), depth) };
+        let cur = orec.ring_cursor();
+        let victim = ring[cur].close_stamp();
+        debug_assert!(
+            victim == 0 || ring.iter().all(|s| s.close_stamp() >= victim),
+            "cursor slot neither empty nor the ring's minimum"
+        );
+        if victim > *floor && !*floor_fresh {
+            *floor = self.stm.ro_floor_recompute();
+            *floor_fresh = true;
         }
-        if vmin != 0 {
-            if vmin > *floor && !*floor_fresh {
-                *floor = self.stm.ro_floor_recompute();
-                *floor_fresh = true;
-            }
-            if vmin > *floor {
-                // Every ring record might still serve a pinned reader:
-                // park the new record on the overflow list instead. The
-                // divert still bumps the ring epoch — a snapshot lookup
-                // reads ring and overflow as ONE epoch-stable observation,
-                // so any history mutation for this orec must invalidate an
-                // overlapping scan (see `crate::snapshot`).
-                // SAFETY: orec alive via the touched partition.
-                unsafe { &*orec }.ring_publish_begin();
-                self.s.views[ti as usize]
-                    .part()
-                    .overflow_push(addr, old, wv, *floor);
-                // SAFETY: as above.
-                unsafe { &*orec }.ring_publish_end();
-                self.s.views[ti as usize].stats.ring_overflows += 1;
-                return;
-            }
+        // Above the floor, every ring record might still serve a pinned
+        // reader: park the new record on the overflow list instead.
+        let divert = victim > *floor;
+        orec.ring_publish_begin();
+        if divert {
+            v.part().overflow_push(addr, old, wv, *floor);
+        } else {
+            ring[cur].publish(addr as u64, old, wv);
+            orec.set_ring_cursor(if cur + 1 == depth { 0 } else { cur + 1 });
         }
-        // SAFETY: victim points into the ring allocation; the slot seqlock
-        // in `publish` keeps the triple untorn, and the orec-level
-        // ring-epoch bracket forces any snapshot ring scan that overlapped
-        // this publish to retry — without it a scan could miss a record
-        // published into a slot it had already visited (the marching
-        // hazard, see `crate::snapshot`).
-        unsafe { &*orec }.ring_publish_begin();
-        // SAFETY: as above.
-        unsafe { &*victim }.publish(addr as u64, old, wv);
-        // SAFETY: as above.
-        unsafe { &*orec }.ring_publish_end();
+        orec.ring_publish_end();
+        if divert {
+            self.s.views[ti as usize].stats.ring_overflows += 1;
+        }
     }
 
     fn finish_commit(&mut self) {

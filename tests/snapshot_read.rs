@@ -55,11 +55,11 @@ fn spawn_writers<'s>(
 
 /// Data conflicts alone never abort a snapshot reader: with no control
 /// plane running, every closure invocation completes — attempts equals
-/// successes exactly — while each observed sum is consistent.
-#[test]
-fn snapshot_reads_are_consistent_and_abort_free_under_write_storm() {
+/// successes exactly — while each observed sum is consistent. Returns the
+/// partition's statistics for storm-specific assertions.
+fn abort_free_storm(cfg: PartitionConfig, millis: u64) -> partstm::core::StatCounters {
     let stm = Stm::new();
-    let part = stm.new_partition(PartitionConfig::named("storm").ring(4));
+    let part = stm.new_partition(cfg);
     let accounts = bank(&part);
     let stop = AtomicBool::new(false);
     let attempts = AtomicU64::new(0);
@@ -91,7 +91,7 @@ fn snapshot_reads_are_consistent_and_abort_free_under_write_storm() {
                 successes.fetch_add(done, Ordering::Relaxed);
             });
         }
-        std::thread::sleep(Duration::from_millis(1200));
+        std::thread::sleep(Duration::from_millis(millis));
         stop.store(true, Ordering::Relaxed);
     });
     assert_eq!(
@@ -105,6 +105,31 @@ fn snapshot_reads_are_consistent_and_abort_free_under_write_storm() {
     assert_eq!(s.snapshot_restarts, 0, "no control plane ran");
     let total: i64 = accounts.iter().map(|a| a.load_direct()).sum();
     assert_eq!(total, EXPECT);
+    s
+}
+
+#[test]
+fn snapshot_reads_are_consistent_and_abort_free_under_write_storm() {
+    abort_free_storm(PartitionConfig::named("storm").ring(4), 1200);
+}
+
+/// The same storm with rings so small that every publish wraps the ring
+/// or diverts to the overflow list: sixteen accounts on eight orecs at
+/// depth 1 (the cursor never moves) and depth 3 (it wraps on a
+/// non-power-of-two), with readers pinning the floor throughout.
+#[test]
+fn snapshot_reads_are_abort_free_when_every_publish_wraps_or_diverts() {
+    for depth in [1, 3] {
+        let s = abort_free_storm(PartitionConfig::named("tiny").orecs(8).ring(depth), 700);
+        assert!(
+            s.ring_overflow_pushes > 0,
+            "depth {depth}: pinned readers must have forced diverts"
+        );
+        assert!(
+            s.snapshot_history_reads > 0,
+            "depth {depth}: history served reads"
+        );
+    }
 }
 
 /// Orec-table resizes and live ring-depth changes race the readers: a
