@@ -25,7 +25,6 @@
 //! Every phase ends with the standard hygiene sweep: conserved account
 //! sums and zero locked orecs in every partition (`debug_scan`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -187,12 +186,6 @@ fn run_quiesce_phase(cfg: &ChaosConfig, rescue: bool) -> QuiescePhase {
     );
     let stuck0 = telemetry::global().stuck_slots.get();
 
-    // Debug builds panic on a quiesce hard-deadline expiry (after
-    // restoring the partition word); the baseline phase provokes that on
-    // purpose, so silence the per-panic backtrace spam while it runs.
-    if !rescue {
-        std::panic::set_hook(Box::new(|_| {}));
-    }
     let stop = AtomicBool::new(false);
     let mut successes = 0usize;
     let mut latencies: Vec<Duration> = Vec::new();
@@ -235,10 +228,7 @@ fn run_quiesce_phase(cfg: &ChaosConfig, rescue: bool) -> QuiescePhase {
         for _ in 0..cfg.actions {
             let dst = if to_b { &pb } else { &pa };
             let t0 = Instant::now();
-            // catch_unwind absorbs the debug-build deadline panic; in
-            // release the same expiry is a clean `TimedOut`.
-            let out = catch_unwind(AssertUnwindSafe(|| stm.migrate_pvars(&refs, dst)));
-            if let Ok(SwitchOutcome::Switched) = out {
+            if stm.migrate_pvars(&refs, dst) == SwitchOutcome::Switched {
                 successes += 1;
                 latencies.push(t0.elapsed());
                 to_b = !to_b;
@@ -247,9 +237,6 @@ fn run_quiesce_phase(cfg: &ChaosConfig, rescue: bool) -> QuiescePhase {
         }
         stop.store(true, Ordering::Relaxed);
     });
-    if !rescue {
-        let _ = std::panic::take_hook();
-    }
     fault::clear();
 
     let total: i64 = accounts.iter().map(|a| a.load_direct()).sum();

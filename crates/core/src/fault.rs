@@ -31,8 +31,7 @@
 //! - [`FaultSite::CtrlActionFail`] — makes the repartition controller
 //!   report a quiesce timeout for an approved action *without running
 //!   it*, feeding the circuit breaker deterministically (and without
-//!   tripping the debug-build stuck-transaction panic a real timeout
-//!   causes).
+//!   waiting out a real quiesce deadline).
 //!
 //! Decisions are a pure function of `(seed, site, per-site sequence
 //! number)` — two runs of the same single-threaded schedule fire

@@ -69,6 +69,7 @@ pub mod partition;
 pub mod privatize;
 pub mod profiler;
 pub mod pvar;
+mod quiesce;
 pub mod repartition;
 pub mod rtlog;
 pub mod snapshot;

@@ -6,39 +6,37 @@
 //! version-ring publication) for zero benefit: they want the *whole*
 //! partition, exclusively, for a bounded stretch. The partitioned design
 //! already owns the machinery to grant exactly that. [`Stm::privatize`]
-//! runs the established flag→quiesce window, leaves the partition's
-//! switching flag *installed* for the duration of the hold, and hands back
-//! a [`PrivateGuard`]: a witness that the calling thread owns the
-//! partition outright and may read and write its cells at plain-memory
-//! speed ([`PrivateGuard::read`] / [`PrivateGuard::write`], plus the bulk
-//! entry points on `partstm-structures`). Dropping the guard — or calling
+//! opens and drains a quiesce window, leaves it open — the partition's
+//! switching flag stays *installed* for the duration of the hold — and
+//! hands back a [`PrivateGuard`] holding it: a witness that the calling
+//! thread owns the partition outright and may read and write its cells
+//! at plain-memory speed ([`PrivateGuard::read`] /
+//! [`PrivateGuard::write`], plus the bulk entry points on
+//! `partstm-structures`). Dropping the guard — or calling
 //! [`PrivateGuard::republish`] — returns the partition to transactional
 //! service under generation+1.
 //!
 //! ## Why the hold is safe
 //!
-//! The protocol is the configuration switch's window with the close
-//! deferred to republish (after Khyzha et al., *Safe Privatization in
-//! Transactional Memory* — our quiesce plays the role of their
-//! privatization barrier):
+//! The protocol is the configuration switch's quiesce window with the
+//! close deferred to republish (after Khyzha et al., *Safe Privatization
+//! in Transactional Memory* — our quiesce plays the role of their
+//! privatization barrier). Phases 1 and 2 are the window's own, stated
+//! once in `quiesce.rs` ("The quiesce window"); what privatization adds:
 //!
-//! 1. **Flag.** CAS the config word to `old | SWITCHING_BIT |
-//!    PRIVATIZED_BIT`. A failed CAS or an already-set flag reports
-//!    [`PrivatizeError::Contended`] — privatization, configuration
-//!    switches, orec resizes, ring-depth changes and repartitions all
-//!    contend on the *same* bit, so any two of them targeting this
-//!    partition serialize by construction. The extra [`PRIVATIZED_BIT`]
-//!    only classifies the hold (separate collision counters, controller
-//!    back-off); the exclusion is the switching bit's.
-//! 2. **Quiesce.** `bump_epoch_and_quiesce` waits until every registered
-//!    thread is outside a transaction, or inside one that began after the
-//!    epoch bump — and such attempts observe the flag at first touch and
-//!    abort ([`crate::txn`]'s view-creation check; snapshot read-only
-//!    transactions run the same check, see [`crate::snapshot`]). On
-//!    timeout the pre-privatize word is stored back — the partition is
-//!    *exactly* as found, nothing was mutated — and the attempt reports
-//!    [`PrivatizeError::TimedOut`] (debug builds panic, as a stuck
-//!    transaction is a bug worth a backtrace).
+//! 1. **Flag.** [`PRIVATIZED_BIT`] goes in alongside the switching bit.
+//!    Privatization, configuration switches, orec resizes, ring-depth
+//!    changes and repartitions all contend on the *same* switching bit,
+//!    so any two of them targeting this partition serialize by
+//!    construction; the extra bit only classifies the hold (separate
+//!    collision counters, controller back-off). Contention reports
+//!    [`PrivatizeError::Contended`].
+//! 2. **Quiesce.** A drain that hits its deadline reports
+//!    [`PrivatizeError::TimedOut`]; like contention it leaves the
+//!    partition *exactly* as found. Attempts that begin once the flag is
+//!    in observe it at first touch and abort ([`crate::txn`]'s
+//!    view-creation check; snapshot read-only transactions run the same
+//!    check, see [`crate::snapshot`]).
 //! 3. **Hold.** From quiescence until republish, no transaction holds (or
 //!    can acquire) locks, reader bits, read-set entries or pinned
 //!    snapshots against this partition: in-flight attempts were drained,
@@ -47,12 +45,12 @@
 //!    `store_direct` accesses are data-race-free without any orec
 //!    traffic. The guard is a plain value — not `Clone` — so exactly one
 //!    owner exists, and it keeps the partition's `Arc` alive.
-//! 4. **Republish.** Advance the global clock and stamp every orec with
-//!    the *new* time, clearing the version rings and the overflow list in
-//!    place (`Partition::reset_orecs`); then store `encode(decode(old),
-//!    generation(old)+1)`, clearing both flags. Ordering matters: the
-//!    stamps are published *before* the flag clears, so the first
-//!    transactional read of any privately-written cell finds an orec
+//! 4. **Republish.** The window's mutate-and-close: advance the global
+//!    clock and stamp every orec with the *new* time, clearing the
+//!    version rings and the overflow list in place
+//!    (`Partition::reset_orecs`); the window then publishes generation+1,
+//!    clearing both flags. Ordering matters: the stamps are published
+//!    *before* the flag clears, so the first transactional read of any privately-written cell finds an orec
 //!    version strictly greater than any read version issued before the
 //!    window and is forced to extend — and the extension's validation
 //!    happens against cells the private phase has fully finished writing.
@@ -86,7 +84,6 @@
 //! limited [`rtlog`] warning, as are quiesce-timeout rollbacks.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use core::sync::atomic::Ordering;
@@ -94,9 +91,10 @@ use core::sync::atomic::Ordering;
 use crate::config;
 use crate::partition::Partition;
 use crate::pvar::PVar;
+use crate::quiesce::{QuiesceWindow, WARN_INTERVAL};
 use crate::repartition::MigrationSource;
 use crate::rtlog;
-use crate::stm::{bump_epoch_and_quiesce, Stm};
+use crate::stm::Stm;
 use crate::telemetry::{self, EventKind};
 use crate::word::TxWord;
 
@@ -107,24 +105,8 @@ pub use crate::config::PRIVATIZED_BIT;
 /// long hold is an operational smell even when it is correct.
 pub const HOLD_WARN_THRESHOLD: Duration = Duration::from_secs(1);
 
-/// Minimum interval between privatization warnings of the same kind
-/// (suppressed calls are counted and folded into the next emission).
-const WARN_INTERVAL: Duration = Duration::from_secs(5);
-
-fn quiesce_limiter() -> &'static rtlog::Limiter {
-    static L: OnceLock<rtlog::Limiter> = OnceLock::new();
-    L.get_or_init(|| rtlog::Limiter::new(WARN_INTERVAL))
-}
-
-fn hold_limiter() -> &'static rtlog::Limiter {
-    static L: OnceLock<rtlog::Limiter> = OnceLock::new();
-    L.get_or_init(|| rtlog::Limiter::new(WARN_INTERVAL))
-}
-
-fn alarm_limiter() -> &'static rtlog::Limiter {
-    static L: OnceLock<rtlog::Limiter> = OnceLock::new();
-    L.get_or_init(|| rtlog::Limiter::new(WARN_INTERVAL))
-}
+static HOLD_WARN: rtlog::Limiter = rtlog::Limiter::new(WARN_INTERVAL);
+static ALARM_WARN: rtlog::Limiter = rtlog::Limiter::new(WARN_INTERVAL);
 
 /// Age at which a *live* hold trips [`check_hold_alarm`], µs. Unlike
 /// [`HOLD_WARN_THRESHOLD`] (reported at republish, i.e. after the fact),
@@ -161,7 +143,7 @@ pub fn check_hold_alarm(part: &Partition) -> bool {
         return false;
     }
     part.stats.privatize_hold_alarms(1);
-    alarm_limiter().warn(&format!(
+    ALARM_WARN.warn(&format!(
         "partition '{}' has been privatized for {held:?} \
          (alarm threshold {threshold:?}): a PrivateGuard looks leaked or \
          wedged; transactional writers are starving",
@@ -178,8 +160,8 @@ pub enum PrivatizeError {
     /// privatization) owns the partition's switching flag.
     Contended,
     /// Quiescence was not reached within the runtime's quiesce timeout:
-    /// the privatization was rolled back (release builds only — debug
-    /// builds panic on the stuck transaction).
+    /// the privatization was rolled back (never a panic, in any build
+    /// profile).
     TimedOut,
 }
 
@@ -205,13 +187,14 @@ impl std::error::Error for PrivatizeError {}
 #[derive(Debug)]
 pub struct PrivateGuard {
     stm: Stm,
+    /// Also inside `window`; kept beside it so the guard's per-cell
+    /// binding checks read a plain field.
     part: Arc<Partition>,
-    /// Pre-privatize config word; republish derives gen+1 from it.
-    old: u64,
+    /// The drained, still-flagged window over `part`; dropping the guard
+    /// commits it.
+    window: QuiesceWindow<Arc<Partition>>,
     /// When the hold began (for the hold-duration warning).
     start: Instant,
-    /// Cleared by `republish` so the drop hook becomes a no-op.
-    active: bool,
 }
 
 impl PrivateGuard {
@@ -281,22 +264,19 @@ impl PrivateGuard {
     /// Equivalent to dropping the guard; provided so call sites can make
     /// the hand-back explicit. See the [module docs](self) for the
     /// republish ordering argument.
-    pub fn republish(mut self) {
-        self.republish_inner();
-    }
+    pub fn republish(self) {}
+}
 
-    fn republish_inner(&mut self) {
-        if !self.active {
-            return;
-        }
-        self.active = false;
+impl Drop for PrivateGuard {
+    fn drop(&mut self) {
+        let part = &self.part;
         let held = self.start.elapsed();
         if held > HOLD_WARN_THRESHOLD {
-            hold_limiter().warn(&format!(
+            HOLD_WARN.warn(&format!(
                 "partition '{}' was privatized for {held:?} \
                  (> {HOLD_WARN_THRESHOLD:?}); transactional writers were \
                  starved into retry for the duration",
-                self.part.name()
+                part.name()
             ));
         }
         // Advance the clock so the reset stamp is *strictly* greater than
@@ -304,103 +284,26 @@ impl PrivateGuard {
         // transactional contact with any orec of this partition is then
         // forced to extend (revalidate) past the private phase.
         let stamp = self.stm.inner.clock.advance();
-        self.part.reset_orecs(stamp);
-        // Tuning deltas must not straddle the hold (the stats saw an
-        // abort storm at the flag plus total silence during the hold).
-        self.part.reset_tuning_window();
-        let word = config::encode(
-            config::decode(self.old),
-            config::generation(self.old).wrapping_add(1),
-        );
-        self.part.config.store(word, Ordering::SeqCst);
-        self.part.privatized_at_micros.store(0, Ordering::Release);
-        self.part.stats.republishes(1);
+        let _ = self.window.commit(stamp, None, || {
+            part.reset_orecs(stamp);
+            // Tuning deltas must not straddle the hold (the stats saw an
+            // abort storm at the flag plus total silence during the hold).
+            part.reset_tuning_window();
+        });
+        part.privatized_at_micros.store(0, Ordering::Release);
+        part.stats.republishes(1);
         if telemetry::enabled() {
             let held_us = held.as_micros() as u64;
             telemetry::global().privatize_hold_us.record(held_us);
-            telemetry::control_event(EventKind::Republish, self.part.id().0 as u64, held_us, 0);
+            telemetry::control_event(EventKind::Republish, part.id().0 as u64, held_us, 0);
         }
     }
-}
-
-impl Drop for PrivateGuard {
-    fn drop(&mut self) {
-        self.republish_inner();
-    }
-}
-
-/// The privatization window (see [`Stm::privatize`] for the contract and
-/// the [module docs](self) for the safety argument). Structurally the
-/// flag→quiesce prefix of `switch_partition_impl`, with the mutate+close
-/// suffix deferred into the returned guard's republish.
-pub(crate) fn privatize_impl(
-    stm: &Stm,
-    partition: &Arc<Partition>,
-) -> Result<PrivateGuard, PrivatizeError> {
-    let out = privatize_body(stm, partition);
-    let code = match &out {
-        Ok(_) => telemetry::codes::OUTCOME_SWITCHED,
-        Err(PrivatizeError::Contended) => telemetry::codes::OUTCOME_CONTENDED,
-        Err(PrivatizeError::TimedOut) => telemetry::codes::OUTCOME_TIMED_OUT,
-    };
-    telemetry::control_event(EventKind::Privatize, partition.id().0 as u64, code, 0);
-    out
-}
-
-fn privatize_body(stm: &Stm, partition: &Arc<Partition>) -> Result<PrivateGuard, PrivatizeError> {
-    let inner = &stm.inner;
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return Err(PrivatizeError::Contended);
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT | config::PRIVATIZED_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return Err(PrivatizeError::Contended);
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id().0) {
-        // Roll back: clear both flags, leave config/generation/orecs
-        // exactly as found (nothing was mutated). We own the word while
-        // the flag is set, so a plain store is race-free.
-        partition.config.store(old, Ordering::SeqCst);
-        partition.stats.privatize_rollbacks(1);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "privatization could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
-        }
-        quiesce_limiter().warn(&format!(
-            "privatization of partition '{}' rolled back: quiescence not \
-             reached in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return Err(PrivatizeError::TimedOut);
-    }
-    partition.stats.privatizations(1);
-    partition
-        .privatized_at_micros
-        .store(telemetry::now_micros().max(1), Ordering::Release);
-    Ok(PrivateGuard {
-        stm: stm.clone(),
-        part: Arc::clone(partition),
-        old,
-        start: Instant::now(),
-        active: true,
-    })
 }
 
 impl Stm {
-    /// Privatizes `partition`: runs the flag→quiesce window and returns a
-    /// [`PrivateGuard`] granting exclusive, non-transactional access to
+    /// Privatizes `partition`: opens and drains a quiesce window and
+    /// returns a [`PrivateGuard`] holding it, granting exclusive,
+    /// non-transactional access to
     /// the partition's cells at plain-memory speed. While the guard
     /// lives, transactional attempts touching the partition abort and
     /// back off (counted as `privatized_collisions`), and every other
@@ -415,9 +318,9 @@ impl Stm {
     /// See the [module docs](crate::privatize) for the safety argument.
     ///
     /// Returns [`PrivatizeError::Contended`] without waiting when another
-    /// switch owns the partition, and [`PrivatizeError::TimedOut`]
-    /// (release builds; debug builds panic) when quiescence cannot be
-    /// reached — in both cases the partition is exactly as found.
+    /// control-plane operation owns the partition, and
+    /// [`PrivatizeError::TimedOut`] when quiescence cannot be reached — in
+    /// both cases the partition is exactly as found.
     ///
     /// Must not be called from inside a transaction (it would deadlock
     /// the quiesce against the caller's own attempt).
@@ -430,7 +333,25 @@ impl Stm {
             partition.stm_id, self.inner.id,
             "partition belongs to a different Stm"
         );
-        privatize_impl(self, partition)
+        let held = [(Arc::clone(partition), 0)];
+        let mut w = QuiesceWindow::new(EventKind::Privatize, partition.id(), 0, held);
+        w.open(config::SWITCHING_BIT | config::PRIVATIZED_BIT)
+            .map_err(|_| PrivatizeError::Contended)?;
+        w.quiesce(&self.inner).map_err(|_| {
+            partition.stats.privatize_rollbacks(1);
+            PrivatizeError::TimedOut
+        })?;
+        w.hold();
+        partition.stats.privatizations(1);
+        partition
+            .privatized_at_micros
+            .store(telemetry::now_micros().max(1), Ordering::Release);
+        Ok(PrivateGuard {
+            stm: self.clone(),
+            part: Arc::clone(partition),
+            window: w,
+            start: Instant::now(),
+        })
     }
 }
 

@@ -10,31 +10,26 @@
 //!
 //! ## Protocol
 //!
-//! A repartition generalizes the quiesce protocol to the *set* of involved
-//! partitions (the destination plus every source a migrating variable is
-//! currently bound to):
+//! A repartition is one quiesce window (the protocol and what each
+//! [`SwitchOutcome`] leaves behind are stated once, in `quiesce.rs`, "The
+//! quiesce window") over the *set* of involved partitions: the
+//! destination plus every source a migrating variable is currently bound
+//! to. Its parts of the window:
 //!
-//! 1. **Flag** — acquire the switching flag of every involved partition
-//!    via CAS. Any acquisition failure rolls the already-set flags back
-//!    and returns [`SwitchOutcome::Contended`] (abort-not-spin keeps
-//!    concurrent repartitions deadlock-free).
-//! 2. **Quiesce** — bump the global switch epoch and wait for every
-//!    in-flight transaction begun before the bump to finish; attempts
-//!    begun after the bump observe a switching flag at first touch of any
-//!    involved partition and abort.
-//! 3. **Mutate** — rebind the variables to the destination, stamp every
-//!    involved partition's orec table with the current clock (a migrated
-//!    variable maps onto destination orecs whose stored versions are stale
-//!    for their new coverage), and install every involved partition's
-//!    config word with generation+1, clearing the flags.
-//!
-//! A quiesce timeout rolls everything back ([`SwitchOutcome::TimedOut`],
-//! debug builds panic), leaving bindings untouched — the same
-//! rollback-not-crash contract as the configuration switch.
+//! * **Re-check under the flags** — every binding must still point into
+//!   the flagged set; one that a concurrent repartition moved elsewhere
+//!   between the first enumeration and the flags reports
+//!   [`SwitchOutcome::Contended`].
+//! * **Mutation** — rebind the variables to the destination and stamp
+//!   every involved partition's orec table with the current clock (a
+//!   migrated variable maps onto destination orecs whose stored versions
+//!   are stale for their new coverage); the window then publishes every
+//!   involved partition under generation+1.
 //!
 //! ## Why rebinding is sound
 //!
-//! Bindings only change inside step 3, strictly before the flags clear.
+//! Bindings only change inside the mutation, strictly before the flags
+//! clear.
 //! A transaction that loaded a binding just before the rebind and touches
 //! the stale partition *after* the flags cleared is the one hazardous
 //! interleaving; the engine closes it by re-loading the binding after
@@ -60,14 +55,12 @@
 
 use std::sync::Arc;
 
-use core::sync::atomic::Ordering;
-
 use crate::config::{self, PartitionConfig};
 use crate::partition::Partition;
 use crate::pvar::{Migratable, PVarBinding};
-use crate::rtlog;
-use crate::stm::{bump_epoch_and_quiesce, Stm, StmInner, SwitchOutcome};
-use crate::telemetry::{self, EventKind};
+use crate::quiesce::QuiesceWindow;
+use crate::stm::{Stm, StmInner, SwitchOutcome};
+use crate::telemetry::EventKind;
 
 /// Source of binding cells for one repartition: the protocol flags the
 /// partitions these bindings currently point at, quiesces, and rebinds
@@ -178,7 +171,7 @@ impl Stm {
     /// If `dst` or any variable's current partition belongs to a different
     /// [`Stm`].
     pub fn migrate_pvars(&self, vars: &[&dyn Migratable], dst: &Arc<Partition>) -> SwitchOutcome {
-        repartition_impl(&self.inner, &VarsSource(vars), dst, &[])
+        repartition(&self.inner, &VarsSource(vars), dst, &[])
     }
 
     /// Atomically rebinds everything a [`MigrationSource`] enumerates —
@@ -194,7 +187,7 @@ impl Stm {
     /// If `dst` or any enumerated binding's current partition belongs to a
     /// different [`Stm`].
     pub fn migrate_batch(&self, src: &dyn MigrationSource, dst: &Arc<Partition>) -> SwitchOutcome {
-        repartition_impl(&self.inner, src, dst, &[])
+        repartition(&self.inner, src, dst, &[])
     }
 
     /// Moves a whole collection (its arena — home, every slot — plus its
@@ -205,7 +198,7 @@ impl Stm {
         c: &dyn MigratableCollection,
         dst: &Arc<Partition>,
     ) -> SwitchOutcome {
-        repartition_impl(&self.inner, c, dst, &[])
+        repartition(&self.inner, c, dst, &[])
     }
 
     /// Splits a collection out of its current home: creates a new
@@ -241,7 +234,7 @@ impl Stm {
             "partition belongs to a different Stm"
         );
         let dst = self.new_partition(cfg);
-        let outcome = repartition_impl(&self.inner, src, &dst, &[src_part]);
+        let outcome = repartition(&self.inner, src, &dst, &[src_part]);
         (dst, outcome)
     }
 
@@ -252,7 +245,7 @@ impl Stm {
         dst: &Arc<Partition>,
         src: &dyn MigrationSource,
     ) -> SwitchOutcome {
-        repartition_impl(&self.inner, src, dst, srcs)
+        repartition(&self.inner, src, dst, srcs)
     }
 
     /// Splits `src`: creates a new partition from `cfg` and migrates
@@ -274,7 +267,7 @@ impl Stm {
             "partition belongs to a different Stm"
         );
         let dst = self.new_partition(cfg);
-        let outcome = repartition_impl(&self.inner, &VarsSource(vars), &dst, &[src]);
+        let outcome = repartition(&self.inner, &VarsSource(vars), &dst, &[src]);
         (dst, outcome)
     }
 
@@ -288,91 +281,45 @@ impl Stm {
         dst: &Arc<Partition>,
         vars: &[&dyn Migratable],
     ) -> SwitchOutcome {
-        repartition_impl(&self.inner, &VarsSource(vars), dst, srcs)
+        repartition(&self.inner, &VarsSource(vars), dst, srcs)
     }
 }
 
-/// The three-phase repartition (flag / quiesce / mutate). `extra` names
+/// One repartition window (see the [module docs](self)). `extra` names
 /// partitions that must participate in the protocol (flag + generation
 /// bump) even when no migrating binding currently points at them.
-fn repartition_impl(
+fn repartition(
     inner: &StmInner,
     src: &dyn MigrationSource,
     dst: &Arc<Partition>,
     extra: &[&Arc<Partition>],
 ) -> SwitchOutcome {
-    let out = repartition_body(inner, src, dst, extra);
-    if telemetry::enabled() {
-        // Binding count re-enumerated only on the (rare, enabled) control
-        // path; on Switched it equals the number of rebound variables.
-        let mut moved = 0u64;
-        src.for_each_binding(&mut |_| moved += 1);
-        telemetry::control_event(
-            EventKind::Repartition,
-            dst.id().0 as u64,
-            telemetry::outcome_code(out),
-            moved,
-        );
-    }
-    out
-}
-
-fn repartition_body(
-    inner: &StmInner,
-    src: &dyn MigrationSource,
-    dst: &Arc<Partition>,
-    extra: &[&Arc<Partition>],
-) -> SwitchOutcome {
-    assert_eq!(dst.stm_id, inner.id, "partition belongs to a different Stm");
+    // Dedup on insertion: a whole-arena source enumerates thousands of
+    // bindings that resolve to a handful of partitions, so membership in
+    // the (tiny) involved set is cheaper than collecting one Arc clone per
+    // field and deduplicating afterwards.
     let mut involved: Vec<Arc<Partition>> = Vec::with_capacity(extra.len() + 2);
-    involved.push(Arc::clone(dst));
-    for p in extra {
+    let mut involve = |p: Arc<Partition>| {
         assert_eq!(p.stm_id, inner.id, "partition belongs to a different Stm");
-        involved.push(Arc::clone(p));
-    }
-    let mut all_in_dst = true;
-    src.for_each_binding(&mut |b| {
-        let p = b.partition_arc();
-        assert_eq!(p.stm_id, inner.id, "variable bound to a different Stm");
-        all_in_dst &= Arc::ptr_eq(&p, dst);
-        // Dedup on insertion: a whole-arena source enumerates thousands of
-        // bindings that resolve to a handful of partitions, so membership
-        // in the (tiny) involved set is cheaper than collecting one Arc
-        // clone per field and deduplicating afterwards.
         if !involved.iter().any(|q| Arc::ptr_eq(q, &p)) {
             involved.push(p);
         }
-    });
-    // Canonical flag-acquisition order (ids are unique per partition).
-    involved.sort_by_key(|p| p.id());
-    involved.dedup_by(|a, b| Arc::ptr_eq(a, b));
-    if all_in_dst && involved.len() == 1 {
-        return SwitchOutcome::Unchanged;
-    }
-
-    // Phase 1: flag every involved partition; roll back on any contention.
-    let mut held: Vec<(usize, u64)> = Vec::with_capacity(involved.len());
-    let unflag = |held: &[(usize, u64)]| {
-        for &(j, w) in held {
-            involved[j].config.store(w, Ordering::SeqCst);
-        }
     };
-    for (i, p) in involved.iter().enumerate() {
-        let old = p.config.load(Ordering::SeqCst);
-        let contended = config::is_switching(old)
-            || p.config
-                .compare_exchange(
-                    old,
-                    old | config::SWITCHING_BIT,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_err();
-        if contended {
-            unflag(&held);
-            return SwitchOutcome::Contended;
-        }
-        held.push((i, old));
+    involve(Arc::clone(dst));
+    extra.iter().for_each(|p| involve(Arc::clone(p)));
+    let mut all_in_dst = true;
+    src.for_each_binding(&mut |b| {
+        let p = b.partition_arc();
+        all_in_dst &= Arc::ptr_eq(&p, dst);
+        involve(p);
+    });
+    let parts: Vec<(&Partition, u64)> = involved.iter().map(|p| (&**p, 0)).collect();
+    let mut w = QuiesceWindow::new(EventKind::Repartition, dst.id(), 0, parts);
+    if all_in_dst && involved.len() == 1 {
+        return w.finish(SwitchOutcome::Unchanged);
+    }
+    if let Err(out) = w.open(config::SWITCHING_BIT) {
+        return out;
     }
 
     // Re-validate every binding now that the flags are held: a concurrent
@@ -391,48 +338,31 @@ fn repartition_body(
         escaped |= !involved.iter().any(|q| Arc::as_ptr(q) == p);
     });
     if escaped {
-        unflag(&held);
-        return SwitchOutcome::Contended;
+        return w.finish(SwitchOutcome::Contended);
+    }
+    if let Err(out) = w.quiesce(inner) {
+        return out;
     }
 
-    // Phase 2: epoch bump + quiesce.
-    if !bump_epoch_and_quiesce(inner, dst.id().0) {
-        unflag(&held);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "repartition could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
-        }
-        rtlog::warn(&format!(
-            "repartition into '{}' ({} partitions involved) rolled back: \
-             quiescence not reached in {timeout:?} (stuck \
-             transaction?); retryable",
-            dst.name(),
-            involved.len()
-        ));
-        return SwitchOutcome::TimedOut;
-    }
-
-    // Phase 3: rebind, reset orecs, install generation+1 (flags clear).
-    src.for_each_binding(&mut |b| b.rebind(dst));
     let now = inner.clock.now();
-    for &(j, w) in &held {
-        let p = &involved[j];
-        p.reset_orecs(now);
-        // Restart the tuner's observation window: post-repartition deltas
-        // must not straddle the structural change (a freshly split hot
-        // partition otherwise inherits a half-window of cold history — the
-        // tuner/controller cooperation contract, see `Partition::
-        // reset_tuning_window` and the same call in `resize_orecs`).
-        p.reset_tuning_window();
-        p.config.store(
-            config::encode(config::decode(w), config::generation(w).wrapping_add(1)),
-            Ordering::SeqCst,
-        );
-    }
-    SwitchOutcome::Switched
+    let mut moved = 0u64;
+    let out = w.commit(now, None, || {
+        src.for_each_binding(&mut |b| {
+            b.rebind(dst);
+            moved += 1;
+        });
+        for p in &involved {
+            p.reset_orecs(now);
+            // Restart the tuner's observation window: post-repartition
+            // deltas must not straddle the structural change (a freshly
+            // split hot partition otherwise inherits a half-window of cold
+            // history — the tuner/controller cooperation contract, see
+            // `Partition::reset_tuning_window`).
+            p.reset_tuning_window();
+        }
+    });
+    w.arg = moved;
+    out
 }
 
 #[cfg(test)]
@@ -440,6 +370,7 @@ mod tests {
     use super::*;
     use crate::pvar::PVar;
     use crate::stm::Stm;
+    use core::sync::atomic::Ordering;
 
     fn as_dyn<T: crate::word::TxWord + Send + Sync>(v: &PVar<T>) -> &dyn Migratable {
         v

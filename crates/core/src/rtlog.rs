@@ -90,7 +90,7 @@ fn epoch_micros() -> u64 {
 
 impl Limiter {
     /// A limiter emitting at most one warning per `min_interval`.
-    pub fn new(min_interval: std::time::Duration) -> Self {
+    pub const fn new(min_interval: std::time::Duration) -> Self {
         Limiter {
             min_interval,
             last: std::sync::atomic::AtomicU64::new(0),

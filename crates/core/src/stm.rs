@@ -1,9 +1,11 @@
 //! The STM runtime: thread registration, partition creation and the
-//! configuration-switch (quiesce) protocol.
+//! single-partition control-plane operations (configuration switch, orec
+//! resize, ring depth) — each one mutation under a quiesce window
+//! (`quiesce.rs`).
 
 use core::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, RwLock};
@@ -12,8 +14,8 @@ use crate::clock::GlobalClock;
 use crate::config::{self, DynConfig, PartitionConfig};
 use crate::partition::{Partition, PartitionId};
 use crate::profiler::AccessProfiler;
-use crate::rtlog;
-use crate::telemetry::{self, EventKind};
+use crate::quiesce::QuiesceWindow;
+use crate::telemetry::EventKind;
 use crate::tuner::TuningPolicy;
 use crate::txn::TxScratch;
 
@@ -23,15 +25,18 @@ pub const MAX_THREADS: usize = 64;
 /// Default for how long a configuration switch or repartition may wait for
 /// quiescence before the runtime assumes a stuck transaction and gives up
 /// (a healthy workload quiesces in microseconds). Giving up rolls the
-/// switch back and reports [`SwitchOutcome::TimedOut`]; under
-/// `debug_assertions` it panics instead, as a stuck transaction is a bug
-/// worth a backtrace. Override per runtime with
+/// operation back and reports [`SwitchOutcome::TimedOut`] — in every build
+/// profile; a timeout never panics. Override per runtime with
 /// [`StmBuilder::quiesce_timeout`].
 pub(crate) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Result of [`Stm::switch_partition`], [`Stm::resize_orecs`] and of the
-/// repartition entry points ([`Stm::migrate_pvars`],
-/// [`Stm::split_partition`], [`Stm::merge_partitions`]).
+/// Result of [`Stm::switch_partition`], [`Stm::resize_orecs`],
+/// [`Stm::set_ring_depth`] and of the repartition entry points
+/// ([`Stm::migrate_pvars`], [`Stm::split_partition`],
+/// [`Stm::merge_partitions`]): how the operation's quiesce window ended.
+/// Only [`Switched`](SwitchOutcome::Switched) changes anything; the other
+/// three leave every involved partition — config word, generation, orec
+/// table, version ring, bindings — exactly as found.
 ///
 /// Marked `#[must_use]`: a dropped outcome silently ignores a rolled-back
 /// or contended switch — callers must at least decide that they don't care
@@ -39,16 +44,18 @@ pub(crate) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 #[must_use = "a switch may be rolled back (Contended/TimedOut); check or explicitly ignore the outcome"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchOutcome {
-    /// The new configuration was installed (generation bumped).
+    /// The change was installed (generation bumped on every involved
+    /// partition).
     Switched,
-    /// The requested configuration equals the current one; nothing to do.
+    /// The requested state equals the current one; nothing was flagged.
     Unchanged,
-    /// Another switch of the same partition is in progress; retryable.
+    /// Another control-plane operation (switch, resize, ring depth,
+    /// repartition, privatization) owns an involved partition; retryable.
     Contended,
-    /// Quiescence was not reached within the timeout: the switch was rolled
-    /// back (flag cleared, configuration untouched) and may be retried. A
-    /// transaction is likely stuck or extremely long-running; the event is
-    /// logged to stderr. Release builds only — debug builds panic here.
+    /// Quiescence was not reached within the timeout: the operation was
+    /// rolled back and may be retried. A transaction is likely stuck or
+    /// extremely long-running; the event is logged (rate-limited) through
+    /// [`rtlog`](crate::rtlog). Never a panic, in any build profile.
     TimedOut,
 }
 
@@ -83,8 +90,8 @@ pub(crate) struct ThreadSlot {
 impl ThreadSlot {
     /// Announces an attempt (update or snapshot): turns `seq` odd, then
     /// publishes the switch epoch the attempt began under. The `SeqCst`
-    /// RMW is the attempt's one store→load fence against
-    /// [`bump_epoch_and_quiesce`]; `start_epoch` only needs release (the
+    /// RMW is the attempt's one store→load fence against the quiesce
+    /// window's drain (`quiesce.rs`); `start_epoch` only needs release (the
     /// argument is in the `txn` module docs, "One full fence per
     /// attempt").
     #[inline(always)]
@@ -113,7 +120,7 @@ pub(crate) struct StmInner {
     free_slots: Mutex<Vec<usize>>,
     /// Bumped at the start of every configuration switch.
     pub(crate) switch_epoch: CachePadded<AtomicU64>,
-    partitions: Mutex<Vec<Arc<Partition>>>,
+    pub(crate) partitions: Mutex<Vec<Arc<Partition>>>,
     next_partition: AtomicU32,
     pub(crate) tuner: RwLock<Option<Arc<dyn TuningPolicy>>>,
     /// How long switches/repartitions wait for quiescence before rolling
@@ -121,7 +128,7 @@ pub(crate) struct StmInner {
     pub(crate) quiesce_timeout: Duration,
     /// Soft rescue deadline inside a quiesce drain: past this, the drain
     /// raises the kill flags of the blocking slots (see
-    /// [`StmBuilder::kill_after`] and [`bump_epoch_and_quiesce`]). At or
+    /// [`StmBuilder::kill_after`] and the drain in `quiesce.rs`). At or
     /// above `quiesce_timeout`, rescue is disabled.
     pub(crate) kill_after: Duration,
     /// Installed access profiler (see [`crate::profiler`]).
@@ -369,36 +376,26 @@ impl Stm {
         })
     }
 
-    /// Switches a partition to a new dynamic configuration using the
-    /// quiesce protocol, guaranteeing that at no instant do two transactions
-    /// run the partition under different configurations:
+    /// Switches a partition to a new dynamic configuration, guaranteeing
+    /// that at no instant do two transactions run the partition under
+    /// different configurations. The mutation of its quiesce window (the
+    /// protocol and its contract are stated once, in `quiesce.rs`, "The
+    /// quiesce window"): stamp every orec with the current clock — a
+    /// remapped orec may otherwise carry a version that is stale for its
+    /// new coverage, letting an old-snapshot reader accept a value
+    /// committed after its read version — then publish `new` under
+    /// generation+1.
     ///
-    /// 1. set the partition's *switching* flag — transactions that now
-    ///    first-touch the partition abort and retry (abort-not-spin keeps
-    ///    the protocol deadlock-free);
-    /// 2. bump the global switch epoch and wait for every registered thread
-    ///    to be outside a transaction at least once, or inside one that
-    ///    started after the bump (such transactions observe the flag);
-    /// 3. install the new configuration with generation+1 and clear the
-    ///    flag.
-    ///
-    /// Returns the [`SwitchOutcome`]: [`Unchanged`](SwitchOutcome::Unchanged)
-    /// / [`Contended`](SwitchOutcome::Contended) without waiting when there
-    /// is nothing to do or another switch owns the partition, and
-    /// [`TimedOut`](SwitchOutcome::TimedOut) (release builds; debug builds
-    /// panic) when quiescence cannot be reached — the switch is rolled back
-    /// and retryable, so a stuck transaction degrades tuning instead of
+    /// Returns the [`SwitchOutcome`]; everything but
+    /// [`Switched`](SwitchOutcome::Switched) leaves the partition exactly
+    /// as found, so a stuck transaction degrades tuning instead of
     /// killing the process.
     ///
     /// Must not be called from inside a transaction (the engine invokes it
     /// only between transactions; external callers run it from ordinary
     /// code).
     pub fn switch_partition(&self, partition: &Partition, new: DynConfig) -> SwitchOutcome {
-        assert_eq!(
-            partition.stm_id, self.inner.id,
-            "partition belongs to a different Stm"
-        );
-        switch_partition_impl(&self.inner, partition, new)
+        self.inner.switch_partition(partition, new)
     }
 
     /// Resizes a partition's orec table in place to `new_count` records
@@ -408,35 +405,38 @@ impl Stm {
     /// orecs mean fewer unrelated addresses aliasing onto the same record
     /// (fewer false conflicts), fewer orecs mean a leaner table.
     ///
-    /// Runs under the same quiesce protocol as [`Stm::switch_partition`]:
-    /// flag → quiesce → install a fresh table stamped with the current
-    /// clock → generation+1, flag clear. A fresh stamped table (rather
-    /// than rehashing old versions, which is impossible — the mapping is
-    /// lossy) forces old-snapshot readers to extend-or-abort on first
-    /// contact, exactly as a granularity switch does. The old table is
-    /// parked for pointer liveness; in-flight transactions never observe
-    /// the swap (they were drained, or abort on the flag).
+    /// Runs one quiesce window like [`Stm::switch_partition`]; the
+    /// mutation installs a fresh table stamped with the current clock
+    /// (rather than rehashing old versions, which is impossible — the
+    /// mapping is lossy), forcing old-snapshot readers to
+    /// extend-or-abort on first contact exactly as a granularity switch
+    /// does. The old table is parked for pointer liveness. The
+    /// partition's tuning window is reset so an installed
+    /// [`TuningPolicy`] evaluates the resized table on post-resize
+    /// statistics instead of a straddling delta.
     ///
-    /// The partition's tuning window is reset afterwards so an installed
-    /// [`TuningPolicy`] evaluates the resized table
-    /// on post-resize statistics instead of a straddling delta.
-    ///
-    /// Returns [`Unchanged`](SwitchOutcome::Unchanged) when the table
-    /// already has the requested size,
-    /// [`Contended`](SwitchOutcome::Contended) when another
-    /// switch/resize/repartition owns the partition, and
-    /// [`TimedOut`](SwitchOutcome::TimedOut) (release builds; debug builds
-    /// panic) when quiescence cannot be reached — the resize is rolled
-    /// back: old table, old versions, old generation, in-flight
-    /// transactions untouched.
+    /// Returns the [`SwitchOutcome`] —
+    /// [`Unchanged`](SwitchOutcome::Unchanged) when the table already has
+    /// the effective size; anything but
+    /// [`Switched`](SwitchOutcome::Switched) leaves table, versions and
+    /// generation exactly as found.
     ///
     /// Must not be called from inside a transaction.
     pub fn resize_orecs(&self, partition: &Partition, new_count: usize) -> SwitchOutcome {
-        assert_eq!(
-            partition.stm_id, self.inner.id,
-            "partition belongs to a different Stm"
-        );
-        resize_orecs_impl(&self.inner, partition, new_count)
+        let n = new_count
+            .clamp(config::MIN_ORECS, config::MAX_ORECS)
+            .next_power_of_two();
+        self.inner.reconfigure(
+            EventKind::OrecResize,
+            n as u64,
+            partition,
+            None,
+            || partition.orec_count() == n,
+            |now| {
+                partition.install_table(n, now);
+                partition.reset_tuning_window();
+            },
+        )
     }
 
     /// Changes a partition's version-ring depth *live* (clamped to
@@ -448,422 +448,80 @@ impl Stm {
     /// when [`Partition::overflow_len`] or the `ring_overflow_pushes`
     /// counter stays high. Memory cost: `orec_count × depth × 32` bytes.
     ///
-    /// Runs under the same quiesce protocol as [`Stm::resize_orecs`]:
-    /// flag → quiesce → install a fresh (empty) ring of the new depth →
-    /// generation+1, flag clear. Discarding accumulated history is safe —
-    /// see the migration/resize argument in [`crate::snapshot`] — and
-    /// merely costs post-switch snapshot readers their history until
-    /// writers repopulate it.
+    /// Runs one quiesce window like [`Stm::resize_orecs`]; the mutation
+    /// installs a fresh (empty) ring of the new depth. Discarding
+    /// accumulated history is safe — see the migration/resize argument in
+    /// [`crate::snapshot`] — and merely costs post-switch snapshot readers
+    /// their history until writers repopulate it.
     ///
-    /// Returns [`Unchanged`](SwitchOutcome::Unchanged) when the depth is
-    /// already the requested one, [`Contended`](SwitchOutcome::Contended)
-    /// when another switch owns the partition, and
-    /// [`TimedOut`](SwitchOutcome::TimedOut) (release builds; debug builds
-    /// panic) when quiescence cannot be reached — rolled back, retryable.
+    /// Returns the [`SwitchOutcome`] —
+    /// [`Unchanged`](SwitchOutcome::Unchanged) when the depth is already
+    /// the effective one; anything but
+    /// [`Switched`](SwitchOutcome::Switched) leaves the ring exactly as
+    /// found.
     ///
     /// Must not be called from inside a transaction.
     pub fn set_ring_depth(&self, partition: &Partition, depth: usize) -> SwitchOutcome {
+        let d = depth.clamp(config::MIN_RING_DEPTH, config::MAX_RING_DEPTH);
+        self.inner.reconfigure(
+            EventKind::RingDepth,
+            d as u64,
+            partition,
+            None,
+            || partition.ring_depth() == d,
+            |_| partition.install_ring(d),
+        )
+    }
+}
+
+impl StmInner {
+    /// [`Stm::switch_partition`], also the post-commit tuning hook's entry
+    /// point (which only has the `StmInner`).
+    pub(crate) fn switch_partition(&self, partition: &Partition, new: DynConfig) -> SwitchOutcome {
+        self.reconfigure(
+            EventKind::ConfigSwitch,
+            0,
+            partition,
+            Some(new),
+            || config::decode(partition.config_word()) == new,
+            |now| partition.reset_orecs(now),
+        )
+    }
+
+    /// The single-partition quiesce window behind switch, resize and
+    /// ring-depth, reported as one `kind` event with payload `arg`.
+    /// `done` is the operation's no-op test, run before flagging and
+    /// again under the flag (where it can no longer race an interleaved
+    /// window); `mutate` is its change, handed the clock value to stamp
+    /// with; `new` is the configuration to publish, if it changes.
+    fn reconfigure(
+        &self,
+        kind: EventKind,
+        arg: u64,
+        partition: &Partition,
+        new: Option<DynConfig>,
+        done: impl Fn() -> bool,
+        mutate: impl FnOnce(u64),
+    ) -> SwitchOutcome {
         assert_eq!(
-            partition.stm_id, self.inner.id,
+            partition.stm_id, self.id,
             "partition belongs to a different Stm"
         );
-        set_ring_depth_impl(&self.inner, partition, depth)
-    }
-}
-
-/// The quiesce-based switch protocol (shared by the public API and the
-/// engine's tuning hook). See [`Stm::switch_partition`] for the contract.
-pub(crate) fn switch_partition_impl(
-    inner: &StmInner,
-    partition: &Partition,
-    new: DynConfig,
-) -> SwitchOutcome {
-    let out = switch_partition_body(inner, partition, new);
-    telemetry::control_event(
-        EventKind::ConfigSwitch,
-        partition.id.0 as u64,
-        telemetry::outcome_code(out),
-        0,
-    );
-    out
-}
-
-fn switch_partition_body(inner: &StmInner, partition: &Partition, new: DynConfig) -> SwitchOutcome {
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return SwitchOutcome::Contended;
-    }
-    if config::decode(old) == new {
-        return SwitchOutcome::Unchanged;
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return SwitchOutcome::Contended;
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id.0) {
-        // Roll the switch back: clear the flag so future switches (and
-        // first-touches) proceed, leave config + generation untouched. We
-        // own the word while the flag is set, so a plain store of the
-        // pre-switch word is race-free.
-        partition.config.store(old, Ordering::SeqCst);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "partition switch could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
+        let mut w = QuiesceWindow::new(kind, partition.id, arg, [(partition, 0)]);
+        if done() {
+            return w.finish(SwitchOutcome::Unchanged);
         }
-        rtlog::warn(&format!(
-            "switch of partition '{}' rolled back: quiescence not reached \
-             in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return SwitchOutcome::TimedOut;
-    }
-    // Stamp every orec with the current clock before the new configuration
-    // becomes visible: a remapped orec may otherwise carry a version that
-    // is stale for its new coverage, letting an old-snapshot reader accept
-    // a value committed after its read version (see Partition::reset_orecs).
-    partition.reset_orecs(inner.clock.now());
-    let word = config::encode(new, config::generation(old).wrapping_add(1));
-    partition.config.store(word, Ordering::SeqCst);
-    SwitchOutcome::Switched
-}
-
-/// The quiesce-based orec-table resize (see [`Stm::resize_orecs`] for the
-/// contract). Structurally the same flag→quiesce→mutate→gen+1 window as
-/// the configuration switch; the mutation installs a fresh table instead
-/// of re-stamping the existing one.
-pub(crate) fn resize_orecs_impl(
-    inner: &StmInner,
-    partition: &Partition,
-    new_count: usize,
-) -> SwitchOutcome {
-    let out = resize_orecs_body(inner, partition, new_count);
-    telemetry::control_event(
-        EventKind::OrecResize,
-        partition.id.0 as u64,
-        telemetry::outcome_code(out),
-        new_count as u64,
-    );
-    out
-}
-
-fn resize_orecs_body(inner: &StmInner, partition: &Partition, new_count: usize) -> SwitchOutcome {
-    let n = new_count
-        .clamp(config::MIN_ORECS, config::MAX_ORECS)
-        .next_power_of_two();
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return SwitchOutcome::Contended;
-    }
-    if partition.orec_count() == n {
-        return SwitchOutcome::Unchanged;
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return SwitchOutcome::Contended;
-    }
-    // Re-check under the flag: the pre-CAS size read may have raced an
-    // interleaved resize that already installed `n`.
-    if partition.orec_count() == n {
-        partition.config.store(old, Ordering::SeqCst);
-        return SwitchOutcome::Unchanged;
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id.0) {
-        // Roll back: clear the flag, leave table/versions/config exactly
-        // as found (we mutate nothing before this point).
-        partition.config.store(old, Ordering::SeqCst);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "orec resize could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
+        if let Err(out) = w.open(config::SWITCHING_BIT) {
+            return out;
         }
-        rtlog::warn(&format!(
-            "orec resize of partition '{}' rolled back: quiescence not \
-             reached in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return SwitchOutcome::TimedOut;
-    }
-    // Quiesced: no transaction holds pointers into the old table, and new
-    // attempts abort on the flag before touching it. Install the fresh
-    // table stamped with the current clock (same staleness argument as
-    // reset_orecs), then publish generation+1 with the flag clear.
-    partition.install_table(n, inner.clock.now());
-    partition.reset_tuning_window();
-    let word = config::encode(config::decode(old), config::generation(old).wrapping_add(1));
-    partition.config.store(word, Ordering::SeqCst);
-    SwitchOutcome::Switched
-}
-
-/// The quiesce-based ring-depth change (see [`Stm::set_ring_depth`] for
-/// the contract). Same flag→quiesce→mutate→gen+1 window as the orec-table
-/// resize; the mutation installs a fresh ring of the new depth.
-pub(crate) fn set_ring_depth_impl(
-    inner: &StmInner,
-    partition: &Partition,
-    depth: usize,
-) -> SwitchOutcome {
-    let out = set_ring_depth_body(inner, partition, depth);
-    telemetry::control_event(
-        EventKind::RingDepth,
-        partition.id.0 as u64,
-        telemetry::outcome_code(out),
-        depth as u64,
-    );
-    out
-}
-
-fn set_ring_depth_body(inner: &StmInner, partition: &Partition, depth: usize) -> SwitchOutcome {
-    let d = depth.clamp(config::MIN_RING_DEPTH, config::MAX_RING_DEPTH);
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return SwitchOutcome::Contended;
-    }
-    if partition.ring_depth() == d {
-        return SwitchOutcome::Unchanged;
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return SwitchOutcome::Contended;
-    }
-    // Re-check under the flag (same race as the resize path).
-    if partition.ring_depth() == d {
-        partition.config.store(old, Ordering::SeqCst);
-        return SwitchOutcome::Unchanged;
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id.0) {
-        partition.config.store(old, Ordering::SeqCst);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "ring-depth change could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
+        if done() {
+            return w.finish(SwitchOutcome::Unchanged);
         }
-        rtlog::warn(&format!(
-            "ring-depth change of partition '{}' rolled back: quiescence \
-             not reached in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return SwitchOutcome::TimedOut;
-    }
-    partition.install_ring(d);
-    let word = config::encode(config::decode(old), config::generation(old).wrapping_add(1));
-    partition.config.store(word, Ordering::SeqCst);
-    SwitchOutcome::Switched
-}
-
-/// Bumps the global switch epoch and waits for every registered thread to
-/// be outside a transaction at least once, or inside one begun after the
-/// bump (such attempts observe the switching flags set by the caller).
-/// Returns `false` on quiesce timeout — the caller must roll its flags
-/// back. Shared by the single-partition switch and the multi-partition
-/// repartition protocol (see [`crate::repartition`]).
-///
-/// ## Two-stage deadline (kill-based rescue)
-///
-/// The drain runs against two deadlines:
-///
-/// 1. **Soft** ([`StmBuilder::kill_after`], default `quiesce_timeout/4`):
-///    once crossed, [`raise_kills`] sweeps the slot table once and raises
-///    the kill flag of every transaction still blocking the drain (slot
-///    registered, sequence odd, attempt begun before this window's
-///    epoch). A cooperative victim observes the flag at its next
-///    read/write/acquire/validate/backoff boundary and unwinds with
-///    [`AbortKind::Killed`](crate::AbortKind::Killed) through the
-///    ordinary abort path, which releases every encounter lock and
-///    reader bit it held — see the "Kill safety" section of
-///    [`crate::txn`]'s module docs for why aborting at those boundaries
-///    can never observe or publish torn state. One sweep suffices:
-///    attempts begun after the epoch bump satisfy the drain predicate by
-///    construction, so the set of blockers can only shrink.
-/// 2. **Hard** ([`StmBuilder::quiesce_timeout`]): the window fails and
-///    the caller rolls back, exactly as before — but first
-///    [`report_stuck_slots`] emits one structured diagnostic per
-///    still-blocking slot (thread slot, attempt serial, held encounter
-///    locks per partition scan) through [`rtlog`] and the telemetry
-///    `StuckSlot` event/counter, replacing the old bare "stuck
-///    transaction?" guess. Only a thread that is *not running STM code*
-///    (descheduled, dead, or parked in user code mid-transaction) can
-///    reach this stage, because every STM boundary polls the kill flag.
-///
-/// Raising a kill flag is always safe, even against a mis-identified
-/// victim: the flag names one attempt serial, the victim merely
-/// aborts-and-retries (counted as `aborts_killed`), and `Tx::begin`
-/// clears the flag before publishing the next serial, so a stale kill
-/// can never leak into a later attempt.
-pub(crate) fn bump_epoch_and_quiesce(inner: &StmInner, tele_part: u32) -> bool {
-    // `tele_part` only attributes the telemetry events below to the
-    // partition (or destination) whose window this is; the drain itself is
-    // global.
-    let tele_t0 = telemetry::enabled().then(|| {
-        telemetry::control_event(EventKind::QuiesceBegin, tele_part as u64, 0, 0);
-        Instant::now()
-    });
-    if crate::fault::enabled() {
-        if let Some(delay) = crate::fault::quiesce_delay_budget(inner.id) {
-            std::thread::sleep(delay);
+        if let Err(out) = w.quiesce(self) {
+            return out;
         }
-    }
-    let epoch = inner.switch_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-    let start = Instant::now();
-    let soft = inner.kill_after;
-    // Rescue disabled when the soft deadline cannot precede the hard one.
-    let mut kills_raised = soft >= inner.quiesce_timeout;
-    let mut ok = true;
-    'drain: for slot in inner.slots.iter() {
-        if !slot.registered.load(Ordering::Acquire) {
-            continue;
-        }
-        loop {
-            let seq = slot.seq.load(Ordering::SeqCst);
-            if seq % 2 == 0 || slot.start_epoch.load(Ordering::SeqCst) >= epoch {
-                break;
-            }
-            let waited = start.elapsed();
-            if waited > inner.quiesce_timeout {
-                ok = false;
-                break 'drain;
-            }
-            if !kills_raised && waited > soft {
-                kills_raised = true;
-                raise_kills(inner, epoch, tele_part, waited);
-            }
-            std::thread::yield_now();
-        }
-    }
-    if !ok {
-        report_stuck_slots(inner, epoch, tele_part);
-    }
-    if telemetry::enabled() {
-        let t = telemetry::global();
-        t.quiesce_total.inc();
-        if !ok {
-            t.quiesce_timeouts.inc();
-        }
-    }
-    if let Some(t0) = tele_t0 {
-        let us = t0.elapsed().as_micros() as u64;
-        telemetry::global().quiesce_us.record(us);
-        telemetry::control_event(EventKind::QuiesceEnd, tele_part as u64, us, ok as u64);
-    }
-    ok
-}
-
-/// Soft-deadline stage of [`bump_epoch_and_quiesce`]: one sweep over the
-/// slot table raising the kill flag of every attempt still blocking the
-/// drain for `epoch`. Racing a victim's attempt turnover is benign — the
-/// stored serial then names a finished attempt and no one ever matches
-/// it. Cold by construction (a healthy drain finishes in microseconds).
-#[cold]
-fn raise_kills(inner: &StmInner, epoch: u64, tele_part: u32, waited: Duration) {
-    let mut killed = 0u64;
-    for slot in inner.slots.iter() {
-        if !slot.registered.load(Ordering::SeqCst) {
-            continue;
-        }
-        if slot.seq.load(Ordering::SeqCst) % 2 == 0
-            || slot.start_epoch.load(Ordering::SeqCst) >= epoch
-        {
-            continue;
-        }
-        slot.kill
-            .store(slot.serial.load(Ordering::SeqCst), Ordering::SeqCst);
-        killed += 1;
-    }
-    if killed > 0 && telemetry::enabled() {
-        telemetry::global().kill_rescue_kills.add(killed);
-        telemetry::control_event(
-            EventKind::KillRescue,
-            tele_part as u64,
-            killed,
-            waited.as_micros() as u64,
-        );
-    }
-}
-
-fn stuck_limiter() -> &'static rtlog::Limiter {
-    static L: std::sync::OnceLock<rtlog::Limiter> = std::sync::OnceLock::new();
-    L.get_or_init(|| rtlog::Limiter::new(Duration::from_secs(5)))
-}
-
-/// Hard-deadline stage of [`bump_epoch_and_quiesce`]: one structured
-/// diagnostic per slot still blocking the drain — thread slot index,
-/// attempt serial, and how many encounter locks it holds in each
-/// partition — via [`rtlog`] (rate-limited) and the telemetry
-/// `StuckSlot` event + counter. Such a slot survived the kill sweep, so
-/// its thread cannot be executing STM code; the held-lock count tells the
-/// operator whether it is wedging writers too or merely the control
-/// plane.
-#[cold]
-fn report_stuck_slots(inner: &StmInner, epoch: u64, tele_part: u32) {
-    // `try_lock`: this runs inside an already-failing control-plane
-    // window, and deadlocking the diagnostic on the partition list would
-    // be worse than reporting without held-lock counts.
-    let parts: Vec<Arc<Partition>> = inner
-        .partitions
-        .try_lock()
-        .map(|g| g.clone())
-        .unwrap_or_default();
-    for (i, slot) in inner.slots.iter().enumerate() {
-        if !slot.registered.load(Ordering::SeqCst) {
-            continue;
-        }
-        if slot.seq.load(Ordering::SeqCst) % 2 == 0
-            || slot.start_epoch.load(Ordering::SeqCst) >= epoch
-        {
-            continue;
-        }
-        let serial = slot.serial.load(Ordering::SeqCst);
-        let held: Vec<(PartitionId, usize)> = parts
-            .iter()
-            .map(|p| (p.id(), p.held_locks_of(i)))
-            .filter(|(_, n)| *n > 0)
-            .collect();
-        let held_total: usize = held.iter().map(|(_, n)| n).sum();
-        if telemetry::enabled() {
-            telemetry::global().stuck_slots.inc();
-        }
-        telemetry::control_event(
-            EventKind::StuckSlot,
-            tele_part as u64,
-            i as u64,
-            held_total as u64,
-        );
-        stuck_limiter().warn(&format!(
-            "stuck transaction: thread slot {i} (attempt serial {serial}) \
-             ignored its kill flag past the hard quiesce deadline; it holds \
-             {held_total} encounter lock(s) {held:?} — the thread is \
-             descheduled, dead, or parked in user code mid-transaction"
-        ));
+        let now = self.clock.now();
+        w.commit(now, new, || mutate(now))
     }
 }
 

@@ -67,8 +67,9 @@
 //! and it is the `SeqCst` `fetch_add` that turns the slot's `seq` odd in
 //! `Tx::begin` (`ThreadSlot::enter_attempt`). Everything else `begin` and
 //! the end of the attempt publish has a single writer (the slot's owner)
-//! and needs release ordering at most. The switcher's side (`bump_epoch_and_quiesce`,
-//! `raise_kills`, the flag CAS) stays `SeqCst` throughout. Write *S* for
+//! and needs release ordering at most. The switcher's side (the quiesce
+//! window in `quiesce.rs`: its flag CAS, `bump_epoch_and_quiesce` and
+//! `raise_kills`) stays `SeqCst` throughout. Write *S* for
 //! the total order of `SeqCst` operations; the switcher runs `flag CAS <S
 //! epoch bump <S seq load <S start_epoch load`, an attempt runs `seq RMW
 //! <S epoch load <S config loads`.
@@ -197,7 +198,7 @@
 //!
 //! A transaction can be asked to die remotely: writers kill visible
 //! readers during arbitration, and the quiesce rescue stage (see
-//! [`crate::stm`]'s `bump_epoch_and_quiesce`) kills attempts that block a
+//! `bump_epoch_and_quiesce` in `quiesce.rs`) kills attempts that block a
 //! structural window past its soft deadline. The request is one store
 //! into the victim's slot (`kill := serial of the attempt to abort`); the
 //! victim polls it at every *check-point boundary* — transactional read
@@ -1630,7 +1631,7 @@ impl<'e, 's> Tx<'e, 's> {
             if let Some(new_cfg) = tuner.evaluate(&input) {
                 // Contended/TimedOut switches are fine to drop here: the
                 // tuner re-evaluates after the next window.
-                let _ = self.stm.switch_partition_inner(&part, new_cfg);
+                let _ = self.stm.switch_partition(&part, new_cfg);
             }
         }
     }
@@ -1725,18 +1726,6 @@ impl ThreadCtx {
                 cm::backoff(attempts, &mut tx.s.rng);
             }
         }
-    }
-}
-
-impl StmInner {
-    /// Internal switch entry point shared by `Stm::switch_partition` and
-    /// the tuning hook. See `Stm::switch_partition` for the protocol.
-    pub(crate) fn switch_partition_inner(
-        &self,
-        partition: &Partition,
-        new: DynConfig,
-    ) -> crate::stm::SwitchOutcome {
-        crate::stm::switch_partition_impl(self, partition, new)
     }
 }
 

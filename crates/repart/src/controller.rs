@@ -457,9 +457,9 @@ fn retry_contended(
 /// Fault-injection site
 /// [`CtrlActionFail`](partstm_core::fault::FaultSite::CtrlActionFail):
 /// when the installed plan fires, the approved action is reported as a
-/// quiesce timeout *without* attempting the protocol (debug builds panic
-/// inside a genuinely timed-out quiesce, so injecting the outcome rather
-/// than the stall keeps the schedule build-independent).
+/// quiesce timeout *without* attempting the protocol (injecting the
+/// outcome rather than a stall keeps the schedule independent of the
+/// quiesce deadlines and costs the scenario no wall time).
 fn injected_ctrl_failure(
     ctrl: &Ctrl,
     st: &mut CtrlState,
