@@ -1,22 +1,14 @@
 //! # partstm-bench — reproduction harness
 //!
 //! Reusable measurement machinery for the `repro` binary (one sub-command
-//! per figure/table of the paper's evaluation, see DESIGN.md §4) and the
-//! Criterion microbenches: fixed-time multithreaded drivers, a time-series
-//! driver for the phase-change experiment, the intset operation mix, and
-//! table formatting.
+//! per figure/table of the paper's evaluation): fixed-time multithreaded
+//! drivers, a time-series driver for the phase-change experiment, the
+//! intset operation mix, and table formatting.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod chaos;
 pub mod hetero;
-pub mod hotkey;
-pub mod json_out;
-pub mod orec_pressure;
-pub mod phase_shift;
-pub mod privatize;
-pub mod readpath;
 
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -29,6 +29,11 @@ fn malformed_command_lines_print_usage_and_exit_2() {
         &["t1", "--secs"],
         &["t1", "--quick", "--secs"],
         &["t1", "--bogus"],
+        // The retired scenario stack: `repro` is the paper's figures only.
+        &["chaos"],
+        &["t1", "chaos"],
+        &["t1", "--json"],
+        &["t1", "--prom"],
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

@@ -29,9 +29,11 @@
 //! - [`FaultSite::QuiesceDelay`] — sleeps at the head of a
 //!   flag→quiesce drain, widening the window other threads must cross.
 //! - [`FaultSite::CtrlActionFail`] — makes the repartition controller
-//!   report a quiesce timeout for an approved action *without running
-//!   it*, feeding the circuit breaker deterministically (and without
-//!   waiting out a real quiesce deadline).
+//!   report a quiesce timeout for an approved action of any kind (split,
+//!   merge, resize, tear, heal) *without running it*, feeding the circuit
+//!   breaker deterministically (and without waiting out a real quiesce
+//!   deadline). Consulted once per approved action, after the
+//!   hysteresis, privatized-hold and breaker gates.
 //!
 //! Decisions are a pure function of `(seed, site, per-site sequence
 //! number)` — two runs of the same single-threaded schedule fire
@@ -61,7 +63,8 @@ pub enum FaultSite {
     MidTxPanic = 1,
     /// Sleep at the head of a flag→quiesce drain.
     QuiesceDelay = 2,
-    /// Fail an approved controller action as if its quiesce timed out.
+    /// Fail an approved controller action (any of the five kinds) as if
+    /// its quiesce timed out.
     CtrlActionFail = 3,
 }
 

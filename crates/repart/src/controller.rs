@@ -455,17 +455,13 @@ fn retry_contended(
 }
 
 /// Fault-injection site
-/// [`CtrlActionFail`](partstm_core::fault::FaultSite::CtrlActionFail):
-/// when the installed plan fires, the approved action is reported as a
-/// quiesce timeout *without* attempting the protocol (injecting the
-/// outcome rather than a stall keeps the schedule independent of the
-/// quiesce deadlines and costs the scenario no wall time).
-fn injected_ctrl_failure(
-    ctrl: &Ctrl,
-    st: &mut CtrlState,
-    action: &'static str,
-    src: PartitionId,
-) -> bool {
+/// [`CtrlActionFail`](partstm_core::fault::FaultSite::CtrlActionFail),
+/// consulted once per approved action of any kind: when the installed
+/// plan fires, the action is reported as a quiesce timeout *without*
+/// attempting the protocol (injecting the outcome rather than a stall
+/// keeps the schedule independent of the quiesce deadlines and costs the
+/// scenario no wall time).
+fn injected_ctrl_failure(ctrl: &Ctrl, st: &mut CtrlState, (action, src): StreakKey) -> bool {
     if !partstm_core::fault::ctrl_action_should_fail(&ctrl.stm) {
         return false;
     }
@@ -477,6 +473,15 @@ fn injected_ctrl_failure(
     emit_ctrl_action(&ev);
     st.events.push(ev);
     true
+}
+
+/// Ends a window whose single action slot was spent (executed or failed):
+/// feeds the outcome to the breaker, resets hysteresis, starts the
+/// cooldown.
+fn finish_action(ctrl: &Ctrl, st: &mut CtrlState, window: u64) {
+    update_breaker(ctrl, st, window);
+    st.streaks.clear();
+    st.cooldown = ctrl.cfg.cooldown;
 }
 
 /// Executes a whole-structure split of `src`'s hot buckets. Returns true
@@ -497,9 +502,6 @@ fn exec_split(
     let Some(src_part) = find_partition(&ctrl.stm, src) else {
         return false;
     };
-    if injected_ctrl_failure(ctrl, st, "split", src) {
-        return true;
-    }
     let movers = ctrl.dir.collect(src, buckets);
     if movers.is_empty() {
         let ev = RepartEvent::Failed {
@@ -566,9 +568,6 @@ fn exec_tear(
     let Some(src_part) = find_partition(&ctrl.stm, src) else {
         return false;
     };
-    if injected_ctrl_failure(ctrl, st, "tear", src) {
-        return true;
-    }
     let existing = st
         .torn
         .iter()
@@ -653,9 +652,6 @@ fn exec_heal(ctrl: &Ctrl, st: &mut CtrlState, src: PartitionId, dst: PartitionId
     let Some(src_part) = find_partition(&ctrl.stm, src) else {
         return false;
     };
-    if injected_ctrl_failure(ctrl, st, "heal", src) {
-        return true;
-    }
     let sets = st
         .torn
         .get(&src)
@@ -975,6 +971,10 @@ fn step(ctrl: &Ctrl) {
         if held || tripped {
             continue;
         }
+        if injected_ctrl_failure(ctrl, st, *key) {
+            finish_action(ctrl, st, window);
+            return;
+        }
         match proposal {
             Proposal::Split {
                 src,
@@ -1031,9 +1031,7 @@ fn step(ctrl: &Ctrl) {
                     };
                     emit_ctrl_action(&ev);
                     st.events.push(ev);
-                    update_breaker(ctrl, st, window);
-                    st.streaks.clear();
-                    st.cooldown = ctrl.cfg.cooldown;
+                    finish_action(ctrl, st, window);
                     return;
                 }
                 let outcome = ctrl
@@ -1091,9 +1089,7 @@ fn step(ctrl: &Ctrl) {
                 // orec table (only the partition's *shape* is unchanged).
             }
         }
-        update_breaker(ctrl, st, window);
-        st.streaks.clear();
-        st.cooldown = ctrl.cfg.cooldown;
+        finish_action(ctrl, st, window);
         return;
     }
 }

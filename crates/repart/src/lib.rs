@@ -67,9 +67,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use std::thread::Scope;
     use std::time::{Duration, Instant};
 
-    use partstm_core::{Migratable, PVar, PartitionConfig, Stm};
+    use partstm_core::fault::{self, FaultPlan, FaultSite};
+    use partstm_core::{Migratable, PVar, PartitionConfig, Stm, SwitchOutcome};
 
     /// A registry-backed bank whose accounts the controller may migrate.
     struct MovableBank {
@@ -93,6 +95,137 @@ mod tests {
         }
     }
 
+    /// Stops the traffic when dropped, so an assertion failing while the
+    /// workers run fails the test instead of hanging the scope's join.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// One synchronous controller window: 50 ms, stretched (up to 2 s)
+    /// until the traffic has committed another 512 transactions. The
+    /// fixtures below yield inside transactions, so when the rest of the
+    /// suite saturates the cores a 50 ms window can shrink to a few dozen
+    /// commits — too few samples to re-propose, which resets the
+    /// hysteresis streak.
+    fn step_window(stm: &Stm, controller: &RepartitionController) {
+        let commits = || -> u64 { stm.partitions().iter().map(|p| p.stats().commits).sum() };
+        let floor = commits() + 512;
+        std::thread::sleep(Duration::from_millis(50));
+        let stretch = Instant::now() + Duration::from_secs(2);
+        while commits() < floor && Instant::now() < stretch {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        controller.step();
+    }
+
+    /// Drives windows until `done` holds (true) or 20 s pass (false).
+    fn step_until(
+        stm: &Stm,
+        controller: &RepartitionController,
+        mut done: impl FnMut(&RepartitionController) -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while Instant::now() < deadline {
+            step_window(stm, controller);
+            if done(controller) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Aliasing-bound traffic: two threads of uniform transfers holding
+    /// their encounter locks across a reschedule (on a 64-orec table the
+    /// stranded lock aliases with ~everything), plus one thread of uniform
+    /// read-only scans aborting on those locks — pure aliasing pressure.
+    fn spawn_aliasing_traffic<'scope, 'env>(
+        s: &'scope Scope<'scope, 'env>,
+        stm: &Stm,
+        accounts: &'env [Arc<PVar<i64>>],
+        stop: &'env AtomicBool,
+    ) {
+        let n = accounts.len() as u64;
+        for t in 0..2u64 {
+            let ctx = stm.register_thread();
+            s.spawn(move || {
+                let mut r = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                while !stop.load(Ordering::Relaxed) {
+                    r ^= r << 13;
+                    r ^= r >> 7;
+                    r ^= r << 17;
+                    let from = (r % n) as usize;
+                    let to = ((r >> 8) % n) as usize;
+                    let amt = (r % 90) as i64;
+                    ctx.run(|tx| {
+                        let f = tx.read(&accounts[from])?;
+                        tx.write(&accounts[from], f - amt)?;
+                        std::thread::yield_now();
+                        let v = tx.read(&accounts[to])?;
+                        tx.write(&accounts[to], v + amt)?;
+                        Ok(())
+                    });
+                }
+            });
+        }
+        let ctx = stm.register_thread();
+        s.spawn(move || {
+            let mut x = 7u64;
+            while !stop.load(Ordering::Relaxed) {
+                ctx.run(|tx| {
+                    let mut sum = 0i64;
+                    for _ in 0..32 {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        sum += tx.read(&accounts[((x >> 16) % n) as usize])?;
+                    }
+                    Ok(sum)
+                });
+            }
+        });
+    }
+
+    /// Hot-cluster traffic: three threads of transfers, 85% of them inside
+    /// the first `HOT` accounts; a yield inside the hot transactions
+    /// stretches the conflict window across a reschedule so contention
+    /// shows even on one core.
+    fn spawn_hot_cluster_traffic<'scope, 'env>(
+        s: &'scope Scope<'scope, 'env>,
+        stm: &Stm,
+        accounts: &'env [Arc<PVar<i64>>],
+        stop: &'env AtomicBool,
+    ) {
+        const HOT: u64 = 4;
+        let n = accounts.len() as u64;
+        for t in 0..3u64 {
+            let ctx = stm.register_thread();
+            s.spawn(move || {
+                let mut r = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                while !stop.load(Ordering::Relaxed) {
+                    r ^= r << 13;
+                    r ^= r >> 7;
+                    r ^= r << 17;
+                    let hot = r % 100 < 85;
+                    let span = if hot { HOT } else { n };
+                    let (from, to) = ((r % span) as usize, ((r >> 8) % span) as usize);
+                    let amt = (r % 90) as i64;
+                    ctx.run(|tx| {
+                        let f = tx.read(&accounts[from])?;
+                        tx.write(&accounts[from], f - amt)?;
+                        if hot {
+                            std::thread::yield_now();
+                        }
+                        let t = tx.read(&accounts[to])?;
+                        tx.write(&accounts[to], t + amt)?;
+                        Ok(())
+                    });
+                }
+            });
+        }
+    }
+
     /// End-to-end: uniform traffic over a big footprint guarded by a tiny
     /// orec table aborts mostly on *aliased* conflicts; the controller
     /// must execute a live orec-table resize (not a split — there is no
@@ -111,64 +244,11 @@ mod tests {
         let controller = RepartitionController::new(&stm, dir, ControllerConfig::responsive());
         let from_orecs = part.orec_count();
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut resized = false;
-        std::thread::scope(|s| {
-            for t in 0..2usize {
-                let ctx = stm.register_thread();
-                let (accounts, stop) = (&accounts, Arc::clone(&stop));
-                s.spawn(move || {
-                    let mut r = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    while !stop.load(Ordering::Relaxed) {
-                        r ^= r << 13;
-                        r ^= r >> 7;
-                        r ^= r << 17;
-                        // Uniform transfers holding their encounter locks
-                        // across a reschedule: the stranded lock aliases
-                        // with ~everything in a 64-orec table.
-                        let from = (r % ACCOUNTS as u64) as usize;
-                        let to = ((r >> 8) % ACCOUNTS as u64) as usize;
-                        let amt = (r % 90) as i64;
-                        ctx.run(|tx| {
-                            let f = tx.read(&accounts[from])?;
-                            tx.write(&accounts[from], f - amt)?;
-                            std::thread::yield_now();
-                            let v = tx.read(&accounts[to])?;
-                            tx.write(&accounts[to], v + amt)?;
-                            Ok(())
-                        });
-                    }
-                });
-            }
-            // Uniform read-only scans aborting on the stranded locks —
-            // pure aliasing pressure.
-            {
-                let ctx = stm.register_thread();
-                let (accounts, stop) = (&accounts, Arc::clone(&stop));
-                s.spawn(move || {
-                    let mut x = 7u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        ctx.run(|tx| {
-                            let mut sum = 0i64;
-                            for _ in 0..32 {
-                                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                                sum += tx.read(&accounts[(x >> 16) as usize % ACCOUNTS])?;
-                            }
-                            Ok(sum)
-                        });
-                    }
-                });
-            }
-            let deadline = Instant::now() + Duration::from_secs(20);
-            while Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(50));
-                controller.step();
-                if controller.has_resize() {
-                    resized = true;
-                    break;
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
+        let stop = AtomicBool::new(false);
+        let resized = std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            spawn_aliasing_traffic(s, &stm, &accounts, &stop);
+            step_until(&stm, &controller, RepartitionController::has_resize)
         });
 
         assert!(
@@ -215,62 +295,16 @@ mod tests {
     #[test]
     fn controller_splits_a_hot_cluster() {
         const ACCOUNTS: usize = 512;
-        const HOT: usize = 4;
         let stm = Stm::new();
         let (bank, dir) = MovableBank::new(&stm, ACCOUNTS, 100);
         let expect = ACCOUNTS as i64 * 100;
         let controller = RepartitionController::new(&stm, dir, ControllerConfig::responsive());
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut split = false;
-        std::thread::scope(|s| {
-            for t in 0..3usize {
-                let ctx = stm.register_thread();
-                let (bank, stop) = (&bank, Arc::clone(&stop));
-                s.spawn(move || {
-                    let mut r = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    while !stop.load(Ordering::Relaxed) {
-                        r ^= r << 13;
-                        r ^= r >> 7;
-                        r ^= r << 17;
-                        // 85% of transfers inside the hot cluster; a yield
-                        // inside the transaction stretches the conflict
-                        // window across a reschedule so contention shows
-                        // even on one core.
-                        let hot = r % 100 < 85;
-                        let (from, to) = if hot {
-                            ((r % HOT as u64) as usize, ((r >> 8) % HOT as u64) as usize)
-                        } else {
-                            (
-                                (r % ACCOUNTS as u64) as usize,
-                                ((r >> 8) % ACCOUNTS as u64) as usize,
-                            )
-                        };
-                        let amt = (r % 90) as i64;
-                        ctx.run(|tx| {
-                            let f = tx.read(&bank.accounts[from])?;
-                            tx.write(&bank.accounts[from], f - amt)?;
-                            if hot {
-                                std::thread::yield_now();
-                            }
-                            let t = tx.read(&bank.accounts[to])?;
-                            tx.write(&bank.accounts[to], t + amt)?;
-                            Ok(())
-                        });
-                    }
-                });
-            }
-            // Drive windows synchronously until a split lands.
-            let deadline = Instant::now() + Duration::from_secs(20);
-            while Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(50));
-                controller.step();
-                if controller.has_split() {
-                    split = true;
-                    break;
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
+        let stop = AtomicBool::new(false);
+        let split = std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            spawn_hot_cluster_traffic(s, &stm, &bank.accounts, &stop);
+            step_until(&stm, &controller, RepartitionController::has_split)
         });
 
         assert!(split, "controller never split: {:?}", controller.events());
@@ -293,6 +327,123 @@ mod tests {
             "split created a partition: {:?}",
             stm.partitions().len()
         );
+    }
+
+    /// The circuit breaker through the real `step()` path, fed by the
+    /// `CtrlActionFail` fault site, for an action that runs in an executor
+    /// (the hot cluster's split) and one that runs in `step` itself (the
+    /// aliasing-bound partition's resize): approved actions fail as
+    /// quiesce timeouts until the breaker opens, nothing is attempted
+    /// while it is open, and once the faults are cleared it closes and the
+    /// action lands. (The hot cluster is proposed as a tear, which for flat
+    /// variables executes as a whole-structure split; a failure injected
+    /// before execution carries the proposal's name.) One test, inputs in
+    /// sequence: the plan is process-global.
+    #[test]
+    fn breaker_opens_on_injected_timeouts_and_recovers_through_step() {
+        for action in ["tear", "resize"] {
+            // The streak survives the open windows: the action lands in
+            // the very window that closes the breaker, not a fresh
+            // hysteresis run later. The one scheduler-sensitive claim
+            // here — a window in which the traffic happened not to
+            // conflict re-proposes nothing and resets the streak (about
+            // one run in a hundred on a saturated machine) — so a miss is
+            // re-run; a skip path that dropped the streak would miss
+            // every time.
+            assert!(
+                (0..3).any(|_| breaker_scenario(action)),
+                "{action}: never landed in the window that closed the breaker"
+            );
+        }
+    }
+
+    /// One open → close cycle of `action`'s breaker, every step of it
+    /// asserted; returns whether the action landed in the closing window.
+    fn breaker_scenario(action: &'static str) -> bool {
+        let cfg = ControllerConfig {
+            hysteresis: 3,
+            breaker_windows: 6,
+            ..ControllerConfig::responsive()
+        };
+        let threshold = cfg.breaker_threshold as usize;
+        let stm = Stm::new();
+        let (accounts, dir) = if action == "tear" {
+            let (bank, dir) = MovableBank::new(&stm, 512, 100);
+            (bank.accounts, dir)
+        } else {
+            let part = stm.new_partition(PartitionConfig::named("aliased").orecs(64));
+            let accounts = (0..4096).map(|_| Arc::new(part.tvar(100))).collect();
+            (accounts, Arc::new(StaticDirectory::new()))
+        };
+        let expect = accounts.len() as i64 * 100;
+        let controller = RepartitionController::new(&stm, dir, cfg);
+        let plan = fault::install(FaultPlan::new(0xB4EA).for_stm(&stm).ctrl_action_fail(1000));
+        let landed = |e: &RepartEvent| match action {
+            "tear" => matches!(e, RepartEvent::Split { .. }),
+            _ => matches!(e, RepartEvent::Resize { .. }),
+        };
+
+        let stop = AtomicBool::new(false);
+        let (close_window, landed_window) = std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            if action == "tear" {
+                spawn_hot_cluster_traffic(s, &stm, &accounts, &stop);
+            } else {
+                spawn_aliasing_traffic(s, &stm, &accounts, &stop);
+            }
+            let opened = step_until(&stm, &controller, |c| {
+                matches!(c.events().last(), Some(RepartEvent::BreakerOpen { .. }))
+            });
+            assert!(opened, "{action}: never opened: {:?}", controller.events());
+            // Open: the proposal keeps recurring but is skipped before
+            // the fault site, so nothing fails and nothing is logged.
+            let logged = controller.events().len();
+            for _ in 0..3 {
+                step_window(&stm, &controller);
+            }
+            assert_eq!(
+                controller.events().len(),
+                logged,
+                "{action}: acted while open"
+            );
+            assert_eq!(plan.injected(FaultSite::CtrlActionFail), threshold as u64);
+            fault::clear();
+            let mut close_window = None;
+            let done = step_until(&stm, &controller, |c| {
+                let events = c.events();
+                if events.len() > logged {
+                    close_window.get_or_insert(c.windows());
+                }
+                events.iter().any(landed)
+            });
+            assert!(done, "{action}: never recovered: {:?}", controller.events());
+            (close_window.unwrap(), controller.windows())
+        });
+
+        let events = controller.stop();
+        assert_eq!(events.len(), threshold + 3, "{action}: {events:?}");
+        for e in &events[..threshold] {
+            assert!(
+                matches!(e, RepartEvent::Failed { action: a, outcome: SwitchOutcome::TimedOut, .. } if *a == action),
+                "{action}: {events:?}"
+            );
+        }
+        assert!(
+            matches!(events[threshold], RepartEvent::BreakerOpen { consecutive, .. } if consecutive as usize == threshold),
+            "{action}: {events:?}"
+        );
+        assert!(
+            matches!(events[threshold + 1], RepartEvent::BreakerClose { .. }),
+            "{action}: {events:?}"
+        );
+        assert!(landed(&events[threshold + 2]), "{action}: {events:?}");
+        let total: i64 = accounts.iter().map(|a| a.load_direct()).sum();
+        assert_eq!(total, expect, "{action}: conserved sum");
+        for p in stm.partitions() {
+            let (locked, owners, _) = p.debug_scan();
+            assert_eq!(locked, 0, "{}: leaked locks owned by {owners:?}", p.name());
+        }
+        landed_window == close_window
     }
 
     /// End-to-end arena-level split: two hash maps share one partition, a

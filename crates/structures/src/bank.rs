@@ -76,12 +76,6 @@ impl Bank {
         tx.read(&self.accounts[i])
     }
 
-    /// Sets the balance of account `i` (building block for cross-bank
-    /// transfers that must span partitions in one transaction).
-    pub fn set_balance<'e>(&'e self, tx: &mut Tx<'e, '_>, i: usize, v: i64) -> TxResult<()> {
-        tx.write(&self.accounts[i], v)
-    }
-
     /// Adds `amount` to account `i` (negative to withdraw).
     pub fn deposit<'e>(&'e self, tx: &mut Tx<'e, '_>, i: usize, amount: i64) -> TxResult<()> {
         let b = tx.read(&self.accounts[i])?;

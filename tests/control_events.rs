@@ -5,22 +5,34 @@
 //! `QuiesceBegin`/`QuiesceEnd` pair iff a drain ran and one `Republish`
 //! per guard.
 //!
-//! One `#[test]` in its own binary: the flight recorder is process-global,
-//! so nothing else may record while the expectations below are compared
-//! against its tail.
+//! The second test reads the same recording the way a human does: a
+//! controller is driven to one split, and the proposals, the action, the
+//! rendered timeline and the Prometheus text must agree with what the
+//! controller reports.
+//!
+//! Its own binary, tests serialized on [`RECORDER`]: the flight recorder
+//! is process-global, so nothing else may record while the expectations
+//! below are compared against its tail.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use partstm::core::config::MAX_RING_DEPTH;
-use partstm::core::telemetry::{self, codes, EventKind};
-use partstm::core::{rtlog, MigrationSource, Partition, PartitionConfig, Stm, SwitchOutcome};
+use partstm::core::telemetry::{self, codes, Event, EventKind};
+use partstm::core::{
+    rtlog, Migratable, MigrationSource, PVar, Partition, PartitionConfig, Stm, SwitchOutcome,
+};
+use partstm::repart::{ControllerConfig, RepartEvent, RepartitionController, StaticDirectory};
 use partstm::structures::Bank;
 
 #[path = "common/control_ops.rs"]
 mod control_ops;
 use control_ops::ControlOp;
+
+/// Held by each test for its whole body (see the module docs).
+static RECORDER: Mutex<()> = Mutex::new(());
 
 struct Rig {
     stm: Stm,
@@ -99,6 +111,7 @@ fn recorded<R>(f: impl FnOnce() -> R) -> (R, Vec<(EventKind, u64, u64, u64)>) {
 
 #[test]
 fn each_operation_emits_one_event_with_its_outcome() {
+    let _serial = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(true);
     telemetry::set_tx_sample_period(0); // control-plane events only
     rtlog::set_quiet(true); // the provoked timeouts would log
@@ -172,4 +185,222 @@ fn each_operation_emits_one_event_with_its_outcome() {
             assert_eq!(events, [rig.event(op, out)], "{op:?} unchanged");
         }
     }
+}
+
+/// The `CtrlAction` payload `(a, b, c)` a controller event must have been
+/// mirrored as: subject partition, action code with the moved count (a
+/// resize: the new table size) above the low byte, outcome code. Breaker
+/// transitions are `CtrlBreaker` events, not actions.
+fn ctrl_action_of(e: &RepartEvent) -> Option<(u64, u64, u64)> {
+    let done = |part: &partstm::core::PartitionId, action: u64, moved: usize| {
+        Some((
+            u64::from(part.0),
+            action | (moved as u64) << 8,
+            codes::OUTCOME_SWITCHED,
+        ))
+    };
+    match e {
+        RepartEvent::Split { src, moved, .. } => done(src, codes::ACTION_SPLIT, *moved),
+        RepartEvent::Merge { src, moved, .. } => done(src, codes::ACTION_MERGE, *moved),
+        RepartEvent::Resize { partition, to, .. } => done(partition, codes::ACTION_RESIZE, *to),
+        RepartEvent::Tear { src, moved, .. } => done(src, codes::ACTION_TEAR, *moved),
+        RepartEvent::Heal { src, moved, .. } => done(src, codes::ACTION_HEAL, *moved),
+        RepartEvent::Failed {
+            action,
+            src,
+            outcome,
+        } => {
+            let action = (0..=codes::ACTION_HEAL)
+                .find(|c| codes::action_name(*c) == *action)
+                .expect("a known action name");
+            Some((u64::from(src.0), action, telemetry::outcome_code(*outcome)))
+        }
+        RepartEvent::BreakerOpen { .. } | RepartEvent::BreakerClose { .. } => None,
+    }
+}
+
+/// Control-plane events of `kind` recorded since `t0`, oldest first.
+fn control_since(t0: u64, kind: EventKind) -> Vec<Event> {
+    let mut events = telemetry::global().recorder.snapshot();
+    events.retain(|e| e.micros >= t0 && e.kind == kind);
+    events
+}
+
+#[test]
+fn controller_run_reads_back_through_timeline_and_prometheus() {
+    const ACCOUNTS: usize = 512;
+    const HOT: u64 = 4;
+    let _serial = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_enabled(true);
+    telemetry::set_tx_sample_period(0); // control-plane events only
+
+    let stm = Stm::new();
+    let part = stm.new_partition(PartitionConfig::named("accounts"));
+    let accounts: Vec<Arc<PVar<i64>>> = (0..ACCOUNTS).map(|_| Arc::new(part.tvar(100))).collect();
+    let dir = Arc::new(StaticDirectory::new());
+    dir.register_all(
+        accounts
+            .iter()
+            .map(|a| Arc::clone(a) as Arc<dyn Migratable>),
+    );
+    let cfg = ControllerConfig::responsive();
+    let hysteresis = u64::from(cfg.hysteresis);
+    let controller = RepartitionController::new(&stm, dir, cfg);
+    let t0 = telemetry::now_micros();
+
+    // Writers hammer a hot cluster (a yield inside the hot transactions
+    // stretches the conflict window across a reschedule) until the
+    // controller, stepped window by window, splits it out. Every window's
+    // proposals are checked as they appear: one event per scored
+    // proposal, carrying the streak the hysteresis rule defines.
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for t in 0..3u64 {
+            let ctx = stm.register_thread();
+            let (accounts, stop) = (&accounts, &stop);
+            s.spawn(move || {
+                let mut r = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                while !stop.load(Ordering::Relaxed) {
+                    r ^= r << 13;
+                    r ^= r >> 7;
+                    r ^= r << 17;
+                    let hot = r % 100 < 85;
+                    let span = if hot { HOT } else { ACCOUNTS as u64 };
+                    let (from, to) = ((r % span) as usize, ((r >> 8) % span) as usize);
+                    let amt = (r % 90) as i64;
+                    ctx.run(|tx| {
+                        let f = tx.read(&accounts[from])?;
+                        tx.write(&accounts[from], f - amt)?;
+                        if hot {
+                            std::thread::yield_now();
+                        }
+                        let t = tx.read(&accounts[to])?;
+                        tx.write(&accounts[to], t + amt)?;
+                        Ok(())
+                    });
+                }
+            });
+        }
+        // (action code, partition) -> streak after the previous window.
+        let mut streaks: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let (mut seen, mut acted) = (0, 0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !controller.has_split() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(50));
+            controller.step();
+            let proposals = control_since(t0, EventKind::CtrlProposal);
+            let mut window = BTreeMap::new();
+            for e in &proposals[seen..] {
+                let key = (e.b & 0xFF, e.a);
+                let streak = streaks.get(&key).copied().unwrap_or(0) + 1;
+                assert_eq!(e.b >> 8, streak, "{}", telemetry::render_event(e));
+                assert!(
+                    window.insert(key, streak).is_none(),
+                    "proposal recorded twice in one window: {}",
+                    telemetry::render_event(e)
+                );
+            }
+            seen = proposals.len();
+            // A proposal absent from a window starts over; so does every
+            // proposal once an action ran (or failed).
+            streaks = window;
+            let events = controller
+                .events()
+                .iter()
+                .filter_map(ctrl_action_of)
+                .count();
+            if events > acted {
+                assert!(
+                    streaks.values().any(|streak| *streak >= hysteresis),
+                    "acted without an approved proposal: {streaks:?}"
+                );
+                streaks.clear();
+                acted = events;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let events = controller.stop();
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, RepartEvent::Split { .. })),
+        "controller never split: {events:?}"
+    );
+
+    // Exactly one CtrlAction per executed or failed action, in order.
+    let actions: Vec<_> = control_since(t0, EventKind::CtrlAction)
+        .iter()
+        .map(|e| (e.a, e.b, e.c))
+        .collect();
+    let want: Vec<_> = events.iter().filter_map(ctrl_action_of).collect();
+    assert_eq!(actions, want, "{events:?}");
+
+    // The timeline a human reads: every control-plane event renders, and
+    // the split reads as one.
+    let timeline: Vec<String> = telemetry::global()
+        .recorder
+        .snapshot()
+        .iter()
+        .filter(|e| e.micros >= t0 && e.kind.is_control_plane())
+        .map(telemetry::render_event)
+        .collect();
+    assert!(timeline.iter().all(|line| !line.trim().is_empty()));
+    let (_, b, _) = want.last().expect("the split");
+    let split = format!("split p{} -> switched (moved={})", part.id().0, b >> 8);
+    assert!(
+        timeline
+            .iter()
+            .any(|l| l.starts_with("ctrl-action") && l.ends_with(&split)),
+        "{timeline:#?}"
+    );
+
+    // The Prometheus text: `# TYPE` comments and `name[{le="bound"}]
+    // value` samples only, bucket series cumulative, and the split's
+    // quiesce window counted.
+    let text = telemetry::prometheus_text(&telemetry::global().registry.snapshot());
+    let legal = |name: &str| {
+        name.strip_prefix("partstm_").is_some_and(|n| {
+            !n.is_empty() && n.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        })
+    };
+    let mut samples: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut bucket: Option<(&str, u64, u64)> = None; // series, bound, cumulative count
+    for line in text.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, ty) = decl.split_once(' ').expect(line);
+            assert!(
+                legal(name) && matches!(ty, "counter" | "histogram"),
+                "{line}"
+            );
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect(line);
+        let value: u64 = value.parse().expect(line);
+        let Some((name, le)) = series.split_once("{le=\"") else {
+            assert!(legal(series), "{line}");
+            samples.insert(series, value);
+            continue;
+        };
+        assert!(legal(name) && name.ends_with("_bucket"), "{line}");
+        let le = le.strip_suffix("\"}").expect(line);
+        let bound = if le == "+Inf" {
+            u64::MAX
+        } else {
+            le.parse().expect(line)
+        };
+        if let Some((prev, prev_bound, prev_value)) = bucket {
+            assert!(
+                prev != name || (bound > prev_bound && value >= prev_value),
+                "{line}"
+            );
+        }
+        bucket = Some((name, bound, value));
+        if bound == u64::MAX {
+            samples.insert(name, value);
+        }
+    }
+    let quiesced = samples["partstm_quiesce_us_count"];
+    assert!(quiesced >= 1, "{text}");
+    assert_eq!(samples["partstm_quiesce_us_bucket"], quiesced, "{text}");
 }

@@ -670,7 +670,10 @@ fn kill_rescue_unwedges_quiesce_within_soft_deadline() {
         FaultPlan::new(0x0FEE_1BAD)
             .for_stm(&stm)
             .stall_holding_locks(1000, Duration::from_secs(30))
-            .limit(FaultSite::StallHoldingLocks, 1),
+            .limit(FaultSite::StallHoldingLocks, 1)
+            // Every drain also starts late: the rescue's deadlines hold
+            // with the quiesce window widened.
+            .quiesce_delay(1000, Duration::from_millis(2)),
     );
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -709,6 +712,10 @@ fn kill_rescue_unwedges_quiesce_within_soft_deadline() {
         );
     });
     fault::clear();
+    assert!(
+        plan.injected(FaultSite::QuiesceDelay) >= 1,
+        "the migration's drain must have crossed the delay site"
+    );
     let killed: u64 = stm
         .partitions()
         .iter()
