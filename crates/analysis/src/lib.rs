@@ -9,9 +9,9 @@
 //! reference \[6\]) establishes.
 //!
 //! In the original system the frontend is an LLVM pass; here the program
-//! model is an explicit (serializable) structure the benchmarks construct —
-//! see DESIGN.md's substitution table. The partitioning algorithm itself
-//! (union-find closure over may-touch sets) is the paper's.
+//! model is an explicit (serializable) structure the benchmarks construct.
+//! The partitioning algorithm itself (union-find closure over may-touch
+//! sets) is the paper's.
 //!
 //! ```
 //! use partstm_analysis::{partition, AccessKind, ModelBuilder, Strategy};
@@ -41,7 +41,7 @@ pub mod unionfind;
 pub use model::{
     AccessId, AccessKind, AccessSite, AllocId, AllocSite, ModelBuilder, ModelError, ProgramModel,
 };
-pub use online::{NodeLoad, OnlineAnalyzer, OnlineConfig, Proposal};
+pub use online::{ActionKind, NodeLoad, OnlineAnalyzer, OnlineConfig, Proposal, ProposalHeader};
 pub use partitioner::{merge_chain, partition, PartitionClass, PartitionPlan, Strategy};
 pub use report::{census, Census, ClassSummary};
 pub use runtime::MaterializePlan;

@@ -6,8 +6,8 @@
 //! sites* (instrumented loads/stores) each annotated with the set of
 //! allocation sites they may touch. This module defines that view as an
 //! explicit, serializable data structure — the substitution for the LLVM
-//! frontend documented in DESIGN.md. Everything downstream (the partitioner
-//! itself) is the paper's algorithm unchanged.
+//! frontend. Everything downstream (the partitioner itself) is the paper's
+//! algorithm unchanged.
 
 use std::collections::{BTreeMap, BTreeSet};
 

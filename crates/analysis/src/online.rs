@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 
 use partstm_core::profiler::TxSample;
+use partstm_core::telemetry::codes;
 use partstm_core::{PartitionId, StatCounters};
 
 use crate::model::{AccessKind, ModelBuilder, ModelError, ProgramModel};
@@ -208,6 +209,92 @@ pub enum Proposal {
     },
 }
 
+/// The kind of a structural action: what a [`Proposal`] asks for, what the
+/// controller executes, and what its event log and the telemetry control
+/// timeline report. The discriminants are the telemetry `codes::ACTION_*`
+/// table and [`ActionKind::name`] is `codes::action_name`, so there is one
+/// spelling of "an action of kind K" from proposal to exported event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
+pub enum ActionKind {
+    /// Move a hot bucket set into a fresh partition.
+    Split = codes::ACTION_SPLIT as u8,
+    /// Fold a cold partition into a co-accessed one.
+    Merge = codes::ACTION_MERGE as u8,
+    /// Grow a partition's orec table in place.
+    Resize = codes::ACTION_RESIZE as u8,
+    /// Tear a celebrity slot subset out of its collections.
+    Tear = codes::ACTION_TEAR as u8,
+    /// Re-merge a torn slot subset into its origin.
+    Heal = codes::ACTION_HEAL as u8,
+}
+
+impl ActionKind {
+    /// The telemetry `codes::ACTION_*` value of this kind.
+    pub const fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The kind's name in timelines and reports (`"split"`, `"merge"`, ...).
+    pub fn name(self) -> &'static str {
+        codes::action_name(self.code())
+    }
+}
+
+impl core::fmt::Display for ActionKind {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// What every [`Proposal`] has in common, whatever its kind: enough to key
+/// a hysteresis streak, emit a telemetry event and gate the action without
+/// matching on the variant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProposalHeader {
+    /// What the proposal asks for.
+    pub kind: ActionKind,
+    /// The partition acted on (`src`; a resize's `partition`).
+    pub subject: PartitionId,
+    /// The second pre-existing partition involved, if any (a merge's or
+    /// heal's `dst`).
+    pub partner: Option<PartitionId>,
+    /// The share that scored the proposal (`hot_share`, `span_share`,
+    /// `aliased_share` or `load_share`).
+    pub score: f64,
+}
+
+impl Proposal {
+    /// The kind-independent view of this proposal.
+    pub fn header(&self) -> ProposalHeader {
+        let (kind, subject, partner, score) = match *self {
+            Proposal::Split { src, hot_share, .. } => (ActionKind::Split, src, None, hot_share),
+            Proposal::Tear { src, hot_share, .. } => (ActionKind::Tear, src, None, hot_share),
+            Proposal::Merge {
+                src,
+                dst,
+                span_share,
+            } => (ActionKind::Merge, src, Some(dst), span_share),
+            Proposal::Heal {
+                src,
+                dst,
+                load_share,
+            } => (ActionKind::Heal, src, Some(dst), load_share),
+            Proposal::Resize {
+                partition,
+                aliased_share,
+                ..
+            } => (ActionKind::Resize, partition, None, aliased_share),
+        };
+        ProposalHeader {
+            kind,
+            subject,
+            partner,
+            score,
+        }
+    }
+}
+
 /// Runtime facts about one partition the sampled graph cannot see; the
 /// controller feeds these alongside the statistics window so proposals can
 /// reference current capacities.
@@ -215,12 +302,6 @@ pub enum Proposal {
 pub struct PartitionMeta {
     /// Current orec-table size (records).
     pub orec_count: usize,
-    /// Current version-ring depth (committed versions kept per orec for
-    /// the snapshot read path). Telemetry for now: proposals do not yet
-    /// resize rings, but reports carry the depth so an operator can
-    /// correlate `ring_overflow_pushes` pressure with the configured
-    /// history capacity.
-    pub ring_depth: usize,
     /// `Some(origin)` when this partition holds a torn slot subset. Torn
     /// partitions are *terminal* for structural proposals — they only ever
     /// heal back into their origin (no split/tear/resize/merge), which
@@ -813,7 +894,6 @@ mod tests {
             PartitionId(0),
             PartitionMeta {
                 orec_count: orecs,
-                ring_depth: 4,
                 torn_from: None,
             },
         );
@@ -923,7 +1003,6 @@ mod tests {
             PartitionId(1),
             PartitionMeta {
                 orec_count: 256,
-                ring_depth: 4,
                 torn_from: Some(PartitionId(0)),
             },
         );

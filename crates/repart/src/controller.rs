@@ -1,18 +1,77 @@
 //! The repartition controller: the decision loop that closes the dynamic
 //! partitioning cycle.
+//!
+//! # The action pipeline
+//!
+//! Every window, [`step`] folds the profiler's samples into the analyzer,
+//! asks it for [`Proposal`]s, and takes **at most one** of them through
+//! four stages. A proposal's kind, subject and partner partition and score
+//! are read from its [`ProposalHeader`]; only the planning step of
+//! *execute* looks at the variant.
+//!
+//! 1. **Propose.** Each distinct `(kind, subject)` key proposed this
+//!    window advances its hysteresis streak by one — once per window,
+//!    however many proposals share the key; keys not proposed are dropped.
+//!    One `CtrlProposal` telemetry event per proposal carries the streak.
+//!    During a cooldown the window ends here.
+//! 2. **Gate**, in this order, per proposal in analyzer order:
+//!    *hysteresis* (streak ≥ [`ControllerConfig::hysteresis`]) →
+//!    *privatized hold* (subject or partner held by a `PrivateGuard`; the
+//!    check doubles as the leaked-guard alarm) → *circuit breaker* (open
+//!    on subject or partner) → *fault site* (`CtrlActionFail`: recorded as
+//!    `Failed{TimedOut}` without executing). A proposal stopped by
+//!    hysteresis, a hold or a breaker is passed over and **keeps its
+//!    streak**, so it fires in the first window after the hold or breaker
+//!    clears.
+//! 3. **Execute.** [`execute`] plans the action (table below) and runs it.
+//!    An unmet *precondition* — a fresh destination needed at the
+//!    partition cap ([`Dest::fresh`]), no torn record to heal, a partition
+//!    the `Stm` does not know — passes the proposal over without spending
+//!    the window, and the next proposal is considered. Every
+//!    structural kind plans a migration *(source, destination, from)* and
+//!    hands it to the one executor, [`migrate`]: destination creation, the
+//!    repartition protocol (`repartition(source, dst, [from])`, the same
+//!    call on every attempt), the bounded `Contended` retry and corpse
+//!    accounting for a fresh destination that stayed empty. A resize is
+//!    not a migration but makes its protocol call through the same
+//!    [`attempt`], so all five kinds ride out transient flag collisions
+//!    ([`retry_contended`]) and every quiesce window the controller opens
+//!    is opened from one place.
+//! 4. **Record.** [`record`] is the one way a window is spent: it logs the
+//!    [`RepartEvent`], mirrors it as a `CtrlAction` telemetry event, feeds
+//!    the outcome to the subject's breaker (which may log `BreakerOpen`),
+//!    forgets the sampled graph of the subject and partner the executor
+//!    ran against (not after a resize, whose graph stays valid, nor after
+//!    an injected failure, which never reached the executor), **clears
+//!    every streak and starts the cooldown** — for successes, protocol
+//!    failures, nothing-to-move failures and injected failures alike.
+//!
+//! | kind | source | destination | from | on success |
+//! |---|---|---|---|---|
+//! | split (and a tear with nothing tearable) | `dir.collect(src, buckets)` | fresh `~hot` | `src` | — |
+//! | tear | `dir.collect_tears(..)` slot subsets | the torn partition of the same origin, else fresh `~torn` | `src` | `mark_torn`, torn record extended |
+//! | merge | `dir.collect_all(src)` | `dst` | `src` | `src` is dead |
+//! | heal | the recorded tear sets, one migration per current home | that home | `src` | `unmark_torn`, healed sets dropped from the record; all home ⇒ record removed, `src` is dead |
+//! | resize | — (`resize_orecs`) | — | — | graph kept (buckets do not depend on the orec table) |
+//!
+//! An empty `collect`/`collect_all` is a `Failed{Unchanged}` without a
+//! quiesce window (and without creating the fresh destination).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use partstm_analysis::online::{OnlineAnalyzer, OnlineConfig, PartitionMeta, Proposal};
+use partstm_analysis::online::{
+    ActionKind, OnlineAnalyzer, OnlineConfig, PartitionMeta, Proposal, ProposalHeader,
+};
 use partstm_core::cm::{self, XorShift64};
-use partstm_core::telemetry::{self, codes, EventKind};
+use partstm_core::telemetry::{self, EventKind};
 use partstm_core::{
-    AccessProfiler, Partition, PartitionConfig, PartitionId, StatCounters, Stm, SwitchOutcome,
+    AccessProfiler, MigrationSource, Partition, PartitionConfig, PartitionId, StatCounters, Stm,
+    SwitchOutcome,
 };
 
 use crate::directory::{PVarDirectory, TearMovers, TearSet};
@@ -173,8 +232,9 @@ pub enum RepartEvent {
     /// An approved action could not execute (directory had no handles, or
     /// the protocol reported contention/timeout).
     Failed {
-        /// `"split"`, `"merge"`, `"resize"`, `"tear"` or `"heal"`.
-        action: &'static str,
+        /// The kind of action that was executed (a tear that fell back to a
+        /// whole-structure split reports [`ActionKind::Split`]).
+        action: ActionKind,
         /// The partition the action targeted.
         src: PartitionId,
         /// Protocol outcome (or `Unchanged` when nothing was migratable).
@@ -197,7 +257,48 @@ pub enum RepartEvent {
     },
 }
 
-type StreakKey = (&'static str, PartitionId);
+impl RepartEvent {
+    /// The kind-independent view of an action event (`None` for breaker
+    /// transitions, which are not actions): what the telemetry mirror, the
+    /// breaker and the `has_*` queries read instead of matching on the
+    /// variant.
+    fn header(&self) -> Option<EventHeader> {
+        let head = |kind, subject: &PartitionId, moved: usize, outcome| EventHeader {
+            kind,
+            subject: *subject,
+            moved: moved as u64,
+            outcome,
+        };
+        let done = SwitchOutcome::Switched;
+        Some(match self {
+            RepartEvent::Split { src, moved, .. } => head(ActionKind::Split, src, *moved, done),
+            RepartEvent::Merge { src, moved, .. } => head(ActionKind::Merge, src, *moved, done),
+            RepartEvent::Resize { partition, to, .. } => {
+                head(ActionKind::Resize, partition, *to, done)
+            }
+            RepartEvent::Tear { src, moved, .. } => head(ActionKind::Tear, src, *moved, done),
+            RepartEvent::Heal { src, moved, .. } => head(ActionKind::Heal, src, *moved, done),
+            RepartEvent::Failed {
+                action,
+                src,
+                outcome,
+            } => head(*action, src, 0, *outcome),
+            RepartEvent::BreakerOpen { .. } | RepartEvent::BreakerClose { .. } => return None,
+        })
+    }
+}
+
+/// See [`RepartEvent::header`].
+struct EventHeader {
+    kind: ActionKind,
+    subject: PartitionId,
+    /// Variables/nodes/slots moved (a resize: the new table size; a
+    /// failure: 0).
+    moved: u64,
+    outcome: SwitchOutcome,
+}
+
+type StreakKey = (ActionKind, PartitionId);
 
 /// Bookkeeping for one torn partition: where its slots came from and the
 /// exact sets that moved (replayed, grouped by current home, when the
@@ -230,7 +331,7 @@ struct CtrlState {
     /// Partitions this controller knows to be dead (merged-away sources,
     /// abandoned split destinations); the Stm itself never unregisters
     /// them, so the partition-cap check discounts these.
-    dead: std::collections::BTreeSet<PartitionId>,
+    dead: BTreeSet<PartitionId>,
     /// Live torn partitions, keyed by the torn (destination) partition.
     /// Feeds `PartitionMeta::torn_from` so the analyzer treats them as
     /// heal-only.
@@ -291,7 +392,7 @@ impl RepartitionController {
                     split_seq: 0,
                     rng: XorShift64::new(0x5EED_C0FF_EE00_0001),
                     breaker: BTreeMap::new(),
-                    dead: std::collections::BTreeSet::new(),
+                    dead: BTreeSet::new(),
                     torn: BTreeMap::new(),
                     events: Vec::new(),
                 }),
@@ -344,44 +445,32 @@ impl RepartitionController {
         self.ctrl.state.lock().events.clone()
     }
 
+    /// True if any action of `kind` executed (not merely failed) so far.
+    fn has(&self, kind: ActionKind) -> bool {
+        self.ctrl.state.lock().events.iter().any(|e| {
+            e.header()
+                .is_some_and(|h| h.kind == kind && h.outcome == SwitchOutcome::Switched)
+        })
+    }
+
     /// True if any split executed so far.
     pub fn has_split(&self) -> bool {
-        self.ctrl
-            .state
-            .lock()
-            .events
-            .iter()
-            .any(|e| matches!(e, RepartEvent::Split { .. }))
+        self.has(ActionKind::Split)
     }
 
     /// True if any orec-table resize executed so far.
     pub fn has_resize(&self) -> bool {
-        self.ctrl
-            .state
-            .lock()
-            .events
-            .iter()
-            .any(|e| matches!(e, RepartEvent::Resize { .. }))
+        self.has(ActionKind::Resize)
     }
 
     /// True if any slot-subset tear executed so far.
     pub fn has_tear(&self) -> bool {
-        self.ctrl
-            .state
-            .lock()
-            .events
-            .iter()
-            .any(|e| matches!(e, RepartEvent::Tear { .. }))
+        self.has(ActionKind::Tear)
     }
 
     /// True if any heal (torn subset re-merged) executed so far.
     pub fn has_heal(&self) -> bool {
-        self.ctrl
-            .state
-            .lock()
-            .events
-            .iter()
-            .any(|e| matches!(e, RepartEvent::Heal { .. }))
+        self.has(ActionKind::Heal)
     }
 
     /// Stops the daemon (if spawned), uninstalls the profiler and returns
@@ -416,8 +505,8 @@ impl core::fmt::Debug for RepartitionController {
     }
 }
 
-fn find_partition(stm: &Stm, id: PartitionId) -> Option<Arc<Partition>> {
-    stm.partitions().into_iter().find(|p| p.id() == id)
+fn part_of(parts: &[Arc<Partition>], id: PartitionId) -> Option<&Arc<Partition>> {
+    parts.iter().find(|p| p.id() == id)
 }
 
 /// Partitions currently in service: the Stm never removes partitions, so
@@ -428,12 +517,12 @@ fn live_partitions(ctrl: &Ctrl, st: &CtrlState) -> usize {
     ctrl.stm.partitions().len().saturating_sub(st.dead.len())
 }
 
-/// Retry budget of [`retry_contended`]: a `Contended` migration collides
+/// Retry budget of [`retry_contended`]: a `Contended` action collides
 /// with a transient flag holder (tuner switch, privatization), which
 /// clears in well under eight backed-off attempts or not at all.
 const CONTENDED_RETRIES: u32 = 8;
 
-/// Retries a migration while it reports [`SwitchOutcome::Contended`],
+/// Retries a protocol call while it reports [`SwitchOutcome::Contended`],
 /// with bounded randomized exponential backoff between attempts (the
 /// engine's contention-manager curve — a plain `yield_now` retry storm
 /// from the controller is exactly the load a contended flag holder does
@@ -454,333 +543,291 @@ fn retry_contended(
     outcome
 }
 
-/// Fault-injection site
-/// [`CtrlActionFail`](partstm_core::fault::FaultSite::CtrlActionFail),
-/// consulted once per approved action of any kind: when the installed
-/// plan fires, the action is reported as a quiesce timeout *without*
-/// attempting the protocol (injecting the outcome rather than a stall
-/// keeps the schedule independent of the quiesce deadlines and costs the
-/// scenario no wall time).
-fn injected_ctrl_failure(ctrl: &Ctrl, st: &mut CtrlState, (action, src): StreakKey) -> bool {
-    if !partstm_core::fault::ctrl_action_should_fail(&ctrl.stm) {
-        return false;
+/// How [`attempt`] makes a quiesce-window protocol call: handed the call,
+/// returns its outcome. In service that is `|call| call()`; a test scripts
+/// outcomes instead.
+type Protocol<'a> = dyn FnMut(&dyn Fn() -> SwitchOutcome) -> SwitchOutcome + 'a;
+
+/// Makes one protocol call, riding out transient `Contended` outcomes
+/// (the same call again — see [`retry_contended`]). Every quiesce window
+/// the controller opens is opened through here.
+fn attempt(
+    rng: &mut XorShift64,
+    protocol: &mut Protocol<'_>,
+    call: &dyn Fn() -> SwitchOutcome,
+) -> SwitchOutcome {
+    let first = protocol(call);
+    retry_contended(first, rng, || protocol(call))
+}
+
+/// Where a planned migration lands.
+enum Dest<'a> {
+    /// A partition already in service.
+    Existing(&'a Arc<Partition>),
+    /// A partition [`migrate`] creates from
+    /// [`ControllerConfig::split_template`], named
+    /// `<source>~<suffix><seq>`.
+    Fresh(&'static str),
+}
+
+impl Dest<'_> {
+    /// Plans a fresh destination — or `None` at the partition cap (a
+    /// precondition: the proposal is passed over, the window is not
+    /// spent).
+    fn fresh(ctrl: &Ctrl, st: &CtrlState, suffix: &'static str) -> Option<Self> {
+        (live_partitions(ctrl, st) < ctrl.cfg.max_partitions).then_some(Dest::Fresh(suffix))
     }
-    let ev = RepartEvent::Failed {
-        action,
-        src,
-        outcome: SwitchOutcome::TimedOut,
-    };
-    emit_ctrl_action(&ev);
-    st.events.push(ev);
-    true
 }
 
-/// Ends a window whose single action slot was spent (executed or failed):
-/// feeds the outcome to the breaker, resets hysteresis, starts the
-/// cooldown.
-fn finish_action(ctrl: &Ctrl, st: &mut CtrlState, window: u64) {
-    update_breaker(ctrl, st, window);
-    st.streaks.clear();
-    st.cooldown = ctrl.cfg.cooldown;
-}
-
-/// Executes a whole-structure split of `src`'s hot buckets. Returns true
-/// when the window was consumed (an event — success or failure — was
-/// recorded); false when the action could not even be attempted and the
-/// caller should consider the next proposal.
-fn exec_split(
+/// The one migration executor. Every structural kind plans a `source`, a
+/// `dest` and the partition the bindings leave (`from`, which takes part
+/// in the protocol even if nothing enumerated is still bound to it — see
+/// the module docs' plan table); this creates a fresh destination if the
+/// plan asks for one, runs the repartition protocol with the bounded
+/// `Contended` retry, and — when a fresh destination stayed empty —
+/// accounts for the corpse so it does not consume the partition cap.
+fn migrate(
     ctrl: &Ctrl,
     st: &mut CtrlState,
-    src: PartitionId,
-    buckets: &[u16],
-    hot_share: f64,
-    abort_rate: f64,
-) -> bool {
-    if live_partitions(ctrl, st) >= ctrl.cfg.max_partitions {
-        return false;
-    }
-    let Some(src_part) = find_partition(&ctrl.stm, src) else {
-        return false;
-    };
-    let movers = ctrl.dir.collect(src, buckets);
-    if movers.is_empty() {
-        let ev = RepartEvent::Failed {
-            action: "split",
-            src,
-            outcome: SwitchOutcome::Unchanged,
-        };
-        emit_ctrl_action(&ev);
-        st.events.push(ev);
-        return true;
-    }
-    st.split_seq += 1;
-    let name = format!("{}~hot{}", src_part.name(), st.split_seq);
-    let template = PartitionConfig {
-        name,
-        ..ctrl.cfg.split_template.clone()
-    };
-    let (dst, outcome) = ctrl.stm.split_partition_batch(&src_part, template, &movers);
-    // A Contended migration left `dst` created but empty; retry into the
-    // same destination (per the protocol docs) so a transient collision
-    // with a tuner switch doesn't leak a dead partition.
-    let outcome = retry_contended(outcome, &mut st.rng, || {
-        ctrl.stm.migrate_batch(&movers, &dst)
-    });
-    let ev = match outcome {
-        SwitchOutcome::Switched => RepartEvent::Split {
-            src,
-            dst: dst.id(),
-            moved: movers.moved_count(),
-            collections: movers.collections.len(),
-            hot_share,
-            abort_rate,
-        },
-        other => {
-            // The destination stays registered but empty; account for
-            // the corpse so it doesn't consume the partition cap.
-            st.dead.insert(dst.id());
-            RepartEvent::Failed {
-                action: "split",
-                src,
-                outcome: other,
-            }
-        }
-    };
-    emit_ctrl_action(&ev);
-    st.events.push(ev);
-    st.analyzer.forget_partition(src);
-    true
-}
-
-/// Executes a slot-subset tear: migrates just the celebrity slots in
-/// `sets` out of `src` into a fresh partition — or into the existing
-/// torn partition for the same origin, so repeated windows accrete into
-/// one hot partition instead of fragmenting. Same return contract as
-/// [`exec_split`].
-fn exec_tear(
-    ctrl: &Ctrl,
-    st: &mut CtrlState,
-    src: PartitionId,
-    sets: &[TearSet],
-    hot_share: f64,
-    abort_rate: f64,
-) -> bool {
-    let Some(src_part) = find_partition(&ctrl.stm, src) else {
-        return false;
-    };
-    let existing = st
-        .torn
-        .iter()
-        .find(|(_, r)| r.origin == src)
-        .map(|(id, _)| *id)
-        .and_then(|id| find_partition(&ctrl.stm, id));
-    let (dst, outcome, fresh) = match existing {
-        Some(d) => {
-            let o = ctrl.stm.migrate_batch(&TearMovers(sets), &d);
-            (d, o, false)
-        }
-        None => {
-            if live_partitions(ctrl, st) >= ctrl.cfg.max_partitions {
-                return false;
-            }
+    source: &dyn MigrationSource,
+    dest: Dest<'_>,
+    from: &Arc<Partition>,
+    protocol: &mut Protocol<'_>,
+) -> Result<Arc<Partition>, SwitchOutcome> {
+    let (dst, fresh) = match dest {
+        Dest::Existing(d) => (Arc::clone(d), false),
+        Dest::Fresh(suffix) => {
             st.split_seq += 1;
-            let name = format!("{}~torn{}", src_part.name(), st.split_seq);
             let template = PartitionConfig {
-                name,
+                name: format!("{}~{suffix}{}", from.name(), st.split_seq),
                 ..ctrl.cfg.split_template.clone()
             };
-            let (d, o) = ctrl
-                .stm
-                .split_partition_batch(&src_part, template, &TearMovers(sets));
-            (d, o, true)
+            (ctrl.stm.new_partition(template), true)
         }
     };
-    let outcome = retry_contended(outcome, &mut st.rng, || {
-        ctrl.stm.migrate_batch(&TearMovers(sets), &dst)
-    });
-    let ev = match outcome {
-        SwitchOutcome::Switched => {
-            // Evict the torn slots from the reverse maps so the next
-            // window does not re-propose them, and remember the sets so
-            // a later heal can replay them home.
-            for s in sets {
-                ctrl.dir.mark_torn(s);
-            }
-            st.torn
-                .entry(dst.id())
-                .or_insert_with(|| TornRecord {
-                    origin: src,
-                    sets: Vec::new(),
-                })
-                .sets
-                .extend(sets.iter().cloned());
-            RepartEvent::Tear {
-                src,
-                dst: dst.id(),
-                moved: sets.iter().map(|s| s.raw.len()).sum(),
-                collections: sets.len(),
-                total_live: sets.iter().map(|s| s.total_live).sum(),
-                hot_share,
-                abort_rate,
-            }
-        }
+    // The general form of the repartition protocol; a split is this call
+    // into a fresh `dst`.
+    let call = || ctrl.stm.merge_partitions_batch(&[from], &dst, source);
+    match attempt(&mut st.rng, protocol, &call) {
+        SwitchOutcome::Switched => Ok(dst),
         other => {
             if fresh {
                 st.dead.insert(dst.id());
             }
-            RepartEvent::Failed {
-                action: "tear",
-                src,
-                outcome: other,
-            }
+            Err(other)
         }
-    };
-    emit_ctrl_action(&ev);
-    st.events.push(ev);
-    st.analyzer.forget_partition(src);
-    true
-}
-
-/// Heals the torn partition `src`: replays its recorded tear sets back
-/// into each collection's *current* home partition (the origin may have
-/// been restructured since the tear), then retires `src`. Same return
-/// contract as [`exec_split`].
-fn exec_heal(ctrl: &Ctrl, st: &mut CtrlState, src: PartitionId, dst: PartitionId) -> bool {
-    if !st.torn.contains_key(&src) {
-        return false;
-    }
-    let Some(src_part) = find_partition(&ctrl.stm, src) else {
-        return false;
-    };
-    let sets = st
-        .torn
-        .get(&src)
-        .map(|r| r.sets.clone())
-        .unwrap_or_default();
-    let mut groups: Vec<(Arc<Partition>, Vec<TearSet>)> = Vec::new();
-    for s in sets {
-        let home = s.coll.home_partition();
-        match groups.iter_mut().find(|(h, _)| h.id() == home.id()) {
-            Some((_, g)) => g.push(s),
-            None => groups.push((home, vec![s])),
-        }
-    }
-    let mut moved = 0usize;
-    let mut collections = 0usize;
-    let mut failure = None;
-    for (home, group) in &groups {
-        let outcome = ctrl
-            .stm
-            .merge_partitions_batch(&[&src_part], home, &TearMovers(group));
-        let outcome = retry_contended(outcome, &mut st.rng, || {
-            ctrl.stm.migrate_batch(&TearMovers(group), home)
-        });
-        if outcome == SwitchOutcome::Switched {
-            for s in group {
-                ctrl.dir.unmark_torn(s);
-            }
-            moved += group.iter().map(|s| s.raw.len()).sum::<usize>();
-            collections += group.len();
-            if let Some(rec) = st.torn.get_mut(&src) {
-                rec.sets
-                    .retain(|s| !group.iter().any(|g| Arc::ptr_eq(&g.coll, &s.coll)));
-            }
-        } else {
-            failure = Some(outcome);
-        }
-    }
-    let ev = match failure {
-        // Fully healed: the torn partition is now empty — retire it.
-        None => {
-            st.torn.remove(&src);
-            st.dead.insert(src);
-            RepartEvent::Heal {
-                src,
-                dst,
-                moved,
-                collections,
-            }
-        }
-        // Partial heals keep the record (minus what went home) so the
-        // next window can retry the remainder.
-        Some(outcome) => RepartEvent::Failed {
-            action: "heal",
-            src,
-            outcome,
-        },
-    };
-    emit_ctrl_action(&ev);
-    st.events.push(ev);
-    st.analyzer.forget_partition(src);
-    st.analyzer.forget_partition(dst);
-    true
-}
-
-fn action_code(action: &str) -> u64 {
-    match action {
-        "split" => codes::ACTION_SPLIT,
-        "merge" => codes::ACTION_MERGE,
-        "tear" => codes::ACTION_TEAR,
-        "heal" => codes::ACTION_HEAL,
-        _ => codes::ACTION_RESIZE,
     }
 }
 
-/// Mirrors an executed (or failed) controller action into the telemetry
-/// control timeline, alongside the `RepartEvent` kept for [`
-/// RepartitionController::events`].
-fn emit_ctrl_action(ev: &RepartEvent) {
-    let (part, action, moved, outcome) = match ev {
-        RepartEvent::Split { src, moved, .. } => (
-            *src,
-            codes::ACTION_SPLIT,
-            *moved as u64,
-            codes::OUTCOME_SWITCHED,
-        ),
-        RepartEvent::Merge { src, moved, .. } => (
-            *src,
-            codes::ACTION_MERGE,
-            *moved as u64,
-            codes::OUTCOME_SWITCHED,
-        ),
-        RepartEvent::Resize { partition, to, .. } => (
-            *partition,
-            codes::ACTION_RESIZE,
-            *to as u64,
-            codes::OUTCOME_SWITCHED,
-        ),
-        RepartEvent::Tear { src, moved, .. } => (
-            *src,
-            codes::ACTION_TEAR,
-            *moved as u64,
-            codes::OUTCOME_SWITCHED,
-        ),
-        RepartEvent::Heal { src, moved, .. } => (
-            *src,
-            codes::ACTION_HEAL,
-            *moved as u64,
-            codes::OUTCOME_SWITCHED,
-        ),
-        RepartEvent::Failed {
-            action,
-            src,
-            outcome,
-        } => (
-            *src,
-            action_code(action),
-            0,
-            telemetry::outcome_code(*outcome),
-        ),
-        // Breaker transitions carry their own event kind (emitted where
-        // the breaker state changes), not a CtrlAction.
-        RepartEvent::BreakerOpen { .. } | RepartEvent::BreakerClose { .. } => return,
+/// The execute stage: plans `proposal` by kind and runs the plan.
+/// `subject`/`partner` are the proposal header's partitions, resolved.
+/// `None` means a precondition was unmet — nothing was attempted and the
+/// caller should consider the next proposal; `Some` is the event to
+/// [`record`] (the window is spent).
+fn execute(
+    ctrl: &Ctrl,
+    st: &mut CtrlState,
+    parts: &[Arc<Partition>],
+    proposal: &Proposal,
+    subject: &Arc<Partition>,
+    partner: Option<&Arc<Partition>>,
+    protocol: &mut Protocol<'_>,
+) -> Option<RepartEvent> {
+    let src = subject.id();
+    let failed = |action, outcome| RepartEvent::Failed {
+        action,
+        src,
+        outcome,
     };
+    // Nothing registered to move: executing would run a full
+    // stop-the-world quiesce to accomplish nothing.
+    let nothing = |action| Some(failed(action, SwitchOutcome::Unchanged));
+    let ev = match proposal {
+        Proposal::Split {
+            buckets,
+            hot_share,
+            abort_rate,
+            ..
+        }
+        | Proposal::Tear {
+            buckets,
+            hot_share,
+            abort_rate,
+            ..
+        } => {
+            let (hot_share, abort_rate) = (*hot_share, *abort_rate);
+            let mut sets = Vec::new();
+            if proposal.header().kind == ActionKind::Tear {
+                sets = ctrl
+                    .dir
+                    .collect_tears(src, buckets, ctrl.cfg.tear_max_fraction);
+            }
+            if sets.is_empty() {
+                // A split — or a tear with nothing tearable behind the
+                // hot buckets (flat vars, subset wider than
+                // `tear_max_fraction`, slots already torn), which falls
+                // back to the whole-structure split.
+                let dest = Dest::fresh(ctrl, st, "hot")?;
+                let movers = ctrl.dir.collect(src, buckets);
+                if movers.is_empty() {
+                    return nothing(ActionKind::Split);
+                }
+                match migrate(ctrl, st, &movers, dest, subject, protocol) {
+                    Ok(dst) => RepartEvent::Split {
+                        src,
+                        dst: dst.id(),
+                        moved: movers.moved_count(),
+                        collections: movers.collections.len(),
+                        hot_share,
+                        abort_rate,
+                    },
+                    Err(outcome) => failed(ActionKind::Split, outcome),
+                }
+            } else {
+                // Repeated tears of one origin accrete into one torn
+                // partition instead of fragmenting.
+                let torn = st.torn.iter().find(|(_, r)| r.origin == src);
+                let dest = match torn.and_then(|(id, _)| part_of(parts, *id)) {
+                    Some(d) => Dest::Existing(d),
+                    None => Dest::fresh(ctrl, st, "torn")?,
+                };
+                match migrate(ctrl, st, &TearMovers(&sets), dest, subject, protocol) {
+                    Ok(dst) => {
+                        // Evict the torn slots from the reverse maps so
+                        // the next window does not re-propose them, and
+                        // remember the sets so a later heal can replay
+                        // them home.
+                        sets.iter().for_each(|s| ctrl.dir.mark_torn(s));
+                        let record = st.torn.entry(dst.id()).or_insert(TornRecord {
+                            origin: src,
+                            sets: Vec::new(),
+                        });
+                        record.sets.extend(sets.iter().cloned());
+                        RepartEvent::Tear {
+                            src,
+                            dst: dst.id(),
+                            moved: sets.iter().map(|s| s.raw.len()).sum(),
+                            collections: sets.len(),
+                            total_live: sets.iter().map(|s| s.total_live).sum(),
+                            hot_share,
+                            abort_rate,
+                        }
+                    }
+                    Err(outcome) => failed(ActionKind::Tear, outcome),
+                }
+            }
+        }
+        Proposal::Merge { .. } => {
+            let dst = partner?;
+            let movers = ctrl.dir.collect_all(src);
+            if movers.is_empty() {
+                return nothing(ActionKind::Merge);
+            }
+            match migrate(ctrl, st, &movers, Dest::Existing(dst), subject, protocol) {
+                Ok(_) => {
+                    st.dead.insert(src);
+                    RepartEvent::Merge {
+                        src,
+                        dst: dst.id(),
+                        moved: movers.moved_count(),
+                        collections: movers.collections.len(),
+                    }
+                }
+                Err(outcome) => failed(ActionKind::Merge, outcome),
+            }
+        }
+        Proposal::Heal { .. } => {
+            let dst = partner?.id();
+            // Replay the recorded tear sets into each collection's
+            // *current* home (the origin may have been restructured since
+            // the tear), one migration per home.
+            let mut groups: Vec<(Arc<Partition>, Vec<TearSet>)> = Vec::new();
+            for s in st.torn.get(&src)?.sets.iter().cloned() {
+                let home = s.coll.home_partition();
+                match groups.iter_mut().find(|(h, _)| h.id() == home.id()) {
+                    Some((_, g)) => g.push(s),
+                    None => groups.push((home, vec![s])),
+                }
+            }
+            let (mut moved, mut collections, mut failure) = (0, 0, None);
+            for (home, group) in &groups {
+                let dest = Dest::Existing(home);
+                match migrate(ctrl, st, &TearMovers(group), dest, subject, protocol) {
+                    Ok(_) => {
+                        group.iter().for_each(|s| ctrl.dir.unmark_torn(s));
+                        moved += group.iter().map(|s| s.raw.len()).sum::<usize>();
+                        collections += group.len();
+                        // A partial heal keeps the record (minus what
+                        // went home) so the next window can retry the
+                        // remainder.
+                        if let Some(rec) = st.torn.get_mut(&src) {
+                            rec.sets
+                                .retain(|s| !group.iter().any(|g| Arc::ptr_eq(&g.coll, &s.coll)));
+                        }
+                    }
+                    Err(outcome) => failure = Some(outcome),
+                }
+            }
+            match failure {
+                // Fully healed: the torn partition is now empty — retire it.
+                None => {
+                    st.torn.remove(&src);
+                    st.dead.insert(src);
+                    RepartEvent::Heal {
+                        src,
+                        dst,
+                        moved,
+                        collections,
+                    }
+                }
+                Some(outcome) => failed(ActionKind::Heal, outcome),
+            }
+        }
+        Proposal::Resize {
+            new_count,
+            aliased_share,
+            abort_rate,
+            ..
+        } => {
+            let from = subject.orec_count();
+            let call = || ctrl.stm.resize_orecs(subject, *new_count);
+            match attempt(&mut st.rng, protocol, &call) {
+                SwitchOutcome::Switched => RepartEvent::Resize {
+                    partition: src,
+                    from,
+                    to: subject.orec_count(),
+                    aliased_share: *aliased_share,
+                    abort_rate: *abort_rate,
+                },
+                other => failed(ActionKind::Resize, other),
+            }
+        }
+    };
+    Some(ev)
+}
+
+/// The record stage, the one way an action — executed, failed, or failed
+/// by injection — ends its window: logs `ev`, mirrors it into the
+/// telemetry control timeline as a `CtrlAction`, feeds its outcome to the
+/// subject's circuit breaker, drops the sampled graph of the `stale`
+/// partitions (their shape changed under it), resets hysteresis and
+/// starts the cooldown.
+fn record(ctrl: &Ctrl, st: &mut CtrlState, window: u64, ev: RepartEvent, stale: &[PartitionId]) {
+    // Breaker transitions are logged where the breaker changes state.
+    let Some(h) = ev.header() else { return };
     telemetry::control_event(
         EventKind::CtrlAction,
-        part.0 as u64,
-        action | (moved << 8),
-        outcome,
+        h.subject.0 as u64,
+        h.kind.code() | (h.moved << 8),
+        telemetry::outcome_code(h.outcome),
     );
+    st.events.push(ev);
+    feed_breaker(ctrl, st, window, &h);
+    for p in stale {
+        st.analyzer.forget_partition(*p);
+    }
+    st.streaks.clear();
+    st.cooldown = ctrl.cfg.cooldown;
 }
 
 /// Whether `id`'s circuit breaker is open as of `window`.
@@ -807,24 +854,13 @@ fn tick_breakers(st: &mut CtrlState, window: u64) {
     }
 }
 
-/// Folds the outcome of the window's executed action (the event just
-/// pushed) into the target partition's circuit breaker: quiesce timeouts
-/// accumulate and trip it at [`ControllerConfig::breaker_threshold`];
-/// anything else proves quiesce works and resets the count.
-fn update_breaker(ctrl: &Ctrl, st: &mut CtrlState, window: u64) {
-    let Some(ev) = st.events.last() else {
-        return;
-    };
-    let (partition, timed_out) = match ev {
-        RepartEvent::Failed { src, outcome, .. } => (*src, *outcome == SwitchOutcome::TimedOut),
-        RepartEvent::Split { src, .. }
-        | RepartEvent::Merge { src, .. }
-        | RepartEvent::Tear { src, .. }
-        | RepartEvent::Heal { src, .. } => (*src, false),
-        RepartEvent::Resize { partition, .. } => (*partition, false),
-        RepartEvent::BreakerOpen { .. } | RepartEvent::BreakerClose { .. } => return,
-    };
-    if !timed_out {
+/// Folds the outcome of the action `h` describes into its subject's
+/// circuit breaker: quiesce timeouts accumulate and trip it at
+/// [`ControllerConfig::breaker_threshold`]; anything else proves quiesce
+/// works and resets the count.
+fn feed_breaker(ctrl: &Ctrl, st: &mut CtrlState, window: u64, h: &EventHeader) {
+    let partition = h.subject;
+    if h.outcome != SwitchOutcome::TimedOut {
         if let Some(b) = st.breaker.get_mut(&partition) {
             b.consecutive_timeouts = 0;
         }
@@ -849,24 +885,36 @@ fn update_breaker(ctrl: &Ctrl, st: &mut CtrlState, window: u64) {
     }
 }
 
-/// One evaluation window.
+/// Whether `p` is held outside transactional service by a `PrivateGuard`.
+/// Doubles as the leaked-guard watchdog: every time a proposal bounces
+/// off a hold, the hold's age is checked against the alarm threshold.
+fn privatized(p: &Arc<Partition>) -> bool {
+    let held = p.is_privatized();
+    if held {
+        partstm_core::privatize::check_hold_alarm(p);
+    }
+    held
+}
+
+/// One evaluation window (see the module docs' "The action pipeline").
 fn step(ctrl: &Ctrl) {
     let window = ctrl.windows.fetch_add(1, Ordering::Relaxed) + 1;
     let mut st = ctrl.state.lock();
     let st = &mut *st;
     tick_breakers(st, window);
 
-    // 1. Age the graph, fold in the window's samples.
+    // Age the graph, fold in the window's samples.
     st.analyzer.decay(ctrl.cfg.decay);
     let samples = ctrl.profiler.drain();
     st.analyzer.observe_all(samples.iter());
 
-    // 2. Per-partition statistics delta over the window, plus the runtime
+    // Per-partition statistics delta over the window, plus the runtime
     // metadata (current orec-table sizes) resize proposals need.
+    let parts = ctrl.stm.partitions();
     let mut delta = BTreeMap::new();
     let mut snap = BTreeMap::new();
     let mut meta = BTreeMap::new();
-    for p in ctrl.stm.partitions() {
+    for p in &parts {
         let s = p.stats();
         let base = st.last_stats.get(&p.id()).copied().unwrap_or_default();
         delta.insert(p.id(), s.delta(&base));
@@ -875,54 +923,34 @@ fn step(ctrl: &Ctrl) {
             p.id(),
             PartitionMeta {
                 orec_count: p.orec_count(),
-                ring_depth: p.ring_depth(),
                 torn_from: st.torn.get(&p.id()).map(|r| r.origin),
             },
         );
     }
     st.last_stats = snap;
 
-    // 3. Score proposals; maintain hysteresis streaks.
+    // Propose. A streak advances once per key per window, however many
+    // proposals share the key (two merges of one source toward different
+    // destinations are one streak).
     let proposals = st
         .analyzer
         .proposals_with_meta(&delta, &meta, &ctrl.cfg.online);
-    let keys: Vec<StreakKey> = proposals
-        .iter()
-        .map(|p| match p {
-            Proposal::Split { src, .. } => ("split", *src),
-            Proposal::Merge { src, .. } => ("merge", *src),
-            Proposal::Resize { partition, .. } => ("resize", *partition),
-            Proposal::Tear { src, .. } => ("tear", *src),
-            Proposal::Heal { src, .. } => ("heal", *src),
-        })
-        .collect();
+    let heads: Vec<ProposalHeader> = proposals.iter().map(Proposal::header).collect();
+    let keys: BTreeSet<StreakKey> = heads.iter().map(|h| (h.kind, h.subject)).collect();
     st.streaks.retain(|k, _| keys.contains(k));
-    for k in &keys {
-        *st.streaks.entry(*k).or_insert(0) += 1;
+    for k in keys {
+        *st.streaks.entry(k).or_insert(0) += 1;
     }
+    let streak_of = |st: &CtrlState, h: &ProposalHeader| {
+        st.streaks.get(&(h.kind, h.subject)).copied().unwrap_or(0)
+    };
     if telemetry::enabled() {
-        for (p, key) in proposals.iter().zip(&keys) {
-            let (part, action, score) = match p {
-                Proposal::Split { src, hot_share, .. } => (*src, codes::ACTION_SPLIT, *hot_share),
-                Proposal::Merge {
-                    src, span_share, ..
-                } => (*src, codes::ACTION_MERGE, *span_share),
-                Proposal::Resize {
-                    partition,
-                    aliased_share,
-                    ..
-                } => (*partition, codes::ACTION_RESIZE, *aliased_share),
-                Proposal::Tear { src, hot_share, .. } => (*src, codes::ACTION_TEAR, *hot_share),
-                Proposal::Heal {
-                    src, load_share, ..
-                } => (*src, codes::ACTION_HEAL, *load_share),
-            };
-            let streak = st.streaks.get(key).copied().unwrap_or(0) as u64;
+        for h in &heads {
             telemetry::control_event(
                 EventKind::CtrlProposal,
-                part.0 as u64,
-                action | (streak << 8),
-                score.to_bits(),
+                h.subject.0 as u64,
+                h.kind.code() | ((streak_of(st, h) as u64) << 8),
+                h.score.to_bits(),
             );
         }
     }
@@ -931,165 +959,56 @@ fn step(ctrl: &Ctrl) {
         return;
     }
 
-    // 4. Execute the first approved action (at most one per window).
-    for (proposal, key) in proposals.iter().zip(&keys) {
-        if st.streaks.get(key).copied().unwrap_or(0) < ctrl.cfg.hysteresis {
+    // Gate → execute → record: the first proposal through every gate and
+    // its executor's preconditions is the window's one action.
+    for (proposal, h) in proposals.iter().zip(&heads) {
+        if streak_of(st, h) < ctrl.cfg.hysteresis {
             continue;
         }
-        // A privatized partition is held outside transactional service by
-        // a `PrivateGuard`; every protocol action against it would only
+        let Some(subject) = part_of(&parts, h.subject) else {
+            continue;
+        };
+        let partner = h.partner.and_then(|id| part_of(&parts, id));
+        let named = || std::iter::once(subject).chain(partner);
+        // Every protocol action against a privatized partition would only
         // bounce off the installed switch flag (Contended), burning this
         // window's single action — and a split would leak a corpse
-        // destination. Skip such proposals until the guard republishes
-        // (the streak survives, so the action fires on the next window).
-        // The same skip doubles as the leaked-guard watchdog: every time a
-        // proposal bounces off a hold, the hold's age is checked against
-        // the alarm threshold.
-        let privatized = |id: PartitionId| {
-            find_partition(&ctrl.stm, id).is_some_and(|p| {
-                let held = p.is_privatized();
-                if held {
-                    partstm_core::privatize::check_hold_alarm(&p);
-                }
-                held
-            })
-        };
-        let (held, tripped) = match proposal {
-            Proposal::Split { src, .. } | Proposal::Tear { src, .. } => {
-                (privatized(*src), breaker_open(st, *src, window))
-            }
-            Proposal::Merge { src, dst, .. } | Proposal::Heal { src, dst, .. } => (
-                privatized(*src) || privatized(*dst),
-                breaker_open(st, *src, window) || breaker_open(st, *dst, window),
-            ),
-            Proposal::Resize { partition, .. } => {
-                (privatized(*partition), breaker_open(st, *partition, window))
-            }
-        };
-        // Both skips leave the streak alive: the proposal fires on the
-        // first window after the guard republishes / the breaker closes.
-        if held || tripped {
+        // destination. An open breaker means the action would burn it on
+        // another doomed quiesce. Both skips leave the streak alive: the
+        // proposal fires on the first window after the guard republishes
+        // / the breaker closes.
+        if named().any(privatized) || named().any(|p| breaker_open(st, p.id(), window)) {
             continue;
         }
-        if injected_ctrl_failure(ctrl, st, *key) {
-            finish_action(ctrl, st, window);
+        // Fault-injection site
+        // [`CtrlActionFail`](partstm_core::fault::FaultSite::CtrlActionFail),
+        // consulted once per approved action of any kind: when the
+        // installed plan fires, the action is reported as a quiesce
+        // timeout *without* attempting the protocol (injecting the outcome
+        // rather than a stall keeps the schedule independent of the
+        // quiesce deadlines and costs the scenario no wall time).
+        if partstm_core::fault::ctrl_action_should_fail(&ctrl.stm) {
+            let ev = RepartEvent::Failed {
+                action: h.kind,
+                src: h.subject,
+                outcome: SwitchOutcome::TimedOut,
+            };
+            record(ctrl, st, window, ev, &[]);
             return;
         }
-        match proposal {
-            Proposal::Split {
-                src,
-                buckets,
-                hot_share,
-                abort_rate,
-            } => {
-                if !exec_split(ctrl, st, *src, buckets, *hot_share, *abort_rate) {
-                    continue;
-                }
-            }
-            Proposal::Tear {
-                src,
-                buckets,
-                hot_share,
-                abort_rate,
-            } => {
-                let sets = ctrl
-                    .dir
-                    .collect_tears(*src, buckets, ctrl.cfg.tear_max_fraction);
-                if sets.is_empty() {
-                    // Nothing tearable behind the hot buckets (flat vars,
-                    // subset wider than `tear_max_fraction`, or the slots
-                    // are already torn): fall back to the whole-structure
-                    // split execution.
-                    if !exec_split(ctrl, st, *src, buckets, *hot_share, *abort_rate) {
-                        continue;
-                    }
-                } else if !exec_tear(ctrl, st, *src, &sets, *hot_share, *abort_rate) {
-                    continue;
-                }
-            }
-            Proposal::Heal { src, dst, .. } => {
-                if !exec_heal(ctrl, st, *src, *dst) {
-                    continue;
-                }
-            }
-            Proposal::Merge { src, dst, .. } => {
-                let (Some(src_part), Some(dst_part)) = (
-                    find_partition(&ctrl.stm, *src),
-                    find_partition(&ctrl.stm, *dst),
-                ) else {
-                    continue;
-                };
-                let movers = ctrl.dir.collect_all(*src);
-                if movers.is_empty() {
-                    // Nothing registered to move: executing would run a
-                    // full stop-the-world quiesce to accomplish nothing,
-                    // and recur every hysteresis cycle.
-                    let ev = RepartEvent::Failed {
-                        action: "merge",
-                        src: *src,
-                        outcome: SwitchOutcome::Unchanged,
-                    };
-                    emit_ctrl_action(&ev);
-                    st.events.push(ev);
-                    finish_action(ctrl, st, window);
-                    return;
-                }
-                let outcome = ctrl
-                    .stm
-                    .merge_partitions_batch(&[&src_part], &dst_part, &movers);
-                let ev = match outcome {
-                    SwitchOutcome::Switched => {
-                        st.dead.insert(*src);
-                        RepartEvent::Merge {
-                            src: *src,
-                            dst: *dst,
-                            moved: movers.moved_count(),
-                            collections: movers.collections.len(),
-                        }
-                    }
-                    other => RepartEvent::Failed {
-                        action: "merge",
-                        src: *src,
-                        outcome: other,
-                    },
-                };
-                emit_ctrl_action(&ev);
-                st.events.push(ev);
-                st.analyzer.forget_partition(*src);
-                st.analyzer.forget_partition(*dst);
-            }
-            Proposal::Resize {
-                partition,
-                new_count,
-                aliased_share,
-                abort_rate,
-            } => {
-                let Some(part) = find_partition(&ctrl.stm, *partition) else {
-                    continue;
-                };
-                let from = part.orec_count();
-                let outcome = ctrl.stm.resize_orecs(&part, *new_count);
-                let ev = match outcome {
-                    SwitchOutcome::Switched => RepartEvent::Resize {
-                        partition: *partition,
-                        from,
-                        to: part.orec_count(),
-                        aliased_share: *aliased_share,
-                        abort_rate: *abort_rate,
-                    },
-                    other => RepartEvent::Failed {
-                        action: "resize",
-                        src: *partition,
-                        outcome: other,
-                    },
-                };
-                emit_ctrl_action(&ev);
-                st.events.push(ev);
-                // The affinity graph stays: buckets are independent of the
-                // orec table (only the partition's *shape* is unchanged).
-            }
+        let Some(ev) = execute(ctrl, st, &parts, proposal, subject, partner, &mut |call| {
+            call()
+        }) else {
+            continue;
+        };
+        // A resized partition keeps its affinity graph: buckets are
+        // independent of the orec table.
+        let mut stale = Vec::new();
+        if h.kind != ActionKind::Resize {
+            stale.push(h.subject);
+            stale.extend(h.partner);
         }
-        finish_action(ctrl, st, window);
+        record(ctrl, st, window, ev, &stale);
         return;
     }
 }
@@ -1098,6 +1017,43 @@ fn step(ctrl: &Ctrl) {
 mod tests {
     use super::*;
     use crate::directory::StaticDirectory;
+    use partstm_core::profiler::bucket_of;
+    use partstm_core::{Migratable, PVar};
+
+    /// Runs the execute stage for `proposal` with the protocols scripted:
+    /// the first calls return `script`'s outcomes without doing anything,
+    /// every later call runs for real. Returns the event and the number of
+    /// protocol calls made.
+    fn execute_scripted(
+        c: &RepartitionController,
+        proposal: &Proposal,
+        script: &[SwitchOutcome],
+    ) -> (RepartEvent, usize) {
+        let ctrl = &c.ctrl;
+        let parts = ctrl.stm.partitions();
+        let h = proposal.header();
+        let subject = part_of(&parts, h.subject).unwrap();
+        let partner = h.partner.and_then(|id| part_of(&parts, id));
+        let mut calls = 0;
+        let mut protocol = |call: &dyn Fn() -> SwitchOutcome| {
+            calls += 1;
+            match script.get(calls - 1) {
+                Some(outcome) => *outcome,
+                None => call(),
+            }
+        };
+        let mut st = ctrl.state.lock();
+        let ev = execute(
+            ctrl,
+            &mut st,
+            &parts,
+            proposal,
+            subject,
+            partner,
+            &mut protocol,
+        );
+        (ev.expect("preconditions met"), calls)
+    }
 
     #[test]
     fn retry_contended_is_bounded_and_stops_on_first_other_outcome() {
@@ -1125,6 +1081,91 @@ mod tests {
         // A non-Contended first outcome never invokes the closure.
         let out = retry_contended(SwitchOutcome::TimedOut, &mut rng, || unreachable!());
         assert_eq!(out, SwitchOutcome::TimedOut);
+
+        // The same bound through the executor, for every kind of protocol
+        // call it makes: a migration into an existing partition (merge), a
+        // migration into a fresh one (split) and a resize.
+        let stm = Stm::new();
+        let a = stm.new_partition(PartitionConfig::named("a"));
+        let b = stm.new_partition(PartitionConfig::named("b"));
+        let dir = Arc::new(StaticDirectory::new());
+        let vars: Vec<Arc<PVar<u64>>> = (0..8).map(|_| Arc::new(a.tvar(1u64))).collect();
+        dir.register_all(vars.iter().map(|v| Arc::clone(v) as Arc<dyn Migratable>));
+        let c = RepartitionController::new(&stm, dir, ControllerConfig::default());
+        let dead = || c.ctrl.state.lock().dead.clone();
+        let stuck = [SwitchOutcome::Contended; 1 + CONTENDED_RETRIES as usize];
+        let transient = [SwitchOutcome::Contended; 2];
+        let failed_contended = |ev: &RepartEvent, kind: ActionKind, src: &Arc<Partition>| {
+            matches!(ev, RepartEvent::Failed { action, src: s, outcome: SwitchOutcome::Contended }
+                if *action == kind && *s == src.id())
+        };
+
+        let merge = Proposal::Merge {
+            src: a.id(),
+            dst: b.id(),
+            span_share: 1.0,
+        };
+        let (ev, calls) = execute_scripted(&c, &merge, &stuck);
+        assert!(failed_contended(&ev, ActionKind::Merge, &a), "{ev:?}");
+        assert_eq!(calls, stuck.len(), "one call + CONTENDED_RETRIES retries");
+        assert!(dead().is_empty(), "an existing destination is no corpse");
+        let (ev, calls) = execute_scripted(&c, &merge, &transient);
+        assert!(
+            matches!(ev, RepartEvent::Merge { src, dst, moved: 8, .. } if src == a.id() && dst == b.id()),
+            "{ev:?}"
+        );
+        assert_eq!(calls, 3);
+        assert!(vars.iter().all(|v| v.partition_id() == b.id()));
+        assert_eq!(
+            dead(),
+            BTreeSet::from([a.id()]),
+            "only the dissolved source"
+        );
+
+        let mut buckets: Vec<u16> = vars.iter().map(|v| bucket_of(v.var_addr())).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        let split = Proposal::Split {
+            src: b.id(),
+            buckets,
+            hot_share: 0.9,
+            abort_rate: 0.5,
+        };
+        let (ev, calls) = execute_scripted(&c, &split, &stuck);
+        assert!(failed_contended(&ev, ActionKind::Split, &b), "{ev:?}");
+        assert_eq!(calls, stuck.len());
+        let corpse = stm.partitions().last().unwrap().clone();
+        assert_eq!(corpse.name(), "b~hot1");
+        assert_eq!(
+            dead(),
+            BTreeSet::from([a.id(), corpse.id()]),
+            "the fresh destination that stayed empty is accounted for"
+        );
+        let (ev, calls) = execute_scripted(&c, &split, &transient);
+        let hot = stm.partitions().last().unwrap().clone();
+        assert!(
+            matches!(ev, RepartEvent::Split { src, dst, moved: 8, .. } if src == b.id() && dst == hot.id()),
+            "{ev:?}"
+        );
+        assert_eq!(calls, 3);
+        assert!(vars.iter().all(|v| v.partition_id() == hot.id()));
+        assert_eq!(dead().len(), 2, "a filled destination is no corpse");
+
+        let resize = Proposal::Resize {
+            partition: hot.id(),
+            new_count: hot.orec_count() * 4,
+            aliased_share: 0.9,
+            abort_rate: 0.5,
+        };
+        let (ev, calls) = execute_scripted(&c, &resize, &stuck);
+        assert!(failed_contended(&ev, ActionKind::Resize, &hot), "{ev:?}");
+        assert_eq!(calls, stuck.len());
+        let (ev, calls) = execute_scripted(&c, &resize, &transient);
+        assert!(
+            matches!(ev, RepartEvent::Resize { to, .. } if to == hot.orec_count()),
+            "{ev:?}"
+        );
+        assert_eq!(calls, 3);
     }
 
     #[test]
@@ -1142,31 +1183,30 @@ mod tests {
         let mut st = ctrl.state.lock();
         let st = &mut *st;
         let fail = |st: &mut CtrlState| {
-            st.events.push(RepartEvent::Failed {
-                action: "split",
+            let ev = RepartEvent::Failed {
+                action: ActionKind::Split,
                 src: id,
                 outcome: SwitchOutcome::TimedOut,
-            });
+            };
+            record(ctrl, st, 1, ev, &[]);
         };
         // Two timeouts: counting, still closed.
         for _ in 0..2 {
             fail(st);
-            update_breaker(ctrl, st, 1);
         }
         assert!(!breaker_open(st, id, 1));
         // A non-timeout outcome resets the streak.
-        st.events.push(RepartEvent::Resize {
+        let ev = RepartEvent::Resize {
             partition: id,
             from: 64,
             to: 128,
             aliased_share: 0.5,
             abort_rate: 0.1,
-        });
-        update_breaker(ctrl, st, 1);
+        };
+        record(ctrl, st, 1, ev, &[]);
         // Three in a row trip it for `breaker_windows` windows.
         for _ in 0..3 {
             fail(st);
-            update_breaker(ctrl, st, 1);
         }
         assert!(
             matches!(

@@ -61,6 +61,7 @@ pub use controller::{ControllerConfig, RepartEvent, RepartitionController};
 pub use directory::{
     ArenaDirectory, MoverSet, PVarDirectory, StaticDirectory, TearMovers, TearSet,
 };
+pub use partstm_analysis::online::ActionKind;
 
 #[cfg(test)]
 mod tests {
@@ -329,6 +330,131 @@ mod tests {
         );
     }
 
+    /// End-to-end merge, and the hysteresis rule it must respect: three
+    /// cold partitions touched together by every transaction make the
+    /// analyzer propose folding the least-committed one into *each* of the
+    /// other two — two proposals sharing one streak key per window. The
+    /// streak still advances once per window, so nothing happens in the
+    /// first proposing window and exactly one merge lands in the second;
+    /// the dissolved partition then stops counting against
+    /// `max_partitions`. Single-threaded: every window is deterministic.
+    #[test]
+    fn controller_merges_cold_coaccessed_partitions() {
+        use partstm_core::telemetry::{self, codes, EventKind};
+        const COLD: usize = 8;
+        const ACCOUNTS: usize = 512;
+        let stm = Stm::new();
+        let cold_a = stm.new_partition(PartitionConfig::named("cold-a"));
+        let (bank, dir) = MovableBank::new(&stm, ACCOUNTS, 100);
+        let cold_c = stm.new_partition(PartitionConfig::named("cold-c"));
+        let cold_vars = |p: &Arc<partstm_core::Partition>| -> Vec<Arc<PVar<i64>>> {
+            let vars: Vec<_> = (0..COLD).map(|_| Arc::new(p.tvar(100))).collect();
+            dir.register_all(vars.iter().map(|v| Arc::clone(v) as Arc<dyn Migratable>));
+            vars
+        };
+        let (a, c) = (cold_vars(&cold_a), cold_vars(&cold_c));
+        let total = || -> i64 {
+            let cold = a.iter().chain(&c).map(|v| v.load_direct()).sum::<i64>();
+            bank.total_direct() + cold
+        };
+        let expect = total();
+        let cfg = ControllerConfig {
+            sample_period: 1,
+            hysteresis: 2,
+            max_partitions: 3, // all three in service: no room for a split
+            ..ControllerConfig::responsive()
+        };
+        let controller = RepartitionController::new(&stm, Arc::clone(&dir) as _, cfg);
+        telemetry::set_enabled(true);
+        telemetry::set_tx_sample_period(0); // control-plane events only
+        let t0 = telemetry::now_micros();
+
+        // One window of traffic: every transaction spans all three
+        // partitions; the bank and `cold-c` see a little extra on their
+        // own, so `cold-a` is the least-committed of every pair.
+        let ctx = stm.register_thread();
+        let window = || {
+            for i in 0..64 {
+                ctx.run(|tx| {
+                    tx.modify(&a[i % COLD], |v| v - 2)?;
+                    tx.modify(&bank.accounts[i % ACCOUNTS], |v| v + 1)?;
+                    tx.modify(&c[i % COLD], |v| v + 1).map(|_| ())
+                });
+                if i % 4 == 0 {
+                    ctx.run(|tx| tx.modify(&bank.accounts[i], |v| v).map(|_| ()));
+                    ctx.run(|tx| tx.modify(&c[i % COLD], |v| v).map(|_| ()));
+                }
+            }
+            controller.step();
+        };
+        // `(subject, streak or moved, outcome or score)` of every merge
+        // event of `kind` recorded so far.
+        let merge_events = |kind: EventKind| -> Vec<(u64, u64, u64)> {
+            telemetry::global()
+                .recorder
+                .snapshot()
+                .iter()
+                .filter(|e| e.micros >= t0 && e.kind == kind)
+                .filter(|e| e.b & 0xFF == codes::ACTION_MERGE)
+                .map(|e| (e.a, e.b >> 8, e.c))
+                .collect()
+        };
+        let merge_proposals = || merge_events(EventKind::CtrlProposal);
+
+        window();
+        let first = merge_proposals();
+        let from_a =
+            |ps: &[(u64, u64, u64)]| ps.iter().filter(|p| p.0 == cold_a.id().0 as u64).count();
+        assert_eq!(from_a(&first), 2, "cold-a toward each neighbour: {first:?}");
+        assert!(
+            first.iter().all(|p| p.1 == 1),
+            "one window, streak 1: {first:?}"
+        );
+        assert!(
+            controller.events().is_empty(),
+            "acted in the first proposing window: {:?}",
+            controller.events()
+        );
+
+        window();
+        let second = &merge_proposals()[first.len()..];
+        assert!(second.iter().all(|p| p.1 == 2), "second window: {second:?}");
+        let events = controller.events();
+        let [RepartEvent::Merge {
+            src, dst, moved, ..
+        }] = events[..]
+        else {
+            panic!("exactly one merge in the second window: {events:?}");
+        };
+        assert_eq!(src, cold_a.id(), "the least-committed partition dissolves");
+        assert_eq!(moved, COLD, "every registered variable of it moved");
+        assert!(a.iter().all(|v| v.partition_id() == dst));
+        let mirrored = merge_events(EventKind::CtrlAction);
+        assert_eq!(
+            mirrored,
+            [(src.0 as u64, COLD as u64, codes::OUTCOME_SWITCHED)]
+        );
+        window();
+        assert_eq!(total(), expect, "conserved sum across the merge");
+
+        // Three partitions are registered and `max_partitions` is three,
+        // but `cold-a` is dead: a hot cluster in the bank can still be
+        // split out into a fourth.
+        let stop = AtomicBool::new(false);
+        let split = std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            spawn_hot_cluster_traffic(s, &stm, &bank.accounts, &stop);
+            step_until(&stm, &controller, RepartitionController::has_split)
+        });
+        assert!(
+            split,
+            "dead partition still counted: {:?}",
+            controller.events()
+        );
+        assert_eq!(stm.partitions().len(), 4);
+        assert_eq!(total(), expect, "conserved sum across merge + split");
+    }
+
     /// The circuit breaker through the real `step()` path, fed by the
     /// `CtrlActionFail` fault site, for an action that runs in an executor
     /// (the hot cluster's split) and one that runs in `step` itself (the
@@ -341,7 +467,7 @@ mod tests {
     /// sequence: the plan is process-global.
     #[test]
     fn breaker_opens_on_injected_timeouts_and_recovers_through_step() {
-        for action in ["tear", "resize"] {
+        for action in [ActionKind::Tear, ActionKind::Resize] {
             // The streak survives the open windows: the action lands in
             // the very window that closes the breaker, not a fresh
             // hysteresis run later. The one scheduler-sensitive claim
@@ -359,15 +485,23 @@ mod tests {
 
     /// One open → close cycle of `action`'s breaker, every step of it
     /// asserted; returns whether the action landed in the closing window.
-    fn breaker_scenario(action: &'static str) -> bool {
-        let cfg = ControllerConfig {
+    fn breaker_scenario(action: ActionKind) -> bool {
+        let mut cfg = ControllerConfig {
             hysteresis: 3,
             breaker_windows: 6,
             ..ControllerConfig::responsive()
         };
+        if action == ActionKind::Resize {
+            // On a saturated host the writers are descheduled for most of
+            // a window, and the handful of write samples left can look
+            // like a hot set: a split proposal (which pre-empts the
+            // resize, and with nothing registered can only fail). This
+            // input is the *resize's* breaker.
+            cfg.online.split_abort_rate = f64::INFINITY;
+        }
         let threshold = cfg.breaker_threshold as usize;
         let stm = Stm::new();
-        let (accounts, dir) = if action == "tear" {
+        let (accounts, dir) = if action == ActionKind::Tear {
             let (bank, dir) = MovableBank::new(&stm, 512, 100);
             (bank.accounts, dir)
         } else {
@@ -379,14 +513,14 @@ mod tests {
         let controller = RepartitionController::new(&stm, dir, cfg);
         let plan = fault::install(FaultPlan::new(0xB4EA).for_stm(&stm).ctrl_action_fail(1000));
         let landed = |e: &RepartEvent| match action {
-            "tear" => matches!(e, RepartEvent::Split { .. }),
+            ActionKind::Tear => matches!(e, RepartEvent::Split { .. }),
             _ => matches!(e, RepartEvent::Resize { .. }),
         };
 
         let stop = AtomicBool::new(false);
         let (close_window, landed_window) = std::thread::scope(|s| {
             let _stop = StopOnDrop(&stop);
-            if action == "tear" {
+            if action == ActionKind::Tear {
                 spawn_hot_cluster_traffic(s, &stm, &accounts, &stop);
             } else {
                 spawn_aliasing_traffic(s, &stm, &accounts, &stop);

@@ -3,7 +3,7 @@
 //! Facade crate for the workspace reproducing *"Automatic Data Partitioning
 //! in Software Transactional Memories"* (Riegel, Fetzer, Felber — SPAA
 //! 2008). Re-exports every sub-crate under one roof; see the README for a
-//! tour and `DESIGN.md` for the system inventory.
+//! tour.
 //!
 //! | module | crate | contents |
 //! |---|---|---|

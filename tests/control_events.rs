@@ -211,7 +211,7 @@ fn ctrl_action_of(e: &RepartEvent) -> Option<(u64, u64, u64)> {
             outcome,
         } => {
             let action = (0..=codes::ACTION_HEAL)
-                .find(|c| codes::action_name(*c) == *action)
+                .find(|c| codes::action_name(*c) == action.name())
                 .expect("a known action name");
             Some((u64::from(src.0), action, telemetry::outcome_code(*outcome)))
         }

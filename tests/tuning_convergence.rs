@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partstm::core::{PVar, PartitionConfig, ReadMode, Stm};
+use partstm::core::{PVar, PartitionConfig, ReadMode, Stm, Tx, TxResult};
 use partstm::structures::{IntSet, TRbTree};
 use partstm::tuning::{HillClimbPolicy, ThresholdPolicy, Thresholds};
 
@@ -18,23 +18,61 @@ fn fast_tuner() -> Arc<ThresholdPolicy> {
     }))
 }
 
+/// An `Stm` whose control plane kills a transaction that keeps a switch
+/// waiting for more than a few milliseconds (the engine's kill rescue,
+/// seconds by default): [`overtaken`] parks transactions mid-flight.
+fn stm_with_prompt_kill_rescue() -> Stm {
+    Stm::builder().kill_after(Duration::from_millis(5)).build()
+}
+
+/// The deterministic conflict both contention tests are built on. Every
+/// transaction reads the `turn` word (value `k`) first and writes `k + 1`
+/// last. The thread whose index is `k % threads` is up: it goes straight
+/// through and commits. Everyone else, having read `k`, calls this and
+/// holds its reads until the commit that replaces `k` is visible (or the
+/// test is `over`), and only then writes — so every commit costs each
+/// transaction that was waiting on it exactly one abort on a stale read.
+/// Whoever is up never waits, so the handshake cannot deadlock on its own,
+/// and nothing depends on how the scheduler interleaves the threads: a
+/// saturated machine makes the handshakes slower, not rarer.
+///
+/// The one thing that can keep whoever is up from committing is a tuner
+/// switch that has flagged the partition and is waiting for *this*
+/// transaction to drain. Re-reading `turn` through the transaction on
+/// every round polls the kill flag such a switch raises, so the waiter
+/// aborts and lets it through.
+fn overtaken<'e>(
+    tx: &mut Tx<'e, '_>,
+    turn: &'e PVar<u64>,
+    k: u64,
+    over: impl Fn() -> bool,
+) -> TxResult<()> {
+    while turn.load_direct() == k && !over() {
+        std::thread::yield_now();
+        tx.read(turn)?;
+    }
+    Ok(())
+}
+
 /// An update-only workload with long conflicting transactions (every
 /// transaction scans a block of words and rewrites several). The threshold
 /// policy must react: visible reads and/or coarser granularity.
 #[test]
 fn tuner_reacts_to_pure_update_contention() {
-    let stm = Stm::new();
+    const THREADS: u64 = 6;
+    let stm = stm_with_prompt_kill_rescue();
     stm.set_tuner(fast_tuner());
     let p = stm.new_partition(PartitionConfig::named("hot").tunable());
     let words: Arc<Vec<PVar<u64>>> = Arc::new((0..32).map(|_| p.tvar(0)).collect());
+    let turn = Arc::new(p.tvar(0u64));
     let stop = Arc::new(AtomicBool::new(false));
     // Condition-driven with a hard deadline: fixed durations flake under
     // CPU contention or contention-manager changes.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     std::thread::scope(|s| {
-        for t in 0..6u64 {
+        for t in 0..THREADS {
             let ctx = stm.register_thread();
-            let (words, stop) = (words.clone(), stop.clone());
+            let (words, turn, stop) = (words.clone(), turn.clone(), stop.clone());
             s.spawn(move || {
                 let mut r = (t + 1).wrapping_mul(0x9E37_79B9);
                 while !stop.load(Ordering::Relaxed) {
@@ -44,23 +82,24 @@ fn tuner_reacts_to_pure_update_contention() {
                     let i = (r % 32) as usize;
                     ctx.run(|tx| {
                         // Long read phase over the whole block, then a
-                        // write burst: high conflict probability. The sleep
-                        // forces a reschedule mid-transaction so the
-                        // conflict window spans other threads' commits even
-                        // on a single-core host, where sub-microsecond
-                        // transactions otherwise never interleave and no
-                        // contention materializes for the tuner to see.
+                        // write burst. The conflict is a handshake, not a
+                        // matter of timing (see `overtaken`): whoever is
+                        // not up holds its reads until a peer has
+                        // committed over them.
+                        let k = tx.read(&turn)?;
                         let mut sum = 0u64;
                         for w in words.iter() {
                             sum = sum.wrapping_add(tx.read(w)?);
                         }
-                        std::thread::sleep(Duration::from_micros(50));
+                        if k % THREADS != t {
+                            overtaken(tx, &turn, k, || stop.load(Ordering::Relaxed))?;
+                        }
                         for off in 0..4 {
                             let w = &words[(i + off) % 32];
                             let v = tx.read(w)?;
                             tx.write(w, v.wrapping_add(sum | 1))?;
                         }
-                        Ok(())
+                        tx.write(&turn, k + 1)
                     });
                 }
             });
@@ -160,7 +199,7 @@ fn hillclimb_probes_do_not_break_correctness() {
 /// configurations — performance composability, the paper's core claim.
 #[test]
 fn opposite_partitions_diverge() {
-    let stm = Stm::new();
+    let stm = stm_with_prompt_kill_rescue();
     stm.set_tuner(fast_tuner());
     let hot = stm.new_partition(PartitionConfig::named("hot").tunable());
     let cold = stm.new_partition(PartitionConfig::named("cold").tunable());
@@ -182,18 +221,21 @@ fn opposite_partitions_diverge() {
     let hot_initial = hot.current_config();
     let hard_deadline = Instant::now() + Duration::from_secs(10);
     std::thread::scope(|s| {
-        for _ in 0..3 {
+        for t in 0..3u64 {
             let ctx = stm.register_thread();
             let (hot, counter, hot_initial) = (hot.clone(), counter.clone(), hot_initial);
             s.spawn(move || {
-                while hot.current_config() == hot_initial && Instant::now() < hard_deadline {
-                    // Read-sleep-write stretches the conflict window across
-                    // a reschedule so the counter is genuinely contended
-                    // even on a single-core host (see
-                    // tuner_reacts_to_pure_update_contention).
+                let running =
+                    || hot.current_config() == hot_initial && Instant::now() < hard_deadline;
+                while running() {
+                    // The counter is its own turn word (see `overtaken`):
+                    // every increment aborts the peers that had read the
+                    // value it replaced.
                     ctx.run(|tx| {
                         let v = tx.read(&counter)?;
-                        std::thread::sleep(Duration::from_micros(50));
+                        if v % 3 != t {
+                            overtaken(tx, &counter, v, || !running())?;
+                        }
                         tx.write(&counter, v + 1)
                     });
                 }
