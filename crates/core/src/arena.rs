@@ -5,7 +5,7 @@
 //! reclaimed if the transaction aborts, and a node freed inside a
 //! transaction must only become reusable once the transaction commits
 //! (TinySTM's `stm_malloc`/`stm_free` semantics). The [`Arena`] provides
-//! both, with `u32` [`Handle`]s that pack into [`crate::TVar`] words so
+//! both, with `u32` [`Handle`]s that pack into [`crate::PVar`] words so
 //! nodes can reference each other transactionally.
 //!
 //! Storage is a chunk directory: chunk *c* holds `BASE << c` slots and is
@@ -19,7 +19,7 @@
 //! transactional stores, so any post-recycling change bumps the covering
 //! ownership record's version and the stale reader's validation fails.
 //! Corollary: initialize recycled nodes with transactional writes (as
-//! [`Arena::alloc`] documents), never with [`crate::TVar::store_direct`].
+//! [`Arena::alloc`] documents), never with [`crate::PVar::store_direct`].
 //!
 //! The subtler hazard is on the *allocating* side: a transaction whose
 //! snapshot predates a slot's free still sees that slot as a live node
@@ -696,9 +696,8 @@ impl<N: PVarFields + Send + Sync + 'static> TearableCollection for Arena<N> {
 /// A borrowed slot subset of an [`Arena`], usable as a
 /// [`MigrationSource`]: migrating it rebinds the named slots' fields only.
 /// The arena's home (and all other slots) keep their binding, so a
-/// structure can be *torn across partitions* deliberately — the bound
-/// access tier routes every field through its own binding, which keeps
-/// that sound.
+/// structure can be *torn across partitions* deliberately — every access
+/// routes each field through its own binding, which keeps that sound.
 pub struct ArenaSlots<'a, N> {
     arena: &'a Arena<N>,
     handles: &'a [Handle<N>],
@@ -755,7 +754,7 @@ pub(crate) unsafe fn reclaim_into<N>(arena: *const (), raw: u32, tag: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tvar::TVar;
+    use core::sync::atomic::AtomicU64;
 
     #[test]
     fn locate_covers_chunk_boundaries() {
@@ -775,10 +774,10 @@ mod tests {
 
     #[test]
     fn alloc_get_free_recycles() {
-        let a: Arena<TVar<u64>> = Arena::new();
+        let a: Arena<AtomicU64> = Arena::new();
         let h1 = a.alloc_raw();
-        a.get(h1).store_direct(7);
-        assert_eq!(a.get(h1).load_direct(), 7);
+        a.get(h1).store(7, Ordering::Relaxed);
+        assert_eq!(a.get(h1).load(Ordering::Relaxed), 7);
         a.free_raw(h1);
         let h2 = a.alloc_raw();
         assert_eq!(h1, h2, "freed slot is recycled LIFO");
@@ -809,7 +808,7 @@ mod tests {
     #[test]
     fn concurrent_alloc_yields_distinct_handles() {
         use std::sync::Arc;
-        let a: Arc<Arena<TVar<u64>>> = Arc::new(Arena::new());
+        let a: Arc<Arena<AtomicU64>> = Arc::new(Arena::new());
         let mut joins = Vec::new();
         for _ in 0..8 {
             let a = Arc::clone(&a);
@@ -907,7 +906,7 @@ mod tests {
             let a = pair_arena(&src);
             let h = a.alloc_raw();
             assert_eq!(
-                stm.migrate_collection(&a, &dst),
+                stm.migrate_batch(&a, &dst),
                 crate::stm::SwitchOutcome::Switched
             );
             assert_eq!(a.partition_id(), Some(dst.id()));
@@ -942,7 +941,7 @@ mod tests {
             // A later whole-collection migration collects the strayed
             // slot's partition into the involved set and heals the split.
             assert_eq!(
-                stm.migrate_collection(&a, &src),
+                stm.migrate_batch(&a, &src),
                 crate::stm::SwitchOutcome::Switched
             );
             assert_eq!(a.get(h1).a.partition_id(), src.id());

@@ -48,12 +48,15 @@
 //! partition: the partition's orec table is what detects conflicts, so
 //! routing one variable through two partitions would miss conflicts. In
 //! the paper this invariant is established by the compile-time
-//! partitioning analysis; in this library it holds *by construction* for
-//! [`PVar`]s (the binding is fixed at allocation and the access sites
-//! cannot name a partition at all). The raw tier — bare [`TVar`]s accessed
-//! via [`Tx::read_raw`](txn::Tx::read_raw) and friends — leaves the
-//! invariant to the caller, and the `partstm-analysis` crate reproduces
-//! the analysis that derives sound assignments automatically.
+//! partitioning analysis; in this library it holds *by construction*: a
+//! [`PVar`] is the only kind of transactional variable, its binding is
+//! fixed at allocation (and moved only by the repartition protocol), and
+//! no access site can name a partition at all. There is one way to touch
+//! one — [`Access`], implemented by a transaction ([`Tx`]) and by the
+//! holder of a privatized partition ([`PrivateGuard::access`]) — so
+//! structure code is written once and runs in both. The
+//! `partstm-analysis` crate reproduces the analysis that derives the
+//! variable→partition assignment automatically.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -77,7 +80,6 @@ pub mod stats;
 pub mod stm;
 pub mod telemetry;
 pub mod tuner;
-pub mod tvar;
 pub mod txn;
 pub mod word;
 
@@ -90,7 +92,7 @@ pub use fault::{FaultPlan, FaultSite};
 pub use partition::{Partition, PartitionId};
 pub use privatize::{PrivateGuard, PrivatizeError};
 pub use profiler::{AccessProfiler, BucketTouch, SampleTouch, TxSample, PROFILE_BUCKETS};
-pub use pvar::{retired_binding_count, Migratable, PVar, PVarBinding, PVarFields};
+pub use pvar::{retired_binding_count, Access, Migratable, PVar, PVarBinding, PVarFields};
 pub use repartition::{
     CollectionRegistry, MigratableCollection, MigrationSource, TearableCollection,
 };
@@ -98,6 +100,5 @@ pub use snapshot::ReadTx;
 pub use stats::StatCounters;
 pub use stm::{Stm, StmBuilder, SwitchOutcome, ThreadCtx, MAX_THREADS};
 pub use tuner::{TuneInput, TuningPolicy};
-pub use tvar::TVar;
 pub use txn::Tx;
 pub use word::TxWord;

@@ -11,10 +11,10 @@
 //! hands back a [`PrivateGuard`] holding it: a witness that the calling
 //! thread owns the partition outright and may read and write its cells
 //! at plain-memory speed ([`PrivateGuard::read`] /
-//! [`PrivateGuard::write`], plus the bulk entry points on
-//! `partstm-structures`). Dropping the guard — or calling
-//! [`PrivateGuard::republish`] — returns the partition to transactional
-//! service under generation+1.
+//! [`PrivateGuard::write`], or any [`Access`]-generic structure
+//! operation through [`PrivateGuard::access`]). Dropping the guard — or
+//! calling [`PrivateGuard::republish`] — returns the partition to
+//! transactional service under generation+1.
 //!
 //! ## Why the hold is safe
 //!
@@ -68,15 +68,20 @@
 //!
 //! ## What the guard permits
 //!
-//! Anything that stays inside the privatized partition: direct cell access
-//! ([`PrivateGuard::read`] / [`PrivateGuard::write`] assert the
-//! variable's binding), raw arena allocation
-//! ([`Arena::alloc_raw`](crate::Arena::alloc_raw) — its "no transactions
-//! run" contract is exactly what the hold establishes for this
-//! partition), and the bulk iterators/loaders the structure crate builds
-//! on those. Freeing slots under the guard is deliberately *not* offered
-//! by the bulk APIs: allocation-only keeps the reuse-barrier argument in
-//! [`crate::arena`] trivially satisfied.
+//! Anything that stays inside the privatized partition, checked *per
+//! variable*: [`PrivateGuard::read`] / [`PrivateGuard::write`] assert that
+//! the variable is bound to the held partition, so a structure torn
+//! across partitions by a partial migration panics at the first foreign
+//! cell instead of racing the transactions that still own it (the
+//! per-location data-race-freedom Khyzha et al. require of mixed
+//! transactional/privatized access). Arena allocation asserts the
+//! arena's home ([`Arena::alloc_raw`](crate::Arena::alloc_raw)'s "no
+//! transactions run" contract is exactly what the hold establishes for
+//! this partition). [`PrivateGuard::access`] packages the three as an
+//! [`Access`], which is how every structure operation of
+//! `partstm-structures` runs under a hold. Freeing slots under the guard
+//! is deliberately *not* offered: allocation-only keeps the reuse-barrier
+//! argument in [`crate::arena`] trivially satisfied.
 //!
 //! A privatization hold should be short (it starves writers of the
 //! partition into abort-and-retry). Holds longer than
@@ -88,9 +93,11 @@ use std::time::{Duration, Instant};
 
 use core::sync::atomic::Ordering;
 
+use crate::arena::{Arena, Handle};
 use crate::config;
+use crate::error::TxResult;
 use crate::partition::Partition;
-use crate::pvar::PVar;
+use crate::pvar::{Access, PVar};
 use crate::quiesce::{QuiesceWindow, WARN_INTERVAL};
 use crate::repartition::MigrationSource;
 use crate::rtlog;
@@ -204,9 +211,7 @@ impl PrivateGuard {
         &self.part
     }
 
-    /// Whether `part` is the partition this guard privatizes. The bulk
-    /// entry points in `partstm-structures` gate on this before touching
-    /// cells directly.
+    /// Whether `part` is the partition this guard privatizes.
     #[inline]
     pub fn covers(&self, part: &Arc<Partition>) -> bool {
         Arc::ptr_eq(&self.part, part)
@@ -214,8 +219,8 @@ impl PrivateGuard {
 
     /// Whether *every* binding a [`MigrationSource`] enumerates points at
     /// the privatized partition — i.e. the whole structure is inside the
-    /// hold. `O(fields)`; the structure bulk APIs use it in debug builds
-    /// to catch structures torn across partitions by a partial migration.
+    /// hold. `O(fields)`; for once-per-scan checks — per-cell accesses
+    /// through the guard are checked individually.
     pub fn covers_source(&self, src: &dyn MigrationSource) -> bool {
         let want = Arc::as_ptr(&self.part);
         let mut all = true;
@@ -254,6 +259,16 @@ impl PrivateGuard {
         var.store_direct(value);
     }
 
+    /// This guard as an [`Access`], so any structure operation written
+    /// over `A: Access` runs under the hold with plain loads and stores:
+    /// `map.put(&mut guard.access(), k, v)`. Never aborts; panics where
+    /// [`PrivateGuard::read`] would, and on allocating from an arena whose
+    /// home is not the held partition.
+    #[inline]
+    pub fn access(&self) -> impl Access<'_> + '_ {
+        self
+    }
+
     /// How long this guard has held the partition.
     pub fn held_for(&self) -> Duration {
         self.start.elapsed()
@@ -265,6 +280,27 @@ impl PrivateGuard {
     /// the hand-back explicit. See the [module docs](self) for the
     /// republish ordering argument.
     pub fn republish(self) {}
+}
+
+impl<'e> Access<'e> for &'e PrivateGuard {
+    #[inline]
+    fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
+        Ok(PrivateGuard::read(self, var))
+    }
+
+    #[inline]
+    fn write<T: TxWord>(&mut self, var: &'e PVar<T>, value: T) -> TxResult<()> {
+        PrivateGuard::write(self, var, value);
+        Ok(())
+    }
+
+    fn alloc<N: Send + Sync + 'static>(&mut self, arena: &'e Arena<N>) -> TxResult<Handle<N>> {
+        assert!(
+            arena.partition().is_some_and(|home| self.covers(&home)),
+            "arena's home partition is not the privatized one"
+        );
+        Ok(arena.alloc_raw())
+    }
 }
 
 impl Drop for PrivateGuard {
@@ -313,8 +349,9 @@ impl Stm {
     /// transactions under generation+1.
     ///
     /// Intended for bulk phases where STM overhead is pure waste: initial
-    /// loads, compaction, snapshots, analytics scans (the structure crate
-    /// builds `bulk_insert`/`bulk_load`/iterator entry points on top).
+    /// loads, compaction, snapshots, analytics scans (every structure
+    /// operation of the structure crate runs under
+    /// [`PrivateGuard::access`]).
     /// See the [module docs](crate::privatize) for the safety argument.
     ///
     /// Returns [`PrivatizeError::Contended`] without waiting when another
@@ -419,6 +456,25 @@ mod tests {
         let y = q.tvar(1u64);
         let g = stm.privatize(&p).expect("uncontended");
         let _ = g.read(&y);
+    }
+
+    #[test]
+    fn access_is_the_checked_read_write_plus_home_arena_alloc() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::named("mine"));
+        let q = stm.new_partition(PartitionConfig::named("other"));
+        let mine: Arena<PVar<u64>> = Arena::new_bound(&p, |part| part.tvar(0));
+        let foreign: Arena<PVar<u64>> = Arena::new_bound(&q, |part| part.tvar(0));
+        let g = stm.privatize(&p).expect("uncontended");
+        let mut a = g.access();
+        let h = a.alloc(&mine).expect("guard access never aborts");
+        a.write(mine.get(h), 9).expect("guard access never aborts");
+        assert_eq!(a.read(mine.get(h)), Ok(9));
+        let foreign_alloc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = g.access().alloc(&foreign);
+        }));
+        assert!(foreign_alloc.is_err(), "foreign arena must be rejected");
+        assert_eq!(foreign.live(), 0);
     }
 
     #[test]

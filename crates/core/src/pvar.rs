@@ -1,13 +1,22 @@
-//! Partition-bound transactional variables.
+//! Partition-bound transactional variables, and the one way to touch them.
 //!
-//! A [`PVar<T>`] is a [`TVar<T>`] that carries its owning partition: the
-//! association the paper's compiler pass (Tanger + the data-structure
-//! analysis) computes per access site is instead established *once, at
-//! allocation*, by [`Partition::tvar`](crate::Partition::tvar). Access
-//! sites then name only the variable — `tx.read(&var)` — and the engine
-//! routes the access through the partition the variable is bound to,
-//! which makes mis-partitioned accesses unrepresentable (see the soundness
-//! contract in the crate docs).
+//! A [`PVar<T>`] is one transactional 64-bit word (see [`crate::word`])
+//! that carries its owning partition: the association the paper's compiler
+//! pass (Tanger + the data-structure analysis) computes per access site is
+//! instead established *once, at allocation*, by
+//! [`Partition::tvar`](crate::Partition::tvar). Access sites then name
+//! only the variable — `tx.read(&var)` — and the engine routes the access
+//! through the partition the variable is bound to, which makes
+//! mis-partitioned accesses unrepresentable (see the soundness contract in
+//! the crate docs). The backing store is an `AtomicU64`, so
+//! non-transactional code can never observe a torn value; consistency of
+//! *groups* of words is what the STM protocol provides.
+//!
+//! There is one access tier. Code that reads and writes `PVar`s is written
+//! once over [`Access`], implemented by an in-flight transaction
+//! ([`Tx`](crate::Tx)) and by the exclusive holder of a privatized
+//! partition ([`PrivateGuard::access`](crate::PrivateGuard::access)); the
+//! structure crate's algorithms are generic over it.
 //!
 //! ## Rebinding (runtime repartitioning)
 //!
@@ -23,16 +32,14 @@
 //! process lifetime (retired bindings are parked, never freed), so a
 //! racing reader can at worst observe the *previous* binding — a case the
 //! engine detects and converts into an ordinary switching abort.
-//!
-//! The raw tier ([`Tx::read_raw`](crate::Tx::read_raw) and friends on bare
-//! `TVar`s) remains available for code that manages the variable/partition
-//! association itself.
 
-use core::sync::atomic::{AtomicPtr, Ordering};
+use core::marker::PhantomData;
+use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::arena::{Arena, Handle};
+use crate::error::TxResult;
 use crate::partition::{Partition, PartitionId};
-use crate::tvar::TVar;
 use crate::word::TxWord;
 
 /// Bindings retired by [`PVarBinding::rebind`]. Parking the old `Arc` here
@@ -86,14 +93,12 @@ impl PVarBinding {
     }
 
     /// Manufactures an owning handle for a pointer previously loaded from
-    /// *some* binding via [`PVarBinding::load`], or taken with
-    /// `Arc::as_ptr` from a handle that is still alive (the engine's
-    /// raw-tier views, whose `&'e Arc<Partition>` outlives the attempt).
+    /// *some* binding via [`PVarBinding::load`].
     pub(crate) fn arc_of(p: *const Partition) -> Arc<Partition> {
-        // SAFETY: `p` came from `Arc::into_raw`/`Arc::as_ptr` and its
-        // strong count is >= 1 for as long as the caller's borrow lasts:
-        // a live handle holds one, or the owning reference is still in a
-        // binding or was parked in `RETIRED` by a rebind (never dropped).
+        // SAFETY: `p` came from `Arc::into_raw` and its strong count is
+        // >= 1 for as long as the caller's borrow lasts: the owning
+        // reference is still in a binding or was parked in `RETIRED` by a
+        // rebind (never dropped).
         // The only dropped binding reference is the current one at
         // `PVarBinding::drop`, which requires exclusive access — no
         // shared-borrow caller can still be running then.
@@ -213,7 +218,8 @@ impl<T: TxWord + Send + Sync> PVarFields for PVar<T> {
 /// migrates the variable (see the module docs).
 pub struct PVar<T> {
     pub(crate) binding: PVarBinding,
-    pub(crate) var: TVar<T>,
+    pub(crate) cell: AtomicU64,
+    _m: PhantomData<T>,
 }
 
 impl<T: TxWord> PVar<T> {
@@ -221,7 +227,8 @@ impl<T: TxWord> PVar<T> {
     pub fn new(part: Arc<Partition>, value: T) -> Self {
         PVar {
             binding: PVarBinding::new(part),
-            var: TVar::new(value),
+            cell: AtomicU64::new(value.to_word()),
+            _m: PhantomData,
         }
     }
 
@@ -244,23 +251,45 @@ impl<T: TxWord> PVar<T> {
         &self.binding
     }
 
-    /// The underlying unbound variable (for the raw API tier).
-    #[inline(always)]
-    pub fn var(&self) -> &TVar<T> {
-        &self.var
-    }
-
-    /// Non-transactional read (see [`TVar::load_direct`]).
+    /// Non-transactional read. Safe at any time (single atomic load) but
+    /// sees only one word: use it for initialization, teardown, or
+    /// statistics — never to derive multi-word invariants.
     #[inline]
     pub fn load_direct(&self) -> T {
-        self.var.load_direct()
+        T::from_word(self.cell.load(Ordering::Acquire))
     }
 
-    /// Non-transactional write (see [`TVar::store_direct`]).
+    /// Non-transactional write. Only safe while no transaction may access
+    /// the variable (setup/teardown): it bypasses ownership records, so a
+    /// concurrent transaction would not detect the change.
     #[inline]
     pub fn store_direct(&self, value: T) {
-        self.var.store_direct(value);
+        self.cell.store(value.to_word(), Ordering::Release);
     }
+}
+
+/// The one way to touch a [`PVar`]: read it, write it, allocate the arena
+/// node it lives in.
+///
+/// Implemented by [`Tx`](crate::Tx) (the STM protocol) and by
+/// [`PrivateGuard::access`](crate::PrivateGuard::access) (plain loads and
+/// stores, each checked against the held partition), so an algorithm over
+/// partition-bound words is written once, generic over `A: Access<'e>`,
+/// and runs unchanged inside a transaction or under a privatization hold.
+/// `'e` is the lifetime every touched variable must outlive (the
+/// environment lifetime of [`Tx`](crate::Tx)). An `Err` is an abort like
+/// any other: propagate it with `?`.
+pub trait Access<'e> {
+    /// Reads `var`.
+    fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T>;
+
+    /// Writes `var`.
+    fn write<T: TxWord>(&mut self, var: &'e PVar<T>, value: T) -> TxResult<()>;
+
+    /// Allocates a slot of `arena`. The node's fields hold whatever the
+    /// previous user left: initialize them through `self` before
+    /// publishing a handle to it.
+    fn alloc<N: Send + Sync + 'static>(&mut self, arena: &'e Arena<N>) -> TxResult<Handle<N>>;
 }
 
 impl<T: TxWord + Send + Sync> Migratable for PVar<T> {
@@ -269,7 +298,8 @@ impl<T: TxWord + Send + Sync> Migratable for PVar<T> {
     }
 
     fn var_addr(&self) -> usize {
-        self.var.addr()
+        // The cell's address is the conflict-detection key.
+        &self.cell as *const AtomicU64 as usize
     }
 }
 
@@ -308,8 +338,22 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(&x.partition(), &p));
         assert_eq!(x.load_direct(), 9);
         x.store_direct(11);
-        assert_eq!(x.var().load_direct(), 11);
+        assert_eq!(x.load_direct(), 11);
         assert!(format!("{x:?}").contains("PVar"));
+    }
+
+    #[test]
+    fn pvar_is_one_word_plus_its_binding() {
+        use super::PVar;
+        assert_eq!(core::mem::size_of::<PVar<u64>>(), 16);
+        assert_eq!(core::mem::size_of::<PVar<bool>>(), 16);
+    }
+
+    #[test]
+    fn negative_values_survive() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        assert_eq!(p.tvar(-7i64).load_direct(), -7);
     }
 
     #[test]

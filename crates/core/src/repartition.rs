@@ -50,7 +50,7 @@
 //! *directory* needs on top — home partition, live-field addresses for
 //! profiler-bucket accounting — so the online repartitioner can map a
 //! "bucket 17 of partition 3 is hot" report back to a whole structure and
-//! move it with one [`Stm::split_collection`] call. See the arena module
+//! move it with one [`Stm::split_partition_batch`] call. See the arena module
 //! docs for why the free list and racing `alloc`/`free` survive all this.
 
 use std::sync::Arc;
@@ -190,39 +190,17 @@ impl Stm {
         repartition(&self.inner, src, dst, &[])
     }
 
-    /// Moves a whole collection (its arena — home, every slot — plus its
-    /// roots) to partition `dst`. Equivalent to
-    /// [`Stm::migrate_batch`]; provided for call-site clarity.
-    pub fn migrate_collection(
-        &self,
-        c: &dyn MigratableCollection,
-        dst: &Arc<Partition>,
-    ) -> SwitchOutcome {
-        repartition(&self.inner, c, dst, &[])
-    }
-
-    /// Splits a collection out of its current home: creates a new
-    /// partition from `cfg` and migrates the whole collection into it.
-    /// The old home participates in the protocol (flag + generation bump)
-    /// even if the collection was its only content.
-    ///
-    /// On [`Contended`](SwitchOutcome::Contended) /
-    /// [`TimedOut`](SwitchOutcome::TimedOut) the new partition exists but
-    /// is empty; retry with [`Stm::migrate_collection`] into the same
-    /// destination.
-    pub fn split_collection(
-        &self,
-        c: &dyn MigratableCollection,
-        cfg: PartitionConfig,
-    ) -> (Arc<Partition>, SwitchOutcome) {
-        let home = c.home_partition();
-        self.split_partition_batch(&home, cfg, c)
-    }
-
     /// [`Stm::split_partition`] over an arbitrary [`MigrationSource`]:
     /// creates a new partition from `cfg` and migrates everything `src`
     /// enumerates into it, with `src_part` participating in the protocol
-    /// even when nothing enumerated is currently bound to it.
+    /// even when nothing enumerated is currently bound to it. Splitting a
+    /// whole collection out of its home is
+    /// `split_partition_batch(&c.home_partition(), cfg, c)`.
+    ///
+    /// On [`Contended`](SwitchOutcome::Contended) /
+    /// [`TimedOut`](SwitchOutcome::TimedOut) the new partition exists but
+    /// is empty; retry with [`Stm::migrate_batch`] into the same
+    /// destination.
     pub fn split_partition_batch(
         &self,
         src_part: &Arc<Partition>,

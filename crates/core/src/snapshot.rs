@@ -223,7 +223,6 @@
 
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::config::{self, Granularity};
 use crate::error::{Abort, TxResult};
@@ -231,7 +230,6 @@ use crate::orec::{is_locked, version_of, Orec, RingSlot};
 use crate::partition::{orec_index, Partition};
 use crate::pvar::PVar;
 use crate::stm::{StmInner, ThreadCtx};
-use crate::tvar::TVar;
 use crate::word::TxWord;
 
 /// Per-partition state of one snapshot attempt: the read-only analogue of
@@ -290,8 +288,7 @@ enum Restart {
 /// check.
 ///
 /// Lifetimes mirror [`Tx`](crate::Tx): `'e` is the environment every
-/// `&PVar`/`&TVar`/`&Arc<Partition>` must outlive, `'s` the engine's
-/// borrow of its scratch state.
+/// `&PVar` must outlive, `'s` the engine's borrow of its scratch state.
 pub struct ReadTx<'e, 's> {
     stm: &'s StmInner,
     slot: usize,
@@ -427,7 +424,7 @@ impl<'e, 's> ReadTx<'e, 's> {
     pub fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
         let part = var.binding.load_ref();
         let vi = self.view_of(part)?;
-        // Binding recheck, exactly as the regular bound tier: a changed
+        // Binding recheck, exactly as in `Tx::view_of_binding`: a changed
         // pointer means the load straddled a completing migration — the
         // attempt restarts as if it had caught the switching flag itself.
         if !core::ptr::eq(var.binding.load(), part) {
@@ -437,25 +434,7 @@ impl<'e, 's> ReadTx<'e, 's> {
             self.restart = Restart::Attributed;
             return Err(Abort(()));
         }
-        self.read_at(vi, &var.var)
-    }
-
-    /// Snapshot read, raw tier: the caller names the partition guarding
-    /// `var`, with the same always-the-same-partition obligation as
-    /// [`Tx::read_raw`](crate::Tx::read_raw).
-    pub fn read_raw<T: TxWord>(
-        &mut self,
-        part: &'e Arc<Partition>,
-        var: &'e TVar<T>,
-    ) -> TxResult<T> {
-        let vi = self.view_of(part)?;
-        self.read_at(vi, var)
-    }
-
-    fn read_at<T: TxWord>(&mut self, vi: u16, var: &'e TVar<T>) -> TxResult<T> {
-        let cell = &var.cell as *const AtomicU64;
-        let w = self.read_word(vi, cell);
-        Ok(T::from_word(w))
+        Ok(T::from_word(self.read_word(vi, &var.cell)))
     }
 
     /// The snapshot read protocol for one word (module docs, "Why a
@@ -709,16 +688,6 @@ mod tests {
         assert_eq!(vx, 1);
         assert_eq!(vy, 103);
         assert_eq!(p.stats().snapshot_restarts, 0);
-    }
-
-    #[test]
-    fn snapshot_read_raw_tier() {
-        let stm = Stm::new();
-        let p = stm.new_partition(PartitionConfig::default());
-        let x = p.tvar(5u64);
-        let ctx = stm.register_thread();
-        let v = ctx.snapshot_read(|tx| tx.read_raw(&p, x.var()));
-        assert_eq!(v, 5);
     }
 
     #[test]
@@ -987,7 +956,7 @@ mod tests {
                     };
                     let vi = rtx.view_of(&self.part).expect("no window is open");
                     for i in 0..VARS {
-                        let addr = self.vars[i].var().cell.as_ptr() as usize;
+                        let addr = self.vars[i].cell.as_ptr() as usize;
                         let want = self.model[i].range(t + 1..).next();
                         assert_eq!(
                             rtx.history_lookup(vi, table, addr, t),

@@ -656,7 +656,7 @@ mod tests {
 
     #[test]
     fn resize_orecs_preserves_data_under_load() {
-        // Values live in TVars, not orecs: a resize must not disturb
+        // Values live in PVars, not orecs: a resize must not disturb
         // committed state or lose updates racing the quiesce.
         let stm = Stm::new();
         let p = stm.new_partition(PartitionConfig::default().orecs(64));

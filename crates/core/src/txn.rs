@@ -18,11 +18,11 @@
 //! ## Lifetimes
 //!
 //! [`Tx<'e, 's>`] carries two lifetimes: `'e` is the *environment* — every
-//! `&PVar`/`&TVar`/`&Arc<Partition>` passed to transactional operations must
-//! outlive the whole [`ThreadCtx::run`] call (so the engine's internal
-//! pointers stay valid through commit even if user code drops its own
-//! handles early), and `'s` is the engine's internal borrow of its scratch
-//! state. User closures are generic over `'s` only.
+//! `&PVar` passed to a transactional operation must outlive the whole
+//! [`ThreadCtx::run`] call (so the engine's internal pointers stay valid
+//! through commit even if user code drops its own handles early), and `'s`
+//! is the engine's internal borrow of its scratch state. User closures are
+//! generic over `'s` only.
 //!
 //! ## Partition views: one config decode per attempt
 //!
@@ -31,9 +31,9 @@
 //! if the switching flag is set, and caches the decoded [`DynConfig`] plus
 //! generation — and, since orec tables became resizable, the table's base
 //! pointer and index mask — in the view. Every later access to that
-//! partition — bound ([`Tx::read`]) or raw ([`Tx::read_raw`]) — resolves to
-//! the cached view (a one-entry MRU fast path backed by a stamped hash
-//! index) and never re-reads the config word or the table registers.
+//! partition resolves to the cached view (a one-entry MRU fast path backed
+//! by a stamped hash index) and never re-reads the config word or the
+//! table registers.
 //!
 //! **Soundness.** Caching the decode (and the table pointer/mask) for the
 //! whole attempt is sound because the quiesce-based switch protocol (see
@@ -121,12 +121,10 @@
 //!
 //! A view *borrows* its partition; it never touches the `Arc` strong
 //! count, a line every thread of the partition would otherwise RMW twice
-//! per transaction. The borrow is a plain `&'e Partition`:
-//!
-//! * raw tier — the caller's `&'e Arc<Partition>` is alive for `'e`;
-//! * bound tier — the pointer was loaded from a `&'e PVarBinding`, and
-//!   every pointer a binding ever held is owned by it or parked in the
-//!   retired list forever (the argument at `PVarBinding::arc_of`).
+//! per transaction. The borrow is a plain `&'e Partition`: the pointer
+//! was loaded from a `&'e PVarBinding`, and every pointer a binding ever
+//! held is owned by it or parked in the retired list forever (the
+//! argument at `PVarBinding::arc_of`).
 //!
 //! The view stores it as a raw pointer only because the scratch tables
 //! outlive `'e`; they are emptied when the `Tx` drops, so no pointer is
@@ -202,7 +200,7 @@
 //! structural window past its soft deadline. The request is one store
 //! into the victim's slot (`kill := serial of the attempt to abort`); the
 //! victim polls it at every *check-point boundary* — transactional read
-//! ([`Tx::read`]/[`Tx::read_raw`]), write, orec acquisition (both the
+//! ([`Tx::read`]), write, orec acquisition (both the
 //! loop head and the bounded `wait_or_fail` spin), visible-reader
 //! arbitration waits, and commit entry — and unwinds with
 //! [`AbortKind::Killed`] through the ordinary `fail` → `rollback` path.
@@ -237,6 +235,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::arena::{Arena, Handle};
 use crate::cm::{self, XorShift64};
 use crate::config::CmPolicy;
 use crate::config::{self, AcquireMode, DynConfig, ReadMode, ReaderArb};
@@ -244,12 +243,11 @@ use crate::error::{Abort, AbortKind, TxResult};
 use crate::orec::{is_locked, make_version, owner_of, reader_bit, version_of, Orec, RingSlot};
 use crate::partition::{orec_index, Partition};
 use crate::profiler::{self, BucketTouch, SampleTouch, TxSample};
-use crate::pvar::{PVar, PVarBinding};
+use crate::pvar::{Access, PVar, PVarBinding};
 use crate::stats::LocalStats;
 use crate::stm::{StmInner, ThreadCtx};
 use crate::telemetry::{self, EventKind};
 use crate::tuner::TuneInput;
-use crate::tvar::TVar;
 use crate::word::TxWord;
 
 /// An invisible-read record: which orec was read, the lock word observed,
@@ -658,18 +656,7 @@ impl<'e, 's> Tx<'e, 's> {
         Ok(i as u16)
     }
 
-    /// Resolves the partition view for `part` (raw tier: the caller names
-    /// the partition).
-    fn view_of(&mut self, part: &'e Arc<Partition>) -> Result<u16, Abort> {
-        let ptr = Arc::as_ptr(part);
-        if let Some(i) = self.view_lookup(ptr) {
-            return Ok(i);
-        }
-        self.view_create(part)
-    }
-
-    /// Resolves the partition view for a bound variable from its binding
-    /// cell (bound tier).
+    /// Resolves the partition view for a variable from its binding cell.
     ///
     /// A repartition may rebind the variable concurrently — but only while
     /// every involved partition carries the switching flag, and the rebind
@@ -756,7 +743,7 @@ impl<'e, 's> Tx<'e, 's> {
     #[inline]
     pub fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
         let ti = self.view_of_binding(&var.binding)?;
-        self.read_at(ti, &var.var)
+        self.read_at(ti, &var.cell)
     }
 
     /// Transactional write (buffered until commit) of a partition-bound
@@ -764,7 +751,7 @@ impl<'e, 's> Tx<'e, 's> {
     #[inline]
     pub fn write<T: TxWord>(&mut self, var: &'e PVar<T>, value: T) -> TxResult<()> {
         let ti = self.view_of_binding(&var.binding)?;
-        self.write_at(ti, &var.var, value)
+        self.write_at(ti, &var.cell, value)
     }
 
     /// Read-modify-write convenience on a partition-bound variable.
@@ -776,26 +763,14 @@ impl<'e, 's> Tx<'e, 's> {
         Ok(nv)
     }
 
-    /// Transactional read, raw tier: the caller names the partition that
-    /// guards `var` and must always name the *same* partition for it (see
-    /// the crate-level soundness contract). Prefer [`Tx::read`] on
-    /// [`PVar`]s, which enforces the association by construction.
-    pub fn read_raw<T: TxWord>(
-        &mut self,
-        part: &'e Arc<Partition>,
-        var: &'e TVar<T>,
-    ) -> TxResult<T> {
-        let ti = self.view_of(part)?;
-        self.read_at(ti, var)
-    }
-
-    /// Shared read body (bound and raw tiers) against a resolved view.
-    fn read_at<T: TxWord>(&mut self, ti: u16, var: &'e TVar<T>) -> TxResult<T> {
+    /// Read body against a resolved view (out of line: [`Tx::read`] is
+    /// inlined into every access site).
+    fn read_at<T: TxWord>(&mut self, ti: u16, cell: &'e AtomicU64) -> TxResult<T> {
         if self.killed() {
             return Err(self.fail(ti, AbortKind::Killed));
         }
         self.s.views[ti as usize].stats.reads += 1;
-        let addr = var.addr();
+        let addr = cell as *const AtomicU64 as usize;
         if self.s.sampling {
             self.s
                 .sample_log
@@ -816,7 +791,6 @@ impl<'e, 's> Tx<'e, 's> {
             let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.cfg.granularity)) };
             (orec, v.cfg.read_mode)
         };
-        let cell = &var.cell as *const AtomicU64;
         let w = match read_mode {
             ReadMode::Invisible => self.read_invisible(ti, orec, cell)?,
             ReadMode::Visible => self.read_visible(ti, orec, cell)?,
@@ -824,20 +798,8 @@ impl<'e, 's> Tx<'e, 's> {
         Ok(T::from_word(w))
     }
 
-    /// Transactional write (buffered until commit), raw tier: see
-    /// [`Tx::read_raw`] for the caller's obligations.
-    pub fn write_raw<T: TxWord>(
-        &mut self,
-        part: &'e Arc<Partition>,
-        var: &'e TVar<T>,
-        value: T,
-    ) -> TxResult<()> {
-        let ti = self.view_of(part)?;
-        self.write_at(ti, var, value)
-    }
-
-    /// Shared write body (bound and raw tiers) against a resolved view.
-    fn write_at<T: TxWord>(&mut self, ti: u16, var: &'e TVar<T>, value: T) -> TxResult<()> {
+    /// Write body against a resolved view.
+    fn write_at<T: TxWord>(&mut self, ti: u16, cell: &'e AtomicU64, value: T) -> TxResult<()> {
         if self.killed() {
             return Err(self.fail(ti, AbortKind::Killed));
         }
@@ -846,7 +808,7 @@ impl<'e, 's> Tx<'e, 's> {
             t.stats.writes += 1;
             t.wrote = true;
         }
-        let addr = var.addr();
+        let addr = cell as *const AtomicU64 as usize;
         if self.s.sampling {
             self.s
                 .sample_log
@@ -869,7 +831,7 @@ impl<'e, 's> Tx<'e, 's> {
         };
         let wi = self.s.write_set.len();
         self.s.write_set.push(WriteEntry {
-            var: &var.cell as *const AtomicU64,
+            var: cell,
             val: value.to_word(),
             orec,
             prev: 0,
@@ -886,19 +848,6 @@ impl<'e, 's> Tx<'e, 's> {
             panic!("injected mid-tx panic (fault plan)");
         }
         Ok(())
-    }
-
-    /// Read-modify-write convenience, raw tier.
-    pub fn modify_raw<T: TxWord>(
-        &mut self,
-        part: &'e Arc<Partition>,
-        var: &'e TVar<T>,
-        f: impl FnOnce(T) -> T,
-    ) -> TxResult<T> {
-        let v = self.read_raw(part, var)?;
-        let nv = f(v);
-        self.write_raw(part, var, nv)?;
-        Ok(nv)
     }
 
     fn read_invisible(
@@ -1672,10 +1621,9 @@ impl ThreadCtx {
     /// Runs `f` as a transaction, retrying (with randomized exponential
     /// backoff) until it commits. Returns the closure's success value.
     ///
-    /// Every `&TVar` / `&Arc<Partition>` passed to the transaction must
-    /// outlive the whole call (the `'e` lifetime); in practice: keep your
-    /// data structures alive outside the closure — the borrow checker
-    /// enforces the rest.
+    /// Every `&PVar` passed to the transaction must outlive the whole call
+    /// (the `'e` lifetime); in practice: keep your data structures alive
+    /// outside the closure — the borrow checker enforces the rest.
     ///
     /// # Panics
     ///
@@ -1729,22 +1677,21 @@ impl ThreadCtx {
     }
 }
 
-impl<T: TxWord> TVar<T> {
-    /// Transactional read (convenience wrapper over [`Tx::read_raw`]).
+/// The STM protocol as an [`Access`]: the inherent methods' bodies.
+impl<'e> Access<'e> for Tx<'e, '_> {
     #[inline]
-    pub fn read<'e>(&'e self, tx: &mut Tx<'e, '_>, part: &'e Arc<Partition>) -> TxResult<T> {
-        tx.read_raw(part, self)
+    fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
+        Tx::read(self, var)
     }
 
-    /// Transactional write (convenience wrapper over [`Tx::write_raw`]).
     #[inline]
-    pub fn write<'e>(
-        &'e self,
-        tx: &mut Tx<'e, '_>,
-        part: &'e Arc<Partition>,
-        value: T,
-    ) -> TxResult<()> {
-        tx.write_raw(part, self, value)
+    fn write<T: TxWord>(&mut self, var: &'e PVar<T>, value: T) -> TxResult<()> {
+        Tx::write(self, var, value)
+    }
+
+    #[inline]
+    fn alloc<N: Send + Sync + 'static>(&mut self, arena: &'e Arena<N>) -> TxResult<Handle<N>> {
+        arena.alloc(self)
     }
 }
 
@@ -1796,23 +1743,6 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.commits, 1);
         assert_eq!(s.update_commits, 1);
-    }
-
-    #[test]
-    fn bound_and_raw_tiers_share_the_view() {
-        // A bound access and a raw access to the same partition must hit
-        // the same partition view (and therefore the same write set).
-        let (stm, p) = setup();
-        let ctx = stm.register_thread();
-        let x = p.tvar(5u64);
-        let v = ctx.run(|tx| {
-            tx.write(&x, 6)?;
-            // Raw read of the same variable through the same partition
-            // observes the buffered write.
-            tx.read_raw(&p, x.var())
-        });
-        assert_eq!(v, 6);
-        assert_eq!(p.stats().commits, 1);
     }
 
     #[test]
@@ -1895,17 +1825,16 @@ mod tests {
                             .acquire(acquire)
                             .cm(cm_pol),
                     );
-                    let x = Arc::new(TVar::new(0u64));
+                    let x = Arc::new(p.tvar(0u64));
                     let threads = 4;
                     let iters = 500;
                     std::thread::scope(|s| {
                         for _ in 0..threads {
                             let ctx = stm.register_thread();
-                            let p = Arc::clone(&p);
                             let x = Arc::clone(&x);
                             s.spawn(move || {
                                 for _ in 0..iters {
-                                    ctx.run(|tx| tx.modify_raw(&p, &x, |v| v + 1).map(|_| ()));
+                                    ctx.run(|tx| tx.modify(&x, |v| v + 1).map(|_| ()));
                                 }
                             });
                         }
@@ -2141,15 +2070,15 @@ mod tests {
     fn ws_index_handles_many_writes_and_growth() {
         let (stm, p) = setup();
         let ctx = stm.register_thread();
-        let vars: Vec<TVar<u64>> = (0..200).map(TVar::new).collect();
+        let vars: Vec<PVar<u64>> = (0..200).map(|i| p.tvar(i)).collect();
         ctx.run(|tx| {
             for (i, v) in vars.iter().enumerate() {
-                tx.write_raw(&p, v, (i * 2) as u64)?;
+                tx.write(v, (i * 2) as u64)?;
             }
             // Overwrite half of them; read everything back.
             for v in vars.iter().step_by(2) {
-                let cur = tx.read_raw(&p, v)?;
-                tx.write_raw(&p, v, cur + 1)?;
+                let cur = tx.read(v)?;
+                tx.write(v, cur + 1)?;
             }
             Ok(())
         });

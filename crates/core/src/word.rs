@@ -2,7 +2,7 @@
 //!
 //! `partstm` is a *word-based* STM, like TinySTM: the unit of transactional
 //! storage is a 64-bit word held in an `AtomicU64`. Any type that can be
-//! reversibly packed into a `u64` can live in a [`crate::TVar`]. This keeps
+//! reversibly packed into a `u64` can live in a [`crate::PVar`]. This keeps
 //! every shared access a single atomic operation — there are no torn reads
 //! and no `UnsafeCell` in the value path.
 

@@ -5,25 +5,31 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use partstm_core::{Abort, Arena, CmPolicy, Granularity, PartitionConfig, ReadMode, Stm, TVar};
+use partstm_core::{
+    Abort, Arena, CmPolicy, Granularity, PVar, Partition, PartitionConfig, ReadMode, Stm,
+};
 
-#[derive(Default)]
 struct Node {
-    val: TVar<u64>,
+    val: PVar<u64>,
+}
+
+fn node_arena(p: &Arc<Partition>) -> Arena<Node> {
+    let p = Arc::clone(p);
+    Arena::new_with(move || Node { val: p.tvar(0) })
 }
 
 #[test]
 fn aborted_alloc_is_reclaimed() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("a"));
-    let arena: Arena<Node> = Arena::new();
+    let arena = node_arena(&p);
     let ctx = stm.register_thread();
     let mut attempts = 0;
     ctx.run(|tx| {
         attempts += 1;
         let h = arena.alloc(tx)?;
         let n = arena.get(h);
-        tx.write_raw(&p, &n.val, 42)?;
+        tx.write(&n.val, 42)?;
         if attempts < 4 {
             return Err(Abort::retry());
         }
@@ -38,11 +44,11 @@ fn aborted_alloc_is_reclaimed() {
 fn free_is_deferred_to_commit() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("a"));
-    let arena: Arena<Node> = Arena::new();
+    let arena = node_arena(&p);
     let ctx = stm.register_thread();
     let h = ctx.run(|tx| {
         let h = arena.alloc(tx)?;
-        tx.write_raw(&p, &arena.get(h).val, 1)?;
+        tx.write(&arena.get(h).val, 1)?;
         Ok(h)
     });
     assert_eq!(arena.live(), 1);
@@ -75,10 +81,10 @@ fn free_is_deferred_to_commit() {
 fn switch_restamps_orec_versions() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("x"));
-    let v = TVar::new(0u64);
+    let v = p.tvar(0u64);
     let ctx = stm.register_thread();
     for i in 0..10u64 {
-        ctx.run(|tx| tx.write_raw(&p, &v, i));
+        ctx.run(|tx| tx.write(&v, i));
     }
     let clock_before = stm.clock_now();
     assert_eq!(clock_before, 10);
@@ -89,9 +95,9 @@ fn switch_restamps_orec_versions() {
     let mut cfg = p.current_config();
     cfg.granularity = Granularity::Stripe { shift: 8 };
     assert!(stm.switch_partition(&p, cfg).switched());
-    assert_eq!(ctx.run(|tx| tx.read_raw(&p, &v)), 9);
+    assert_eq!(ctx.run(|tx| tx.read(&v)), 9);
     // And updates continue normally under the new mapping.
-    ctx.run(|tx| tx.write_raw(&p, &v, 99));
+    ctx.run(|tx| tx.write(&v, 99));
     assert_eq!(v.load_direct(), 99);
 }
 
@@ -101,20 +107,20 @@ fn snapshots_stay_consistent_across_granularity_switches() {
     // transactions race writers while granularity flips word<->plock.
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("x"));
-    let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..16).map(|_| TVar::new(0)).collect());
+    let vars: Arc<Vec<PVar<u64>>> = Arc::new((0..16).map(|_| p.tvar(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         // Writers keep all variables equal.
         for t in 0..3u64 {
             let ctx = stm.register_thread();
-            let (p, vars, stop) = (p.clone(), vars.clone(), stop.clone());
+            let (vars, stop) = (vars.clone(), stop.clone());
             s.spawn(move || {
                 let mut i = t;
                 while !stop.load(Ordering::Relaxed) {
                     i += 1;
                     ctx.run(|tx| {
                         for v in vars.iter() {
-                            tx.write_raw(&p, v, i)?;
+                            tx.write(v, i)?;
                         }
                         Ok(())
                     });
@@ -123,13 +129,13 @@ fn snapshots_stay_consistent_across_granularity_switches() {
         }
         // Readers assert all-equal.
         let ctx = stm.register_thread();
-        let (p2, vars2, stop2) = (p.clone(), vars.clone(), stop.clone());
+        let (vars2, stop2) = (vars.clone(), stop.clone());
         s.spawn(move || {
             for _ in 0..4000 {
                 ctx.run(|tx| {
-                    let first = tx.read_raw(&p2, &vars2[0])?;
+                    let first = tx.read(&vars2[0])?;
                     for v in vars2.iter().skip(1) {
-                        assert_eq!(tx.read_raw(&p2, v)?, first, "mixed snapshot");
+                        assert_eq!(tx.read(v)?, first, "mixed snapshot");
                     }
                     Ok(())
                 });
@@ -162,27 +168,22 @@ fn visible_reader_is_killed_by_writer() {
     // and make progress (writer-wins arbitration).
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("k").read_mode(ReadMode::Visible));
-    let v = Arc::new(TVar::new(0u64));
+    let v = Arc::new(p.tvar(0u64));
     let reader_attempts = Arc::new(AtomicU64::new(0));
     let reader_in = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         let ctx_r = stm.register_thread();
-        let (p1, v1, ra, rin) = (
-            p.clone(),
-            v.clone(),
-            reader_attempts.clone(),
-            reader_in.clone(),
-        );
+        let (v1, ra, rin) = (v.clone(), reader_attempts.clone(), reader_in.clone());
         s.spawn(move || {
             ctx_r.run(|tx| {
                 ra.fetch_add(1, Ordering::SeqCst);
-                let x = tx.read_raw(&p1, &v1)?;
+                let x = tx.read(&v1)?;
                 rin.store(true, Ordering::SeqCst);
                 if x == 0 {
                     // Busy-wait transactionally until the writer commits;
                     // the kill must interrupt this (`read` polls the flag).
                     loop {
-                        let now = tx.read_raw(&p1, &v1)?;
+                        let now = tx.read(&v1)?;
                         if now != 0 {
                             return Ok(now);
                         }
@@ -193,12 +194,12 @@ fn visible_reader_is_killed_by_writer() {
             });
         });
         let ctx_w = stm.register_thread();
-        let (p2, v2, rin2) = (p.clone(), v.clone(), reader_in.clone());
+        let (v2, rin2) = (v.clone(), reader_in.clone());
         s.spawn(move || {
             while !rin2.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
             }
-            ctx_w.run(|tx| tx.write_raw(&p2, &v2, 7));
+            ctx_w.run(|tx| tx.write(&v2, 7));
         });
     });
     assert_eq!(v.load_direct(), 7);
@@ -218,14 +219,14 @@ fn delay_then_abort_makes_progress_under_contention() {
             .cm(CmPolicy::DelayThenAbort)
             .granularity(Granularity::PartitionLock),
     );
-    let v = Arc::new(TVar::new(0u64));
+    let v = Arc::new(p.tvar(0u64));
     std::thread::scope(|s| {
         for _ in 0..6 {
             let ctx = stm.register_thread();
-            let (p, v) = (p.clone(), v.clone());
+            let v = v.clone();
             s.spawn(move || {
                 for _ in 0..2000 {
-                    ctx.run(|tx| tx.modify_raw(&p, &v, |x| x + 1).map(|_| ()));
+                    ctx.run(|tx| tx.modify(&v, |x| x + 1).map(|_| ()));
                 }
             });
         }
@@ -239,12 +240,12 @@ fn stats_attribute_aborts_to_the_conflicting_partition() {
     let hot =
         stm.new_partition(PartitionConfig::named("hot").granularity(Granularity::PartitionLock));
     let cold = stm.new_partition(PartitionConfig::named("cold"));
-    let h = Arc::new(TVar::new(0u64));
-    let c = Arc::new(TVar::new(0u64));
+    let h = Arc::new(hot.tvar(0u64));
+    let c = Arc::new(cold.tvar(0u64));
     std::thread::scope(|s| {
         for _ in 0..6 {
             let ctx = stm.register_thread();
-            let (hot, cold, h, c) = (hot.clone(), cold.clone(), h.clone(), c.clone());
+            let (h, c) = (h.clone(), c.clone());
             s.spawn(move || {
                 for i in 0..400u64 {
                     ctx.run(|tx| {
@@ -254,10 +255,10 @@ fn stats_attribute_aborts_to_the_conflicting_partition() {
                         // counter genuinely conflicts even on a single-core
                         // host (sub-microsecond transactions never
                         // interleave there otherwise).
-                        let _ = tx.read_raw(&cold, &c)?;
-                        let v = tx.read_raw(&hot, &h)?;
+                        let _ = tx.read(&c)?;
+                        let v = tx.read(&h)?;
                         std::thread::sleep(std::time::Duration::from_micros(20));
-                        tx.write_raw(&hot, &h, v + i)?;
+                        tx.write(&h, v + i)?;
                         Ok(())
                     });
                 }
@@ -288,71 +289,76 @@ fn stats_attribute_aborts_to_the_conflicting_partition() {
 fn recycled_slots_never_alias_the_allocators_snapshot() {
     use partstm_core::{Handle, TxResult, TxWord};
 
-    #[derive(Default)]
     struct TreeNode {
-        key: TVar<u64>,
-        left: TVar<Option<Handle<TreeNode>>>,
-        right: TVar<Option<Handle<TreeNode>>>,
+        key: PVar<u64>,
+        left: PVar<Option<Handle<TreeNode>>>,
+        right: PVar<Option<Handle<TreeNode>>>,
     }
 
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("t"));
-    let arena: Arc<Arena<TreeNode>> = Arc::new(Arena::with_capacity(512));
-    let root: Arc<TVar<Option<Handle<TreeNode>>>> = Arc::new(TVar::new(None));
+    let arena: Arc<Arena<TreeNode>> = Arc::new(Arena::with_capacity_and(512, {
+        let p = p.clone();
+        move || TreeNode {
+            key: p.tvar(0),
+            left: p.tvar(None),
+            right: p.tvar(None),
+        }
+    }));
+    let root: Arc<PVar<Option<Handle<TreeNode>>>> = Arc::new(p.tvar(None));
     let ops_done = Arc::new(AtomicU64::new(0));
 
     // High-churn BST insert/delete on a tiny key range: constant free/alloc
     // recycling under contention.
     fn bst_op<'e>(
         tx: &mut partstm_core::Tx<'e, '_>,
-        p: &'e Arc<partstm_core::Partition>,
         arena: &'e Arena<TreeNode>,
-        root: &'e TVar<Option<Handle<TreeNode>>>,
+        root: &'e PVar<Option<Handle<TreeNode>>>,
         k: u64,
         insert: bool,
     ) -> TxResult<()> {
         let mut prev: Option<Handle<TreeNode>> = None;
         let mut went_left = false;
-        let mut cur = tx.read_raw(p, root)?;
+        let mut cur = tx.read(root)?;
         let mut steps = 0u32;
         while let Some(h) = cur {
             steps += 1;
             assert!(steps < 10_000, "cycle in snapshot: recycling hazard back");
             let n = arena.get(h);
-            let nk = tx.read_raw(p, &n.key)?;
+            let nk = tx.read(&n.key)?;
             if nk == k {
                 break;
             }
             prev = Some(h);
             went_left = k < nk;
             cur = if k < nk {
-                tx.read_raw(p, &n.left)?
+                tx.read(&n.left)?
             } else {
-                tx.read_raw(p, &n.right)?
+                tx.read(&n.right)?
             };
         }
         if insert && cur.is_none() {
             let h = arena.alloc(tx)?;
             let n = arena.get(h);
-            tx.write_raw(p, &n.key, k)?;
-            tx.write_raw(p, &n.left, None)?;
-            tx.write_raw(p, &n.right, None)?;
+            tx.write(&n.key, k)?;
+            tx.write(&n.left, None)?;
+            tx.write(&n.right, None)?;
             match prev {
-                None => tx.write_raw(p, root, Some(h))?,
+                None => tx.write(root, Some(h))?,
                 Some(ph) => {
                     let pn = arena.get(ph);
                     if went_left {
-                        tx.write_raw(p, &pn.left, Some(h))?;
+                        tx.write(&pn.left, Some(h))?;
                     } else {
-                        tx.write_raw(p, &pn.right, Some(h))?;
+                        tx.write(&pn.right, Some(h))?;
                     }
                 }
             }
         } else if !insert {
             if let Some(h) = cur {
                 let n = arena.get(h);
-                let l = tx.read_raw(p, &n.left)?;
-                let r = tx.read_raw(p, &n.right)?;
+                let l = tx.read(&n.left)?;
+                let r = tx.read(&n.right)?;
                 let repl = match (l, r) {
                     (None, x) => Some(x),
                     (x, None) => Some(x),
@@ -360,13 +366,13 @@ fn recycled_slots_never_alias_the_allocators_snapshot() {
                 };
                 if let Some(repl) = repl {
                     match prev {
-                        None => tx.write_raw(p, root, repl)?,
+                        None => tx.write(root, repl)?,
                         Some(ph) => {
                             let pn = arena.get(ph);
                             if went_left {
-                                tx.write_raw(p, &pn.left, repl)?;
+                                tx.write(&pn.left, repl)?;
                             } else {
-                                tx.write_raw(p, &pn.right, repl)?;
+                                tx.write(&pn.right, repl)?;
                             }
                         }
                     }
@@ -380,8 +386,7 @@ fn recycled_slots_never_alias_the_allocators_snapshot() {
     std::thread::scope(|s| {
         for t in 0..8u64 {
             let ctx = stm.register_thread();
-            let (p, arena, root, ops_done) =
-                (p.clone(), arena.clone(), root.clone(), ops_done.clone());
+            let (arena, root, ops_done) = (arena.clone(), root.clone(), ops_done.clone());
             s.spawn(move || {
                 let mut r = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 for _ in 0..30_000 {
@@ -390,7 +395,7 @@ fn recycled_slots_never_alias_the_allocators_snapshot() {
                     r ^= r << 17;
                     let k = r % 64;
                     let insert = (r >> 33) & 1 == 0;
-                    ctx.run(|tx| bst_op(tx, &p, &arena, &root, k, insert));
+                    ctx.run(|tx| bst_op(tx, &arena, &root, k, insert));
                     ops_done.fetch_add(1, Ordering::Relaxed);
                 }
             });

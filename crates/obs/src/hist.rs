@@ -151,16 +151,6 @@ impl HistSnapshot {
         }
         bucket_bound(HIST_BUCKETS - 1) as f64
     }
-
-    /// Median (see [`HistSnapshot::quantile`] for resolution).
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th percentile (see [`HistSnapshot::quantile`] for resolution).
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
 }
 
 #[cfg(test)]
@@ -193,12 +183,12 @@ mod tests {
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 5050);
         // p50 of 1..=100 lands in the [33..64] bucket (cum 64 ≥ 50).
-        assert_eq!(s.p50(), 63.0);
-        assert_eq!(s.p99(), 127.0);
+        assert_eq!(s.quantile(0.50), 63.0);
+        assert_eq!(s.quantile(0.99), 127.0);
         assert!((s.mean() - 50.5).abs() < 1e-9);
         // Empty histogram degrades to zeros.
         let e = Histogram::new().snapshot();
-        assert_eq!(e.p50(), 0.0);
+        assert_eq!(e.quantile(0.50), 0.0);
         assert_eq!(e.mean(), 0.0);
     }
 

@@ -43,8 +43,8 @@ impl Bank {
             .unwrap_or_else(|| self.part.id())
     }
 
-    /// Direct access to one account variable (diagnostics and raw-tier
-    /// equivalence tests).
+    /// Direct access to one account variable (diagnostics and migration
+    /// batches).
     pub fn account(&self, i: usize) -> &PVar<i64> {
         &self.accounts[i]
     }

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource, PVar,
-    PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, TearableCollection, Tx,
+    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
+    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, TearableCollection, Tx,
     TxResult,
 };
 
@@ -98,55 +98,65 @@ impl THashMap {
     }
 
     /// Looks up `key`.
-    pub fn get<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<Option<u64>> {
-        let mut cur = tx.read(self.bucket(key))?;
+    pub fn get<'e, A: Access<'e>>(&'e self, a: &mut A, key: u64) -> TxResult<Option<u64>> {
+        let mut cur = a.read(self.bucket(key))?;
         while let Some(h) = cur {
             let node = self.arena.get(h);
-            if tx.read(&node.key)? == key {
-                return Ok(Some(tx.read(&node.val)?));
+            if a.read(&node.key)? == key {
+                return Ok(Some(a.read(&node.val)?));
             }
-            cur = tx.read(&node.next)?;
+            cur = a.read(&node.next)?;
         }
         Ok(None)
     }
 
     /// Inserts or updates; returns the previous value if present.
-    pub fn put<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64, val: u64) -> TxResult<Option<u64>> {
+    pub fn put<'e, A: Access<'e>>(
+        &'e self,
+        a: &mut A,
+        key: u64,
+        val: u64,
+    ) -> TxResult<Option<u64>> {
         let bucket = self.bucket(key);
-        let head = tx.read(bucket)?;
+        let head = a.read(bucket)?;
         let mut cur = head;
         while let Some(h) = cur {
             let node = self.arena.get(h);
-            if tx.read(&node.key)? == key {
-                let old = tx.read(&node.val)?;
-                tx.write(&node.val, val)?;
+            if a.read(&node.key)? == key {
+                let old = a.read(&node.val)?;
+                a.write(&node.val, val)?;
                 return Ok(Some(old));
             }
-            cur = tx.read(&node.next)?;
+            cur = a.read(&node.next)?;
         }
-        let new = self.arena.alloc(tx)?;
+        let new = a.alloc(&self.arena)?;
         let node = self.arena.get(new);
-        tx.write(&node.key, key)?;
-        tx.write(&node.val, val)?;
-        tx.write(&node.next, head)?;
-        tx.write(bucket, Some(new))?;
+        a.write(&node.key, key)?;
+        a.write(&node.val, val)?;
+        a.write(&node.next, head)?;
+        a.write(bucket, Some(new))?;
         Ok(None)
     }
 
     /// Inserts only if absent; returns `true` if inserted. (The one-shot
     /// "claim" operation genome's dedup phase uses.)
-    pub fn put_if_absent<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64, val: u64) -> TxResult<bool> {
-        if self.get(tx, key)?.is_some() {
+    pub fn put_if_absent<'e, A: Access<'e>>(
+        &'e self,
+        a: &mut A,
+        key: u64,
+        val: u64,
+    ) -> TxResult<bool> {
+        if self.get(a, key)?.is_some() {
             return Ok(false);
         }
         let bucket = self.bucket(key);
-        let head = tx.read(bucket)?;
-        let new = self.arena.alloc(tx)?;
+        let head = a.read(bucket)?;
+        let new = a.alloc(&self.arena)?;
         let node = self.arena.get(new);
-        tx.write(&node.key, key)?;
-        tx.write(&node.val, val)?;
-        tx.write(&node.next, head)?;
-        tx.write(bucket, Some(new))?;
+        a.write(&node.key, key)?;
+        a.write(&node.val, val)?;
+        a.write(&node.next, head)?;
+        a.write(bucket, Some(new))?;
         Ok(true)
     }
 
@@ -194,75 +204,18 @@ impl THashMap {
         &self.part
     }
 
-    /// Checks that `guard` holds this map's current home partition. O(1):
-    /// per-key bulk operations call it on every key, so the full
-    /// `covers_source` walk is reserved for the once-per-scan entry points
-    /// ([`THashMap::bulk_for_each`]).
-    #[inline]
-    fn assert_covered(&self, guard: &PrivateGuard) {
-        assert!(
-            guard.covers(&self.home_partition()),
-            "map's partition is not the privatized one"
-        );
-    }
-
-    /// Guard-gated insert-or-update with plain loads/stores and raw arena
-    /// allocation — the bulk-load twin of [`THashMap::put`]; see
-    /// [`partstm_core::privatize`] for why this is safe under the hold.
-    pub fn bulk_put(&self, guard: &PrivateGuard, key: u64, val: u64) -> Option<u64> {
-        self.assert_covered(guard);
-        let bucket = self.bucket(key);
-        let head = bucket.load_direct();
-        let mut cur = head;
-        while let Some(h) = cur {
-            let node = self.arena.get(h);
-            if node.key.load_direct() == key {
-                let old = node.val.load_direct();
-                node.val.store_direct(val);
-                return Some(old);
-            }
-            cur = node.next.load_direct();
-        }
-        let new = self.arena.alloc_raw();
-        let node = self.arena.get(new);
-        node.key.store_direct(key);
-        node.val.store_direct(val);
-        node.next.store_direct(head);
-        bucket.store_direct(Some(new));
-        None
-    }
-
-    /// Guard-gated lookup with plain loads (the bulk twin of
-    /// [`THashMap::get`]).
-    pub fn bulk_get(&self, guard: &PrivateGuard, key: u64) -> Option<u64> {
-        self.assert_covered(guard);
-        let mut cur = self.bucket(key).load_direct();
-        while let Some(h) = cur {
-            let node = self.arena.get(h);
-            if node.key.load_direct() == key {
-                return Some(node.val.load_direct());
-            }
-            cur = node.next.load_direct();
-        }
-        None
-    }
-
     /// Guard-gated bulk iterator over every `(key, value)` pair, in
     /// bucket-chain order. Exact: the hold excludes every concurrent
-    /// writer. The debug build additionally verifies the whole structure
-    /// is inside the hold (a partial migration could tear it).
+    /// writer, and every cell is read through the guard's per-variable
+    /// check — a map torn across partitions panics at its first foreign
+    /// slot instead of racing the transactions that still own it.
     pub fn bulk_for_each(&self, guard: &PrivateGuard, mut f: impl FnMut(u64, u64)) {
-        self.assert_covered(guard);
-        debug_assert!(
-            guard.covers_source(self),
-            "map torn across partitions; migrate it whole before privatizing"
-        );
         for b in self.buckets.iter() {
-            let mut cur = b.load_direct();
+            let mut cur = guard.read(b);
             while let Some(h) = cur {
                 let n = self.arena.get(h);
-                f(n.key.load_direct(), n.val.load_direct());
-                cur = n.next.load_direct();
+                f(guard.read(&n.key), guard.read(&n.val));
+                cur = guard.read(&n.next);
             }
         }
     }
@@ -373,10 +326,9 @@ impl IntSet for THashSet {
     }
 
     fn bulk_insert(&self, guard: &PrivateGuard, key: u64) -> bool {
-        self.map.bulk_get(guard, key).is_none() && {
-            self.map.bulk_put(guard, key, 1);
-            true
-        }
+        self.map
+            .put_if_absent(&mut guard.access(), key, 1)
+            .expect("guard access never aborts")
     }
 
     fn remove<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
@@ -467,28 +419,47 @@ mod tests {
     }
 
     #[test]
-    fn map_bulk_ops_match_transactional() {
+    fn map_ops_match_a_model_through_both_access_impls() {
         let stm = Stm::new();
-        let m = THashMap::new(stm.new_partition(PartitionConfig::named("map")), 8);
+        let tx_side = THashMap::new(stm.new_partition(PartitionConfig::named("tx")), 8);
+        let held = THashMap::new(stm.new_partition(PartitionConfig::named("held")), 8);
+        let ctx = stm.register_thread();
+        let mut model = std::collections::BTreeMap::new();
         {
-            let guard = stm.privatize(m.partition()).expect("privatize");
-            for k in 0..64u64 {
-                assert_eq!(m.bulk_put(&guard, k, k * 2), None);
+            let guard = stm.privatize(held.partition()).expect("privatize");
+            let mut state = 0xfeed_face_cafe_beefu64;
+            for i in 0..500u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let key = state % 96;
+                assert_eq!(
+                    testing::via_both!(ctx, &tx_side, guard, &held, |m, a| m.put(a, key, i)),
+                    model.insert(key, i),
+                    "put({key})"
+                );
+                let probe = (state >> 32) % 128;
+                assert_eq!(
+                    testing::via_both!(ctx, &tx_side, guard, &held, |m, a| m.get(a, probe)),
+                    model.get(&probe).copied(),
+                    "get({probe})"
+                );
             }
-            assert_eq!(m.bulk_put(&guard, 7, 70), Some(14), "update in place");
-            assert_eq!(m.bulk_get(&guard, 7), Some(70));
-            assert_eq!(m.bulk_get(&guard, 64), None);
-            let mut n = 0usize;
-            m.bulk_for_each(&guard, |k, v| {
-                n += 1;
-                assert_eq!(v, if k == 7 { 70 } else { k * 2 });
-            });
-            assert_eq!(n, 64);
+            let mut seen = Vec::new();
+            held.bulk_for_each(&guard, |k, v| seen.push((k, v)));
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+            );
         }
         // Guard dropped → republished; transactional service resumes.
-        let ctx = stm.register_thread();
-        assert_eq!(ctx.run(|tx| m.get(tx, 7)), Some(70));
-        assert_eq!(ctx.run(|tx| m.put(tx, 64, 1)), None);
-        assert_eq!(m.snapshot_pairs().len(), 65);
+        assert_eq!(ctx.run(|tx| held.get(tx, 7)), model.get(&7).copied());
+        assert_eq!(ctx.run(|tx| held.put(tx, 200, 1)), None);
+        model.insert(200, 1);
+        let pairs: Vec<(u64, u64)> = model.into_iter().collect();
+        assert_eq!(held.snapshot_pairs(), pairs);
+        assert_eq!(ctx.run(|tx| tx_side.put(tx, 200, 1)), None);
+        assert_eq!(tx_side.snapshot_pairs(), pairs);
     }
 }

@@ -18,11 +18,13 @@ pub trait IntSet: Send + Sync {
     /// Inserts `key`; returns `true` if it was absent.
     fn insert<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool>;
 
-    /// Guard-gated insert at plain-memory speed — no orec traffic, no
-    /// read-set, no retry loop. For bulk loads while the structure's
-    /// partition is held by a [`PrivateGuard`] (see
-    /// [`partstm_core::privatize`]); panics if `guard` does not cover the
-    /// structure's partition. Returns `true` if the key was absent.
+    /// [`IntSet::insert`] under a [`PrivateGuard`] instead of a
+    /// transaction: the same algorithm run through
+    /// [`PrivateGuard::access`], so plain loads and stores — no orec
+    /// traffic, no read set, no retry loop. For bulk loads while the
+    /// structure's partition is held (see [`partstm_core::privatize`]);
+    /// panics at the first variable it touches that is not bound to the
+    /// held partition. Returns `true` if the key was absent.
     fn bulk_insert(&self, guard: &PrivateGuard, key: u64) -> bool;
 
     /// Removes `key`; returns `true` if it was present.
@@ -46,6 +48,34 @@ pub(crate) mod testing {
     use super::*;
     use partstm_core::Stm;
     use std::collections::BTreeSet;
+
+    /// Evaluates `$op` — an expression over a structure `$s` and an
+    /// `$a: &mut impl Access` — through both `Access` impls: as a
+    /// transaction of `$ctx` against `$tx_side`, and under `$guard`
+    /// against `$guard_side` (twin structures in different partitions:
+    /// transactions on a held partition would spin until republish).
+    /// Asserts that the two agree and returns the result.
+    macro_rules! via_both {
+        ($ctx:expr, $tx_side:expr, $guard:expr, $guard_side:expr, |$s:ident, $a:ident| $op:expr) => {{
+            let transactional = {
+                let $s = $tx_side;
+                $ctx.run(|$a| $op)
+            };
+            let guarded = {
+                let $s = $guard_side;
+                let $a = &mut $guard.access();
+                $op.expect("guard access never aborts")
+            };
+            assert_eq!(
+                transactional,
+                guarded,
+                "Tx and PrivateGuard disagree on `{}`",
+                stringify!($op)
+            );
+            transactional
+        }};
+    }
+    pub(crate) use via_both;
 
     /// Sequential semantics vs a `BTreeSet` model under a deterministic
     /// op mix.

@@ -4,9 +4,13 @@
 //! microbenchmark structures the paper's evaluation drives (sorted linked
 //! list, skip list, red-black tree, hash set) plus the bank-accounts
 //! atomicity probe. Every structure is built on `partstm-core`'s arena +
-//! `TVar` words and owns the partition that guards it, so composing
+//! `PVar` words and owns the partition that guards it, so composing
 //! structures composes partitions — exactly the application shape the
-//! paper's per-partition tuning exploits.
+//! paper's per-partition tuning exploits. Each arena-backed algorithm is
+//! written once over `partstm_core::Access`, so the same `put`/`get`/
+//! `insert`/`push_back` runs inside a transaction (`tree.put(tx, k, v)`)
+//! and, at plain-memory speed, under a privatization hold
+//! (`tree.put(&mut guard.access(), k, v)`).
 //!
 //! ```
 //! use partstm_core::{PartitionConfig, Stm};

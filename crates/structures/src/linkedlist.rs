@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource, PVar,
-    PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
+    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
+    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -79,48 +79,51 @@ impl TLinkedList {
     /// Walks to the first node with `node.key >= key`; returns
     /// `(prev, cur)` handles.
     #[allow(clippy::type_complexity)]
-    fn locate<'e>(
+    fn locate<'e, A: Access<'e>>(
         &'e self,
-        tx: &mut Tx<'e, '_>,
+        a: &mut A,
         key: u64,
     ) -> TxResult<(Option<Handle<Node>>, Option<Handle<Node>>)> {
         let mut prev: Option<Handle<Node>> = None;
-        let mut cur = tx.read(&self.head)?;
+        let mut cur = a.read(&self.head)?;
         while let Some(h) = cur {
             let node = self.arena.get(h);
-            let k = tx.read(&node.key)?;
+            let k = a.read(&node.key)?;
             if k >= key {
                 break;
             }
             prev = Some(h);
-            cur = tx.read(&node.next)?;
+            cur = a.read(&node.next)?;
         }
         Ok((prev, cur))
     }
 
-    fn link_after<'e>(
+    fn link_after<'e, A: Access<'e>>(
         &'e self,
-        tx: &mut Tx<'e, '_>,
+        a: &mut A,
         prev: Option<Handle<Node>>,
         new: Handle<Node>,
     ) -> TxResult<()> {
         match prev {
-            Some(p) => tx.write(&self.arena.get(p).next, Some(new)),
-            None => tx.write(&self.head, Some(new)),
+            Some(p) => a.write(&self.arena.get(p).next, Some(new)),
+            None => a.write(&self.head, Some(new)),
         }
     }
 
-    /// Checks that `guard` holds this list's partition: O(1) in release
-    /// (the arena's home binding), every binding in debug builds.
-    fn assert_covered(&self, guard: &PrivateGuard) {
-        assert!(
-            guard.covers(&self.home_partition()),
-            "list's partition is not the privatized one"
-        );
-        debug_assert!(
-            guard.covers_source(self),
-            "list torn across partitions; migrate it whole before privatizing"
-        );
+    /// [`IntSet::insert`] over any [`Access`].
+    fn insert_with<'e, A: Access<'e>>(&'e self, a: &mut A, key: u64) -> TxResult<bool> {
+        let (prev, cur) = self.locate(a, key)?;
+        if let Some(h) = cur {
+            if a.read(&self.arena.get(h).key)? == key {
+                return Ok(false);
+            }
+        }
+        let new = a.alloc(&self.arena)?;
+        let node = self.arena.get(new);
+        a.write(&node.key, key)?;
+        a.write(&node.next, cur)?;
+        self.link_after(a, prev, new)?;
+        Ok(true)
     }
 }
 
@@ -158,48 +161,12 @@ impl IntSet for TLinkedList {
     }
 
     fn insert<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
-        let (prev, cur) = self.locate(tx, key)?;
-        if let Some(h) = cur {
-            if tx.read(&self.arena.get(h).key)? == key {
-                return Ok(false);
-            }
-        }
-        let new = self.arena.alloc(tx)?;
-        let node = self.arena.get(new);
-        tx.write(&node.key, key)?;
-        tx.write(&node.next, cur)?;
-        self.link_after(tx, prev, new)?;
-        Ok(true)
+        self.insert_with(tx, key)
     }
 
     fn bulk_insert(&self, guard: &PrivateGuard, key: u64) -> bool {
-        self.assert_covered(guard);
-        // Direct port of `locate` + `insert`: plain loads and stores, no
-        // orec traffic — the hold excludes every transactional writer.
-        let mut prev: Option<Handle<Node>> = None;
-        let mut cur = self.head.load_direct();
-        while let Some(h) = cur {
-            let node = self.arena.get(h);
-            if node.key.load_direct() >= key {
-                break;
-            }
-            prev = Some(h);
-            cur = node.next.load_direct();
-        }
-        if let Some(h) = cur {
-            if self.arena.get(h).key.load_direct() == key {
-                return false;
-            }
-        }
-        let new = self.arena.alloc_raw();
-        let node = self.arena.get(new);
-        node.key.store_direct(key);
-        node.next.store_direct(cur);
-        match prev {
-            Some(p) => self.arena.get(p).next.store_direct(Some(new)),
-            None => self.head.store_direct(Some(new)),
-        }
-        true
+        self.insert_with(&mut guard.access(), key)
+            .expect("guard access never aborts")
     }
 
     fn remove<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {

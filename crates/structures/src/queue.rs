@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource, PVar,
-    PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult, TxWord,
+    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
+    PVar, PVarBinding, PVarFields, Partition, PartitionId, Tx, TxResult, TxWord,
 };
 
 /// Queue node: one value word plus the next link, bound to the queue's
@@ -79,18 +79,18 @@ impl<T: TxWord> TQueue<T> {
     }
 
     /// Appends a value at the tail.
-    pub fn push_back<'e>(&'e self, tx: &mut Tx<'e, '_>, value: T) -> TxResult<()> {
-        let h = self.arena.alloc(tx)?;
+    pub fn push_back<'e, A: Access<'e>>(&'e self, a: &mut A, value: T) -> TxResult<()> {
+        let h = a.alloc(&self.arena)?;
         let n = self.arena.get(h);
-        tx.write(&n.val, value.to_word())?;
-        tx.write(&n.next, None)?;
-        match tx.read(&self.tail)? {
-            Some(t) => tx.write(&self.arena.get(t).next, Some(h))?,
-            None => tx.write(&self.head, Some(h))?,
+        a.write(&n.val, value.to_word())?;
+        a.write(&n.next, None)?;
+        match a.read(&self.tail)? {
+            Some(t) => a.write(&self.arena.get(t).next, Some(h))?,
+            None => a.write(&self.head, Some(h))?,
         }
-        tx.write(&self.tail, Some(h))?;
-        let l = tx.read(&self.len)?;
-        tx.write(&self.len, l + 1)
+        a.write(&self.tail, Some(h))?;
+        let l = a.read(&self.len)?;
+        a.write(&self.len, l + 1)
     }
 
     /// Removes and returns the head value, or `None` if empty.
@@ -124,34 +124,6 @@ impl<T: TxWord> TQueue<T> {
     /// The partition guarding this queue.
     pub fn partition(&self) -> &Arc<Partition> {
         &self.part
-    }
-
-    /// Guard-gated append at plain-memory speed — no orec traffic, no
-    /// undo log, no retry loop. For bulk loads while the queue's
-    /// partition is held by a [`PrivateGuard`]; see
-    /// [`partstm_core::privatize`] for the safety argument.
-    pub fn bulk_push_back(&self, guard: &PrivateGuard, value: T)
-    where
-        T: Send + Sync,
-    {
-        assert!(
-            guard.covers(&self.arena.partition().expect("bound arena")),
-            "queue's partition is not the privatized one"
-        );
-        debug_assert!(
-            guard.covers_source(self),
-            "queue torn across partitions; migrate it whole before privatizing"
-        );
-        let h = self.arena.alloc_raw();
-        let n = self.arena.get(h);
-        n.val.store_direct(value.to_word());
-        n.next.store_direct(None);
-        match self.tail.load_direct() {
-            Some(t) => self.arena.get(t).next.store_direct(Some(h)),
-            None => self.head.store_direct(Some(h)),
-        }
-        self.tail.store_direct(Some(h));
-        self.len.store_direct(self.len.load_direct() + 1);
     }
 
     /// Non-transactional front-to-back snapshot (quiescent only).
@@ -196,6 +168,7 @@ impl<T: TxWord + Send + Sync> MigratableCollection for TQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intset::testing;
     use partstm_core::{PartitionConfig, Stm};
 
     fn fresh(stm: &Stm) -> TQueue<u64> {
@@ -246,22 +219,25 @@ mod tests {
     }
 
     #[test]
-    fn bulk_push_then_transactional_pop() {
+    fn push_back_through_both_access_impls_then_transactional_pop() {
         let stm = Stm::new();
-        let q = fresh(&stm);
+        let tx_side = fresh(&stm);
+        let held = fresh(&stm);
+        let ctx = stm.register_thread();
         {
-            let guard = stm.privatize(q.partition()).expect("privatize");
+            let guard = stm.privatize(held.partition()).expect("privatize");
             for i in 0..50u64 {
-                q.bulk_push_back(&guard, i);
+                testing::via_both!(ctx, &tx_side, guard, &held, |q, a| q.push_back(a, i));
             }
         }
-        assert_eq!(q.snapshot(), (0..50).collect::<Vec<_>>());
-        let ctx = stm.register_thread();
-        assert_eq!(ctx.run(|tx| q.len_tx(tx)), 50);
-        for i in 0..50u64 {
-            assert_eq!(ctx.run(|tx| q.pop_front(tx)), Some(i));
+        for q in [&tx_side, &held] {
+            assert_eq!(q.snapshot(), (0..50).collect::<Vec<_>>());
+            assert_eq!(ctx.run(|tx| q.len_tx(tx)), 50);
+            for i in 0..50u64 {
+                assert_eq!(ctx.run(|tx| q.pop_front(tx)), Some(i));
+            }
+            assert_eq!(ctx.run(|tx| q.pop_front(tx)), None);
         }
-        assert_eq!(ctx.run(|tx| q.pop_front(tx)), None);
     }
 
     #[test]

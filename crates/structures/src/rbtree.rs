@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource, PVar,
-    PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
+    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
+    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -53,11 +53,11 @@ pub struct TRbTree {
 
 macro_rules! field {
     ($get:ident, $set:ident, $field:ident, $t:ty) => {
-        fn $get<'e>(&'e self, tx: &mut Tx<'e, '_>, h: Handle<Node>) -> TxResult<$t> {
-            tx.read(&self.arena.get(h).$field)
+        fn $get<'e, A: Access<'e>>(&'e self, a: &mut A, h: Handle<Node>) -> TxResult<$t> {
+            a.read(&self.arena.get(h).$field)
         }
-        fn $set<'e>(&'e self, tx: &mut Tx<'e, '_>, h: Handle<Node>, v: $t) -> TxResult<()> {
-            tx.write(&self.arena.get(h).$field, v)
+        fn $set<'e, A: Access<'e>>(&'e self, a: &mut A, h: Handle<Node>, v: $t) -> TxResult<()> {
+            a.write(&self.arena.get(h).$field, v)
         }
     };
 }
@@ -112,182 +112,187 @@ impl TRbTree {
     field!(key_of, set_key, key, u64);
     field!(val_of, set_val, val, u64);
 
-    fn is_red<'e>(&'e self, tx: &mut Tx<'e, '_>, h: H) -> TxResult<bool> {
+    fn is_red<'e, A: Access<'e>>(&'e self, a: &mut A, h: H) -> TxResult<bool> {
         match h {
-            Some(n) => tx.read(&self.arena.get(n).red),
+            Some(n) => a.read(&self.arena.get(n).red),
             None => Ok(false), // nil is black
         }
     }
 
-    fn set_red<'e>(&'e self, tx: &mut Tx<'e, '_>, h: Handle<Node>, red: bool) -> TxResult<()> {
-        tx.write(&self.arena.get(h).red, red)
+    fn set_red<'e, A: Access<'e>>(&'e self, a: &mut A, h: Handle<Node>, red: bool) -> TxResult<()> {
+        a.write(&self.arena.get(h).red, red)
     }
 
-    fn root_of<'e>(&'e self, tx: &mut Tx<'e, '_>) -> TxResult<H> {
-        tx.read(&self.root)
+    fn root_of<'e, A: Access<'e>>(&'e self, a: &mut A) -> TxResult<H> {
+        a.read(&self.root)
     }
 
     /// Replaces `old`'s slot in its parent (or the root) with `new`.
-    fn replace_child<'e>(
+    fn replace_child<'e, A: Access<'e>>(
         &'e self,
-        tx: &mut Tx<'e, '_>,
+        a: &mut A,
         parent: H,
         old: Handle<Node>,
         new: H,
     ) -> TxResult<()> {
         match parent {
-            None => tx.write(&self.root, new),
+            None => a.write(&self.root, new),
             Some(p) => {
-                if self.left(tx, p)? == Some(old) {
-                    self.set_left(tx, p, new)
+                if self.left(a, p)? == Some(old) {
+                    self.set_left(a, p, new)
                 } else {
-                    self.set_right(tx, p, new)
+                    self.set_right(a, p, new)
                 }
             }
         }
     }
 
-    fn rotate_left<'e>(&'e self, tx: &mut Tx<'e, '_>, x: Handle<Node>) -> TxResult<()> {
-        let y = self.right(tx, x)?.expect("rotate_left without right child");
-        let yl = self.left(tx, y)?;
-        self.set_right(tx, x, yl)?;
+    fn rotate_left<'e, A: Access<'e>>(&'e self, a: &mut A, x: Handle<Node>) -> TxResult<()> {
+        let y = self.right(a, x)?.expect("rotate_left without right child");
+        let yl = self.left(a, y)?;
+        self.set_right(a, x, yl)?;
         if let Some(n) = yl {
-            self.set_parent(tx, n, Some(x))?;
+            self.set_parent(a, n, Some(x))?;
         }
-        let xp = self.parent(tx, x)?;
-        self.set_parent(tx, y, xp)?;
-        self.replace_child(tx, xp, x, Some(y))?;
-        self.set_left(tx, y, Some(x))?;
-        self.set_parent(tx, x, Some(y))?;
+        let xp = self.parent(a, x)?;
+        self.set_parent(a, y, xp)?;
+        self.replace_child(a, xp, x, Some(y))?;
+        self.set_left(a, y, Some(x))?;
+        self.set_parent(a, x, Some(y))?;
         Ok(())
     }
 
-    fn rotate_right<'e>(&'e self, tx: &mut Tx<'e, '_>, x: Handle<Node>) -> TxResult<()> {
-        let y = self.left(tx, x)?.expect("rotate_right without left child");
-        let yr = self.right(tx, y)?;
-        self.set_left(tx, x, yr)?;
+    fn rotate_right<'e, A: Access<'e>>(&'e self, a: &mut A, x: Handle<Node>) -> TxResult<()> {
+        let y = self.left(a, x)?.expect("rotate_right without left child");
+        let yr = self.right(a, y)?;
+        self.set_left(a, x, yr)?;
         if let Some(n) = yr {
-            self.set_parent(tx, n, Some(x))?;
+            self.set_parent(a, n, Some(x))?;
         }
-        let xp = self.parent(tx, x)?;
-        self.set_parent(tx, y, xp)?;
-        self.replace_child(tx, xp, x, Some(y))?;
-        self.set_right(tx, y, Some(x))?;
-        self.set_parent(tx, x, Some(y))?;
+        let xp = self.parent(a, x)?;
+        self.set_parent(a, y, xp)?;
+        self.replace_child(a, xp, x, Some(y))?;
+        self.set_right(a, y, Some(x))?;
+        self.set_parent(a, x, Some(y))?;
         Ok(())
     }
 
     /// Looks up `key`.
-    pub fn get<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<Option<u64>> {
-        let mut cur = self.root_of(tx)?;
+    pub fn get<'e, A: Access<'e>>(&'e self, a: &mut A, key: u64) -> TxResult<Option<u64>> {
+        let mut cur = self.root_of(a)?;
         while let Some(h) = cur {
-            let k = self.key_of(tx, h)?;
+            let k = self.key_of(a, h)?;
             cur = match key.cmp(&k) {
-                core::cmp::Ordering::Less => self.left(tx, h)?,
-                core::cmp::Ordering::Greater => self.right(tx, h)?,
-                core::cmp::Ordering::Equal => return Ok(Some(self.val_of(tx, h)?)),
+                core::cmp::Ordering::Less => self.left(a, h)?,
+                core::cmp::Ordering::Greater => self.right(a, h)?,
+                core::cmp::Ordering::Equal => return Ok(Some(self.val_of(a, h)?)),
             };
         }
         Ok(None)
     }
 
     /// Inserts or updates; returns the previous value if the key existed.
-    pub fn put<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64, val: u64) -> TxResult<Option<u64>> {
+    pub fn put<'e, A: Access<'e>>(
+        &'e self,
+        a: &mut A,
+        key: u64,
+        val: u64,
+    ) -> TxResult<Option<u64>> {
         let mut parent: H = None;
-        let mut cur = self.root_of(tx)?;
+        let mut cur = self.root_of(a)?;
         let mut went_left = false;
         while let Some(h) = cur {
-            let k = self.key_of(tx, h)?;
+            let k = self.key_of(a, h)?;
             match key.cmp(&k) {
                 core::cmp::Ordering::Less => {
                     parent = Some(h);
                     went_left = true;
-                    cur = self.left(tx, h)?;
+                    cur = self.left(a, h)?;
                 }
                 core::cmp::Ordering::Greater => {
                     parent = Some(h);
                     went_left = false;
-                    cur = self.right(tx, h)?;
+                    cur = self.right(a, h)?;
                 }
                 core::cmp::Ordering::Equal => {
-                    let old = self.val_of(tx, h)?;
-                    self.set_val(tx, h, val)?;
+                    let old = self.val_of(a, h)?;
+                    self.set_val(a, h, val)?;
                     return Ok(Some(old));
                 }
             }
         }
-        let z = self.arena.alloc(tx)?;
+        let z = a.alloc(&self.arena)?;
         {
             let node = self.arena.get(z);
-            tx.write(&node.key, key)?;
-            tx.write(&node.val, val)?;
-            tx.write(&node.left, None)?;
-            tx.write(&node.right, None)?;
-            tx.write(&node.parent, parent)?;
-            tx.write(&node.red, true)?;
+            a.write(&node.key, key)?;
+            a.write(&node.val, val)?;
+            a.write(&node.left, None)?;
+            a.write(&node.right, None)?;
+            a.write(&node.parent, parent)?;
+            a.write(&node.red, true)?;
         }
         match parent {
-            None => tx.write(&self.root, Some(z))?,
+            None => a.write(&self.root, Some(z))?,
             Some(p) => {
                 if went_left {
-                    self.set_left(tx, p, Some(z))?;
+                    self.set_left(a, p, Some(z))?;
                 } else {
-                    self.set_right(tx, p, Some(z))?;
+                    self.set_right(a, p, Some(z))?;
                 }
             }
         }
-        self.insert_fixup(tx, z)?;
+        self.insert_fixup(a, z)?;
         Ok(None)
     }
 
-    fn insert_fixup<'e>(&'e self, tx: &mut Tx<'e, '_>, mut z: Handle<Node>) -> TxResult<()> {
+    fn insert_fixup<'e, A: Access<'e>>(&'e self, a: &mut A, mut z: Handle<Node>) -> TxResult<()> {
         loop {
-            let p = match self.parent(tx, z)? {
-                Some(p) if self.is_red(tx, Some(p))? => p,
+            let p = match self.parent(a, z)? {
+                Some(p) if self.is_red(a, Some(p))? => p,
                 _ => break,
             };
             // A red parent cannot be the root, so the grandparent exists.
-            let g = self.parent(tx, p)?.expect("red parent must have a parent");
-            if Some(p) == self.left(tx, g)? {
-                let u = self.right(tx, g)?;
-                if self.is_red(tx, u)? {
-                    self.set_red(tx, p, false)?;
-                    self.set_red(tx, u.unwrap(), false)?;
-                    self.set_red(tx, g, true)?;
+            let g = self.parent(a, p)?.expect("red parent must have a parent");
+            if Some(p) == self.left(a, g)? {
+                let u = self.right(a, g)?;
+                if self.is_red(a, u)? {
+                    self.set_red(a, p, false)?;
+                    self.set_red(a, u.unwrap(), false)?;
+                    self.set_red(a, g, true)?;
                     z = g;
                 } else {
-                    if Some(z) == self.right(tx, p)? {
+                    if Some(z) == self.right(a, p)? {
                         z = p;
-                        self.rotate_left(tx, z)?;
+                        self.rotate_left(a, z)?;
                     }
-                    let p2 = self.parent(tx, z)?.expect("fixup parent");
-                    let g2 = self.parent(tx, p2)?.expect("fixup grandparent");
-                    self.set_red(tx, p2, false)?;
-                    self.set_red(tx, g2, true)?;
-                    self.rotate_right(tx, g2)?;
+                    let p2 = self.parent(a, z)?.expect("fixup parent");
+                    let g2 = self.parent(a, p2)?.expect("fixup grandparent");
+                    self.set_red(a, p2, false)?;
+                    self.set_red(a, g2, true)?;
+                    self.rotate_right(a, g2)?;
                 }
             } else {
-                let u = self.left(tx, g)?;
-                if self.is_red(tx, u)? {
-                    self.set_red(tx, p, false)?;
-                    self.set_red(tx, u.unwrap(), false)?;
-                    self.set_red(tx, g, true)?;
+                let u = self.left(a, g)?;
+                if self.is_red(a, u)? {
+                    self.set_red(a, p, false)?;
+                    self.set_red(a, u.unwrap(), false)?;
+                    self.set_red(a, g, true)?;
                     z = g;
                 } else {
-                    if Some(z) == self.left(tx, p)? {
+                    if Some(z) == self.left(a, p)? {
                         z = p;
-                        self.rotate_right(tx, z)?;
+                        self.rotate_right(a, z)?;
                     }
-                    let p2 = self.parent(tx, z)?.expect("fixup parent");
-                    let g2 = self.parent(tx, p2)?.expect("fixup grandparent");
-                    self.set_red(tx, p2, false)?;
-                    self.set_red(tx, g2, true)?;
-                    self.rotate_left(tx, g2)?;
+                    let p2 = self.parent(a, z)?.expect("fixup parent");
+                    let g2 = self.parent(a, p2)?.expect("fixup grandparent");
+                    self.set_red(a, p2, false)?;
+                    self.set_red(a, g2, true)?;
+                    self.rotate_left(a, g2)?;
                 }
             }
         }
-        if let Some(r) = self.root_of(tx)? {
-            self.set_red(tx, r, false)?;
+        if let Some(r) = self.root_of(a)? {
+            self.set_red(a, r, false)?;
         }
         Ok(())
     }
@@ -424,203 +429,6 @@ impl TRbTree {
         Ok(())
     }
 
-    /// Checks that `guard` holds this tree's partition: O(1) in release
-    /// (the arena's home binding), every binding in debug builds.
-    fn assert_covered(&self, guard: &PrivateGuard) {
-        assert!(
-            guard.covers(&self.home_partition()),
-            "tree's partition is not the privatized one"
-        );
-        debug_assert!(
-            guard.covers_source(self),
-            "tree torn across partitions; migrate it whole before privatizing"
-        );
-    }
-
-    // Direct (non-transactional) twins of the rebalancing helpers, used
-    // only on guard-gated paths where the hold excludes every
-    // transactional writer.
-
-    fn d_left(&self, h: Handle<Node>) -> H {
-        self.arena.get(h).left.load_direct()
-    }
-
-    fn d_right(&self, h: Handle<Node>) -> H {
-        self.arena.get(h).right.load_direct()
-    }
-
-    fn d_parent(&self, h: Handle<Node>) -> H {
-        self.arena.get(h).parent.load_direct()
-    }
-
-    fn d_is_red(&self, h: H) -> bool {
-        h.is_some_and(|n| self.arena.get(n).red.load_direct())
-    }
-
-    fn d_set_red(&self, h: Handle<Node>, red: bool) {
-        self.arena.get(h).red.store_direct(red);
-    }
-
-    fn d_replace_child(&self, parent: H, old: Handle<Node>, new: H) {
-        match parent {
-            None => self.root.store_direct(new),
-            Some(p) => {
-                if self.d_left(p) == Some(old) {
-                    self.arena.get(p).left.store_direct(new);
-                } else {
-                    self.arena.get(p).right.store_direct(new);
-                }
-            }
-        }
-    }
-
-    fn d_rotate_left(&self, x: Handle<Node>) {
-        let y = self.d_right(x).expect("rotate_left without right child");
-        let yl = self.d_left(y);
-        self.arena.get(x).right.store_direct(yl);
-        if let Some(n) = yl {
-            self.arena.get(n).parent.store_direct(Some(x));
-        }
-        let xp = self.d_parent(x);
-        self.arena.get(y).parent.store_direct(xp);
-        self.d_replace_child(xp, x, Some(y));
-        self.arena.get(y).left.store_direct(Some(x));
-        self.arena.get(x).parent.store_direct(Some(y));
-    }
-
-    fn d_rotate_right(&self, x: Handle<Node>) {
-        let y = self.d_left(x).expect("rotate_right without left child");
-        let yr = self.d_right(y);
-        self.arena.get(x).left.store_direct(yr);
-        if let Some(n) = yr {
-            self.arena.get(n).parent.store_direct(Some(x));
-        }
-        let xp = self.d_parent(x);
-        self.arena.get(y).parent.store_direct(xp);
-        self.d_replace_child(xp, x, Some(y));
-        self.arena.get(y).right.store_direct(Some(x));
-        self.arena.get(x).parent.store_direct(Some(y));
-    }
-
-    fn d_insert_fixup(&self, mut z: Handle<Node>) {
-        loop {
-            let p = match self.d_parent(z) {
-                Some(p) if self.d_is_red(Some(p)) => p,
-                _ => break,
-            };
-            let g = self.d_parent(p).expect("red parent must have a parent");
-            if Some(p) == self.d_left(g) {
-                let u = self.d_right(g);
-                if self.d_is_red(u) {
-                    self.d_set_red(p, false);
-                    self.d_set_red(u.unwrap(), false);
-                    self.d_set_red(g, true);
-                    z = g;
-                } else {
-                    if Some(z) == self.d_right(p) {
-                        z = p;
-                        self.d_rotate_left(z);
-                    }
-                    let p2 = self.d_parent(z).expect("fixup parent");
-                    let g2 = self.d_parent(p2).expect("fixup grandparent");
-                    self.d_set_red(p2, false);
-                    self.d_set_red(g2, true);
-                    self.d_rotate_right(g2);
-                }
-            } else {
-                let u = self.d_left(g);
-                if self.d_is_red(u) {
-                    self.d_set_red(p, false);
-                    self.d_set_red(u.unwrap(), false);
-                    self.d_set_red(g, true);
-                    z = g;
-                } else {
-                    if Some(z) == self.d_left(p) {
-                        z = p;
-                        self.d_rotate_right(z);
-                    }
-                    let p2 = self.d_parent(z).expect("fixup parent");
-                    let g2 = self.d_parent(p2).expect("fixup grandparent");
-                    self.d_set_red(p2, false);
-                    self.d_set_red(g2, true);
-                    self.d_rotate_left(g2);
-                }
-            }
-        }
-        if let Some(r) = self.root.load_direct() {
-            self.d_set_red(r, false);
-        }
-    }
-
-    /// Guard-gated insert-or-update at plain-memory speed: a direct port
-    /// of [`TRbTree::put`] (including the CLRS fixup) with no orec
-    /// traffic, no read set and no retry loop. Safe because the
-    /// [`PrivateGuard`] hold excludes every transactional reader and
-    /// writer; see [`partstm_core::privatize`].
-    pub fn bulk_put(&self, guard: &PrivateGuard, key: u64, val: u64) -> Option<u64> {
-        self.assert_covered(guard);
-        let mut parent: H = None;
-        let mut cur = self.root.load_direct();
-        let mut went_left = false;
-        while let Some(h) = cur {
-            let node = self.arena.get(h);
-            match key.cmp(&node.key.load_direct()) {
-                core::cmp::Ordering::Less => {
-                    parent = Some(h);
-                    went_left = true;
-                    cur = node.left.load_direct();
-                }
-                core::cmp::Ordering::Greater => {
-                    parent = Some(h);
-                    went_left = false;
-                    cur = node.right.load_direct();
-                }
-                core::cmp::Ordering::Equal => {
-                    let old = node.val.load_direct();
-                    node.val.store_direct(val);
-                    return Some(old);
-                }
-            }
-        }
-        let z = self.arena.alloc_raw();
-        {
-            let node = self.arena.get(z);
-            node.key.store_direct(key);
-            node.val.store_direct(val);
-            node.left.store_direct(None);
-            node.right.store_direct(None);
-            node.parent.store_direct(parent);
-            node.red.store_direct(true);
-        }
-        match parent {
-            None => self.root.store_direct(Some(z)),
-            Some(p) => {
-                if went_left {
-                    self.arena.get(p).left.store_direct(Some(z));
-                } else {
-                    self.arena.get(p).right.store_direct(Some(z));
-                }
-            }
-        }
-        self.d_insert_fixup(z);
-        None
-    }
-
-    /// Guard-gated lookup at plain-memory speed.
-    pub fn bulk_get(&self, guard: &PrivateGuard, key: u64) -> Option<u64> {
-        self.assert_covered(guard);
-        let mut cur = self.root.load_direct();
-        while let Some(h) = cur {
-            let node = self.arena.get(h);
-            cur = match key.cmp(&node.key.load_direct()) {
-                core::cmp::Ordering::Less => node.left.load_direct(),
-                core::cmp::Ordering::Greater => node.right.load_direct(),
-                core::cmp::Ordering::Equal => return Some(node.val.load_direct()),
-            };
-        }
-        None
-    }
-
     /// Non-transactional in-order `(key, value)` snapshot (quiescent only).
     pub fn snapshot_pairs(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
@@ -735,7 +543,9 @@ impl IntSet for TRbTree {
     }
 
     fn bulk_insert(&self, guard: &PrivateGuard, key: u64) -> bool {
-        self.bulk_put(guard, key, key).is_none()
+        self.put(&mut guard.access(), key, key)
+            .expect("guard access never aborts")
+            .is_none()
     }
 
     fn remove<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
@@ -775,6 +585,26 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// `0..n` ascending (`order` 0), descending (1) or shuffled (2).
+    fn insert_order(order: usize, n: u64) -> Vec<u64> {
+        match order {
+            0 => (0..n).collect(),
+            1 => (0..n).rev().collect(),
+            _ => {
+                let mut v: Vec<u64> = (0..n).collect();
+                // Deterministic shuffle.
+                let mut s = 0xdead_beefu64;
+                for i in (1..v.len()).rev() {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    v.swap(i, (s % (i as u64 + 1)) as usize);
+                }
+                v
+            }
+        }
+    }
+
     #[test]
     fn ascending_descending_and_random_inserts_stay_balanced() {
         for order in 0..3 {
@@ -782,23 +612,7 @@ mod tests {
             let t = fresh(&stm);
             let ctx = stm.register_thread();
             let n = 512u64;
-            let keys: Vec<u64> = match order {
-                0 => (0..n).collect(),
-                1 => (0..n).rev().collect(),
-                _ => {
-                    let mut v: Vec<u64> = (0..n).collect();
-                    // Deterministic shuffle.
-                    let mut s = 0xdead_beefu64;
-                    for i in (1..v.len()).rev() {
-                        s ^= s << 13;
-                        s ^= s >> 7;
-                        s ^= s << 17;
-                        v.swap(i, (s % (i as u64 + 1)) as usize);
-                    }
-                    v
-                }
-            };
-            for &k in &keys {
+            for k in insert_order(order, n) {
                 ctx.run(|tx| t.put(tx, k, k * 2));
             }
             let bh = t.check_invariants().unwrap();
@@ -807,6 +621,44 @@ mod tests {
             let pairs = t.snapshot_pairs();
             assert_eq!(pairs.len(), n as usize);
             assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+        }
+    }
+
+    #[test]
+    fn put_get_match_a_model_through_both_access_impls() {
+        for order in 0..3 {
+            let stm = Stm::new();
+            let tx_side = fresh(&stm);
+            let held = fresh(&stm);
+            let ctx = stm.register_thread();
+            let guard = stm.privatize(held.partition()).expect("privatize");
+            let mut model = std::collections::BTreeMap::new();
+            for (i, k) in insert_order(order, 256).into_iter().enumerate() {
+                // Every fourth step re-puts an existing key (update path).
+                let k = if i % 4 == 3 { k / 2 } else { k };
+                assert_eq!(
+                    testing::via_both!(ctx, &tx_side, guard, &held, |t, a| t.put(a, k, i as u64)),
+                    model.insert(k, i as u64),
+                    "put({k}), order {order}"
+                );
+                held.check_invariants()
+                    .unwrap_or_else(|e| panic!("guard-side put({k}), order {order}: {e}"));
+                let probe = (k * 7) % 300;
+                assert_eq!(
+                    testing::via_both!(ctx, &tx_side, guard, &held, |t, a| t.get(a, probe)),
+                    model.get(&probe).copied(),
+                    "get({probe}), order {order}"
+                );
+            }
+            guard.republish();
+            tx_side.check_invariants().unwrap();
+            let pairs: Vec<(u64, u64)> = model.into_iter().collect();
+            assert_eq!(tx_side.snapshot_pairs(), pairs);
+            assert_eq!(held.snapshot_pairs(), pairs);
+            // Back in transactional service on the guard-built tree.
+            let (k, v) = pairs[pairs.len() / 2];
+            assert_eq!(ctx.run(|tx| held.delete(tx, k)), Some(v));
+            held.check_invariants().unwrap();
         }
     }
 

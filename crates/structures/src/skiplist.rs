@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource, PVar,
-    PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
+    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
+    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -96,76 +96,80 @@ impl TSkipList {
     }
 
     /// Forward link at `lvl` from `from` (None = the head tower).
-    fn next_of<'e>(
+    fn next_of<'e, A: Access<'e>>(
         &'e self,
-        tx: &mut Tx<'e, '_>,
+        a: &mut A,
         from: Option<Handle<Node>>,
         lvl: usize,
     ) -> TxResult<Option<Handle<Node>>> {
         match from {
-            Some(h) => tx.read(&self.arena.get(h).next[lvl]),
-            None => tx.read(&self.heads[lvl]),
+            Some(h) => a.read(&self.arena.get(h).next[lvl]),
+            None => a.read(&self.heads[lvl]),
         }
     }
 
-    fn set_next<'e>(
+    fn set_next<'e, A: Access<'e>>(
         &'e self,
-        tx: &mut Tx<'e, '_>,
+        a: &mut A,
         from: Option<Handle<Node>>,
         lvl: usize,
         to: Option<Handle<Node>>,
     ) -> TxResult<()> {
         match from {
-            Some(h) => tx.write(&self.arena.get(h).next[lvl], to),
-            None => tx.write(&self.heads[lvl], to),
+            Some(h) => a.write(&self.arena.get(h).next[lvl], to),
+            None => a.write(&self.heads[lvl], to),
         }
     }
 
     /// Finds the predecessors of `key` at every level and the candidate
     /// node at level 0.
     #[allow(clippy::type_complexity)]
-    fn locate<'e>(
+    fn locate<'e, A: Access<'e>>(
         &'e self,
-        tx: &mut Tx<'e, '_>,
+        a: &mut A,
         key: u64,
     ) -> TxResult<([Option<Handle<Node>>; MAX_LEVEL], Option<Handle<Node>>)> {
         let mut preds: [Option<Handle<Node>>; MAX_LEVEL] = [None; MAX_LEVEL];
         let mut pred: Option<Handle<Node>> = None;
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut cur = self.next_of(tx, pred, lvl)?;
+            let mut cur = self.next_of(a, pred, lvl)?;
             while let Some(h) = cur {
-                let k = tx.read(&self.arena.get(h).key)?;
+                let k = a.read(&self.arena.get(h).key)?;
                 if k >= key {
                     break;
                 }
                 pred = Some(h);
-                cur = self.next_of(tx, pred, lvl)?;
+                cur = self.next_of(a, pred, lvl)?;
             }
             preds[lvl] = pred;
         }
-        let candidate = self.next_of(tx, preds[0], 0)?;
+        let candidate = self.next_of(a, preds[0], 0)?;
         Ok((preds, candidate))
     }
 
-    /// Non-transactional forward link at `lvl` (guard-gated paths only).
-    fn next_direct(&self, from: Option<Handle<Node>>, lvl: usize) -> Option<Handle<Node>> {
-        match from {
-            Some(h) => self.arena.get(h).next[lvl].load_direct(),
-            None => self.heads[lvl].load_direct(),
+    /// [`IntSet::insert`] over any [`Access`].
+    fn insert_with<'e, A: Access<'e>>(&'e self, a: &mut A, key: u64) -> TxResult<bool> {
+        let (preds, cand) = self.locate(a, key)?;
+        if let Some(h) = cand {
+            if a.read(&self.arena.get(h).key)? == key {
+                return Ok(false);
+            }
         }
-    }
-
-    /// Checks that `guard` holds this skip list's partition: O(1) in
-    /// release (the arena's home binding), every binding in debug builds.
-    fn assert_covered(&self, guard: &PrivateGuard) {
-        assert!(
-            guard.covers(&self.home_partition()),
-            "skip list's partition is not the privatized one"
-        );
-        debug_assert!(
-            guard.covers_source(self),
-            "skip list torn across partitions; migrate it whole before privatizing"
-        );
+        let lvl = level_for(key);
+        let new = a.alloc(&self.arena)?;
+        let node = self.arena.get(new);
+        a.write(&node.key, key)?;
+        a.write(&node.level, lvl as u64)?;
+        for (i, &pred) in preds.iter().enumerate().take(lvl) {
+            let succ = self.next_of(a, pred, i)?;
+            a.write(&node.next[i], succ)?;
+            self.set_next(a, pred, i, Some(new))?;
+        }
+        // Clear unused tower levels (slot may be recycled).
+        for i in lvl..MAX_LEVEL {
+            a.write(&node.next[i], None)?;
+        }
+        Ok(true)
     }
 }
 
@@ -205,67 +209,12 @@ impl IntSet for TSkipList {
     }
 
     fn insert<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
-        let (preds, cand) = self.locate(tx, key)?;
-        if let Some(h) = cand {
-            if tx.read(&self.arena.get(h).key)? == key {
-                return Ok(false);
-            }
-        }
-        let lvl = level_for(key);
-        let new = self.arena.alloc(tx)?;
-        let node = self.arena.get(new);
-        tx.write(&node.key, key)?;
-        tx.write(&node.level, lvl as u64)?;
-        for (i, &pred) in preds.iter().enumerate().take(lvl) {
-            let succ = self.next_of(tx, pred, i)?;
-            tx.write(&node.next[i], succ)?;
-            self.set_next(tx, pred, i, Some(new))?;
-        }
-        // Clear unused tower levels (slot may be recycled).
-        for i in lvl..MAX_LEVEL {
-            tx.write(&node.next[i], None)?;
-        }
-        Ok(true)
+        self.insert_with(tx, key)
     }
 
     fn bulk_insert(&self, guard: &PrivateGuard, key: u64) -> bool {
-        self.assert_covered(guard);
-        // Direct port of `locate` + `insert`: plain loads and stores, no
-        // orec traffic — the hold excludes every transactional writer.
-        let mut preds: [Option<Handle<Node>>; MAX_LEVEL] = [None; MAX_LEVEL];
-        let mut pred: Option<Handle<Node>> = None;
-        for lvl in (0..MAX_LEVEL).rev() {
-            let mut cur = self.next_direct(pred, lvl);
-            while let Some(h) = cur {
-                if self.arena.get(h).key.load_direct() >= key {
-                    break;
-                }
-                pred = Some(h);
-                cur = self.next_direct(pred, lvl);
-            }
-            preds[lvl] = pred;
-        }
-        if let Some(h) = self.next_direct(preds[0], 0) {
-            if self.arena.get(h).key.load_direct() == key {
-                return false;
-            }
-        }
-        let lvl = level_for(key);
-        let new = self.arena.alloc_raw();
-        let node = self.arena.get(new);
-        node.key.store_direct(key);
-        node.level.store_direct(lvl as u64);
-        for (i, &pred) in preds.iter().enumerate().take(lvl) {
-            node.next[i].store_direct(self.next_direct(pred, i));
-            match pred {
-                Some(p) => self.arena.get(p).next[i].store_direct(Some(new)),
-                None => self.heads[i].store_direct(Some(new)),
-            }
-        }
-        for i in lvl..MAX_LEVEL {
-            node.next[i].store_direct(None);
-        }
-        true
+        self.insert_with(&mut guard.access(), key)
+            .expect("guard access never aborts")
     }
 
     fn remove<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {

@@ -7,7 +7,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `partstm-core` | the STM engine: partitions, `TVar`s, transactions, tuning hooks, access profiler |
+//! | [`core`] | `partstm-core` | the STM engine: partitions, `PVar`s, transactions, tuning hooks, access profiler |
 //! | [`analysis`] | `partstm-analysis` | the compile-time automatic partitioner + online affinity analysis |
 //! | [`repart`] | `partstm-repart` | the online repartitioner: live partition split/merge + `PVar` migration |
 //! | [`tuning`] | `partstm-tuning` | runtime tuning policies (threshold heuristic, hill climbing) |

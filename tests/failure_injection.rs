@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use partstm::core::{
     fault, Abort, Arena, FaultPlan, FaultSite, Granularity, Handle, MigratableCollection,
-    MigrationSource, PVarBinding, Partition, PartitionConfig, PrivatizeError, ReadMode, Stm,
-    SwitchOutcome, TVar,
+    MigrationSource, PVar, PVarBinding, Partition, PartitionConfig, PrivatizeError, ReadMode, Stm,
+    SwitchOutcome,
 };
 use partstm::structures::{Bank, THashMap};
 
@@ -21,9 +21,8 @@ use partstm::structures::{Bank, THashMap};
 /// either way).
 static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-#[derive(Default)]
 struct Node {
-    v: TVar<u64>,
+    v: PVar<u64>,
 }
 
 /// Panics mid-transaction on several threads while others run normally;
@@ -32,18 +31,18 @@ struct Node {
 fn panics_under_concurrency_leak_nothing() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("p").granularity(Granularity::PartitionLock));
-    let x = Arc::new(TVar::new(0u64));
+    let x = Arc::new(p.tvar(0u64));
     std::thread::scope(|s| {
         // Panicking threads: write then blow up (lock held at panic).
         for t in 0..3u64 {
             let ctx = stm.register_thread();
-            let (p, x) = (p.clone(), x.clone());
+            let x = x.clone();
             s.spawn(move || {
                 for i in 0..50 {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         ctx.run(|tx| {
-                            let v = x.read(tx, &p)?;
-                            x.write(tx, &p, v + 1)?;
+                            let v = x.read(tx)?;
+                            x.write(tx, v + 1)?;
                             if i % 2 == 0 {
                                 panic!("injected failure {t}/{i}");
                             }
@@ -59,10 +58,10 @@ fn panics_under_concurrency_leak_nothing() {
         // Normal workers keep making progress throughout.
         for _ in 0..3 {
             let ctx = stm.register_thread();
-            let (p, x) = (p.clone(), x.clone());
+            let x = x.clone();
             s.spawn(move || {
                 for _ in 0..500 {
-                    ctx.run(|tx| tx.modify_raw(&p, &x, |v| v + 1).map(|_| ()));
+                    ctx.run(|tx| tx.modify(&x, |v| v + 1).map(|_| ()));
                 }
             });
         }
@@ -80,11 +79,11 @@ fn panics_under_concurrency_leak_nothing() {
 fn panic_clears_visible_reader_bits() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("v").read_mode(ReadMode::Visible));
-    let x = Arc::new(TVar::new(7u64));
+    let x = Arc::new(p.tvar(7u64));
     let ctx = stm.register_thread();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         ctx.run(|tx| {
-            let _ = x.read(tx, &p)?; // sets our reader bit
+            let _ = x.read(tx)?; // sets our reader bit
             panic!("reader dies");
             #[allow(unreachable_code)]
             Ok(())
@@ -95,7 +94,7 @@ fn panic_clears_visible_reader_bits() {
     // A writer must succeed immediately (no stale reader bit to wait on).
     let ctx2 = stm.register_thread();
     let done = ctx2.run(|tx| {
-        x.write(tx, &p, 8)?;
+        x.write(tx, 8)?;
         Ok(true)
     });
     assert!(done);
@@ -108,12 +107,15 @@ fn panic_clears_visible_reader_bits() {
 fn retry_storms_do_not_leak_arena_slots() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("a"));
-    let arena: Arc<Arena<Node>> = Arc::new(Arena::new());
+    let arena: Arc<Arena<Node>> = Arc::new(Arena::new_with({
+        let p = p.clone();
+        move || Node { v: p.tvar(0) }
+    }));
     let total_commits = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let ctx = stm.register_thread();
-            let (p, arena, total_commits) = (p.clone(), arena.clone(), total_commits.clone());
+            let (arena, total_commits) = (arena.clone(), total_commits.clone());
             s.spawn(move || {
                 let mut kept: Vec<Handle<Node>> = Vec::new();
                 for i in 0..500u64 {
@@ -121,7 +123,7 @@ fn retry_storms_do_not_leak_arena_slots() {
                     let h = ctx.run(|tx| {
                         attempts += 1;
                         let h = arena.alloc(tx)?;
-                        tx.write_raw(&p, &arena.get(h).v, t * 1000 + i)?;
+                        tx.write(&arena.get(h).v, t * 1000 + i)?;
                         if attempts < 3 {
                             return Err(Abort::retry());
                         }
@@ -173,7 +175,7 @@ fn contended_arena_migration_rolls_back_bindings_and_freelist() {
 
     // Simulate a concurrent switch holding b's flag.
     b.debug_force_switch_flag(true);
-    assert_eq!(stm.migrate_collection(&map, &b), SwitchOutcome::Contended);
+    assert_eq!(stm.migrate_batch(&map, &b), SwitchOutcome::Contended);
     assert_eq!(map.partition_of(), a.id(), "home untouched");
     assert_all_bindings_in(&map, a.id(), "map");
     assert_eq!(a.generation(), ga, "no generation bump on rollback");
@@ -183,14 +185,14 @@ fn contended_arena_migration_rolls_back_bindings_and_freelist() {
     // Source-side contention behaves the same.
     a.debug_force_switch_flag(true);
     b.debug_force_switch_flag(false);
-    assert_eq!(stm.migrate_collection(&map, &b), SwitchOutcome::Contended);
+    assert_eq!(stm.migrate_batch(&map, &b), SwitchOutcome::Contended);
     assert_all_bindings_in(&map, a.id(), "map");
     a.debug_force_switch_flag(false);
 
     // Once clear, the same migration succeeds and the map still works:
     // recycled slots (from the free list the rollback preserved) come
     // back bound to the destination.
-    assert_eq!(stm.migrate_collection(&map, &b), SwitchOutcome::Switched);
+    assert_eq!(stm.migrate_batch(&map, &b), SwitchOutcome::Switched);
     assert_all_bindings_in(&map, b.id(), "map");
     for k in (0..32u64).step_by(4) {
         assert!(ctx.run(|tx| map.put_if_absent(tx, k, k * 10)));
@@ -524,7 +526,8 @@ fn contended_privatize_rolls_back_exactly() {
     // Once clear, privatization succeeds; a guard-gated write is
     // transactional truth after republish.
     let g = stm.privatize(&a).expect("uncontended");
-    map.bulk_put(&g, 99, 990);
+    map.put(&mut g.access(), 99, 990)
+        .expect("guard access never aborts");
     g.republish();
     assert_eq!(a.generation(), generation + 1);
     assert_eq!(ctx.run(|tx| map.get(tx, 99)), Some(990));
@@ -584,7 +587,7 @@ fn privatize_vs_repartition_storm_conserves_sum() {
             storms.push(s.spawn(move || {
                 for i in 0..20 {
                     let dst = if i % 2 == 0 { b } else { a };
-                    if stm.migrate_collection(bank, dst).switched() {
+                    if stm.migrate_batch(bank, dst).switched() {
                         migrated.fetch_add(1, Ordering::Relaxed);
                     }
                     std::thread::sleep(Duration::from_millis(2));
@@ -695,7 +698,7 @@ fn kill_rescue_unwedges_quiesce_within_soft_deadline() {
             std::thread::yield_now();
         }
         let t0 = std::time::Instant::now();
-        let outcome = stm.migrate_collection(&bank, &b);
+        let outcome = stm.migrate_batch(&bank, &b);
         let elapsed = t0.elapsed();
         stop.store(true, Ordering::Release);
         assert_eq!(outcome, SwitchOutcome::Switched, "rescue must unwedge");
@@ -730,7 +733,7 @@ fn kill_rescue_unwedges_quiesce_within_soft_deadline() {
     assert_eq!(bank.total_direct(), ACCOUNTS as i64 * 100, "sum conserved");
     assert_all_bindings_in(&bank, b.id(), "bank");
     // The control plane is healthy again: the next action needs no rescue.
-    assert_eq!(stm.migrate_collection(&bank, &a), SwitchOutcome::Switched);
+    assert_eq!(stm.migrate_batch(&bank, &a), SwitchOutcome::Switched);
     let ctx = stm.register_thread();
     ctx.run(|tx| bank.transfer(tx, 0, 1, 1));
     assert_eq!(bank.total_direct(), ACCOUNTS as i64 * 100);
@@ -777,26 +780,26 @@ fn injected_mid_tx_panics_leak_nothing() {
 fn user_retry_until_condition() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("c"));
-    let flag = Arc::new(TVar::new(false));
-    let value = Arc::new(TVar::new(0u64));
+    let flag = Arc::new(p.tvar(false));
+    let value = Arc::new(p.tvar(0u64));
     std::thread::scope(|s| {
         let ctx = stm.register_thread();
-        let (p1, flag1, value1) = (p.clone(), flag.clone(), value.clone());
+        let (flag1, value1) = (flag.clone(), value.clone());
         let waiter = s.spawn(move || {
             ctx.run(|tx| {
-                if !flag1.read(tx, &p1)? {
+                if !flag1.read(tx)? {
                     return Err(Abort::retry()); // backoff + retry
                 }
-                value1.read(tx, &p1)
+                value1.read(tx)
             })
         });
         let ctx2 = stm.register_thread();
-        let (p2, flag2, value2) = (p.clone(), flag.clone(), value.clone());
+        let (flag2, value2) = (flag.clone(), value.clone());
         s.spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(50));
             ctx2.run(|tx| {
-                value2.write(tx, &p2, 99)?;
-                flag2.write(tx, &p2, true)?;
+                value2.write(tx, 99)?;
+                flag2.write(tx, true)?;
                 Ok(())
             });
         });

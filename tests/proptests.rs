@@ -185,16 +185,17 @@ proptest! {
                 }
                 MigOp::Migrate(p) => {
                     let dst = &parts[p as usize % parts.len()];
-                    let _ = stm.migrate_collection(&set, dst);
+                    let _ = stm.migrate_batch(&set, dst);
                     prop_assert_eq!(set.partition_of(), dst.id());
                     // No torn nodes: the full contents survive the move.
                     let expect: Vec<u64> = model.iter().copied().collect();
                     prop_assert_eq!(set.snapshot_keys(), expect, "after migrate step {}", i);
                 }
                 MigOp::Split => {
-                    let (dst, _) = stm.split_collection(
-                        &set,
+                    let (dst, _) = stm.split_partition_batch(
+                        &set.home_partition(),
                         PartitionConfig::named(format!("split{i}")),
+                        &set,
                     );
                     prop_assert_eq!(set.partition_of(), dst.id());
                     let expect: Vec<u64> = model.iter().copied().collect();
@@ -237,12 +238,12 @@ proptest! {
         prop_assert_eq!(set.snapshot_keys(), expect, "final snapshot");
     }
 
-    /// Bound-vs-raw equivalence extended to migrated collections: after
-    /// any sequence of deposits and migrations, reading an account through
-    /// the bound tier equals reading its raw `TVar` through the partition
-    /// the binding currently names.
+    /// After any sequence of deposits and whole-bank migrations, a
+    /// transactional read of the touched account — routed through
+    /// whichever partition its binding names now — returns the model's
+    /// balance.
     #[test]
-    fn bank_bound_equals_raw_across_migrations(
+    fn bank_reads_match_model_across_migrations(
         steps in proptest::collection::vec((0..8usize, -50i64..50, 0..5u8), 1..60)
     ) {
         let stm = Stm::new();
@@ -257,20 +258,10 @@ proptest! {
             model[i] += amt;
             if mig < 2 {
                 let dst = &parts[(mig as usize + i) % parts.len()];
-                let _ = stm.migrate_collection(&bank, dst);
+                let _ = stm.migrate_batch(&bank, dst);
                 prop_assert_eq!(bank.partition_of(), dst.id());
             }
-            // Equivalence at the touched account: bound read == raw read
-            // through the *current* binding's partition.
-            let var = bank.account(i);
-            let home = var.partition();
-            let (bound, raw) = ctx.run(|tx| {
-                let b = tx.read(var)?;
-                let r = tx.read_raw(&home, var.var())?;
-                Ok((b, r))
-            });
-            prop_assert_eq!(bound, raw);
-            prop_assert_eq!(bound, model[i]);
+            prop_assert_eq!(ctx.run(|tx| tx.read(bank.account(i))), model[i]);
         }
         for (i, expect) in model.iter().enumerate() {
             prop_assert_eq!(ctx.run(|tx| bank.balance(tx, i)), *expect);

@@ -1,7 +1,7 @@
-//! The bound (`PVar`) access tier and the per-attempt partition-view
-//! cache: a switch-storm stress test on the conserved-sum invariant, a
-//! property test that the bound tier is observationally identical to the
-//! raw (explicit-partition) tier, and view-cache diagnostics.
+//! The `PVar` access API and the per-attempt partition-view cache: a
+//! switch-storm stress test on the conserved-sum invariant, a property
+//! test of multi-partition transactions against a sequential model, and
+//! view-cache diagnostics.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use partstm::core::{
-    AcquireMode, Granularity, PVar, PartitionConfig, ReadMode, Stm, SwitchOutcome, TVar,
+    AcquireMode, Granularity, PVar, PartitionConfig, ReadMode, Stm, SwitchOutcome,
 };
 use partstm::structures::Bank;
 
@@ -137,71 +137,56 @@ fn var_op() -> impl Strategy<Value = VarOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The bound tier must be observationally identical to the raw tier:
-    /// the same op sequence over 8 variables — split across two partitions
-    /// and grouped into transactions of three ops — produces identical
-    /// read results and identical final states either way.
+    /// The same op sequence over 8 variables — split across two
+    /// partitions (one invisible-read, one visible-read) and grouped into
+    /// transactions of three ops — produces the read results and final
+    /// states of a plain sequential model.
     #[test]
-    fn bound_api_matches_raw_api(ops in proptest::collection::vec(var_op(), 1..120)) {
-        // Bound world.
-        let stm_b = Stm::new();
-        let pb0 = stm_b.new_partition(PartitionConfig::named("b0"));
-        let pb1 = stm_b.new_partition(PartitionConfig::named("b1").read_mode(ReadMode::Visible));
-        let bound: Vec<PVar<u64>> = (0..8)
+    fn pvar_api_matches_sequential_model(ops in proptest::collection::vec(var_op(), 1..120)) {
+        let stm = Stm::new();
+        let p0 = stm.new_partition(PartitionConfig::named("p0"));
+        let p1 = stm.new_partition(PartitionConfig::named("p1").read_mode(ReadMode::Visible));
+        let vars: Vec<PVar<u64>> = (0..8)
             .map(|i: usize| {
                 if i.is_multiple_of(2) {
-                    pb0.tvar(0u64)
+                    p0.tvar(0u64)
                 } else {
-                    pb1.tvar(0u64)
+                    p1.tvar(0u64)
                 }
             })
             .collect();
-        // Raw world: same partition assignment, named at every access.
-        let stm_r = Stm::new();
-        let pr0 = stm_r.new_partition(PartitionConfig::named("r0"));
-        let pr1 = stm_r.new_partition(PartitionConfig::named("r1").read_mode(ReadMode::Visible));
-        let raw: Vec<TVar<u64>> = (0..8).map(|_| TVar::new(0u64)).collect();
-        let part_of = |i: usize| if i.is_multiple_of(2) { &pr0 } else { &pr1 };
+        let mut model = [0u64; 8];
 
-        let ctx_b = stm_b.register_thread();
-        let ctx_r = stm_r.register_thread();
+        let ctx = stm.register_thread();
         for chunk in ops.chunks(3) {
-            let out_b = ctx_b.run(|tx| {
+            let out = ctx.run(|tx| {
                 let mut reads = Vec::new();
                 for op in chunk {
                     match *op {
-                        VarOp::Write(i, v) => tx.write(&bound[i as usize], v)?,
-                        VarOp::Read(i) => reads.push(tx.read(&bound[i as usize])?),
+                        VarOp::Write(i, v) => tx.write(&vars[i as usize], v)?,
+                        VarOp::Read(i) => reads.push(tx.read(&vars[i as usize])?),
                         VarOp::Add(i, v) => {
-                            reads.push(tx.modify(&bound[i as usize], |x| x.wrapping_add(v))?)
+                            reads.push(tx.modify(&vars[i as usize], |x| x.wrapping_add(v))?)
                         }
                     }
                 }
                 Ok(reads)
             });
-            let out_r = ctx_r.run(|tx| {
-                let mut reads = Vec::new();
-                for op in chunk {
-                    match *op {
-                        VarOp::Write(i, v) => {
-                            tx.write_raw(part_of(i as usize), &raw[i as usize], v)?
-                        }
-                        VarOp::Read(i) => {
-                            reads.push(tx.read_raw(part_of(i as usize), &raw[i as usize])?)
-                        }
-                        VarOp::Add(i, v) => reads.push(tx.modify_raw(
-                            part_of(i as usize),
-                            &raw[i as usize],
-                            |x| x.wrapping_add(v),
-                        )?),
+            let mut expect = Vec::new();
+            for op in chunk {
+                match *op {
+                    VarOp::Write(i, v) => model[i as usize] = v,
+                    VarOp::Read(i) => expect.push(model[i as usize]),
+                    VarOp::Add(i, v) => {
+                        model[i as usize] = model[i as usize].wrapping_add(v);
+                        expect.push(model[i as usize]);
                     }
                 }
-                Ok(reads)
-            });
-            prop_assert_eq!(out_b, out_r, "tiers diverged inside a transaction");
+            }
+            prop_assert_eq!(out, expect, "diverged from the model inside a transaction");
         }
         for i in 0..8 {
-            prop_assert_eq!(bound[i].load_direct(), raw[i].load_direct(), "final state var {}", i);
+            prop_assert_eq!(vars[i].load_direct(), model[i], "final state var {}", i);
         }
     }
 }

@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partstm::core::{MigratableCollection, PartitionConfig, Stm, SwitchOutcome, TxResult};
+use partstm::core::{
+    MigratableCollection, PartitionConfig, PrivateGuard, Stm, SwitchOutcome, TxResult,
+};
 use partstm::structures::{IntSet, THashMap, THashSet, TLinkedList, TQueue, TRbTree, TSkipList};
 
 mod common;
@@ -78,9 +80,12 @@ where
                 let mut seq = 0;
                 while !stop.load(Ordering::Relaxed) {
                     seq += 1;
-                    let (_side, o1) =
-                        stm2.split_collection(&**set, PartitionConfig::named(format!("side{seq}")));
-                    let o2 = stm2.migrate_collection(&**set, home);
+                    let (_side, o1) = stm2.split_partition_batch(
+                        &set.home_partition(),
+                        PartitionConfig::named(format!("side{seq}")),
+                        &**set,
+                    );
+                    let o2 = stm2.migrate_batch(&**set, home);
                     if o1 == SwitchOutcome::Switched && o2 == SwitchOutcome::Switched {
                         storms.fetch_add(1, Ordering::Relaxed);
                     }
@@ -195,9 +200,12 @@ fn queue_conserves_items_under_migration_storm() {
                 let mut seq = 0;
                 while !stop.load(Ordering::Relaxed) {
                     seq += 1;
-                    let (_side, o1) =
-                        stm2.split_collection(&**q, PartitionConfig::named(format!("qside{seq}")));
-                    let o2 = stm2.migrate_collection(&**q, home);
+                    let (_side, o1) = stm2.split_partition_batch(
+                        &q.home_partition(),
+                        PartitionConfig::named(format!("qside{seq}")),
+                        &**q,
+                    );
+                    let o2 = stm2.migrate_batch(&**q, home);
                     if o1 == SwitchOutcome::Switched && o2 == SwitchOutcome::Switched {
                         storms.fetch_add(1, Ordering::Relaxed);
                     }
@@ -290,7 +298,7 @@ fn hashmap_slot_subset_migration_conserves_sum() {
                     std::thread::sleep(Duration::from_millis(3));
                     // Heal: whole-collection migration home collects the
                     // torn slots' partition into the involved set.
-                    let _ = stm2.migrate_collection(&**map, home);
+                    let _ = stm2.migrate_batch(&**map, home);
                     std::thread::sleep(Duration::from_millis(3));
                 }
                 stop.store(true, Ordering::Relaxed);
@@ -305,7 +313,83 @@ fn hashmap_slot_subset_migration_conserves_sum() {
     assert_eq!(total, KEYS.wrapping_mul(INITIAL), "sum conserved");
     // Heal once more from a quiescent state (the storm's last word may
     // have been a tear).
-    let _ = stm.migrate_collection(&*map, &home);
+    let _ = stm.migrate_batch(&*map, &home);
     assert_all_bindings_in(&*map, home.id(), "hash map");
     assert_eq!(map.partition_of(), home.id());
+}
+
+/// Access to a *torn* collection under a privatization hold is checked per
+/// variable: the guard holds `home`, the torn slots are bound to `torn`,
+/// where transactions may still be running against them. Any operation
+/// whose chain walk crosses a torn slot must panic at that slot — in
+/// every build profile — instead of reading or writing it with plain
+/// loads and stores; operations that stay on home-bound cells work; and
+/// the unwinding guard still republishes the partition.
+#[test]
+fn guard_access_to_a_torn_map_panics_at_the_foreign_slot_and_republishes() {
+    let stm = Stm::new();
+    let home = stm.new_partition(PartitionConfig::named("home"));
+    let torn = stm.new_partition(PartitionConfig::named("torn"));
+    // One bucket: a single chain, newest key first, so key 0 is the tail.
+    let map = THashMap::new(Arc::clone(&home), 1);
+    let ctx = stm.register_thread();
+    for k in 0..8u64 {
+        ctx.run(|tx| map.put(tx, k, k * 10).map(|_| ()));
+    }
+    // Tear the middle of the chain out (what a controller `Tear` does).
+    let live = map.arena().live_handles();
+    assert_eq!(
+        stm.migrate_batch(&map.arena().slots_of(&live[2..6]), &torn),
+        SwitchOutcome::Switched
+    );
+    assert_eq!(map.partition_of(), home.id(), "home binding stays");
+
+    type GuardOp<'a> = &'a dyn Fn(&PrivateGuard);
+    let under_guard = |op: GuardOp<'_>| {
+        let generation = home.generation();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let guard = stm.privatize(&home).expect("uncontended");
+            op(&guard);
+        }));
+        // The guard was dropped by the unwind (or the normal return):
+        // either way the partition is back in transactional service.
+        assert!(!home.is_privatized(), "hold released");
+        assert_eq!(home.generation(), generation + 1, "republished");
+        // `assert!` with a literal message panics with a `&'static str`.
+        panic.map_err(|p| p.downcast_ref::<&str>().copied().unwrap_or("non-str panic"))
+    };
+
+    // Key 7 is the chain head, a home-bound slot: no torn cell on the way.
+    assert_eq!(
+        under_guard(&|g| assert_eq!(map.get(&mut g.access(), 7), Ok(Some(70)))),
+        Ok(())
+    );
+    // Key 0 is the tail: the walk crosses the torn slots.
+    let ops: [(&str, GuardOp<'_>); 3] = [
+        ("get", &|g| {
+            let _ = map.get(&mut g.access(), 0);
+        }),
+        ("put", &|g| {
+            let _ = map.put(&mut g.access(), 0, 1);
+        }),
+        ("bulk_for_each", &|g| map.bulk_for_each(g, |_, _| {})),
+    ];
+    for (what, op) in ops {
+        let result = under_guard(op);
+        let msg = result.expect_err(what);
+        assert!(
+            msg.contains("not bound to the privatized partition"),
+            "{what}: unexpected panic message {msg:?}"
+        );
+    }
+    // Nothing was written, and transactions see the map intact.
+    assert_eq!(ctx.run(|tx| map.get(tx, 0)), Some(0));
+    assert_eq!(map.snapshot_pairs().len(), 8);
+    // Healed, the same operations run under the guard.
+    assert_eq!(stm.migrate_batch(&map, &home), SwitchOutcome::Switched);
+    assert_eq!(
+        under_guard(&|g| assert_eq!(map.put(&mut g.access(), 0, 1), Ok(Some(0)))),
+        Ok(())
+    );
+    assert_eq!(ctx.run(|tx| map.get(tx, 0)), Some(1));
 }
