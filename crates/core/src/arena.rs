@@ -377,40 +377,6 @@ impl<N: 'static> Arena<N> {
         self.free.lock().push((h.index(), 0));
     }
 
-    /// Allocates `n` slots outside of any transaction with one free-list
-    /// drain plus one `fetch_add` for the remainder — the batch twin of
-    /// [`Arena::alloc_raw`], for bulk loaders running under a
-    /// [`crate::PrivateGuard`] (whose hold establishes exactly the
-    /// "no transactions run against this partition" contract `alloc_raw`
-    /// requires; see [`crate::privatize`]).
-    pub fn bulk_alloc(&self, n: usize) -> Vec<Handle<N>> {
-        let mut out = Vec::with_capacity(n);
-        {
-            let mut free = self.free.lock();
-            while out.len() < n {
-                match free.pop() {
-                    Some((i, _tag)) => out.push(Handle::from_index(i)),
-                    None => break,
-                }
-            }
-        }
-        let fresh = n - out.len();
-        if fresh > 0 {
-            let base = self.next.fetch_add(fresh as u32, Ordering::Relaxed);
-            assert!(
-                (base as usize + fresh) <= chunk_capacity(NUM_CHUNKS) * 2,
-                "arena exhausted"
-            );
-            let (first, _) = locate(base);
-            let (last, _) = locate(base + fresh as u32 - 1);
-            for c in first..=last {
-                self.ensure_chunk(c);
-            }
-            out.extend((base..base + fresh as u32).map(Handle::from_index));
-        }
-        out
-    }
-
     /// Allocates a slot inside a transaction. If the transaction aborts the
     /// slot is reclaimed automatically.
     ///
@@ -544,27 +510,6 @@ impl<N: 'static> Arena<N> {
         for h in self.live_handles() {
             f(h, self.get(h));
         }
-    }
-
-    /// Guard-gated bulk iterator: visits every live slot of a bound arena
-    /// whose home partition is held by `guard`. Unlike the bare
-    /// [`Arena::for_each_live_slot`], the walk is *exact*, not
-    /// approximate: the privatization hold excludes every racing
-    /// transactional alloc/free (see [`crate::privatize`]).
-    ///
-    /// # Panics
-    ///
-    /// If the arena is unbound, or bound to a partition the guard does not
-    /// cover.
-    pub fn bulk_for_each(&self, guard: &crate::PrivateGuard, f: impl FnMut(Handle<N>, &N)) {
-        let home = self
-            .partition()
-            .expect("bulk_for_each requires a partition-bound arena");
-        assert!(
-            guard.covers(&home),
-            "arena's home partition is not the privatized one"
-        );
-        self.for_each_live_slot(f);
     }
 
     /// Visits every slot of every installed chunk — live, freed, and

@@ -98,9 +98,6 @@ pub struct Partition {
     overflow_len: AtomicUsize,
     /// Owning allocations behind `table` (current + parked retirees).
     tables: Mutex<TableHold>,
-    /// Completed in-place orec-table resizes (see
-    /// [`crate::Stm::resize_orecs`]).
-    resizes: AtomicU64,
     /// [`crate::telemetry::now_micros`] timestamp at which the current
     /// privatization window began, or 0 when the partition is not
     /// privately held. Stamped/cleared by [`crate::privatize`]; feeds the
@@ -179,7 +176,6 @@ impl Partition {
                 ring,
                 retired_rings: Vec::new(),
             }),
-            resizes: AtomicU64::new(0),
             privatized_at_micros: AtomicU64::new(0),
             stats: PartitionStats::default(),
             tunable: cfg.tune,
@@ -206,11 +202,6 @@ impl Partition {
     /// construction: a live [`crate::Stm::resize_orecs`] may change it.
     pub fn orec_count(&self) -> usize {
         self.mask.load(Ordering::Acquire) + 1
-    }
-
-    /// Completed in-place orec-table resizes.
-    pub fn resize_count(&self) -> u64 {
-        self.resizes.load(Ordering::Relaxed)
     }
 
     /// Version-ring depth: committed-version records each orec retains for
@@ -454,7 +445,7 @@ impl Partition {
         ovf.prune_at = 0;
         self.overflow_len.store(0, Ordering::Release);
         drop(ovf);
-        self.resizes.fetch_add(1, Ordering::Relaxed);
+        self.stats.orec_resizes(1);
     }
 
     /// Replaces the version rings with a fresh (empty) allocation of
@@ -591,12 +582,12 @@ mod tests {
     fn install_table_swaps_capacity_and_parks_the_old_table() {
         let p = part(PartitionConfig::default().orecs(64));
         assert_eq!(p.orec_count(), 64);
-        assert_eq!(p.resize_count(), 0);
+        assert_eq!(p.stats().orec_resizes, 0);
         let old = p.table_ptr();
         let old_orec = p.orec_for(0x1000, Granularity::Word) as *const Orec;
         p.install_table(512, 7);
         assert_eq!(p.orec_count(), 512);
-        assert_eq!(p.resize_count(), 1);
+        assert_eq!(p.stats().orec_resizes, 1);
         assert_ne!(p.table_ptr(), old, "fresh allocation");
         // Every new orec carries the stamp version.
         let (locked, _, maxv) = p.debug_scan();
@@ -609,7 +600,7 @@ mod tests {
         // Shrink works too.
         p.install_table(8, 9);
         assert_eq!(p.orec_count(), 8);
-        assert_eq!(p.resize_count(), 2);
+        assert_eq!(p.stats().orec_resizes, 2);
     }
 
     #[test]

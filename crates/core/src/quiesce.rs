@@ -122,7 +122,8 @@ where
     /// The action's event kind, and whether the event went out already.
     kind: EventKind,
     reported: bool,
-    /// Partition the event and the drain's telemetry are attributed to.
+    /// Partition the event and the drain's counters are attributed to;
+    /// always one of `parts`.
     subject: PartitionId,
     /// Third payload word of the event (effective size or depth,
     /// variables rebound).
@@ -148,7 +149,8 @@ where
     /// A window over `parts` (each paired with a placeholder word) that
     /// holds nothing yet. Until an outcome is decided it reports as
     /// `Contended` ("not attempted").
-    pub(crate) fn new(kind: EventKind, subject: PartitionId, arg: u64, parts: H) -> Self {
+    pub(crate) fn new(kind: EventKind, subject: PartitionId, arg: u64, mut parts: H) -> Self {
+        debug_assert!(parts.as_mut().iter().any(|(p, _)| p.id() == subject));
         QuiesceWindow {
             kind,
             reported: false,
@@ -200,7 +202,11 @@ where
     /// is `TimedOut`.
     pub(crate) fn quiesce(&mut self, inner: &StmInner) -> Result<(), SwitchOutcome> {
         debug_assert!(self.flagged > 0 && self.stamp.is_none());
-        if bump_epoch_and_quiesce(inner, self.subject.0) {
+        let id = self.subject;
+        let (subject, _) = (self.parts.as_mut().iter())
+            .find(|(p, _)| p.id() == id)
+            .expect("the subject is one of the window's partitions");
+        if bump_epoch_and_quiesce(inner, subject) {
             return Ok(());
         }
         self.rollback();
@@ -317,21 +323,22 @@ where
 ///    the window fails and rolls back — but first [`report_stuck_slots`]
 ///    emits one structured diagnostic per still-blocking slot (thread
 ///    slot, attempt serial, held encounter locks per partition scan)
-///    through [`rtlog`] and the telemetry `StuckSlot` event/counter. Only
-///    a thread that is *not running STM code* (descheduled, dead, or
-///    parked in user code mid-transaction) can reach this stage, because
-///    every STM boundary polls the kill flag.
+///    through [`rtlog`], the `StuckSlot` event and the `stuck_slots`
+///    counter. Only a thread that is *not running STM code* (descheduled,
+///    dead, or parked in user code mid-transaction) can reach this stage,
+///    because every STM boundary polls the kill flag.
 ///
 /// Raising a kill flag is always safe, even against a mis-identified
 /// victim: the flag names one attempt serial, the victim merely
 /// aborts-and-retries (counted as `aborts_killed`), and `Tx::begin`
 /// clears the flag before publishing the next serial, so a stale kill
 /// can never leak into a later attempt.
-fn bump_epoch_and_quiesce(inner: &StmInner, tele_part: u32) -> bool {
-    // `tele_part` only attributes the telemetry events below to the
+fn bump_epoch_and_quiesce(inner: &StmInner, subject: &Partition) -> bool {
+    // `subject` only attributes the counters and events below to the
     // window's subject partition; the drain itself is global.
+    let tele_part = subject.id().0 as u64;
     let tele_t0 = telemetry::enabled().then(|| {
-        telemetry::control_event(EventKind::QuiesceBegin, tele_part as u64, 0, 0);
+        telemetry::control_event(EventKind::QuiesceBegin, tele_part, 0, 0);
         Instant::now()
     });
     if crate::fault::enabled() {
@@ -354,25 +361,20 @@ fn bump_epoch_and_quiesce(inner: &StmInner, tele_part: u32) -> bool {
             }
             if !kills_raised && waited > soft {
                 kills_raised = true;
-                raise_kills(inner, epoch, tele_part, waited);
+                raise_kills(inner, epoch, subject, waited);
             }
             std::thread::yield_now();
         }
     }
+    subject.stats.quiesce_windows(1);
     if !ok {
-        report_stuck_slots(inner, epoch, tele_part);
-    }
-    if telemetry::enabled() {
-        let t = telemetry::global();
-        t.quiesce_total.inc();
-        if !ok {
-            t.quiesce_timeouts.inc();
-        }
+        subject.stats.quiesce_timeouts(1);
+        report_stuck_slots(inner, epoch, subject);
     }
     if let Some(t0) = tele_t0 {
         let us = t0.elapsed().as_micros() as u64;
         telemetry::global().quiesce_us.record(us);
-        telemetry::control_event(EventKind::QuiesceEnd, tele_part as u64, us, ok as u64);
+        telemetry::control_event(EventKind::QuiesceEnd, tele_part, us, ok as u64);
     }
     ok
 }
@@ -393,18 +395,18 @@ fn blocks(slot: &ThreadSlot, epoch: u64) -> bool {
 /// stored serial then names a finished attempt and no one ever matches
 /// it. Cold by construction (a healthy drain finishes in microseconds).
 #[cold]
-fn raise_kills(inner: &StmInner, epoch: u64, tele_part: u32, waited: Duration) {
+fn raise_kills(inner: &StmInner, epoch: u64, subject: &Partition, waited: Duration) {
     let mut killed = 0u64;
     for slot in inner.slots.iter().filter(|s| blocks(s, epoch)) {
         slot.kill
             .store(slot.serial.load(Ordering::SeqCst), Ordering::SeqCst);
         killed += 1;
     }
-    if killed > 0 && telemetry::enabled() {
-        telemetry::global().kill_rescue_kills.add(killed);
+    if killed > 0 {
+        subject.stats.kill_rescue_kills(killed);
         telemetry::control_event(
             EventKind::KillRescue,
-            tele_part as u64,
+            subject.id().0 as u64,
             killed,
             waited.as_micros() as u64,
         );
@@ -414,13 +416,13 @@ fn raise_kills(inner: &StmInner, epoch: u64, tele_part: u32, waited: Duration) {
 /// Hard-deadline stage of [`bump_epoch_and_quiesce`]: one structured
 /// diagnostic per slot still blocking the drain — thread slot index,
 /// attempt serial, and how many encounter locks it holds in each
-/// partition — via [`rtlog`] (rate-limited) and the telemetry
-/// `StuckSlot` event + counter. Such a slot survived the kill sweep, so
-/// its thread cannot be executing STM code; the held-lock count tells the
-/// operator whether it is wedging writers too or merely the control
-/// plane.
+/// partition — via [`rtlog`] (rate-limited), the `StuckSlot` event and
+/// the subject's `stuck_slots` counter. Such a slot survived the kill
+/// sweep, so its thread cannot be executing STM code; the held-lock count
+/// tells the operator whether it is wedging writers too or merely the
+/// control plane.
 #[cold]
-fn report_stuck_slots(inner: &StmInner, epoch: u64, tele_part: u32) {
+fn report_stuck_slots(inner: &StmInner, epoch: u64, subject: &Partition) {
     // `try_lock`: this runs inside an already-failing control-plane
     // window, and deadlocking the diagnostic on the partition list would
     // be worse than reporting without held-lock counts.
@@ -440,12 +442,10 @@ fn report_stuck_slots(inner: &StmInner, epoch: u64, tele_part: u32) {
             .filter(|(_, n)| *n > 0)
             .collect();
         let held_total: usize = held.iter().map(|(_, n)| n).sum();
-        if telemetry::enabled() {
-            telemetry::global().stuck_slots.inc();
-        }
+        subject.stats.stuck_slots(1);
         telemetry::control_event(
             EventKind::StuckSlot,
-            tele_part as u64,
+            subject.id().0 as u64,
             i as u64,
             held_total as u64,
         );

@@ -70,22 +70,10 @@ pub fn warn(msg: &str) {
 #[derive(Debug)]
 pub struct Limiter {
     min_interval: std::time::Duration,
-    /// Microseconds (plus 1, so 0 means "never emitted") since the
-    /// process-wide epoch of the last emission.
+    /// [`now_micros`](crate::telemetry::now_micros) of the last emission,
+    /// plus 1 so 0 means "never emitted".
     last: std::sync::atomic::AtomicU64,
     suppressed: std::sync::atomic::AtomicU64,
-}
-
-/// Microseconds since a process-wide epoch, offset by 1 so 0 is reserved
-/// for "never".
-fn epoch_micros() -> u64 {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
-    EPOCH
-        .get_or_init(std::time::Instant::now)
-        .elapsed()
-        .as_micros() as u64
-        + 1
 }
 
 impl Limiter {
@@ -103,7 +91,7 @@ impl Limiter {
     /// into the next emission as `(… N similar suppressed)`.
     pub fn warn(&self, msg: &str) {
         use std::sync::atomic::Ordering;
-        let now = epoch_micros();
+        let now = crate::telemetry::now_micros() + 1;
         let last = self.last.load(Ordering::Relaxed);
         let window = self.min_interval.as_micros() as u64;
         if (last != 0 && now.saturating_sub(last) < window)

@@ -634,7 +634,7 @@ mod tests {
         assert!(stm.resize_orecs(&p, 4096).switched());
         assert_eq!(p.orec_count(), 4096);
         assert_eq!(p.generation(), 1);
-        assert_eq!(p.resize_count(), 1);
+        assert_eq!(p.stats().orec_resizes, 1);
         // Same size: no-op, no generation bump.
         assert_eq!(stm.resize_orecs(&p, 4096), SwitchOutcome::Unchanged);
         assert_eq!(p.generation(), 1);
@@ -683,7 +683,7 @@ mod tests {
             });
         });
         assert_eq!(x.load_direct(), 3 * iters, "no update lost across resizes");
-        assert!(p.resize_count() > 0, "at least one resize executed");
+        assert!(p.stats().orec_resizes > 0, "at least one resize executed");
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The runtime's telemetry singleton: one process-wide flight recorder
-//! plus the named histograms the engine records into.
+//! plus the six histograms the engine records into, and the one exporter,
+//! [`prometheus_text`], which renders an [`Stm`]'s per-partition counters
+//! (the [`StatCounters`] fields, counted whether telemetry is on or off)
+//! beside those histograms.
 //!
 //! Telemetry is always compiled in and toggled at runtime
 //! ([`set_enabled`]); disabled, the hot path pays exactly one relaxed
@@ -17,64 +20,47 @@
 //! without a new dependency edge.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 pub use partstm_obs::{
-    codes, now_micros, prometheus_text, render_event, Counter, Event, EventKind, EventRing,
-    FlightRecorder, HistSnapshot, Histogram, MetricsRegistry, RegistrySnapshot,
+    codes, now_micros, render_event, Event, EventKind, EventRing, FlightRecorder, HistSnapshot,
+    Histogram,
 };
 
-/// The engine's instruments, registered once in the global
-/// [`MetricsRegistry`] and cached as direct handles for wait-free
-/// recording.
-#[derive(Debug)]
+use crate::stats::StatCounters;
+use crate::stm::Stm;
+
+/// The process flight recorder and the engine's histograms.
+#[derive(Debug, Default)]
 pub struct Telemetry {
     /// The process flight recorder (per-thread lanes + control ring).
     pub recorder: FlightRecorder,
-    /// The registry behind the named instruments below; exporters snapshot
-    /// it ([`MetricsRegistry::snapshot`]).
-    pub registry: MetricsRegistry,
     /// Sampled begin→commit latency of committed transactions, ns.
-    pub commit_latency_ns: Arc<Histogram>,
+    pub commit_latency_ns: Histogram,
     /// Sampled abort-to-retry contention-manager backoff, ns.
-    pub backoff_ns: Arc<Histogram>,
+    pub backoff_ns: Histogram,
     /// Flag→quiesce drain duration of every structural window, µs.
-    pub quiesce_us: Arc<Histogram>,
+    pub quiesce_us: Histogram,
     /// Sampled commit-time validation pass length (read-set entries).
-    pub validate_len: Arc<Histogram>,
+    pub validate_len: Histogram,
     /// Version-ring slots scanned per snapshot history lookup.
-    pub snapshot_scan_depth: Arc<Histogram>,
+    pub snapshot_scan_depth: Histogram,
     /// Privatize→republish hold duration, µs.
-    pub privatize_hold_us: Arc<Histogram>,
-    /// Quiesce windows drained (successfully or not).
-    pub quiesce_total: Arc<Counter>,
-    /// Quiesce windows that hit the hard deadline and rolled back.
-    pub quiesce_timeouts: Arc<Counter>,
-    /// Thread slots whose kill flag was raised by the quiesce rescue
-    /// stage (soft deadline crossed).
-    pub kill_rescue_kills: Arc<Counter>,
-    /// Slots still blocking at the hard deadline — each produced a
-    /// structured `StuckSlot` diagnostic.
-    pub stuck_slots: Arc<Counter>,
+    pub privatize_hold_us: Histogram,
 }
 
 impl Telemetry {
-    fn new() -> Telemetry {
-        let registry = MetricsRegistry::new();
-        Telemetry {
-            recorder: FlightRecorder::default(),
-            commit_latency_ns: registry.histogram("commit_latency_ns"),
-            backoff_ns: registry.histogram("backoff_ns"),
-            quiesce_us: registry.histogram("quiesce_us"),
-            validate_len: registry.histogram("validate_len"),
-            snapshot_scan_depth: registry.histogram("snapshot_scan_depth"),
-            privatize_hold_us: registry.histogram("privatize_hold_us"),
-            quiesce_total: registry.counter("quiesce_total"),
-            quiesce_timeouts: registry.counter("quiesce_timeouts"),
-            kill_rescue_kills: registry.counter("kill_rescue_kills"),
-            stuck_slots: registry.counter("stuck_slots"),
-            registry,
-        }
+    /// Every histogram beside its exported name, in export order: the one
+    /// place those names live.
+    pub fn histograms(&self) -> [(&'static str, &Histogram); 6] {
+        [
+            ("commit_latency_ns", &self.commit_latency_ns),
+            ("backoff_ns", &self.backoff_ns),
+            ("quiesce_us", &self.quiesce_us),
+            ("validate_len", &self.validate_len),
+            ("snapshot_scan_depth", &self.snapshot_scan_depth),
+            ("privatize_hold_us", &self.privatize_hold_us),
+        ]
     }
 }
 
@@ -84,7 +70,34 @@ static TX_SAMPLE_PERIOD: AtomicU64 = AtomicU64::new(64);
 /// The process-wide telemetry instance (created on first use).
 pub fn global() -> &'static Telemetry {
     static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
-    GLOBAL.get_or_init(Telemetry::new)
+    GLOBAL.get_or_init(Telemetry::default)
+}
+
+/// Renders `stm`'s counters and the process-wide histograms in Prometheus
+/// text exposition format: for every [`StatCounters`] field one `counter`
+/// family with one series per partition, labelled
+/// `{partition="<id>",name="<name>"}`; then the histograms of
+/// [`Telemetry::histograms`], unlabelled.
+pub fn prometheus_text(stm: &Stm) -> String {
+    let parts = stm.partitions();
+    let ids: Vec<String> = parts.iter().map(|p| p.id().0.to_string()).collect();
+    let values: Vec<Vec<u64>> = parts
+        .iter()
+        .map(|p| p.stats().fields().map(|(_, v)| v).collect())
+        .collect();
+    let mut out = String::new();
+    for (i, (name, _)) in StatCounters::default().fields().enumerate() {
+        let series = parts
+            .iter()
+            .zip(&ids)
+            .zip(&values)
+            .map(|((p, id), v)| ([("partition", id.as_str()), ("name", p.name())], v[i]));
+        partstm_obs::write_counter(&mut out, name, series);
+    }
+    for (name, h) in global().histograms() {
+        partstm_obs::write_hist(&mut out, name, &h.snapshot());
+    }
+    out
 }
 
 /// Turns recording on or off process-wide. Off (the default), every
@@ -163,12 +176,39 @@ mod tests {
     }
 
     #[test]
-    fn named_instruments_live_in_the_registry() {
-        let t = global();
-        t.commit_latency_ns.record(10);
-        let snap = t.registry.snapshot();
-        assert!(snap.hist("commit_latency_ns").unwrap().count >= 1);
-        assert!(snap.hist("quiesce_us").is_some());
-        assert!(snap.hist("privatize_hold_us").is_some());
+    fn prometheus_text_exports_every_counter_per_partition() {
+        use crate::config::PartitionConfig;
+        let stm = Stm::new();
+        let a = stm.new_partition(PartitionConfig::named("a\"b\\c"));
+        let b = stm.new_partition(PartitionConfig::named("plain"));
+        let (x, y) = (a.tvar(0u64), b.tvar(0u64));
+        let ctx = stm.register_thread();
+        for _ in 0..3 {
+            ctx.run(|tx| {
+                tx.modify(&x, |v| v + 1)?;
+                tx.modify(&y, |v| v + 2).map(|_| ())
+            });
+        }
+        ctx.run(|tx| tx.read(&y).map(|_| ()));
+        assert!(stm.resize_orecs(&b, 4096).switched());
+
+        let text = prometheus_text(&stm);
+        for (name, _) in StatCounters::default().fields() {
+            let m = format!("partstm_{name}");
+            let decl = format!("# TYPE {m} counter\n");
+            assert_eq!(text.matches(&decl).count(), 1, "{text}");
+            // Partition names are user input: `"` and `\` are escaped.
+            for (p, label) in [(&a, "a\\\"b\\\\c"), (&b, "plain")] {
+                let (_, want) = p.stats().fields().find(|(n, _)| *n == name).unwrap();
+                let series = format!("{m}{{partition=\"{}\",name=\"{label}\"}} ", p.id().0);
+                let lines: Vec<&str> = text.lines().filter(|l| l.starts_with(&series)).collect();
+                assert_eq!(lines, [format!("{series}{want}")], "{text}");
+            }
+        }
+        assert_eq!(a.stats().commits, 3);
+        assert_eq!(b.stats().orec_resizes, 1);
+        for (name, _) in global().histograms() {
+            assert!(text.contains(&format!("# TYPE partstm_{name} histogram\n")));
+        }
     }
 }

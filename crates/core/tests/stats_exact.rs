@@ -220,6 +220,8 @@ fn control_plane_counters_stay_exact_while_slot_zero_commits() {
     assert_eq!(st.republishes, CYCLES);
     assert_eq!(st.privatize_hold_alarms, CYCLES);
     assert_eq!(st.privatize_rollbacks, 0);
+    assert_eq!(st.quiesce_windows, CYCLES, "one drain per privatize");
+    assert_eq!(st.quiesce_timeouts, 0);
     assert_eq!(
         st.commits, commits,
         "slot 0 lost commits to the control plane"

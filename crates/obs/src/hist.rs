@@ -35,8 +35,7 @@ pub(crate) fn bucket_bound(i: usize) -> u64 {
 }
 
 /// A concurrent histogram: 64 power-of-two buckets plus total count and
-/// sum, all relaxed atomics. 528 bytes; share via `Arc` (see
-/// [`crate::MetricsRegistry`]).
+/// sum, all relaxed atomics. 528 bytes.
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,
@@ -90,7 +89,7 @@ impl Histogram {
     }
 }
 
-/// An owned, mergeable copy of a [`Histogram`]'s state.
+/// An owned copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Total recorded values.
@@ -112,19 +111,6 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Folds `other` into `self` (bucket-wise sums). Snapshots taken from
-    /// different histograms of the same quantity merge into the aggregate
-    /// distribution.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        self.count += other.count;
-        // Wrapping, matching the recorder's relaxed `fetch_add`: a sum of
-        // large raw values may exceed 64 bits either way.
-        self.sum = self.sum.wrapping_add(other.sum);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-
     /// Arithmetic mean of recorded values (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -156,7 +142,6 @@ impl HistSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn bucket_mapping_covers_powers_of_two() {
@@ -192,47 +177,34 @@ mod tests {
         assert_eq!(e.mean(), 0.0);
     }
 
-    /// Satellite coverage: a multi-thread recording storm conserves the
-    /// total count and the bucket-sum across concurrent recording, and
-    /// per-thread snapshots merge to the same aggregate.
+    /// A multi-thread recording storm conserves the total count and the
+    /// bucket-sum across concurrent recording.
     #[test]
-    fn concurrent_storm_conserves_counts_and_merges() {
-        const THREADS: usize = 8;
+    fn concurrent_storm_conserves_counts() {
+        const THREADS: u64 = 8;
         const PER_THREAD: u64 = 10_000;
-        let shared = Arc::new(Histogram::new());
-        let locals: Vec<Arc<Histogram>> =
-            (0..THREADS).map(|_| Arc::new(Histogram::new())).collect();
+        let shared = Histogram::new();
         std::thread::scope(|s| {
-            for (t, local) in locals.iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let local = Arc::clone(local);
+            for t in 0..THREADS {
+                let shared = &shared;
                 s.spawn(move || {
-                    let mut x = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut x = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     for _ in 0..PER_THREAD {
                         // xorshift values exercise every bucket range.
                         x ^= x << 13;
                         x ^= x >> 7;
                         x ^= x << 17;
-                        let v = x >> (x % 64) as u32;
-                        shared.record(v);
-                        local.record(v);
+                        shared.record(x >> (x % 64) as u32);
                     }
                 });
             }
         });
         let s = shared.snapshot();
-        assert_eq!(s.count, (THREADS as u64) * PER_THREAD);
+        assert_eq!(s.count, THREADS * PER_THREAD);
         assert_eq!(
             s.buckets.iter().sum::<u64>(),
             s.count,
             "every record landed in exactly one bucket"
         );
-        // Merging the per-thread snapshots reproduces the shared aggregate
-        // exactly: same values went into both sides.
-        let mut merged = HistSnapshot::default();
-        for l in &locals {
-            merged.merge(&l.snapshot());
-        }
-        assert_eq!(merged, s);
     }
 }

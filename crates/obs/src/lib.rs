@@ -2,7 +2,7 @@
 //!
 //! This crate is a dependency-free leaf: it knows nothing about
 //! transactions or partitions, only about recording numeric facts cheaply
-//! from many threads at once. Three building blocks:
+//! from many threads at once. Two building blocks and a writer:
 //!
 //! * [`FlightRecorder`] / [`EventRing`] — bounded, lock-free rings of
 //!   timestamped [`Event`]s (the *flight recorder*). Producers overwrite
@@ -13,13 +13,12 @@
 //!   threads.
 //! * [`Histogram`] — 64 power-of-two buckets plus count and sum, recorded
 //!   with relaxed atomics (wait-free, no CAS loops). Snapshots
-//!   ([`HistSnapshot`]) merge and answer quantile queries at
-//!   power-of-two resolution. One histogram costs 528 bytes.
-//! * [`MetricsRegistry`] — named counters and histograms with
-//!   get-or-create registration (mutexed, cold) and lock-free recording
-//!   through the returned `Arc` handles; [`RegistrySnapshot`] is the
-//!   mergeable, exportable view, rendered to Prometheus text exposition
-//!   format by [`prometheus_text`].
+//!   ([`HistSnapshot`]) answer quantile queries at power-of-two
+//!   resolution. One histogram costs 528 bytes.
+//! * [`write_counter`] / [`write_hist`] — Prometheus text exposition of a
+//!   labelled counter family and of a histogram snapshot. The counters
+//!   themselves live with the data they count (the runtime's
+//!   per-partition statistics), not here.
 //!
 //! Event payloads are three bare `u64`s so the [`Event`] struct stays
 //! `Copy` and ring slots stay lock-free; domain meanings (partition ids,
@@ -30,12 +29,10 @@
 
 mod hist;
 mod prom;
-mod registry;
 mod ring;
 
 pub use hist::{HistSnapshot, Histogram, HIST_BUCKETS};
-pub use prom::prometheus_text;
-pub use registry::{Counter, MetricsRegistry, RegistrySnapshot};
+pub use prom::{write_counter, write_hist};
 pub use ring::{render_event, Event, EventKind, EventRing, FlightRecorder};
 
 use std::sync::OnceLock;

@@ -276,7 +276,7 @@ mod tests {
             "aliasing pressure grows the table: {from} -> {to}"
         );
         assert_eq!(part.orec_count(), to, "table size matches the event");
-        assert!(part.resize_count() >= 1);
+        assert!(part.stats().orec_resizes >= 1);
         assert!(
             aliased_share >= 0.5,
             "conflicts were dominated by aliasing ({aliased_share})"

@@ -14,7 +14,7 @@
 //! is process-global, so nothing else may record while the expectations
 //! below are compared against its tail.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -355,16 +355,18 @@ fn controller_run_reads_back_through_timeline_and_prometheus() {
         "{timeline:#?}"
     );
 
-    // The Prometheus text: `# TYPE` comments and `name[{le="bound"}]
-    // value` samples only, bucket series cumulative, and the split's
-    // quiesce window counted.
-    let text = telemetry::prometheus_text(&telemetry::global().registry.snapshot());
+    // The Prometheus text: `# TYPE` comments, one per family, and
+    // `name[{key="value",…}] value` samples only, each series once,
+    // bucket series cumulative, and the split's quiesce window counted by
+    // the histogram and by its subject's counter.
+    let text = telemetry::prometheus_text(&stm);
     let legal = |name: &str| {
         name.strip_prefix("partstm_").is_some_and(|n| {
             !n.is_empty() && n.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
         })
     };
-    let mut samples: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut families = BTreeSet::new();
+    let mut samples: BTreeMap<(&str, Labels), u64> = BTreeMap::new();
     let mut bucket: Option<(&str, u64, u64)> = None; // series, bound, cumulative count
     for line in text.lines() {
         if let Some(decl) = line.strip_prefix("# TYPE ") {
@@ -373,34 +375,105 @@ fn controller_run_reads_back_through_timeline_and_prometheus() {
                 legal(name) && matches!(ty, "counter" | "histogram"),
                 "{line}"
             );
+            assert!(families.insert(name), "family declared twice: {line}");
             continue;
         }
         let (series, value) = line.rsplit_once(' ').expect(line);
         let value: u64 = value.parse().expect(line);
-        let Some((name, le)) = series.split_once("{le=\"") else {
-            assert!(legal(series), "{line}");
-            samples.insert(series, value);
-            continue;
-        };
-        assert!(legal(name) && name.ends_with("_bucket"), "{line}");
-        let le = le.strip_suffix("\"}").expect(line);
-        let bound = if le == "+Inf" {
-            u64::MAX
-        } else {
-            le.parse().expect(line)
-        };
-        if let Some((prev, prev_bound, prev_value)) = bucket {
-            assert!(
-                prev != name || (bound > prev_bound && value >= prev_value),
-                "{line}"
+        let (name, labels) = parse_series(series);
+        assert!(legal(name), "{line}");
+        if let [(key, le)] = &labels[..] {
+            if key == "le" {
+                assert!(name.ends_with("_bucket"), "{line}");
+                let bound = if le == "+Inf" {
+                    u64::MAX
+                } else {
+                    le.parse().expect(line)
+                };
+                if let Some((prev, prev_bound, prev_value)) = bucket {
+                    assert!(
+                        prev != name || (bound > prev_bound && value >= prev_value),
+                        "{line}"
+                    );
+                }
+                bucket = Some((name, bound, value));
+            }
+        }
+        assert!(
+            samples.insert((name, labels), value).is_none(),
+            "series repeated: {line}"
+        );
+    }
+    let inf = vec![("le".to_owned(), "+Inf".to_owned())];
+    let quiesced = samples[&("partstm_quiesce_us_count", vec![])];
+    assert!(quiesced >= 1, "{text}");
+    assert_eq!(
+        samples[&("partstm_quiesce_us_bucket", inf)],
+        quiesced,
+        "{text}"
+    );
+
+    // Every counter, once per partition, as the partition reports it (the
+    // run is over: nothing moves them any more).
+    let labels = |p: &Partition| {
+        vec![
+            ("partition".to_owned(), p.id().0.to_string()),
+            ("name".to_owned(), p.name().to_owned()),
+        ]
+    };
+    for p in stm.partitions() {
+        for (field, v) in p.stats().fields() {
+            let family = format!("partstm_{field}");
+            assert_eq!(
+                samples.get(&(family.as_str(), labels(&p))),
+                Some(&v),
+                "{family} of {}",
+                p.name()
             );
         }
-        bucket = Some((name, bound, value));
-        if bound == u64::MAX {
-            samples.insert(name, value);
-        }
     }
-    let quiesced = samples["partstm_quiesce_us_count"];
-    assert!(quiesced >= 1, "{text}");
-    assert_eq!(samples["partstm_quiesce_us_bucket"], quiesced, "{text}");
+    let subject = events
+        .iter()
+        .find_map(|e| match e {
+            RepartEvent::Split { dst, .. } => Some(*dst),
+            _ => None,
+        })
+        .expect("the split");
+    let subject = stm
+        .partitions()
+        .into_iter()
+        .find(|p| p.id() == subject)
+        .expect("the split's partition");
+    assert!(samples[&("partstm_quiesce_windows", labels(&subject))] >= 1);
+}
+
+/// A label set as parsed: `(key, unescaped value)` pairs in order.
+type Labels = Vec<(String, String)>;
+
+/// Splits a sample's series into its metric name and label set, undoing
+/// the value escapes (`\\`, `\"`, `\n`).
+fn parse_series(series: &str) -> (&str, Labels) {
+    let Some((name, rest)) = series.split_once('{') else {
+        return (series, Vec::new());
+    };
+    let mut rest = rest.strip_suffix('}').expect(series);
+    let mut labels = Vec::new();
+    while !rest.is_empty() {
+        let (key, quoted) = rest.split_once("=\"").expect(series);
+        let (mut value, mut chars) = (String::new(), quoted.char_indices());
+        let end = loop {
+            match chars.next().expect(series) {
+                (i, '"') => break i,
+                (_, '\\') => value.push(match chars.next().expect(series).1 {
+                    'n' => '\n',
+                    c => c,
+                }),
+                (_, c) => value.push(c),
+            }
+        };
+        labels.push((key.to_owned(), value));
+        rest = &quoted[end + 1..];
+        rest = rest.strip_prefix(',').unwrap_or(rest);
+    }
+    (name, labels)
 }

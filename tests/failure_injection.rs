@@ -209,7 +209,7 @@ fn control_state(p: &Partition) -> impl PartialEq + std::fmt::Debug {
     (
         p.current_config(),
         p.generation(),
-        (p.orec_count(), p.resize_count()),
+        (p.orec_count(), p.stats().orec_resizes),
         p.ring_depth(),
         p.is_privatized(),
     )
@@ -278,6 +278,14 @@ fn quiesce_timeout_rolls_back_every_control_operation() {
             let rollbacks = u64::from(matches!(op, ControlOp::Privatize));
             assert_eq!(st.privatize_rollbacks, rollbacks, "{op:?}: classified");
             assert_eq!((st.privatizations, st.republishes), (0, 0), "{op:?}");
+            // Counted on the window's subject (a migration's is its
+            // destination) with telemetry off: one drain, timed out, its
+            // kill ignored by the sleeping straggler, which then stuck.
+            assert!(!partstm::core::telemetry::enabled());
+            let subject = if op == ControlOp::Migrate { &b } else { &a };
+            let st = subject.stats();
+            assert_eq!((st.quiesce_windows, st.quiesce_timeouts), (1, 1), "{op:?}");
+            assert_eq!((st.kill_rescue_kills, st.stuck_slots), (1, 1), "{op:?}");
         });
 
         // The straggler's transaction committed exactly once despite the
@@ -475,7 +483,7 @@ fn contended_resize_rolls_back_table_exactly() {
 
     assert_eq!(a.orec_count(), count, "table size untouched");
     assert_eq!(a.generation(), generation, "no generation bump on rollback");
-    assert_eq!(a.resize_count(), 0, "no resize recorded");
+    assert_eq!(a.stats().orec_resizes, 0, "no resize recorded");
     let (locked2, _, maxv2) = a.debug_scan();
     assert_eq!((locked2, maxv2), (locked, maxv), "orec versions untouched");
     // Transactions keep running against the old table.
@@ -725,6 +733,16 @@ fn kill_rescue_unwedges_quiesce_within_soft_deadline() {
         .map(|p| p.stats().aborts_killed)
         .sum();
     assert!(killed >= 1, "the wedged attempt must die as Killed");
+    let st = b.stats();
+    assert!(
+        st.kill_rescue_kills >= 1,
+        "counted on the migration's subject"
+    );
+    assert_eq!(
+        (st.quiesce_timeouts, st.stuck_slots),
+        (0, 0),
+        "rescued in time"
+    );
     // The killed attempt leaked nothing and its retry preserved the sum.
     for p in stm.partitions() {
         let (locked, owners, _) = p.debug_scan();

@@ -231,7 +231,7 @@ fn resize_racing_split_and_migrate_conserves_total() {
         "at least one split+merge cycle must have completed"
     );
     assert_eq!(
-        home.resize_count(),
+        home.stats().orec_resizes,
         resizes_done.load(Ordering::Relaxed) as u64
     );
 }
