@@ -1,11 +1,13 @@
 //! A minimal JSON value, parser and pretty-printer.
 //!
-//! The program model is (de)serialized to JSON so frontends can hand
-//! models to the partitioner as plain files. The build environment has no
-//! registry access, so instead of `serde`/`serde_json` this module
-//! implements the small subset of JSON the model schema needs; the wire
-//! format matches what `serde_json` would emit for the same structs, so
-//! swapping the real crates back in later is a drop-in change.
+//! The program model is serialized to JSON so external tooling can read
+//! it ([`crate::ProgramModel::to_json`]), and the benchmark writes and
+//! re-reads its result documents with the same value type. The build
+//! environment has no registry access, so instead of `serde`/`serde_json`
+//! this module implements the small subset of JSON those documents need;
+//! the model's wire format matches what `serde_json` would emit for the
+//! same structs, so swapping the real crates back in later is a drop-in
+//! change.
 
 use std::fmt::Write as _;
 
@@ -80,16 +82,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The number as a `u32`, if this is a non-negative integer in range.
-    pub fn as_u32(&self) -> Option<u32> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && *n <= u32::MAX as f64 && n.fract() == 0.0 => {
-                Some(*n as u32)
-            }
             _ => None,
         }
     }
@@ -400,10 +392,8 @@ mod tests {
         let v = Json::parse(r#"{"a":[{"id":7}],"s":"x"}"#).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         let arr = v.get("a").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr[0].get("id").and_then(Json::as_u32), Some(7));
+        assert_eq!(arr[0].get("id"), Some(&Json::Num(7.0)));
         assert_eq!(v.get("missing"), None);
-        assert_eq!(Json::Num(1.5).as_u32(), None);
-        assert_eq!(Json::Num(-1.0).as_u32(), None);
     }
 
     #[test]

@@ -10,20 +10,13 @@
 //! same transaction (affinity) and annotated with write pressure
 //! (conflict potential).
 //!
-//! Two outputs:
-//!
-//! * [`OnlineAnalyzer::proposals`] — actionable [`Proposal::Split`] /
-//!   [`Proposal::Merge`] decisions, computed by an incremental union-find
-//!   over *strong* affinity edges followed by a min-cut-style hot-edge
-//!   splitter: strong edges are never cut (splitting co-accessed data
-//!   would turn every transaction multi-partition), weak edges are, and
-//!   the hottest write-heavy components are taken as the split set.
-//! * [`OnlineAnalyzer::plan`] — the same affinity closure expressed as a
-//!   [`PartitionPlan`] by routing an induced [`ProgramModel`] through the
-//!   static partitioner ([`OnlineAnalyzer::to_model`]): every observed
-//!   bucket becomes an allocation site, every strong edge an access site,
-//!   so the emitted classes are exactly the units the repartitioner may
-//!   place independently.
+//! The output, [`OnlineAnalyzer::proposals`], is a list of actionable
+//! [`Proposal::Split`] / [`Proposal::Merge`] decisions, computed by an
+//! incremental union-find over *strong* affinity edges followed by a
+//! min-cut-style hot-edge splitter: strong edges are never cut (splitting
+//! co-accessed data would turn every transaction multi-partition), weak
+//! edges are, and the hottest write-heavy components are taken as the
+//! split set.
 
 use std::collections::BTreeMap;
 
@@ -31,8 +24,6 @@ use partstm_core::profiler::TxSample;
 use partstm_core::telemetry::codes;
 use partstm_core::{PartitionId, StatCounters};
 
-use crate::model::{AccessKind, ModelBuilder, ModelError, ProgramModel};
-use crate::partitioner::{partition, PartitionPlan, Strategy};
 use crate::unionfind::UnionFind;
 
 /// A graph node: one address bucket of one partition.
@@ -53,93 +44,82 @@ pub struct NodeLoad {
     pub txns: u64,
 }
 
-/// Tunable thresholds of the online analysis.
+/// An affinity edge is *strong* (never cut) when its weight is at least
+/// this fraction of the partition's sampled transactions.
+const STRONG_EDGE_FRACTION: f64 = 0.40;
+/// A component is *hot* (worth isolating) when its per-bucket write load
+/// is at least this multiple of the partition's mean per-bucket write
+/// load.
+const SPLIT_HOT_FACTOR: f64 = 4.0;
+/// A split's hot components span at most this fraction of the
+/// partition's observed buckets (a diffuse partition has no hot set worth
+/// isolating).
+const SPLIT_MAX_BUCKET_FRACTION: f64 = 0.25;
+/// Propose merging two partitions when both abort below this rate and
+/// they are co-accessed (see [`MERGE_SPAN_FRACTION`]).
+const MERGE_ABORT_RATE: f64 = 0.02;
+/// Fraction of either partition's sampled transactions that must span
+/// both partitions to propose a merge (cross-partition transactions pay
+/// per-partition bookkeeping twice; merging removes it).
+const MERGE_SPAN_FRACTION: f64 = 0.50;
+/// Propose an orec-table resize when the partition's abort rate is at
+/// least this (lower than the default split gate: growing a table is far
+/// cheaper than a migration, so it may fire earlier) ...
+const RESIZE_ABORT_RATE: f64 = 0.05;
+/// ... and at least this fraction of its *classified* conflicts were
+/// aliased (false) conflicts — the engine-side telemetry
+/// (`StatCounters::{conflicts_true, conflicts_aliased}`) that
+/// distinguishes "table too small" from genuine data contention ...
+const RESIZE_MIN_ALIASED_SHARE: f64 = 0.50;
+/// ... out of at least this many classified conflicts in the window (a
+/// handful of aborts is noise) ...
+const RESIZE_MIN_CLASSIFIED: u64 = 16;
+/// ... and the partition's sampled footprint spans at least this many
+/// profile buckets. A diffuse footprint plus a high aliased share means
+/// unrelated data is hashing onto shared orecs — more orecs fix it; a
+/// *concentrated* footprint is a hot set, which the split path handles
+/// structurally (splits always take precedence).
+const RESIZE_MIN_BUCKETS: usize = 16;
+/// Growth factor per executed resize (the table size ladder).
+const RESIZE_FACTOR: usize = 4;
+/// Largest table the analyzer will propose (further aliasing pressure
+/// past this is better answered by a split).
+const RESIZE_MAX_ORECS: usize = 1 << 16;
+/// A hot set this small (in profile buckets) is a *celebrity* set:
+/// propose tearing just those slots out of their collections
+/// ([`Proposal::Tear`]) instead of splitting whole structures. Wider hot
+/// sets fall back to [`Proposal::Split`].
+const TEAR_MAX_BUCKETS: usize = 12;
+/// ... provided the set carries at least this fraction of the
+/// partition's sampled write load (a tear moves few nodes, so it must
+/// capture the bulk of the heat to pay for its window).
+const TEAR_HOT_SHARE: f64 = 0.55;
+/// Heal a torn partition back into its origin once its share of the
+/// combined (torn + origin) sampled *write* load drops below this. Write
+/// heat is what tears; write silence is what heals — counting reads would
+/// let a scan-heavy origin swamp the ratio and heal a subset whose skew is
+/// still live.
+const HEAL_MAX_SHARE: f64 = 0.10;
+
+/// The settable thresholds of the online analysis; the other gates are
+/// fixed constants of this module.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Minimum samples accumulated on a partition before any proposal.
     pub min_samples: u64,
-    /// An affinity edge is *strong* (never cut) when its weight is at
-    /// least this fraction of the partition's sampled transactions.
-    pub strong_edge_fraction: f64,
     /// Propose a split when the partition's abort rate is at least this.
     pub split_abort_rate: f64,
-    /// A component is *hot* (worth isolating) when its per-bucket write
-    /// load is at least this multiple of the partition's mean per-bucket
-    /// write load.
-    pub split_hot_factor: f64,
-    /// ... and the hot components together carry at least this fraction
-    /// of the partition's sampled write load ...
+    /// A split's hot components together carry at least this fraction of
+    /// the partition's sampled write load.
     pub split_hot_share: f64,
-    /// ... while spanning at most this fraction of its observed buckets
-    /// (a diffuse partition has no hot set worth isolating).
-    pub split_max_bucket_fraction: f64,
-    /// Propose merging two partitions when both abort below this rate and
-    /// they are co-accessed (see `merge_span_fraction`).
-    pub merge_abort_rate: f64,
-    /// Fraction of either partition's sampled transactions that must span
-    /// both partitions to propose a merge (cross-partition transactions
-    /// pay per-partition bookkeeping twice; merging removes it).
-    pub merge_span_fraction: f64,
-    /// Propose an orec-table resize when the partition's abort rate is at
-    /// least this (lower than the split gate: growing a table is far
-    /// cheaper than a migration, so it may fire earlier).
-    pub resize_abort_rate: f64,
-    /// ... and at least this fraction of its *classified* conflicts were
-    /// aliased (false) conflicts — the engine-side telemetry
-    /// (`StatCounters::{conflicts_true, conflicts_aliased}`) that
-    /// distinguishes "table too small" from genuine data contention.
-    pub resize_min_aliased_share: f64,
-    /// Minimum classified conflicts in the window before the aliased
-    /// share is trusted (a handful of aborts is noise).
-    pub resize_min_classified: u64,
-    /// ... and the partition's sampled footprint spans at least this many
-    /// profile buckets. A diffuse footprint plus a high aliased share
-    /// means unrelated data is hashing onto shared orecs — more orecs fix
-    /// it; a *concentrated* footprint is a hot set, which the split path
-    /// handles structurally (splits always take precedence).
-    pub resize_min_buckets: usize,
-    /// Growth factor per executed resize (the table size ladder).
-    pub resize_factor: usize,
-    /// Largest table the analyzer will propose (further aliasing pressure
-    /// past this is better answered by a split).
-    pub resize_max_orecs: usize,
-    /// A hot set this small (in profile buckets) is a *celebrity* set:
-    /// propose tearing just those slots out of their collections
-    /// ([`Proposal::Tear`]) instead of splitting whole structures. Wider
-    /// hot sets fall back to [`Proposal::Split`].
-    pub tear_max_buckets: usize,
-    /// ... provided the set carries at least this fraction of the
-    /// partition's sampled write load (a tear moves few nodes, so it must
-    /// capture the bulk of the heat to pay for its window).
-    pub tear_hot_share: f64,
-    /// Heal a torn partition back into its origin once its share of the
-    /// combined (torn + origin) sampled *write* load drops below this.
-    /// Write heat is what tears; write silence is what heals — counting
-    /// reads would let a scan-heavy origin swamp the ratio and heal a
-    /// subset whose skew is still live.
-    pub heal_max_share: f64,
 }
 
 impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
             min_samples: 64,
-            strong_edge_fraction: 0.40,
             split_abort_rate: 0.10,
-            split_hot_factor: 4.0,
             split_hot_share: 0.50,
-            split_max_bucket_fraction: 0.25,
-            merge_abort_rate: 0.02,
-            merge_span_fraction: 0.50,
-            resize_abort_rate: 0.05,
-            resize_min_aliased_share: 0.50,
-            resize_min_classified: 16,
-            resize_min_buckets: 16,
-            resize_factor: 4,
-            resize_max_orecs: 1 << 16,
-            tear_max_buckets: 12,
-            tear_hot_share: 0.55,
-            heal_max_share: 0.10,
         }
     }
 }
@@ -447,7 +427,7 @@ impl OnlineAnalyzer {
 
     /// The affinity components of one partition: buckets joined by strong
     /// edges, as `(members, write_load)` lists sorted hottest-first.
-    fn components_of(&self, part: PartitionId, cfg: &OnlineConfig) -> Vec<(Vec<u16>, u64)> {
+    fn components_of(&self, part: PartitionId) -> Vec<(Vec<u16>, u64)> {
         let buckets: Vec<u16> = self
             .nodes
             .keys()
@@ -461,7 +441,7 @@ impl OnlineAnalyzer {
             buckets.iter().enumerate().map(|(i, &b)| (b, i)).collect();
         let mut uf = UnionFind::new(buckets.len());
         let part_samples = self.parts.get(&part).map_or(0, |a| a.samples).max(1);
-        let strong = (cfg.strong_edge_fraction * part_samples as f64).max(1.0) as u64;
+        let strong = (STRONG_EDGE_FRACTION * part_samples as f64).max(1.0) as u64;
         for (&(a, b), &w) in &self.edges {
             if a.0 == part && b.0 == part && w >= strong {
                 uf.union(index[&a.1], index[&b.1]);
@@ -529,7 +509,7 @@ impl OnlineAnalyzer {
             if ar < cfg.split_abort_rate {
                 continue;
             }
-            let comps = self.components_of(pid, cfg);
+            let comps = self.components_of(pid);
             let total_buckets: usize = comps.iter().map(|c| c.0.len()).sum();
             let total_writes: u64 = comps.iter().map(|c| c.1).sum();
             if total_writes == 0 || total_buckets < 2 {
@@ -546,7 +526,7 @@ impl OnlineAnalyzer {
             let mut hot_writes = 0u64;
             for (members, w) in &comps {
                 let per_bucket = *w as f64 / members.len().max(1) as f64;
-                if per_bucket < cfg.split_hot_factor * mean
+                if per_bucket < SPLIT_HOT_FACTOR * mean
                     || hot.len() + members.len() >= total_buckets
                 {
                     continue;
@@ -557,7 +537,7 @@ impl OnlineAnalyzer {
             let hot_share = hot_writes as f64 / total_writes as f64;
             if hot.is_empty()
                 || hot_share < cfg.split_hot_share
-                || hot.len() as f64 > cfg.split_max_bucket_fraction * total_buckets as f64
+                || hot.len() as f64 > SPLIT_MAX_BUCKET_FRACTION * total_buckets as f64
             {
                 continue;
             }
@@ -565,7 +545,7 @@ impl OnlineAnalyzer {
             // A narrow hot set carrying the bulk of the write load is a
             // celebrity-key signature: tear just those slots out of their
             // collections instead of splitting whole structures.
-            if hot.len() <= cfg.tear_max_buckets && hot_share >= cfg.tear_hot_share {
+            if hot.len() <= TEAR_MAX_BUCKETS && hot_share >= TEAR_HOT_SHARE {
                 out.push(Proposal::Tear {
                     src: pid,
                     buckets: hot,
@@ -604,16 +584,18 @@ impl OnlineAnalyzer {
             // Footprint from the profiler's per-bucket counters: how many
             // distinct buckets the partition's sampled traffic spans.
             let footprint = self.nodes.keys().filter(|n| n.0 == pid).count();
-            if ar < cfg.resize_abort_rate
-                || classified < cfg.resize_min_classified
-                || aliased_share < cfg.resize_min_aliased_share
-                || footprint < cfg.resize_min_buckets
-                || m.orec_count >= cfg.resize_max_orecs
+            if ar < RESIZE_ABORT_RATE
+                || classified < RESIZE_MIN_CLASSIFIED
+                || aliased_share < RESIZE_MIN_ALIASED_SHARE
+                || footprint < RESIZE_MIN_BUCKETS
+                || m.orec_count >= RESIZE_MAX_ORECS
             {
                 continue;
             }
-            let new_count =
-                (m.orec_count.saturating_mul(cfg.resize_factor.max(2))).min(cfg.resize_max_orecs);
+            let new_count = m
+                .orec_count
+                .saturating_mul(RESIZE_FACTOR)
+                .min(RESIZE_MAX_ORECS);
             out.push(Proposal::Resize {
                 partition: pid,
                 new_count,
@@ -650,7 +632,7 @@ impl OnlineAnalyzer {
             } else {
                 torn as f64 / total as f64
             };
-            if load_share < cfg.heal_max_share {
+            if load_share < HEAL_MAX_SHARE {
                 out.push(Proposal::Heal {
                     src: pid,
                     dst: origin,
@@ -677,11 +659,11 @@ impl OnlineAnalyzer {
             let (Some(da), Some(db)) = (stats.get(&a), stats.get(&b)) else {
                 continue;
             };
-            if abort_rate(da) > cfg.merge_abort_rate || abort_rate(db) > cfg.merge_abort_rate {
+            if abort_rate(da) > MERGE_ABORT_RATE || abort_rate(db) > MERGE_ABORT_RATE {
                 continue;
             }
             let span_share = w as f64 / sa.samples.max(sb.samples).max(1) as f64;
-            if span_share < cfg.merge_span_fraction {
+            if span_share < MERGE_SPAN_FRACTION {
                 continue;
             }
             // Dissolve the less busy side into the busier one.
@@ -697,44 +679,6 @@ impl OnlineAnalyzer {
             });
         }
         out
-    }
-
-    /// Expresses the observed affinity graph as a [`ProgramModel`]: every
-    /// node becomes an allocation site (`"p<part>:b<bucket>"`), every
-    /// strong edge an access site spanning its endpoints, every node also
-    /// gets a singleton access site (so isolated buckets stay placeable).
-    pub fn to_model(&self, cfg: &OnlineConfig) -> ProgramModel {
-        let mut b = ModelBuilder::new("online-profile");
-        let mut ids = BTreeMap::new();
-        for (node, load) in &self.nodes {
-            let id = b.alloc(format!("p{}:b{}", node.0 .0, node.1), "Bucket");
-            ids.insert(*node, id);
-            let kind = if load.writes > 0 {
-                AccessKind::ReadWrite
-            } else {
-                AccessKind::Read
-            };
-            b.access(format!("touch_p{}_b{}", node.0 .0, node.1), kind, &[id]);
-        }
-        for (&(x, y), &w) in &self.edges {
-            let part_samples = self.parts.get(&x.0).map_or(0, |a| a.samples).max(1);
-            let strong = (cfg.strong_edge_fraction * part_samples as f64).max(1.0) as u64;
-            if w >= strong {
-                b.access(
-                    format!("co_p{}b{}_p{}b{}", x.0 .0, x.1, y.0 .0, y.1),
-                    AccessKind::ReadWrite,
-                    &[ids[&x], ids[&y]],
-                );
-            }
-        }
-        b.build().expect("induced model is valid by construction")
-    }
-
-    /// Runs the static partitioner over [`OnlineAnalyzer::to_model`]: the
-    /// finest placement that never separates strongly co-accessed buckets
-    /// — the dynamic analogue of the paper's may-touch closure.
-    pub fn plan(&self, cfg: &OnlineConfig) -> Result<PartitionPlan, ModelError> {
-        partition(&self.to_model(cfg), Strategy::MayTouch)
     }
 }
 
@@ -932,12 +876,12 @@ mod tests {
         assert!(a.proposals(&st, &cfg()).is_empty());
         // At the cap, no further growth is proposed.
         let c = cfg();
-        let capped = meta_of(c.resize_max_orecs);
+        let capped = meta_of(RESIZE_MAX_ORECS);
         assert!(a.proposals_with_meta(&st, &capped, &c).is_empty());
         // Just below the cap, the proposal clamps to it.
-        let below = meta_of(c.resize_max_orecs / 2);
+        let below = meta_of(RESIZE_MAX_ORECS / 2);
         match &a.proposals_with_meta(&st, &below, &c)[..] {
-            [Proposal::Resize { new_count, .. }] => assert_eq!(*new_count, c.resize_max_orecs),
+            [Proposal::Resize { new_count, .. }] => assert_eq!(*new_count, RESIZE_MAX_ORECS),
             other => panic!("expected one resize, got {other:?}"),
         }
     }
@@ -1088,20 +1032,6 @@ mod tests {
                 span_share: 1.0,
             }]
         );
-    }
-
-    #[test]
-    fn plan_reuses_partitioner_affinity_closure() {
-        let a = hot_cold_analyzer();
-        let c = cfg();
-        let model = a.to_model(&c);
-        model.validate().unwrap();
-        let plan = a.plan(&c).unwrap();
-        // 12 observed buckets; the strong (0,1) pair collapses to one class.
-        assert_eq!(plan.partition_count(), 11);
-        let hot0 = model.alloc_by_name("p0:b0").unwrap().id;
-        let hot1 = model.alloc_by_name("p0:b1").unwrap().id;
-        assert_eq!(plan.class_of_alloc(hot0), plan.class_of_alloc(hot1));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! `ProgramModel` JSON round-trip edge cases: inputs a frontend could
-//! plausibly emit that sit on the boundary of the schema — empty may-touch
-//! sets, duplicate contexts before/after `collapse_contexts`, exotic
-//! strings, and boundary ids.
+//! `ProgramModel` JSON encoding edge cases: models that sit on the
+//! boundary of the schema — empty may-touch sets, duplicate contexts
+//! before/after `collapse_contexts`, exotic strings, and boundary ids.
+//! Each encoding is parsed back and compared with the expected document.
 
+use partstm_analysis::json::Json;
 use partstm_analysis::{
     partition, AccessKind, AccessSite, AllocSite, ModelBuilder, ModelError, ProgramModel, Strategy,
 };
@@ -25,11 +26,20 @@ fn site(id: u32, may_touch: Vec<u32>) -> AccessSite {
     }
 }
 
+/// `m.to_json()`, parsed back, equals the document `expected`.
+fn assert_encodes(m: &ProgramModel, expected: &str) {
+    let j = m.to_json();
+    assert_eq!(
+        Json::parse(&j).unwrap(),
+        Json::parse(expected).unwrap(),
+        "encoded as {j}"
+    );
+}
+
 /// An empty may-touch set is invalid; the serializer still emits it
-/// faithfully (`[]`), and the decoder rejects the document through
-/// validation rather than silently dropping the site.
+/// faithfully (`[]`) rather than silently dropping the site.
 #[test]
-fn empty_may_touch_rejected_on_both_sides_of_the_wire() {
+fn empty_may_touch_is_invalid_and_emitted_faithfully() {
     let m = ProgramModel {
         name: "edge".into(),
         alloc_sites: vec![alloc(0, "a", None)],
@@ -38,22 +48,29 @@ fn empty_may_touch_rejected_on_both_sides_of_the_wire() {
     assert_eq!(m.validate(), Err(ModelError::EmptyMayTouch(0)));
     let j = m.to_json();
     assert!(j.contains("\"may_touch\": []"), "emitted faithfully: {j}");
-    let err = ProgramModel::from_json(&j).unwrap_err().to_string();
-    assert!(err.contains("empty may-touch"), "got: {err}");
-    // An explicitly empty model, by contrast, is valid and round-trips.
+    assert_encodes(
+        &m,
+        r#"{"name": "edge",
+            "alloc_sites": [{"id": 0, "name": "a", "type_name": "T", "context": null}],
+            "access_sites": [{"id": 0, "func": "f0", "kind": "Read", "may_touch": []}]}"#,
+    );
+    // An explicitly empty model, by contrast, is valid.
     let empty = ProgramModel {
         name: "nothing".into(),
         alloc_sites: vec![],
         access_sites: vec![],
     };
-    let back = ProgramModel::from_json(&empty.to_json()).unwrap();
-    assert_eq!(back, empty);
+    empty.validate().unwrap();
+    assert_encodes(
+        &empty,
+        r#"{"name": "nothing", "alloc_sites": [], "access_sites": []}"#,
+    );
 }
 
 /// Context duplicates: same (name, type) under several contexts — and one
 /// *repeated* context string — collapse to a single representative with
-/// rewritten, deduplicated may-touch sets; the collapsed model round-trips
-/// and the collapse is idempotent.
+/// rewritten, deduplicated may-touch sets; the collapsed model encodes
+/// with `null` contexts and the collapse is idempotent.
 #[test]
 fn duplicate_context_collapse_roundtrips_and_is_idempotent() {
     let mut b = ModelBuilder::new("ctx-dup");
@@ -73,9 +90,19 @@ fn duplicate_context_collapse_roundtrips_and_is_idempotent() {
     assert_eq!(flat.access_sites[0].may_touch, vec![a1]);
     assert_eq!(flat.access_sites[1].may_touch, vec![a1, other]);
 
-    // Wire round-trip preserves the collapsed model exactly.
-    let back = ProgramModel::from_json(&flat.to_json()).unwrap();
-    assert_eq!(back, flat);
+    // The wire form carries the collapsed model exactly.
+    assert_encodes(
+        &flat,
+        r#"{"name": "ctx-dup(ctx-insensitive)",
+            "alloc_sites": [
+                {"id": 0, "name": "node", "type_name": "Node", "context": null},
+                {"id": 3, "name": "other", "type_name": "Other", "context": null}
+            ],
+            "access_sites": [
+                {"id": 0, "func": "touch_all", "kind": "ReadWrite", "may_touch": [0]},
+                {"id": 1, "func": "touch_mixed", "kind": "Read", "may_touch": [0, 3]}
+            ]}"#,
+    );
 
     // Idempotence (modulo the renaming the collapse applies).
     let twice = flat.collapse_contexts();
@@ -96,8 +123,19 @@ fn exotic_strings_roundtrip() {
     let a = b.alloc_in_context("nodes/\"quoted\"", "Ty<p,e>", "main -> λ{0}");
     b.access("fn with spaces \u{1F980}", AccessKind::Write, &[a]);
     let m = b.build().unwrap();
-    let back = ProgramModel::from_json(&m.to_json()).unwrap();
-    assert_eq!(back, m);
+    let j = m.to_json();
+    assert!(
+        j.contains(r#""weird \"name\" \\ with\ttabs\nand √unicode""#),
+        "metacharacters escaped, non-ASCII verbatim: {j}"
+    );
+    assert_encodes(
+        &m,
+        r#"{"name": "weird \"name\" \\ with\ttabs\nand \u221aunicode",
+            "alloc_sites": [{"id": 0, "name": "nodes/\"quoted\"", "type_name": "Ty<p,e>",
+                             "context": "main -> \u03bb{0}"}],
+            "access_sites": [{"id": 0, "func": "fn with spaces 🦀", "kind": "Write",
+                              "may_touch": [0]}]}"#,
+    );
 }
 
 /// Boundary ids (u32::MAX) survive the f64-backed number representation.
@@ -112,8 +150,16 @@ fn boundary_ids_roundtrip() {
         access_sites: vec![site(u32::MAX, vec![u32::MAX, 0])],
     };
     m.validate().unwrap();
-    let back = ProgramModel::from_json(&m.to_json()).unwrap();
-    assert_eq!(back, m);
-    let plan = partition(&back, Strategy::MayTouch).unwrap();
+    assert_encodes(
+        &m,
+        r#"{"name": "ids",
+            "alloc_sites": [
+                {"id": 4294967295, "name": "top", "type_name": "T", "context": "ctx"},
+                {"id": 0, "name": "bottom", "type_name": "T", "context": null}
+            ],
+            "access_sites": [{"id": 4294967295, "func": "f4294967295", "kind": "Read",
+                              "may_touch": [4294967295, 0]}]}"#,
+    );
+    let plan = partition(&m, Strategy::MayTouch).unwrap();
     assert_eq!(plan.partition_count(), 1, "spanning access merges the pair");
 }

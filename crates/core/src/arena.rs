@@ -32,12 +32,12 @@
 //! is reused — the LSA-flavoured equivalent of TinySTM's quiescence-based
 //! `stm_malloc` reclamation.
 //!
-//! ## Bound arenas and live migration
+//! ## Home binding and live migration
 //!
-//! An arena built with [`Arena::new_bound`] carries a *home binding*: an
-//! atomic partition handle (the same [`PVarBinding`] cell a
-//! [`crate::PVar`] uses) that the slot factory reads at every chunk
-//! installation, so every slot's fields bind to the arena's current home.
+//! Every arena carries a *home binding*: an atomic partition handle (the
+//! same [`PVarBinding`] cell a [`crate::PVar`] uses) that the slot factory
+//! reads at every chunk installation, so every slot's fields bind to the
+//! arena's current home.
 //! The repartition protocol ([`crate::repartition`]) can then move the
 //! whole arena — home binding first, then every installed slot's fields —
 //! or a slot subset ([`Arena::slots_of`]) to a different partition while
@@ -190,32 +190,12 @@ fn chunk_capacity(c: usize) -> usize {
     (BASE as usize) << c
 }
 
-/// Partition-aware slot constructor of a bound arena.
-type BoundMake<N> = Box<dyn Fn(&Arc<Partition>) -> N + Send + Sync>;
-
-/// How an arena initializes slots.
-enum Factory<N> {
-    /// Partition-free slot factory (the [`Arena::new_with`] family).
-    Plain(Box<dyn Fn() -> N + Send + Sync>),
-    /// Partition-bound ([`Arena::new_bound`]): slots are built against the
-    /// arena's *home* partition, re-read at every chunk installation so
-    /// chunks installed after a migration bind to the new home.
-    Bound {
-        home: PVarBinding,
-        make: BoundMake<N>,
-        /// Type-erased per-slot rebind, captured where `N: PVarFields` is
-        /// known so `ensure_chunk` needs no extra bound (see the module
-        /// docs on chunk installations racing a migration).
-        rebind_slot: fn(&N, &Arc<Partition>),
-    },
-}
+/// Partition-aware slot constructor.
+type Make<N> = Box<dyn Fn(&Arc<Partition>) -> N + Send + Sync>;
 
 /// Chunked, append-only slab of `N` values with transactional alloc/free.
-/// Slots are initialized by the arena's *factory* — `N::default` for the
-/// [`Arena::new`] family, an arbitrary closure ([`Arena::new_with`]) so
-/// nodes made of partition-bound [`crate::PVar`]s (which have no `Default`)
-/// can be arena-allocated, or a partition-aware closure
-/// ([`Arena::new_bound`]) that additionally makes the arena *migratable*
+/// Slots are initialized by a partition-aware factory ([`Arena::new_bound`])
+/// against the arena's *home* partition, which makes the arena migratable
 /// as a unit. See the module docs.
 pub struct Arena<N> {
     chunks: [AtomicPtr<N>; NUM_CHUNKS],
@@ -225,7 +205,14 @@ pub struct Arena<N> {
     // carries the global-clock timestamp of the commit that freed it (the
     // reuse barrier described in the module docs).
     free: Mutex<Vec<(u32, u64)>>,
-    factory: Factory<N>,
+    /// Where new slots bind: re-read at every chunk installation, so chunks
+    /// installed after a migration bind to the new home.
+    home: PVarBinding,
+    make: Make<N>,
+    /// Type-erased per-slot rebind, captured where `N: PVarFields` is known
+    /// so `ensure_chunk` needs no extra bound (see the module docs on chunk
+    /// installations racing a migration).
+    rebind_slot: fn(&N, &Arc<Partition>),
 }
 
 // SAFETY: the arena owns the chunk allocations (raw pointers) and hands out
@@ -234,42 +221,7 @@ pub struct Arena<N> {
 unsafe impl<N: Send + Sync> Send for Arena<N> {}
 unsafe impl<N: Send + Sync> Sync for Arena<N> {}
 
-impl<N: Default + 'static> Arena<N> {
-    /// Creates an empty arena of default-initialized slots.
-    pub fn new() -> Self {
-        Self::new_with(N::default)
-    }
-
-    /// Creates an arena with the first chunks pre-installed to cover at
-    /// least `cap` slots (avoids install CASes during measurement).
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and(cap, N::default)
-    }
-}
-
 impl<N: 'static> Arena<N> {
-    /// Creates an empty arena whose slots are initialized by `factory`.
-    ///
-    /// This is how node types made of partition-bound [`crate::PVar`]s are
-    /// arena-allocated: the factory captures the owning partition and binds
-    /// every field of every slot at chunk-installation time.
-    pub fn new_with(factory: impl Fn() -> N + Send + Sync + 'static) -> Self {
-        Arena {
-            chunks: Default::default(),
-            next: AtomicU32::new(0),
-            free: Mutex::new(Vec::new()),
-            factory: Factory::Plain(Box::new(factory)),
-        }
-    }
-
-    /// [`Arena::new_with`] plus pre-installed chunks covering at least
-    /// `cap` slots.
-    pub fn with_capacity_and(cap: usize, factory: impl Fn() -> N + Send + Sync + 'static) -> Self {
-        let a = Self::new_with(factory);
-        a.preinstall(cap);
-        a
-    }
-
     fn preinstall(&self, cap: usize) {
         let mut covered = 0usize;
         let mut c = 0;
@@ -284,21 +236,13 @@ impl<N: 'static> Arena<N> {
         if !self.chunks[c].load(Ordering::SeqCst).is_null() {
             return;
         }
-        // Bound arenas build the chunk against the home partition observed
-        // *now* and re-check after publishing (module docs: chunk installs
-        // racing a migration).
-        let built_against = match &self.factory {
-            Factory::Plain(_) => core::ptr::null(),
-            Factory::Bound { home, .. } => home.load(),
-        };
+        // Build the chunk against the home partition observed *now* and
+        // re-check after publishing (module docs: chunk installs racing a
+        // migration).
+        let built_against = self.home.load();
+        let part = PVarBinding::arc_of(built_against);
         let mut v: Vec<N> = Vec::with_capacity(chunk_capacity(c));
-        match &self.factory {
-            Factory::Plain(f) => v.resize_with(chunk_capacity(c), f),
-            Factory::Bound { make, .. } => {
-                let part = PVarBinding::arc_of(built_against);
-                v.resize_with(chunk_capacity(c), || make(&part));
-            }
-        }
+        v.resize_with(chunk_capacity(c), || (self.make)(&part));
         let boxed: Box<[N]> = v.into_boxed_slice();
         let ptr = Box::into_raw(boxed) as *mut N;
         if self.chunks[c]
@@ -321,33 +265,27 @@ impl<N: 'static> Arena<N> {
             }
             return;
         }
-        if let Factory::Bound {
-            home, rebind_slot, ..
-        } = &self.factory
-        {
-            let now = home.load();
-            if now != built_against {
-                // A migration moved the home while we were building: our
-                // slots are bound to the retired home. They are unreachable
-                // (no handle to them exists yet), so rebinding them here,
-                // outside the protocol's quiesce window, races no
-                // transactional access. Nor can it race a *later*
-                // migration's phase-3 walk into overwriting a newer
-                // binding with `now`: migrations touching this arena share
-                // its home partition and therefore serialize on the
-                // switching flags, and any migration whose epoch bump
-                // follows this attempt's begin waits in quiesce for the
-                // whole attempt — including this loop — before walking.
-                // The one migration that can overlap us (bump before our
-                // begin) is exactly the one whose destination `now` is.
-                let dst = PVarBinding::arc_of(now);
-                // SAFETY: `ptr` was just published by us with this capacity
-                // and chunks are never freed before the arena drops.
-                let slots =
-                    unsafe { core::slice::from_raw_parts(ptr as *const N, chunk_capacity(c)) };
-                for n in slots {
-                    rebind_slot(n, &dst);
-                }
+        let now = self.home.load();
+        if now != built_against {
+            // A migration moved the home while we were building: our
+            // slots are bound to the retired home. They are unreachable
+            // (no handle to them exists yet), so rebinding them here,
+            // outside the protocol's quiesce window, races no
+            // transactional access. Nor can it race a *later*
+            // migration's phase-3 walk into overwriting a newer
+            // binding with `now`: migrations touching this arena share
+            // its home partition and therefore serialize on the
+            // switching flags, and any migration whose epoch bump
+            // follows this attempt's begin waits in quiesce for the
+            // whole attempt — including this loop — before walking.
+            // The one migration that can overlap us (bump before our
+            // begin) is exactly the one whose destination `now` is.
+            let dst = PVarBinding::arc_of(now);
+            // SAFETY: `ptr` was just published by us with this capacity
+            // and chunks are never freed before the arena drops.
+            let slots = unsafe { core::slice::from_raw_parts(ptr as *const N, chunk_capacity(c)) };
+            for n in slots {
+                (self.rebind_slot)(n, &dst);
             }
         }
     }
@@ -355,8 +293,8 @@ impl<N: 'static> Arena<N> {
     /// Allocates a slot outside of any transaction. Only safe while no
     /// transactions run concurrently (setup/teardown/tests): it ignores the
     /// snapshot reuse barrier that [`Arena::alloc`] enforces. The slot
-    /// contents are whatever the previous user left (or `N::default()` for
-    /// a fresh slot).
+    /// contents are whatever the previous user left (or the factory's value
+    /// for a fresh slot).
     pub fn alloc_raw(&self) -> Handle<N> {
         if let Some((i, _tag)) = self.free.lock().pop() {
             return Handle::from_index(i);
@@ -452,22 +390,15 @@ impl<N: 'static> Arena<N> {
         self.next.load(Ordering::Relaxed) as usize - self.free.lock().len()
     }
 
-    /// The home partition of a bound arena (where new slots bind), `None`
-    /// for arenas built with the [`Arena::new_with`] family. Racy during a
+    /// The home partition (where new slots bind). Racy during a
     /// migration, like [`PVar::partition`](crate::PVar::partition).
-    pub fn partition(&self) -> Option<Arc<Partition>> {
-        match &self.factory {
-            Factory::Plain(_) => None,
-            Factory::Bound { home, .. } => Some(home.partition_arc()),
-        }
+    pub fn partition(&self) -> Arc<Partition> {
+        self.home.partition_arc()
     }
 
     /// Id of the home partition (see [`Arena::partition`]).
-    pub fn partition_id(&self) -> Option<PartitionId> {
-        match &self.factory {
-            Factory::Plain(_) => None,
-            Factory::Bound { home, .. } => Some(home.partition_id()),
-        }
+    pub fn partition_id(&self) -> PartitionId {
+        self.home.partition_id()
     }
 
     /// Handles of every currently live slot (handed out and not freed),
@@ -536,11 +467,11 @@ impl<N: 'static> Arena<N> {
 }
 
 impl<N: PVarFields + 'static> Arena<N> {
-    /// Creates a *partition-bound* arena: slots are initialized by `make`
-    /// against the arena's current home partition (initially `part`), and
-    /// the arena as a whole becomes migratable — the repartition protocol
-    /// can rebind the home and every slot to a different partition live
-    /// (see [`crate::repartition`] and the module docs).
+    /// Creates an arena whose slots are initialized by `make` against the
+    /// arena's current home partition (initially `part`). The arena as a
+    /// whole is migratable — the repartition protocol can rebind the home
+    /// and every slot to a different partition live (see
+    /// [`crate::repartition`] and the module docs).
     pub fn new_bound(
         part: &Arc<Partition>,
         make: impl Fn(&Arc<Partition>) -> N + Send + Sync + 'static,
@@ -549,11 +480,9 @@ impl<N: PVarFields + 'static> Arena<N> {
             chunks: Default::default(),
             next: AtomicU32::new(0),
             free: Mutex::new(Vec::new()),
-            factory: Factory::Bound {
-                home: PVarBinding::new(Arc::clone(part)),
-                make: Box::new(make),
-                rebind_slot: rebind_node::<N>,
-            },
+            home: PVarBinding::new(Arc::clone(part)),
+            make: Box::new(make),
+            rebind_slot: rebind_node::<N>,
         }
     }
 
@@ -583,7 +512,7 @@ impl<N: PVarFields + 'static> Arena<N> {
 }
 
 /// Per-slot rebind helper, monomorphized where `N: PVarFields` is known
-/// and stored as a plain `fn` in [`Factory::Bound`].
+/// and stored as a plain `fn` in the arena.
 fn rebind_node<N: PVarFields>(n: &N, dst: &Arc<Partition>) {
     n.for_each_pvar(&mut |m| m.pvar_binding().rebind(dst));
 }
@@ -593,9 +522,7 @@ impl<N: PVarFields + 'static> MigrationSource for Arena<N> {
         // Home binding strictly before the slots: the chunk-installation
         // re-check (module docs) needs any racing installer that missed
         // the walk to observe the already-moved home.
-        if let Factory::Bound { home, .. } = &self.factory {
-            f(home);
-        }
+        f(&self.home);
         self.for_each_installed_slot(&mut |n| n.for_each_pvar(&mut |m| f(m.pvar_binding())));
     }
 }
@@ -603,7 +530,6 @@ impl<N: PVarFields + 'static> MigrationSource for Arena<N> {
 impl<N: PVarFields + Send + Sync + 'static> MigratableCollection for Arena<N> {
     fn home_partition(&self) -> Arc<Partition> {
         self.partition()
-            .expect("MigratableCollection requires a bound arena (Arena::new_bound)")
     }
 
     fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
@@ -658,12 +584,6 @@ impl<N: PVarFields + 'static> MigrationSource for ArenaSlots<'_, N> {
     }
 }
 
-impl<N: Default + 'static> Default for Arena<N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<N> Drop for Arena<N> {
     fn drop(&mut self) {
         for c in 0..NUM_CHUNKS {
@@ -699,7 +619,14 @@ pub(crate) unsafe fn reclaim_into<N>(arena: *const (), raw: u32, tag: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::sync::atomic::AtomicU64;
+    use crate::config::PartitionConfig;
+    use crate::pvar::PVar;
+    use crate::stm::Stm;
+
+    fn word_arena(cap: usize) -> Arena<PVar<u64>> {
+        let p = Stm::new().new_partition(PartitionConfig::named("words"));
+        Arena::with_capacity_bound(&p, cap, |p| p.tvar(0))
+    }
 
     #[test]
     fn locate_covers_chunk_boundaries() {
@@ -719,10 +646,10 @@ mod tests {
 
     #[test]
     fn alloc_get_free_recycles() {
-        let a: Arena<AtomicU64> = Arena::new();
+        let a = word_arena(0);
         let h1 = a.alloc_raw();
-        a.get(h1).store(7, Ordering::Relaxed);
-        assert_eq!(a.get(h1).load(Ordering::Relaxed), 7);
+        a.get(h1).store_direct(7);
+        assert_eq!(a.get(h1).load_direct(), 7);
         a.free_raw(h1);
         let h2 = a.alloc_raw();
         assert_eq!(h1, h2, "freed slot is recycled LIFO");
@@ -742,7 +669,7 @@ mod tests {
 
     #[test]
     fn with_capacity_preinstalls() {
-        let a: Arena<u64> = Arena::with_capacity(5000);
+        let a = word_arena(5000);
         // 1024 + 2048 + 4096 covers 5000.
         assert!(!a.chunks[0].load(Ordering::Relaxed).is_null());
         assert!(!a.chunks[1].load(Ordering::Relaxed).is_null());
@@ -752,24 +679,30 @@ mod tests {
 
     #[test]
     fn concurrent_alloc_yields_distinct_handles() {
-        use std::sync::Arc;
-        let a: Arc<Arena<AtomicU64>> = Arc::new(Arena::new());
-        let mut joins = Vec::new();
-        for _ in 0..8 {
-            let a = Arc::clone(&a);
-            joins.push(std::thread::spawn(move || {
-                (0..2000).map(|_| a.alloc_raw().raw()).collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<u32> = joins.into_iter().flat_map(|j| j.join().unwrap()).collect();
+        // Enough allocations to race the install CAS of chunks 0 and 1;
+        // Miri runs each slowly.
+        const PER_THREAD: usize = if cfg!(miri) { 200 } else { 2000 };
+        let a = word_arena(0);
+        let mut all: Vec<u32> = std::thread::scope(|s| {
+            let joins: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..PER_THREAD)
+                            .map(|_| a.alloc_raw().raw())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            joins.into_iter().flat_map(|j| j.join().unwrap()).collect()
+        });
         all.sort_unstable();
         all.dedup();
-        assert_eq!(all.len(), 16_000);
+        assert_eq!(all.len(), 8 * PER_THREAD);
     }
 
     #[test]
     fn cross_chunk_allocation_works() {
-        let a: Arena<u64> = Arena::new();
+        let a = word_arena(0);
         let mut handles = Vec::new();
         for _ in 0..(BASE as usize * 3 + 10) {
             handles.push(a.alloc_raw());
@@ -810,18 +743,11 @@ mod tests {
             let stm = Stm::new();
             let p = stm.new_partition(PartitionConfig::named("home"));
             let a = pair_arena(&p);
-            assert_eq!(a.partition_id(), Some(p.id()));
-            assert!(Arc::ptr_eq(&a.partition().unwrap(), &p));
+            assert_eq!(a.partition_id(), p.id());
+            assert!(Arc::ptr_eq(&a.partition(), &p));
             let h = a.alloc_raw();
             assert_eq!(a.get(h).a.partition_id(), p.id());
             assert_eq!(a.get(h).b.partition_id(), p.id());
-        }
-
-        #[test]
-        fn unbound_arena_reports_no_partition() {
-            let a: Arena<u64> = Arena::new();
-            assert!(a.partition().is_none());
-            assert!(a.partition_id().is_none());
         }
 
         #[test]
@@ -854,7 +780,7 @@ mod tests {
                 stm.migrate_batch(&a, &dst),
                 crate::stm::SwitchOutcome::Switched
             );
-            assert_eq!(a.partition_id(), Some(dst.id()));
+            assert_eq!(a.partition_id(), dst.id());
             assert_eq!(a.get(h).a.partition_id(), dst.id());
             // Exhaust chunk 0 so the next alloc installs a fresh chunk:
             // its factory must read the *migrated* home.
@@ -882,7 +808,7 @@ mod tests {
             assert_eq!(a.get(h1).a.partition_id(), dst.id());
             assert_eq!(a.get(h1).b.partition_id(), dst.id());
             assert_eq!(a.get(h2).a.partition_id(), src.id(), "unnamed slot stays");
-            assert_eq!(a.partition_id(), Some(src.id()), "home stays");
+            assert_eq!(a.partition_id(), src.id(), "home stays");
             // A later whole-collection migration collects the strayed
             // slot's partition into the involved set and heals the split.
             assert_eq!(

@@ -129,8 +129,9 @@ pub struct PartitionConfig {
     /// Per-orec version-ring depth: how many overwritten `(address, value,
     /// overwritten-at)` records each orec retains for the snapshot read
     /// path (see [`crate::snapshot`]). Clamped to
-    /// [`MIN_RING_DEPTH`]..=[`MAX_RING_DEPTH`]. Memory cost is
-    /// `orec_count × ring_depth × 32` bytes per partition.
+    /// [`MIN_RING_DEPTH`]..=[`MAX_RING_DEPTH`] and fixed for the
+    /// partition's lifetime. Memory cost is `orec_count × ring_depth × 32`
+    /// bytes per partition.
     pub ring_depth: usize,
     /// Whether the runtime tuner may reconfigure this partition.
     pub tune: bool,

@@ -41,8 +41,8 @@ struct TableHold {
     current: Box<[Orec]>,
     retired: Vec<Box<[Orec]>>,
     /// Version-ring allocation for `current` (`current.len() × ring
-    /// depth` slots, flat), plus rings parked by resizes/depth changes —
-    /// the same park-don't-free liveness idiom as `retired`.
+    /// depth` slots, flat), plus rings parked by resizes — the same
+    /// park-don't-free liveness idiom as `retired`.
     ring: Box<[RingSlot]>,
     retired_rings: Vec<Box<[RingSlot]>>,
 }
@@ -85,10 +85,11 @@ pub struct Partition {
     mask: AtomicUsize,
     /// Hot-path view of the version rings: flat base pointer
     /// (`orec_count × ring_depth` slots; orec *i* owns slots
-    /// `i*depth..(i+1)*depth`) and the depth. Swapped only inside the
-    /// same flag→quiesce windows as `table`/`mask`.
+    /// `i*depth..(i+1)*depth`). Swapped only inside the same
+    /// flag→quiesce windows as `table`/`mask`.
     ring: AtomicPtr<RingSlot>,
-    ring_depth: AtomicUsize,
+    /// Slots per orec ring, fixed at creation.
+    ring_depth: usize,
     /// Ring records that could not be recycled in place because a pinned
     /// snapshot reader may still need the victim (see
     /// [`crate::snapshot`]); consulted by readers on a ring miss.
@@ -167,7 +168,7 @@ impl Partition {
             table,
             mask: AtomicUsize::new(n - 1),
             ring: ring_ptr,
-            ring_depth: AtomicUsize::new(depth),
+            ring_depth: depth,
             overflow: Mutex::new(Overflow::default()),
             overflow_len: AtomicUsize::new(0),
             tables: Mutex::new(TableHold {
@@ -205,10 +206,10 @@ impl Partition {
     }
 
     /// Version-ring depth: committed-version records each orec retains for
-    /// the snapshot read path (see [`crate::snapshot`]). Changed live by
-    /// [`crate::Stm::set_ring_depth`].
+    /// the snapshot read path (see [`crate::snapshot`]). Fixed at creation
+    /// by [`PartitionConfig::ring`].
     pub fn ring_depth(&self) -> usize {
-        self.ring_depth.load(Ordering::Acquire)
+        self.ring_depth
     }
 
     /// Records currently parked on the overflow list — ring evictions
@@ -227,10 +228,7 @@ impl Partition {
     /// (retired rings are parked, never freed).
     #[inline(always)]
     pub(crate) fn ring_view(&self) -> (*const RingSlot, usize) {
-        (
-            self.ring.load(Ordering::Acquire),
-            self.ring_depth.load(Ordering::Acquire),
-        )
+        (self.ring.load(Ordering::Acquire), self.ring_depth)
     }
 
     /// Parks a version record on the overflow list because the would-be
@@ -434,7 +432,7 @@ impl Partition {
         // (empty) ring array of the new size; the old one is parked for
         // the same liveness reason as the old table. Discarded history is
         // safe for readers by the same argument as in `reset_orecs`.
-        let new_ring = alloc_ring(count, self.ring_depth.load(Ordering::Acquire));
+        let new_ring = alloc_ring(count, self.ring_depth);
         self.ring
             .store(new_ring.as_ptr() as *mut RingSlot, Ordering::Release);
         let old_ring = std::mem::replace(&mut hold.ring, new_ring);
@@ -446,31 +444,6 @@ impl Partition {
         self.overflow_len.store(0, Ordering::Release);
         drop(ovf);
         self.stats.orec_resizes(1);
-    }
-
-    /// Replaces the version rings with a fresh (empty) allocation of
-    /// `depth` slots per orec and parks the old one. The depth half of
-    /// [`crate::Stm::set_ring_depth`]; same protocol contract as
-    /// [`Partition::install_table`] — only inside a flag→quiesce window.
-    pub(crate) fn install_ring(&self, depth: usize) {
-        debug_assert!((config::MIN_RING_DEPTH..=config::MAX_RING_DEPTH).contains(&depth));
-        let mut hold = self.tables.lock();
-        let new_ring = alloc_ring(hold.current.len(), depth);
-        // The orec table stays: rewind its cursors onto the empty ring (a
-        // cursor left from a deeper ring could point past the new depth).
-        for o in hold.current.iter() {
-            o.set_ring_cursor(0);
-        }
-        self.ring
-            .store(new_ring.as_ptr() as *mut RingSlot, Ordering::Release);
-        self.ring_depth.store(depth, Ordering::Release);
-        let old_ring = std::mem::replace(&mut hold.ring, new_ring);
-        hold.retired_rings.push(old_ring);
-        drop(hold);
-        let mut ovf = self.overflow.lock();
-        ovf.records.clear();
-        ovf.prune_at = 0;
-        self.overflow_len.store(0, Ordering::Release);
     }
 
     /// Diagnostic scan of the orec table: `(locked_count, owner_slots,
@@ -657,25 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn install_ring_swaps_depth_and_parks_old_allocation() {
-        let p = part(PartitionConfig::default().orecs(16).ring(2));
-        let (old_ptr, _) = p.ring_view();
-        // Publish a record, then change depth: history is discarded.
-        // SAFETY: ring has 16 × 2 slots, alive as long as `p`.
-        unsafe { &*old_ptr }.publish(0x40, 11, 5);
-        p.install_ring(6);
-        assert_eq!(p.ring_depth(), 6);
-        let (new_ptr, depth) = p.ring_view();
-        assert_ne!(new_ptr, old_ptr, "fresh allocation");
-        assert_eq!(depth, 6);
-        // SAFETY: fresh ring, alive as long as `p`.
-        assert_eq!(unsafe { &*new_ptr }.load().2, 0, "empty");
-        // The parked ring stays dereferenceable.
-        // SAFETY: parked allocation, alive as long as `p`.
-        assert_eq!(unsafe { &*old_ptr }.load(), (0x40, 11, 5));
-    }
-
-    #[test]
     fn resize_clears_rings_and_overflow() {
         let p = part(PartitionConfig::default().orecs(16).ring(2));
         p.overflow_push(0x40, 9, 3, 0);
@@ -686,6 +640,7 @@ mod tests {
         p.install_table(32, 7);
         assert_eq!(p.overflow_len(), 0);
         assert_eq!(p.overflow_best(0x40, 2), None);
+        assert_eq!(p.ring_depth(), 2, "a resize keeps the depth");
         let (ptr, depth) = p.ring_view();
         assert_eq!(depth, 2);
         for i in 0..32 * depth {

@@ -25,8 +25,8 @@
 //! once in `quiesce.rs` ("The quiesce window"); what privatization adds:
 //!
 //! 1. **Flag.** [`PRIVATIZED_BIT`] goes in alongside the switching bit.
-//!    Privatization, configuration switches, orec resizes, ring-depth
-//!    changes and repartitions all contend on the *same* switching bit,
+//!    Privatization, configuration switches, orec resizes and
+//!    repartitions all contend on the *same* switching bit,
 //!    so any two of them targeting this partition serialize by
 //!    construction; the extra bit only classifies the hold (separate
 //!    collision counters, controller back-off). Contention reports
@@ -296,7 +296,7 @@ impl<'e> Access<'e> for &'e PrivateGuard {
 
     fn alloc<N: Send + Sync + 'static>(&mut self, arena: &'e Arena<N>) -> TxResult<Handle<N>> {
         assert!(
-            arena.partition().is_some_and(|home| self.covers(&home)),
+            self.covers(&arena.partition()),
             "arena's home partition is not the privatized one"
         );
         Ok(arena.alloc_raw())
@@ -343,8 +343,8 @@ impl Stm {
     /// the partition's cells at plain-memory speed. While the guard
     /// lives, transactional attempts touching the partition abort and
     /// back off (counted as `privatized_collisions`), and every other
-    /// control-plane operation on it — switch, resize, ring-depth change,
-    /// repartition, another privatize — reports contention. Dropping or
+    /// control-plane operation on it — switch, resize, repartition,
+    /// another privatize — reports contention. Dropping or
     /// [`republish`](PrivateGuard::republish)ing the guard re-admits
     /// transactions under generation+1.
     ///
@@ -498,10 +498,6 @@ mod tests {
         );
         assert_eq!(
             stm.resize_orecs(&p, 4 * p.orec_count()),
-            crate::SwitchOutcome::Contended
-        );
-        assert_eq!(
-            stm.set_ring_depth(&p, p.ring_depth() + 1),
             crate::SwitchOutcome::Contended
         );
         assert_eq!(

@@ -6,9 +6,8 @@
 //! operation of this crate is that protocol with a different mutation:
 //! [`Stm::switch_partition`](crate::Stm::switch_partition) (re-stamp the
 //! orecs, publish a new configuration),
-//! [`Stm::resize_orecs`](crate::Stm::resize_orecs) (install a fresh table),
-//! [`Stm::set_ring_depth`](crate::Stm::set_ring_depth) (install a fresh
-//! ring), the repartition entry points in [`crate::repartition`] (rebind
+//! [`Stm::resize_orecs`](crate::Stm::resize_orecs) (install a fresh table
+//! and ring), the repartition entry points in [`crate::repartition`] (rebind
 //! variables across *several* flagged partitions) and
 //! [`Stm::privatize`](crate::Stm::privatize) (hand the quiesced window to a
 //! [`PrivateGuard`](crate::PrivateGuard) and close it at republish).

@@ -77,13 +77,12 @@ pub trait MigrationSource {
     fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding));
 }
 
-/// A migratable collection: an arena-backed structure (or a bound arena
+/// A migratable collection: an arena-backed structure (or an arena
 /// itself) that a migration directory can register, account against
 /// profiler buckets, and move as a unit.
 ///
 /// Implemented by every structure in `partstm-structures` and by
-/// [`Arena`](crate::Arena) directly (for bound arenas without separate
-/// roots).
+/// [`Arena`](crate::Arena) directly (for arenas without separate roots).
 pub trait MigratableCollection: MigrationSource + Send + Sync {
     /// The partition newly allocated nodes bind to — the collection's
     /// current home. Racy during a migration, like

@@ -133,8 +133,8 @@
 //! once the ring has wrapped, holds the smallest stamp — the victim "any
 //! empty slot, else the minimum" would pick — and if it is above the
 //! floor, so is every other. This holds from any cursor over an empty
-//! ring, so windows that clear rings in place leave cursors alone;
-//! `set_ring_depth` keeps the orec table, and rewinds them.
+//! ring, so windows that clear rings in place leave cursors alone (a
+//! resize swaps in fresh orecs, whose cursors start at zero).
 //!
 //! Per read, the orec's versioned lock word arbitrates:
 //!
@@ -170,8 +170,8 @@
 //!
 //! **Against migrations and orec resizes.** Both run strictly inside a
 //! flag→quiesce→generation+1 window ([`crate::Stm::resize_orecs`],
-//! [`crate::Stm::migrate_pvars`]/`split_partition`, and
-//! [`crate::Stm::set_ring_depth`] for the rings themselves). A snapshot
+//! which also swaps the rings, and
+//! [`crate::Stm::migrate_pvars`]/`split_partition`). A snapshot
 //! attempt participates in quiescence exactly like a regular attempt (odd
 //! `seq`, `start_epoch`), so the window and the attempt cannot overlap:
 //! an attempt that observed the flag clear at first touch runs entirely
@@ -823,8 +823,6 @@ mod tests {
             Unpin(usize),
             /// Configuration switch: a window that clears rings in place.
             Clear,
-            /// `set_ring_depth`: a window that swaps the rings.
-            Depth(usize),
         }
 
         const VARS: usize = 3;
@@ -913,11 +911,6 @@ mod tests {
                         };
                         assert!(self.stm.switch_partition(&self.part, cfg).switched());
                     }
-                    Step::Depth(d) => {
-                        self.drain_pins();
-                        let _ = self.stm.set_ring_depth(&self.part, d);
-                        assert_eq!(self.part.ring_depth(), d);
-                    }
                 }
                 self.check(step);
             }
@@ -971,13 +964,12 @@ mod tests {
         }
 
         /// Scripted walk through every transition the cursor has to
-        /// survive: wrap, divert under a pin, recycle after the unpin, an
-        /// in-place clear mid-ring, and swaps to a smaller, a
-        /// non-power-of-two, the minimum and a larger depth.
+        /// survive — wrap, divert under a pin, recycle after the unpin, an
+        /// in-place clear mid-ring — once per ring depth: the minimum, a
+        /// power of two, a non-power-of-two and a deeper ring.
         #[test]
         fn cursor_and_lookup_follow_the_model_through_every_transition() {
             use Step::*;
-            let mut rig = Rig::new(2);
             let script = [
                 Write(0),
                 Write(1),
@@ -1001,41 +993,32 @@ mod tests {
                 Write(1),
                 Write(1),
                 Write(1),
-                Depth(8),
-                Write(0),
-                Write(1),
-                Write(2),
-                Write(0),
-                Write(1), // cursor at 5
-                Depth(3),
-                Pin(0),
                 Write(0),
                 Write(1),
                 Write(2),
                 Write(0),
                 Write(1),
-                Depth(1),
-                Write(0),
-                Pin(1),
-                Write(0),
-                Write(0),
-                Unpin(1),
-                Write(0),
-                Depth(2),
                 Write(2),
+                Write(0),
+                Write(1), // a deep ring wraps under the pin too
+                Unpin(2),
+                Write(0),
                 Clear,
                 Write(2),
                 Write(2),
                 Write(2),
             ];
-            for step in script {
-                rig.step(step);
+            for depth in [1, 2, 3, 8] {
+                let mut rig = Rig::new(depth);
+                for step in script {
+                    rig.step(step);
+                }
+                let s = rig.part.stats();
+                assert!(
+                    s.ring_overflow_pushes > 0,
+                    "depth {depth}: the script diverts under its pins"
+                );
             }
-            let s = rig.part.stats();
-            assert!(
-                s.ring_overflow_pushes > 0,
-                "the script diverts under its pins"
-            );
         }
 
         fn step_strategy() -> impl Strategy<Value = Step> {
@@ -1044,8 +1027,7 @@ mod tests {
                 40..=59 => Step::WritePair(a, b),
                 60..=74 => Step::Pin(a),
                 75..=84 => Step::Unpin(a),
-                85..=89 => Step::Clear,
-                _ => Step::Depth([1, 2, 3, 8][a % 4]),
+                _ => Step::Clear,
             })
         }
 

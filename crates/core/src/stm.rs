@@ -1,6 +1,6 @@
 //! The STM runtime: thread registration, partition creation and the
 //! single-partition control-plane operations (configuration switch, orec
-//! resize, ring depth) — each one mutation under a quiesce window
+//! resize) — each one mutation under a quiesce window
 //! (`quiesce.rs`).
 
 use core::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -30,10 +30,9 @@ pub const MAX_THREADS: usize = 64;
 /// [`StmBuilder::quiesce_timeout`].
 pub(crate) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Result of [`Stm::switch_partition`], [`Stm::resize_orecs`],
-/// [`Stm::set_ring_depth`] and of the repartition entry points
-/// ([`Stm::migrate_pvars`], [`Stm::split_partition`],
-/// [`Stm::merge_partitions`]): how the operation's quiesce window ended.
+/// Result of [`Stm::switch_partition`], [`Stm::resize_orecs`] and of the
+/// repartition entry points ([`Stm::migrate_pvars`],
+/// [`Stm::split_partition`], [`Stm::merge_partitions`]): how the operation's quiesce window ended.
 /// Only [`Switched`](SwitchOutcome::Switched) changes anything; the other
 /// three leave every involved partition — config word, generation, orec
 /// table, version ring, bindings — exactly as found.
@@ -49,8 +48,8 @@ pub enum SwitchOutcome {
     Switched,
     /// The requested state equals the current one; nothing was flagged.
     Unchanged,
-    /// Another control-plane operation (switch, resize, ring depth,
-    /// repartition, privatization) owns an involved partition; retryable.
+    /// Another control-plane operation (switch, resize, repartition,
+    /// privatization) owns an involved partition; retryable.
     Contended,
     /// Quiescence was not reached within the timeout: the operation was
     /// rolled back and may be retried. A transaction is likely stuck or
@@ -438,40 +437,6 @@ impl Stm {
             },
         )
     }
-
-    /// Changes a partition's version-ring depth *live* (clamped to
-    /// [`MIN_RING_DEPTH`](crate::config::MIN_RING_DEPTH)..=
-    /// [`MAX_RING_DEPTH`](crate::config::MAX_RING_DEPTH)): deeper rings
-    /// keep more committed versions per orec, so snapshot readers
-    /// ([`crate::ThreadCtx::snapshot_read`]) find history in the ring
-    /// instead of forcing writers onto the overflow list — the knob to turn
-    /// when [`Partition::overflow_len`] or the `ring_overflow_pushes`
-    /// counter stays high. Memory cost: `orec_count × depth × 32` bytes.
-    ///
-    /// Runs one quiesce window like [`Stm::resize_orecs`]; the mutation
-    /// installs a fresh (empty) ring of the new depth. Discarding
-    /// accumulated history is safe — see the migration/resize argument in
-    /// [`crate::snapshot`] — and merely costs post-switch snapshot readers
-    /// their history until writers repopulate it.
-    ///
-    /// Returns the [`SwitchOutcome`] —
-    /// [`Unchanged`](SwitchOutcome::Unchanged) when the depth is already
-    /// the effective one; anything but
-    /// [`Switched`](SwitchOutcome::Switched) leaves the ring exactly as
-    /// found.
-    ///
-    /// Must not be called from inside a transaction.
-    pub fn set_ring_depth(&self, partition: &Partition, depth: usize) -> SwitchOutcome {
-        let d = depth.clamp(config::MIN_RING_DEPTH, config::MAX_RING_DEPTH);
-        self.inner.reconfigure(
-            EventKind::RingDepth,
-            d as u64,
-            partition,
-            None,
-            || partition.ring_depth() == d,
-            |_| partition.install_ring(d),
-        )
-    }
 }
 
 impl StmInner {
@@ -488,8 +453,8 @@ impl StmInner {
         )
     }
 
-    /// The single-partition quiesce window behind switch, resize and
-    /// ring-depth, reported as one `kind` event with payload `arg`.
+    /// The single-partition quiesce window behind switch and resize,
+    /// reported as one `kind` event with payload `arg`.
     /// `done` is the operation's no-op test, run before flagging and
     /// again under the flag (where it can no longer race an interleaved
     /// window); `mutate` is its change, handed the clock value to stamp
@@ -729,23 +694,6 @@ mod tests {
         let p = stm1.new_partition(PartitionConfig::default());
         let cfg = p.current_config();
         let _ = stm2.switch_partition(&p, cfg);
-    }
-
-    #[test]
-    fn set_ring_depth_swaps_ring_and_bumps_generation() {
-        let stm = Stm::new();
-        let p = stm.new_partition(PartitionConfig::default().ring(4));
-        assert_eq!(p.ring_depth(), 4);
-        assert!(stm.set_ring_depth(&p, 16).switched());
-        assert_eq!(p.ring_depth(), 16);
-        assert_eq!(p.generation(), 1);
-        assert_eq!(stm.set_ring_depth(&p, 16), SwitchOutcome::Unchanged);
-        assert_eq!(p.generation(), 1);
-        // Clamped at both ends.
-        assert!(stm.set_ring_depth(&p, 0).switched());
-        assert_eq!(p.ring_depth(), crate::config::MIN_RING_DEPTH);
-        assert!(stm.set_ring_depth(&p, usize::MAX).switched());
-        assert_eq!(p.ring_depth(), crate::config::MAX_RING_DEPTH);
     }
 
     #[test]

@@ -9,13 +9,8 @@ use partstm_core::{
     Abort, Arena, CmPolicy, Granularity, PVar, Partition, PartitionConfig, ReadMode, Stm,
 };
 
-struct Node {
-    val: PVar<u64>,
-}
-
-fn node_arena(p: &Arc<Partition>) -> Arena<Node> {
-    let p = Arc::clone(p);
-    Arena::new_with(move || Node { val: p.tvar(0) })
+fn node_arena(p: &Arc<Partition>) -> Arena<PVar<u64>> {
+    Arena::new_bound(p, |p| p.tvar(0))
 }
 
 #[test]
@@ -28,8 +23,7 @@ fn aborted_alloc_is_reclaimed() {
     ctx.run(|tx| {
         attempts += 1;
         let h = arena.alloc(tx)?;
-        let n = arena.get(h);
-        tx.write(&n.val, 42)?;
+        tx.write(arena.get(h), 42)?;
         if attempts < 4 {
             return Err(Abort::retry());
         }
@@ -48,7 +42,7 @@ fn free_is_deferred_to_commit() {
     let ctx = stm.register_thread();
     let h = ctx.run(|tx| {
         let h = arena.alloc(tx)?;
-        tx.write(&arena.get(h).val, 1)?;
+        tx.write(arena.get(h), 1)?;
         Ok(h)
     });
     assert_eq!(arena.live(), 1);
@@ -287,7 +281,7 @@ fn stats_attribute_aborts_to_the_conflicting_partition() {
 /// node of the allocator's own consistent view.
 #[test]
 fn recycled_slots_never_alias_the_allocators_snapshot() {
-    use partstm_core::{Handle, TxResult, TxWord};
+    use partstm_core::{Handle, Migratable, PVarFields, TxResult, TxWord};
 
     struct TreeNode {
         key: PVar<u64>,
@@ -295,15 +289,20 @@ fn recycled_slots_never_alias_the_allocators_snapshot() {
         right: PVar<Option<Handle<TreeNode>>>,
     }
 
+    impl PVarFields for TreeNode {
+        fn for_each_pvar(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+            f(&self.key);
+            f(&self.left);
+            f(&self.right);
+        }
+    }
+
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("t"));
-    let arena: Arc<Arena<TreeNode>> = Arc::new(Arena::with_capacity_and(512, {
-        let p = p.clone();
-        move || TreeNode {
-            key: p.tvar(0),
-            left: p.tvar(None),
-            right: p.tvar(None),
-        }
+    let arena: Arc<Arena<TreeNode>> = Arc::new(Arena::with_capacity_bound(&p, 512, |p| TreeNode {
+        key: p.tvar(0),
+        left: p.tvar(None),
+        right: p.tvar(None),
     }));
     let root: Arc<PVar<Option<Handle<TreeNode>>>> = Arc::new(p.tvar(None));
     let ops_done = Arc::new(AtomicU64::new(0));

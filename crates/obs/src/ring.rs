@@ -39,9 +39,6 @@ pub enum EventKind {
     /// An in-place orec-table resize finished. `a` = partition id, `b` =
     /// `codes::OUTCOME_*`, `c` = requested orec count.
     OrecResize = 4,
-    /// A version-ring depth change finished. `a` = partition id, `b` =
-    /// `codes::OUTCOME_*`, `c` = requested depth.
-    RingDepth = 5,
     /// A repartition (split/merge/migrate) finished. `a` = destination
     /// partition id, `b` = `codes::OUTCOME_*`, `c` = variables moved.
     Repartition = 6,
@@ -96,7 +93,6 @@ impl EventKind {
             2 => EventKind::QuiesceEnd,
             3 => EventKind::ConfigSwitch,
             4 => EventKind::OrecResize,
-            5 => EventKind::RingDepth,
             6 => EventKind::Repartition,
             7 => EventKind::Privatize,
             8 => EventKind::Republish,
@@ -183,12 +179,6 @@ pub fn render_event(e: &Event) -> String {
         }
         EventKind::OrecResize => format!(
             "orec-resize      p{} -> {} (orecs={})",
-            e.a,
-            codes::outcome_name(e.b),
-            e.c
-        ),
-        EventKind::RingDepth => format!(
-            "ring-depth       p{} -> {} (depth={})",
             e.a,
             codes::outcome_name(e.b),
             e.c

@@ -76,71 +76,45 @@ use partstm_core::{
 
 use crate::directory::{PVarDirectory, TearMovers, TearSet};
 
-/// Controller tuning knobs.
+/// Profiler ring capacity between windows.
+const PROFILER_CAPACITY: usize = 4096;
+/// Windows to stay quiet after an executed (or failed) action.
+const COOLDOWN: u32 = 3;
+/// Largest fraction of a collection's live nodes a slot-subset tear may
+/// move. A hot set wider than this is not a celebrity-key pattern; the
+/// tear falls back to the whole-structure split execution.
+const TEAR_MAX_FRACTION: f64 = 0.25;
+/// Consecutive quiesce-timeout failures against one partition that open
+/// its circuit breaker (see [`RepartEvent::BreakerOpen`]): while open,
+/// proposals targeting the partition are skipped instead of burning the
+/// window's single action on another doomed quiesce. Any non-timeout
+/// outcome resets the count.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+
+/// Controller tuning knobs. [`ControllerConfig::responsive`] is the preset.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Evaluation window length (daemon mode).
     pub interval: Duration,
     /// Profiler sampling period (1 in N transactions).
     pub sample_period: u64,
-    /// Profiler ring capacity between windows.
-    pub profiler_capacity: usize,
     /// Thresholds of the online analysis.
     pub online: OnlineConfig,
     /// Consecutive windows that must propose the same action before it
     /// executes (anti-thrash, like the tuner's hysteresis).
     pub hysteresis: u32,
-    /// Windows to stay quiet after an executed (or failed) action.
-    pub cooldown: u32,
     /// Exponential aging applied to the affinity graph every window.
     pub decay: f64,
     /// Hard cap on partitions this controller may create up to.
     pub max_partitions: usize,
-    /// Template configuration for partitions created by splits (the name
-    /// is replaced). The default keeps the engine defaults and marks the
-    /// partition tunable, so the parameter tuner (when installed) adapts
-    /// the hot partition from its own observed statistics — picking a
-    /// contention policy here by fiat backfires on oversubscribed hosts,
-    /// where spinning policies burn the cycles the lock holder needs.
-    pub split_template: PartitionConfig,
-    /// Largest fraction of a collection's live nodes a slot-subset tear
-    /// may move. A hot set wider than this is not a celebrity-key pattern;
-    /// the tear falls back to the whole-structure split execution.
-    pub tear_max_fraction: f64,
-    /// Consecutive quiesce-timeout failures against one partition that
-    /// open its circuit breaker (see [`RepartEvent::BreakerOpen`]): while
-    /// open, proposals targeting the partition are skipped instead of
-    /// burning the window's single action on another doomed quiesce. Any
-    /// non-timeout outcome resets the count.
-    pub breaker_threshold: u32,
     /// Evaluation windows an opened circuit breaker stays open before the
     /// partition becomes eligible again.
     pub breaker_windows: u32,
 }
 
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            interval: Duration::from_millis(250),
-            sample_period: 16,
-            profiler_capacity: 4096,
-            online: OnlineConfig::default(),
-            hysteresis: 2,
-            cooldown: 4,
-            decay: 0.5,
-            max_partitions: 64,
-            split_template: PartitionConfig::default().tunable(),
-            tear_max_fraction: 0.25,
-            breaker_threshold: 3,
-            breaker_windows: 8,
-        }
-    }
-}
-
 impl ControllerConfig {
     /// A preset that reacts within a few hundred milliseconds — for demos,
-    /// benchmarks and tests. Production deployments should prefer the
-    /// defaults (or slower).
+    /// benchmarks and tests.
     pub fn responsive() -> Self {
         ControllerConfig {
             interval: Duration::from_millis(100),
@@ -150,8 +124,9 @@ impl ControllerConfig {
                 ..OnlineConfig::default()
             },
             hysteresis: 2,
-            cooldown: 3,
-            ..Default::default()
+            decay: 0.5,
+            max_partitions: 64,
+            breaker_windows: 8,
         }
     }
 }
@@ -325,8 +300,7 @@ struct CtrlState {
     split_seq: u32,
     /// Jitter source for [`retry_contended`]'s backoff.
     rng: XorShift64,
-    /// Per-partition circuit breakers (see
-    /// [`ControllerConfig::breaker_threshold`]).
+    /// Per-partition circuit breakers (see [`BREAKER_THRESHOLD`]).
     breaker: BTreeMap<PartitionId, BreakerState>,
     /// Partitions this controller knows to be dead (merged-away sources,
     /// abandoned split destinations); the Stm itself never unregisters
@@ -368,10 +342,7 @@ pub struct RepartitionController {
 impl RepartitionController {
     /// Creates a controller (profiler installed, no thread spawned).
     pub fn new(stm: &Stm, dir: Arc<dyn PVarDirectory>, cfg: ControllerConfig) -> Self {
-        let profiler = Arc::new(AccessProfiler::new(
-            cfg.sample_period,
-            cfg.profiler_capacity,
-        ));
+        let profiler = Arc::new(AccessProfiler::new(cfg.sample_period, PROFILER_CAPACITY));
         stm.set_profiler(Arc::clone(&profiler));
         let baseline = stm
             .partitions()
@@ -564,9 +535,7 @@ fn attempt(
 enum Dest<'a> {
     /// A partition already in service.
     Existing(&'a Arc<Partition>),
-    /// A partition [`migrate`] creates from
-    /// [`ControllerConfig::split_template`], named
-    /// `<source>~<suffix><seq>`.
+    /// A partition [`migrate`] creates, named `<source>~<suffix><seq>`.
     Fresh(&'static str),
 }
 
@@ -598,11 +567,14 @@ fn migrate(
         Dest::Existing(d) => (Arc::clone(d), false),
         Dest::Fresh(suffix) => {
             st.split_seq += 1;
-            let template = PartitionConfig {
-                name: format!("{}~{suffix}{}", from.name(), st.split_seq),
-                ..ctrl.cfg.split_template.clone()
-            };
-            (ctrl.stm.new_partition(template), true)
+            // Engine defaults, tunable: the parameter tuner (when
+            // installed) adapts the new partition from its own observed
+            // statistics — picking a contention policy here by fiat
+            // backfires on oversubscribed hosts, where spinning policies
+            // burn the cycles the lock holder needs.
+            let name = format!("{}~{suffix}{}", from.name(), st.split_seq);
+            let cfg = PartitionConfig::named(name).tunable();
+            (ctrl.stm.new_partition(cfg), true)
         }
     };
     // The general form of the repartition protocol; a split is this call
@@ -658,14 +630,12 @@ fn execute(
             let (hot_share, abort_rate) = (*hot_share, *abort_rate);
             let mut sets = Vec::new();
             if proposal.header().kind == ActionKind::Tear {
-                sets = ctrl
-                    .dir
-                    .collect_tears(src, buckets, ctrl.cfg.tear_max_fraction);
+                sets = ctrl.dir.collect_tears(src, buckets, TEAR_MAX_FRACTION);
             }
             if sets.is_empty() {
                 // A split — or a tear with nothing tearable behind the
                 // hot buckets (flat vars, subset wider than
-                // `tear_max_fraction`, slots already torn), which falls
+                // `TEAR_MAX_FRACTION`, slots already torn), which falls
                 // back to the whole-structure split.
                 let dest = Dest::fresh(ctrl, st, "hot")?;
                 let movers = ctrl.dir.collect(src, buckets);
@@ -827,7 +797,7 @@ fn record(ctrl: &Ctrl, st: &mut CtrlState, window: u64, ev: RepartEvent, stale: 
         st.analyzer.forget_partition(*p);
     }
     st.streaks.clear();
-    st.cooldown = ctrl.cfg.cooldown;
+    st.cooldown = COOLDOWN;
 }
 
 /// Whether `id`'s circuit breaker is open as of `window`.
@@ -856,8 +826,8 @@ fn tick_breakers(st: &mut CtrlState, window: u64) {
 
 /// Folds the outcome of the action `h` describes into its subject's
 /// circuit breaker: quiesce timeouts accumulate and trip it at
-/// [`ControllerConfig::breaker_threshold`]; anything else proves quiesce
-/// works and resets the count.
+/// [`BREAKER_THRESHOLD`]; anything else proves quiesce works and resets
+/// the count.
 fn feed_breaker(ctrl: &Ctrl, st: &mut CtrlState, window: u64, h: &EventHeader) {
     let partition = h.subject;
     if h.outcome != SwitchOutcome::TimedOut {
@@ -866,11 +836,10 @@ fn feed_breaker(ctrl: &Ctrl, st: &mut CtrlState, window: u64, h: &EventHeader) {
         }
         return;
     }
-    let threshold = ctrl.cfg.breaker_threshold.max(1);
     let b = st.breaker.entry(partition).or_default();
     b.consecutive_timeouts += 1;
     let consecutive = b.consecutive_timeouts;
-    if consecutive >= threshold && b.open_until_window <= window {
+    if consecutive >= BREAKER_THRESHOLD && b.open_until_window <= window {
         b.open_until_window = window + ctrl.cfg.breaker_windows.max(1) as u64;
         telemetry::control_event(
             EventKind::CtrlBreaker,
@@ -1091,7 +1060,7 @@ mod tests {
         let dir = Arc::new(StaticDirectory::new());
         let vars: Vec<Arc<PVar<u64>>> = (0..8).map(|_| Arc::new(a.tvar(1u64))).collect();
         dir.register_all(vars.iter().map(|v| Arc::clone(v) as Arc<dyn Migratable>));
-        let c = RepartitionController::new(&stm, dir, ControllerConfig::default());
+        let c = RepartitionController::new(&stm, dir, ControllerConfig::responsive());
         let dead = || c.ctrl.state.lock().dead.clone();
         let stuck = [SwitchOutcome::Contended; 1 + CONTENDED_RETRIES as usize];
         let transient = [SwitchOutcome::Contended; 2];
@@ -1174,9 +1143,8 @@ mod tests {
         let p = stm.new_partition(PartitionConfig::named("brk"));
         let id = p.id();
         let cfg = ControllerConfig {
-            breaker_threshold: 3,
             breaker_windows: 2,
-            ..Default::default()
+            ..ControllerConfig::responsive()
         };
         let c = RepartitionController::new(&stm, Arc::new(StaticDirectory::new()), cfg);
         let ctrl = &c.ctrl;

@@ -34,7 +34,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use partstm_core::{Migratable, PartitionConfig, Stm};
-//! use partstm_repart::{ControllerConfig, PVarDirectory, RepartitionController, StaticDirectory};
+//! use partstm_repart::{ControllerConfig, RepartitionController, StaticDirectory};
 //!
 //! let stm = Stm::new();
 //! let accounts = stm.new_partition(PartitionConfig::named("accounts"));
@@ -499,7 +499,7 @@ mod tests {
             // input is the *resize's* breaker.
             cfg.online.split_abort_rate = f64::INFINITY;
         }
-        let threshold = cfg.breaker_threshold as usize;
+        let threshold = crate::controller::BREAKER_THRESHOLD as usize;
         let stm = Stm::new();
         let (accounts, dir) = if action == ActionKind::Tear {
             let (bank, dir) = MovableBank::new(&stm, 512, 100);

@@ -68,7 +68,7 @@ impl THashMap {
     /// Starts as the construction partition and moves when the
     /// repartitioner migrates the map.
     pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id().expect("bound arena")
+        self.arena.partition_id()
     }
 
     /// Registers this map with a migration directory so the online
@@ -232,7 +232,7 @@ impl MigrationSource for THashMap {
 
 impl MigratableCollection for THashMap {
     fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition().expect("bound arena")
+        self.arena.partition()
     }
 
     fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {

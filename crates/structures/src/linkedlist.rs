@@ -66,7 +66,7 @@ impl TLinkedList {
     /// Starts as the construction partition and moves when the
     /// repartitioner migrates the list.
     pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id().expect("bound arena")
+        self.arena.partition_id()
     }
 
     /// Registers this list with a migration directory so the online
@@ -138,7 +138,7 @@ impl MigrationSource for TLinkedList {
 
 impl MigratableCollection for TLinkedList {
     fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition().expect("bound arena")
+        self.arena.partition()
     }
 
     fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {

@@ -65,7 +65,7 @@ impl<T: TxWord> TQueue<T> {
     /// Starts as the construction partition and moves when the
     /// repartitioner migrates the queue.
     pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id().expect("bound arena")
+        self.arena.partition_id()
     }
 
     /// Registers this queue with a migration directory so the online
@@ -150,7 +150,7 @@ impl<T: TxWord + Send + Sync> MigrationSource for TQueue<T> {
 
 impl<T: TxWord + Send + Sync> MigratableCollection for TQueue<T> {
     fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition().expect("bound arena")
+        self.arena.partition()
     }
 
     fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {

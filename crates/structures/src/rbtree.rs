@@ -96,7 +96,7 @@ impl TRbTree {
     /// Starts as the construction partition and moves when the
     /// repartitioner migrates the tree.
     pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id().expect("bound arena")
+        self.arena.partition_id()
     }
 
     /// Registers this tree with a migration directory so the online
@@ -520,7 +520,7 @@ impl MigrationSource for TRbTree {
 
 impl MigratableCollection for TRbTree {
     fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition().expect("bound arena")
+        self.arena.partition()
     }
 
     fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {

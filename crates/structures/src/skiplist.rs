@@ -85,7 +85,7 @@ impl TSkipList {
     /// home). Starts as the construction partition and moves when the
     /// repartitioner migrates the list.
     pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id().expect("bound arena")
+        self.arena.partition_id()
     }
 
     /// Registers this skip list with a migration directory so the online
@@ -184,7 +184,7 @@ impl MigrationSource for TSkipList {
 
 impl MigratableCollection for TSkipList {
     fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition().expect("bound arena")
+        self.arena.partition()
     }
 
     fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {

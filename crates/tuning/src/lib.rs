@@ -1,13 +1,12 @@
-//! # partstm-tuning — runtime per-partition tuning policies
+//! # partstm-tuning — runtime per-partition tuning policy
 //!
 //! The dynamic half of *"Automatic Data Partitioning in Software
-//! Transactional Memories"* (SPAA 2008): heuristics that observe each
-//! partition's statistics window and reconfigure the partition's STM
+//! Transactional Memories"* (SPAA 2008): a heuristic that observes each
+//! partition's statistics window and reconfigures the partition's STM
 //! parameters (read visibility, conflict-detection granularity) on the fly.
 //!
-//! * [`ThresholdPolicy`] — the paper's rule-based heuristic with hysteresis;
-//! * [`HillClimbPolicy`] — measurement-driven probing (ablation baseline);
-//! * [`FixedPolicy`] — pins a configuration (testing aid).
+//! [`ThresholdPolicy`] is the paper's rule-based heuristic with hysteresis;
+//! any other policy implements [`partstm_core::TuningPolicy`] directly.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -24,64 +23,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod hillclimb;
 pub mod threshold;
 
-pub use hillclimb::HillClimbPolicy;
 pub use threshold::{coarsen, refine, ThresholdPolicy, Thresholds};
-
-use partstm_core::{DynConfig, TuneInput, TuningPolicy};
-
-/// A policy that always requests one fixed configuration (engine/test aid:
-/// exercises the switch path deterministically).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedPolicy {
-    /// The configuration to pin.
-    pub config: DynConfig,
-    /// Evaluation window.
-    pub window: u64,
-}
-
-impl TuningPolicy for FixedPolicy {
-    fn window(&self) -> u64 {
-        self.window
-    }
-
-    fn evaluate(&self, input: &TuneInput) -> Option<DynConfig> {
-        if input.config == self.config {
-            None
-        } else {
-            Some(self.config)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use partstm_core::{PartitionConfig, PartitionId, ReadMode, StatCounters};
-
-    #[test]
-    fn fixed_policy_requests_until_pinned() {
-        let mut cfg = DynConfig::from(&PartitionConfig::default());
-        cfg.read_mode = ReadMode::Visible;
-        let p = FixedPolicy {
-            config: cfg,
-            window: 8,
-        };
-        let input = TuneInput {
-            partition: PartitionId(0),
-            name: "x".into(),
-            config: DynConfig::from(&PartitionConfig::default()),
-            delta: StatCounters::default(),
-            seconds: 0.1,
-        };
-        assert_eq!(p.evaluate(&input), Some(cfg));
-        let pinned = TuneInput {
-            config: cfg,
-            ..input
-        };
-        assert_eq!(p.evaluate(&pinned), None);
-        assert_eq!(p.window(), 8);
-    }
-}

@@ -1,4 +1,4 @@
-//! The five control-plane operations as one table, for the suites that
+//! The four control-plane operations as one table, for the suites that
 //! must treat them alike (quiesce-timeout rollback, telemetry contract).
 
 use std::sync::Arc;
@@ -10,23 +10,20 @@ use partstm::core::{MigrationSource, Partition, PrivatizeError, ReadMode, Stm, S
 pub enum ControlOp {
     Switch,
     ResizeOrecs,
-    RingDepth,
     Migrate,
     Privatize,
 }
 
 impl ControlOp {
-    pub const ALL: [ControlOp; 5] = [
+    pub const ALL: [ControlOp; 4] = [
         ControlOp::Switch,
         ControlOp::ResizeOrecs,
-        ControlOp::RingDepth,
         ControlOp::Migrate,
         ControlOp::Privatize,
     ];
 
     /// One fixed request against partition `a` — visible reads, 100 orecs
-    /// (effectively 128), the deepest ring, `src` moved to `b`, a
-    /// privatize/republish cycle. The first successful call changes
+    /// (effectively 128), `src` moved to `b`, a privatize/republish cycle. The first successful call changes
     /// something; repeating it asks for the state already reached.
     pub fn run(
         self,
@@ -42,7 +39,6 @@ impl ControlOp {
                 stm.switch_partition(a, cfg)
             }
             ControlOp::ResizeOrecs => stm.resize_orecs(a, 100),
-            ControlOp::RingDepth => stm.set_ring_depth(a, usize::MAX),
             ControlOp::Migrate => stm.migrate_batch(src, b),
             ControlOp::Privatize => match stm.privatize(a) {
                 Ok(guard) => {

@@ -1,6 +1,6 @@
-//! The control plane's telemetry contract: each of the five operations
-//! that run a quiesce window — configuration switch, orec resize, ring
-//! depth, repartition, privatize — emits exactly one event of its kind
+//! The control plane's telemetry contract: each of the four operations
+//! that run a quiesce window — configuration switch, orec resize,
+//! repartition, privatize — emits exactly one event of its kind
 //! per call, carrying the call's outcome and a truthful argument, plus a
 //! `QuiesceBegin`/`QuiesceEnd` pair iff a drain ran and one `Republish`
 //! per guard.
@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use partstm::core::config::MAX_RING_DEPTH;
 use partstm::core::telemetry::{self, codes, Event, EventKind};
 use partstm::core::{
     rtlog, Migratable, MigrationSource, PVar, Partition, PartitionConfig, Stm, SwitchOutcome,
@@ -46,7 +45,7 @@ impl Rig {
         let stm = Stm::builder()
             .quiesce_timeout(Duration::from_millis(40))
             .build();
-        let a = stm.new_partition(PartitionConfig::named("a").orecs(64).ring(4));
+        let a = stm.new_partition(PartitionConfig::named("a").orecs(64));
         let b = stm.new_partition(PartitionConfig::named("b"));
         let bank = Bank::new(Arc::clone(&a), 6, 100);
         Rig { stm, a, b, bank }
@@ -57,9 +56,9 @@ impl Rig {
     }
 
     /// The event `op` must emit for `outcome`: `(kind, partition, outcome
-    /// code, argument)`. Resize and depth report the *effective* value
-    /// (100 rounds up to 128, `usize::MAX` clamps); a repartition reports
-    /// the bindings it actually rebound.
+    /// code, argument)`. A resize reports the *effective* value (100
+    /// rounds up to 128); a repartition reports the bindings it actually
+    /// rebound.
     fn event(&self, op: ControlOp, outcome: SwitchOutcome) -> (EventKind, u64, u64, u64) {
         let code = match outcome {
             SwitchOutcome::Switched => codes::OUTCOME_SWITCHED,
@@ -71,7 +70,6 @@ impl Rig {
         match op {
             ControlOp::Switch => (EventKind::ConfigSwitch, a, code, 0),
             ControlOp::ResizeOrecs => (EventKind::OrecResize, a, code, 128),
-            ControlOp::RingDepth => (EventKind::RingDepth, a, code, MAX_RING_DEPTH as u64),
             ControlOp::Migrate => {
                 let mut moved = 0;
                 if outcome == SwitchOutcome::Switched {
@@ -100,7 +98,6 @@ fn recorded<R>(f: impl FnOnce() -> R) -> (R, Vec<(EventKind, u64, u64, u64)>) {
             EventKind::QuiesceBegin
             | EventKind::ConfigSwitch
             | EventKind::OrecResize
-            | EventKind::RingDepth
             | EventKind::Repartition
             | EventKind::Privatize => Some((e.kind, e.a, e.b, e.c)),
             _ => None,

@@ -21,10 +21,6 @@ use partstm::structures::{Bank, THashMap};
 /// either way).
 static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-struct Node {
-    v: PVar<u64>,
-}
-
 /// Panics mid-transaction on several threads while others run normally;
 /// afterwards the partition must be fully unlocked and consistent.
 #[test]
@@ -107,23 +103,20 @@ fn panic_clears_visible_reader_bits() {
 fn retry_storms_do_not_leak_arena_slots() {
     let stm = Stm::new();
     let p = stm.new_partition(PartitionConfig::named("a"));
-    let arena: Arc<Arena<Node>> = Arc::new(Arena::new_with({
-        let p = p.clone();
-        move || Node { v: p.tvar(0) }
-    }));
+    let arena: Arc<Arena<PVar<u64>>> = Arc::new(Arena::new_bound(&p, |p| p.tvar(0)));
     let total_commits = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let ctx = stm.register_thread();
             let (arena, total_commits) = (arena.clone(), total_commits.clone());
             s.spawn(move || {
-                let mut kept: Vec<Handle<Node>> = Vec::new();
+                let mut kept: Vec<Handle<PVar<u64>>> = Vec::new();
                 for i in 0..500u64 {
                     let mut attempts = 0;
                     let h = ctx.run(|tx| {
                         attempts += 1;
                         let h = arena.alloc(tx)?;
-                        tx.write(&arena.get(h).v, t * 1000 + i)?;
+                        tx.write(arena.get(h), t * 1000 + i)?;
                         if attempts < 3 {
                             return Err(Abort::retry());
                         }
@@ -204,22 +197,21 @@ fn contended_arena_migration_rolls_back_bindings_and_freelist() {
 }
 
 /// Everything an integration test can see of a partition's control-plane
-/// state: configuration, generation, orec table, version ring, hold.
+/// state: configuration, generation, orec table, hold.
 fn control_state(p: &Partition) -> impl PartialEq + std::fmt::Debug {
     (
         p.current_config(),
         p.generation(),
         (p.orec_count(), p.stats().orec_resizes),
-        p.ring_depth(),
         p.is_privatized(),
     )
 }
 
 /// A quiesce timeout (a straggler transaction refuses to finish within the
-/// configured window) during *any* of the five control-plane operations
+/// configured window) during *any* of the four control-plane operations
 /// reports `TimedOut` — in debug and release alike — and rolls the
-/// operation back: configuration, generation, table, ring and every
-/// binding exactly as found, free list consistent. The straggler commits
+/// operation back: configuration, generation, table and every binding
+/// exactly as found, free list consistent. The straggler commits
 /// exactly once, as if nothing had happened, and the same operation
 /// succeeds once it is gone.
 #[test]
@@ -228,7 +220,7 @@ fn quiesce_timeout_rolls_back_every_control_operation() {
         let stm = Stm::builder()
             .quiesce_timeout(Duration::from_millis(100))
             .build();
-        let a = stm.new_partition(PartitionConfig::named("a").orecs(64).ring(4));
+        let a = stm.new_partition(PartitionConfig::named("a").orecs(64));
         let b = stm.new_partition(PartitionConfig::named("b"));
         let map = Arc::new(THashMap::new(Arc::clone(&a), 8));
         {
@@ -304,7 +296,6 @@ fn quiesce_timeout_rolls_back_every_control_operation() {
         match op {
             ControlOp::Switch => assert_eq!(a.current_config().read_mode, ReadMode::Visible),
             ControlOp::ResizeOrecs => assert_eq!(a.orec_count(), 128),
-            ControlOp::RingDepth => assert!(a.ring_depth() > 4),
             ControlOp::Migrate => assert_all_bindings_in(&*map, b.id(), "map"),
             ControlOp::Privatize => assert_eq!(a.stats().republishes, 1),
         }

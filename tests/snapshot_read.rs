@@ -1,8 +1,8 @@
 //! The multi-version snapshot read tier under fire: read-only
 //! transactions must never abort on a data conflict and must always
 //! observe a consistent snapshot (the conserved-sum probe), no matter
-//! what the writers *or the control plane* — orec resizes, ring-depth
-//! changes, partition splits and migrations — are doing around them.
+//! what the writers *or the control plane* — orec resizes, partition
+//! splits and migrations — are doing around them.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -132,9 +132,10 @@ fn snapshot_reads_are_abort_free_when_every_publish_wraps_or_diverts() {
     }
 }
 
-/// Orec-table resizes and live ring-depth changes race the readers: a
-/// reader that catches a quiesce window restarts (that is the designed
-/// response), but every sum it *returns* is still consistent.
+/// Orec-table resizes race the readers, each swapping in a fresh version
+/// ring sized to the new table: a reader that catches a quiesce window
+/// restarts (that is the designed response), but every sum it *returns*
+/// is still consistent.
 #[test]
 fn snapshot_reads_survive_orec_and_ring_resizes() {
     let stm = Stm::new();
@@ -163,8 +164,8 @@ fn snapshot_reads_survive_orec_and_ring_resizes() {
                 }
             });
         }
-        // Control plane: alternate table sizes and ring depths as fast as
-        // the quiesce protocol allows, deadline-bounded.
+        // Control plane: alternate table sizes as fast as the quiesce
+        // protocol allows, deadline-bounded.
         {
             let stm2 = stm.clone();
             let (part, stop, switches) = (Arc::clone(&part), &stop, &switches);
@@ -172,10 +173,9 @@ fn snapshot_reads_survive_orec_and_ring_resizes() {
                 let deadline = Instant::now() + Duration::from_secs(4);
                 let mut i = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let o1 = stm2.resize_orecs(&part, if i.is_multiple_of(2) { 256 } else { 64 });
-                    let o2 = stm2.set_ring_depth(&part, if i.is_multiple_of(2) { 8 } else { 2 });
+                    let o = stm2.resize_orecs(&part, if i.is_multiple_of(2) { 256 } else { 64 });
                     i += 1;
-                    if o1 == SwitchOutcome::Switched && o2 == SwitchOutcome::Switched {
+                    if o == SwitchOutcome::Switched {
                         switches.fetch_add(1, Ordering::Relaxed);
                     }
                     if switches.load(Ordering::Relaxed) >= 20 || Instant::now() > deadline {
@@ -302,26 +302,28 @@ fn snapshot_reader_straddling_a_quiesce_window_restarts_cleanly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Against random transfer histories and random live ring-depth
-    /// changes, a quiescent snapshot agrees with direct reads on every
-    /// single account and every mid-history snapshot sum is conserved.
+    /// Against random transfer histories, ring depths and a live orec
+    /// resize at a random point, a quiescent snapshot agrees with direct
+    /// reads on every single account and every mid-history snapshot sum
+    /// is conserved.
     #[test]
     fn snapshot_sums_match_direct_reads_under_random_histories(
         depth in 1usize..=8,
         ops in proptest::collection::vec((0..ACCOUNTS, 0..ACCOUNTS, 0..100i64), 1..60),
-        redepth_at in 0usize..60,
+        resize_at in 0usize..60,
     ) {
         let stm = Stm::new();
         let part = stm.new_partition(PartitionConfig::named("hist").ring(depth));
         let accounts = bank(&part);
         let ctx = stm.register_thread();
         for (i, (from, to, amt)) in ops.iter().enumerate() {
-            if i == redepth_at {
-                // A live depth change mid-history must not lose records
-                // a *future* snapshot needs (it cannot: discarded history
-                // predates any post-change pin). The switch may time out
-                // under contention; either outcome is a valid test case.
-                let _ = stm.set_ring_depth(&part, depth * 2);
+            if i == resize_at {
+                // A live resize mid-history discards the rings; it must
+                // not lose records a *future* snapshot needs (it cannot:
+                // discarded history predates any post-change pin). The
+                // resize may time out under contention; either outcome is
+                // a valid test case.
+                let _ = stm.resize_orecs(&part, part.orec_count() * 2);
             }
             ctx.run(|tx| {
                 let f = tx.read(&accounts[*from])?;
