@@ -107,7 +107,9 @@ pub struct Partition {
     pub(crate) stats: PartitionStats,
     /// Whether the runtime tuner may reconfigure this partition.
     pub(crate) tunable: bool,
-    /// Commits since the tuner last looked at this partition.
+    /// Commits credited, one stride at a time, toward the tuner's next
+    /// window; a full window is claimed by subtracting it ([`crate::tuner`],
+    /// "Cadence").
     pub(crate) tune_gate: CachePadded<AtomicU64>,
     pub(crate) tune_state: Mutex<TuneState>,
 }

@@ -232,6 +232,21 @@ pub struct PartitionStats {
 
 for_each_stat!(define_counters);
 
+impl PartitionStats {
+    /// The transactional (non-snapshot) commits `slot`'s owners have made
+    /// in this partition: `commits − snapshot_commits` of the slot's own
+    /// shard, two relaxed loads of lines only this thread writes. Exact
+    /// when read by the slot's owner, and it grows by exactly one per
+    /// `ThreadCtx::run` commit — the cadence the tuner hook gates on.
+    #[inline]
+    pub(crate) fn own_commits(&self, slot: usize) -> u64 {
+        let s = &self.slots[slot];
+        s.commits
+            .load(Ordering::Relaxed)
+            .wrapping_sub(s.snapshot_commits.load(Ordering::Relaxed))
+    }
+}
+
 impl Default for PartitionStats {
     fn default() -> Self {
         PartitionStats {

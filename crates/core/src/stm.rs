@@ -122,6 +122,11 @@ pub(crate) struct StmInner {
     pub(crate) partitions: Mutex<Vec<Arc<Partition>>>,
     next_partition: AtomicU32,
     pub(crate) tuner: RwLock<Option<Arc<dyn TuningPolicy>>>,
+    /// The installed policy's `window()`, read once at install and
+    /// readable with one relaxed load on the commit path (0 = no tuner).
+    /// Written under the `tuner` write lock, so it pairs with the policy;
+    /// it publishes nothing (the policy itself is read under the lock).
+    pub(crate) tune_window: CachePadded<AtomicU64>,
     /// How long switches/repartitions wait for quiescence before rolling
     /// back (see [`StmBuilder::quiesce_timeout`]).
     pub(crate) quiesce_timeout: Duration,
@@ -251,6 +256,7 @@ impl StmBuilder {
                 partitions: Mutex::new(Vec::new()),
                 next_partition: AtomicU32::new(0),
                 tuner: RwLock::new(None),
+                tune_window: CachePadded::new(AtomicU64::new(0)),
                 quiesce_timeout: self.quiesce_timeout,
                 kill_after: self.kill_after.unwrap_or(self.quiesce_timeout / 4),
                 profiler: RwLock::new(None),
@@ -307,15 +313,22 @@ impl Stm {
     }
 
     /// Installs (or replaces) the runtime tuning policy. Partitions created
-    /// with [`PartitionConfig::tunable`] will be evaluated every
-    /// `policy.window()` commits.
+    /// with [`PartitionConfig::tunable`] will be evaluated about every
+    /// `policy.window()` commits. The window is read once, here; with `T`
+    /// threads committing, an evaluation fires at most `T × (stride − 1)`
+    /// commits late (stride = `min(64, window)`, see [`crate::tuner`]).
     pub fn set_tuner(&self, policy: Arc<dyn TuningPolicy>) {
-        *self.inner.tuner.write() = Some(policy);
+        let window = policy.window().max(1);
+        let mut tuner = self.inner.tuner.write();
+        *tuner = Some(policy);
+        self.inner.tune_window.store(window, Ordering::SeqCst);
     }
 
-    /// Removes the tuning policy.
+    /// Removes the tuning policy; commits stop evaluating at once.
     pub fn clear_tuner(&self) {
-        *self.inner.tuner.write() = None;
+        let mut tuner = self.inner.tuner.write();
+        self.inner.tune_window.store(0, Ordering::SeqCst);
+        *tuner = None;
     }
 
     /// Installs (or replaces) the sampled access profiler. One in

@@ -129,7 +129,8 @@
 //! The view stores it as a raw pointer only because the scratch tables
 //! outlive `'e`; they are emptied when the `Tx` drops, so no pointer is
 //! dereferenced outside the `run` call that created it. An owning `Arc` is
-//! manufactured in one place: the tuner hook, for *tunable* partitions.
+//! manufactured in one place: the tuner hook, on every `stride`-th own
+//! commit of a *tunable* partition while a tuner is installed.
 //!
 //! ## Synchronization budget
 //!
@@ -163,7 +164,9 @@
 //! | leave | clock load for `free_tag` | acquire | only when the free log is non-empty | 0 |
 //! | leave | `starts`, `commits`, `update_commits`, `reads`, `writes` | relaxed load + store, own shard (were `fetch_add`s on a shared shard) | single writer per slot ([`crate::stats`]) | 5 → 0 |
 //! | leave | view table clear, tuner hook's `Arc` clone + drop | — (gone for non-tunable partitions) | `tunable` is tested before the clone | 3 → 0 |
+//! | leave | tuner hook: window copy (`tune_window`) | relaxed load | on/off switch; 0 = no tuner and the hook returns, touching nothing else | 0 |
 //! | | **total** | | | **31 → 4**: the `seq` RMW, two orec CASes, the clock RMW — the protocol itself |
+//! | leave, *tunable* partition (not in the total) | own shard's `commits` and `snapshot_commits`; every `stride`-th own commit only (`stride = min(64, window)`): tuner `RwLock` read, policy and partition `Arc` clone + drop, `tune_gate` `fetch_add` (plus one claiming CAS when that fills a window) | relaxed loads; the rest as before | single writer per slot ([`crate::tuner`], "Cadence"); the shared state is visited once per stride | 7 → 0 per commit (7 per stride); with no tuner installed, 4 → 0: nothing after the window load |
 //!
 //! [`ThreadCtx::snapshot_read`] of one partition, before → now: 13 → 2
 //! locked instructions. What remains is the `seq` RMW and the `SeqCst`
@@ -175,10 +178,6 @@
 //! loads between an acquire load and an acquire fence + re-load of the
 //! orec's `ring_epoch` (plus the overflow mutex when that list is
 //! non-empty) — no locked instruction on the lock-free part.
-//!
-//! A *tunable* partition's commit additionally takes the tuner `RwLock`,
-//! clones the policy `Arc` and the partition `Arc`, and RMWs the shared
-//! `tune_gate` — untouched here, measured, and its own next issue.
 //!
 //! ## Aliasing telemetry
 //!
@@ -247,7 +246,7 @@ use crate::pvar::{Access, PVar, PVarBinding};
 use crate::stats::LocalStats;
 use crate::stm::{StmInner, ThreadCtx};
 use crate::telemetry::{self, EventKind};
-use crate::tuner::TuneInput;
+use crate::tuner::{TuneInput, TUNE_STRIDE};
 use crate::word::TxWord;
 
 /// An invisible-read record: which orec was read, the lock word observed,
@@ -1538,11 +1537,20 @@ impl<'e, 's> Tx<'e, 's> {
         }
     }
 
-    /// Post-commit tuning hook: bump per-partition gates and, when a window
-    /// fills, evaluate the installed policy and apply its decision.
+    /// Post-commit tuning hook ([`crate::tuner`], "Cadence"): every
+    /// `stride`-th own commit of a tunable partition credits `stride`
+    /// commits to its gate and, when a window fills, evaluates the
+    /// installed policy and applies its decision. Every other commit stops
+    /// at relaxed loads of the window copy and of its own stat shard.
     fn after_commit_tuning(&mut self) {
+        let window = self.stm.tune_window.load(Ordering::Relaxed);
+        if window == 0 {
+            return;
+        }
+        let stride = window.min(TUNE_STRIDE);
         for i in 0..self.s.views.len() {
-            if !self.s.views[i].part().tunable {
+            let p = self.s.views[i].part();
+            if !p.tunable || !p.stats.own_commits(self.slot).is_multiple_of(stride) {
                 continue;
             }
             let part = PVarBinding::arc_of(self.s.views[i].part);
@@ -1553,12 +1561,20 @@ impl<'e, 's> Tx<'e, 's> {
                     None => return,
                 }
             };
-            let window = tuner.window().max(1);
-            let n = part.tune_gate.fetch_add(1, Ordering::Relaxed) + 1;
-            if n < window {
+            if part.tune_gate.fetch_add(stride, Ordering::Relaxed) + stride < window {
                 continue;
             }
-            part.tune_gate.store(0, Ordering::Relaxed);
+            // Claim one window, keeping the strides other threads credited
+            // since our add; fails if a concurrent claim already took it.
+            if part
+                .tune_gate
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |g| {
+                    g.checked_sub(window)
+                })
+                .is_err()
+            {
+                continue;
+            }
             let (delta, seconds) = {
                 let Some(mut st) = part.tune_state.try_lock() else {
                     continue;
