@@ -499,7 +499,7 @@ impl<N: PVarFields + 'static> Arena<N> {
     }
 
     /// A migration surface over a subset of this arena's slots, for
-    /// [`Stm::migrate_batch`](crate::Stm::migrate_batch): only the named
+    /// [`Stm::migrate`](crate::Stm::migrate): only the named
     /// slots' fields move; the home binding (and every other slot) stays.
     /// The caller must keep the handles valid for the batch's lifetime
     /// (they borrow the arena, so the usual rules apply).
@@ -777,7 +777,7 @@ mod tests {
             let a = pair_arena(&src);
             let h = a.alloc_raw();
             assert_eq!(
-                stm.migrate_batch(&a, &dst),
+                stm.migrate(&a, &dst, &[]),
                 crate::stm::SwitchOutcome::Switched
             );
             assert_eq!(a.partition_id(), dst.id());
@@ -802,7 +802,7 @@ mod tests {
             let h2 = a.alloc_raw();
             let subset = [h1];
             assert_eq!(
-                stm.migrate_batch(&a.slots_of(&subset), &dst),
+                stm.migrate(&a.slots_of(&subset), &dst, &[]),
                 crate::stm::SwitchOutcome::Switched
             );
             assert_eq!(a.get(h1).a.partition_id(), dst.id());
@@ -812,7 +812,7 @@ mod tests {
             // A later whole-collection migration collects the strayed
             // slot's partition into the involved set and heals the split.
             assert_eq!(
-                stm.migrate_batch(&a, &src),
+                stm.migrate(&a, &src, &[]),
                 crate::stm::SwitchOutcome::Switched
             );
             assert_eq!(a.get(h1).a.partition_id(), src.id());

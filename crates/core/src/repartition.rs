@@ -1,12 +1,15 @@
 //! Runtime repartitioning: structural mutation of the partition map.
 //!
 //! The configuration-switch protocol (see [`Stm::switch_partition`])
-//! changes *how* one partition detects conflicts. The entry points here
-//! change *what the partitions are*: [`Stm::migrate_pvars`] rebinds a
-//! batch of [`PVar`](crate::PVar)s to a different partition, and
-//! [`Stm::split_partition`] / [`Stm::merge_partitions`] are the structural
-//! operations the online repartitioner (crate `partstm-repart`) executes
-//! on top of it.
+//! changes *how* one partition detects conflicts. The one entry point
+//! here, [`Stm::migrate`], changes *what the partitions are*: it rebinds
+//! everything a [`MigrationSource`] enumerates to a destination partition.
+//! Split and merge are not separate operations: a split is
+//! [`Stm::new_partition`] followed by a migration out of the split
+//! partition, a merge is a migration that names the dissolved partition as
+//! a participant — which is how the online repartitioner (crate
+//! `partstm-repart`) executes both. [`Stm::migrate_pvars`] is the same
+//! call over a flat slice of [`PVar`](crate::PVar)s.
 //!
 //! ## Protocol
 //!
@@ -50,16 +53,16 @@
 //! *directory* needs on top — home partition, live-field addresses for
 //! profiler-bucket accounting — so the online repartitioner can map a
 //! "bucket 17 of partition 3 is hot" report back to a whole structure and
-//! move it with one [`Stm::split_partition_batch`] call. See the arena module
-//! docs for why the free list and racing `alloc`/`free` survive all this.
+//! move it with one [`Stm::migrate`] call. See the arena module docs for
+//! why the free list and racing `alloc`/`free` survive all this.
 
 use std::sync::Arc;
 
-use crate::config::{self, PartitionConfig};
+use crate::config;
 use crate::partition::Partition;
 use crate::pvar::{Migratable, PVarBinding};
 use crate::quiesce::QuiesceWindow;
-use crate::stm::{Stm, StmInner, SwitchOutcome};
+use crate::stm::{Stm, SwitchOutcome};
 use crate::telemetry::EventKind;
 
 /// Source of binding cells for one repartition: the protocol flags the
@@ -129,7 +132,7 @@ pub trait TearableCollection: MigratableCollection {
 /// Registration half of a migration directory: anything that accepts
 /// [`MigratableCollection`] handles for later bucket-to-structure mapping.
 ///
-/// Implemented by `partstm-repart`'s `ArenaDirectory`; declared here so
+/// Implemented by `partstm-repart`'s `StaticDirectory`; declared here so
 /// data-structure crates can expose `attach_directory` without depending
 /// on the controller crate.
 pub trait CollectionRegistry {
@@ -156,195 +159,122 @@ impl MigrationSource for VarsSource<'_> {
 }
 
 impl Stm {
-    /// Atomically rebinds `vars` to partition `dst` using the repartition
-    /// protocol (see the [module docs](crate::repartition)).
-    ///
-    /// Variables already bound to `dst` are tolerated (their binding is
-    /// refreshed). Returns [`SwitchOutcome::Unchanged`] without quiescing
-    /// when every variable is already bound to `dst`.
-    ///
-    /// Must not be called from inside a transaction.
-    ///
-    /// # Panics
-    ///
-    /// If `dst` or any variable's current partition belongs to a different
-    /// [`Stm`].
-    pub fn migrate_pvars(&self, vars: &[&dyn Migratable], dst: &Arc<Partition>) -> SwitchOutcome {
-        repartition(&self.inner, &VarsSource(vars), dst, &[])
-    }
-
     /// Atomically rebinds everything a [`MigrationSource`] enumerates —
-    /// a whole arena, an arena slot subset
+    /// flat variables, a whole arena, an arena slot subset
     /// ([`Arena::slots_of`](crate::Arena::slots_of)), a structure, or any
-    /// combination — to partition `dst`, using the same repartition
-    /// protocol as [`Stm::migrate_pvars`].
+    /// combination — to partition `dst`, in one repartition window (see
+    /// the [module docs](crate::repartition)).
+    ///
+    /// `from` names partitions that take part in the window (flag,
+    /// quiesce, generation+1) even when nothing `src` enumerates is
+    /// currently bound to them. A split is
+    /// [`new_partition`](Stm::new_partition) followed by
+    /// `migrate(src, &dst, &[src_part])`; a merge is
+    /// `migrate(src, &dst, &[merged_away])`, which marks the dissolved
+    /// partition's switch history even when it held nothing.
+    ///
+    /// Bindings already in `dst` are tolerated (refreshed). Returns
+    /// [`SwitchOutcome::Unchanged`] without quiescing when every binding
+    /// already points at `dst` and `from` names nothing else. On
+    /// [`Contended`](SwitchOutcome::Contended) /
+    /// [`TimedOut`](SwitchOutcome::TimedOut) nothing moved; a fresh
+    /// destination stays empty and the same call may be retried.
     ///
     /// Must not be called from inside a transaction.
     ///
     /// # Panics
     ///
-    /// If `dst` or any enumerated binding's current partition belongs to a
-    /// different [`Stm`].
-    pub fn migrate_batch(&self, src: &dyn MigrationSource, dst: &Arc<Partition>) -> SwitchOutcome {
-        repartition(&self.inner, src, dst, &[])
-    }
-
-    /// [`Stm::split_partition`] over an arbitrary [`MigrationSource`]:
-    /// creates a new partition from `cfg` and migrates everything `src`
-    /// enumerates into it, with `src_part` participating in the protocol
-    /// even when nothing enumerated is currently bound to it. Splitting a
-    /// whole collection out of its home is
-    /// `split_partition_batch(&c.home_partition(), cfg, c)`.
-    ///
-    /// On [`Contended`](SwitchOutcome::Contended) /
-    /// [`TimedOut`](SwitchOutcome::TimedOut) the new partition exists but
-    /// is empty; retry with [`Stm::migrate_batch`] into the same
-    /// destination.
-    pub fn split_partition_batch(
+    /// If `dst`, a partition in `from` or any enumerated binding's current
+    /// partition belongs to a different [`Stm`].
+    pub fn migrate(
         &self,
-        src_part: &Arc<Partition>,
-        cfg: PartitionConfig,
         src: &dyn MigrationSource,
-    ) -> (Arc<Partition>, SwitchOutcome) {
-        assert_eq!(
-            src_part.stm_id, self.inner.id,
-            "partition belongs to a different Stm"
-        );
-        let dst = self.new_partition(cfg);
-        let outcome = repartition(&self.inner, src, &dst, &[src_part]);
-        (dst, outcome)
-    }
-
-    /// [`Stm::merge_partitions`] over an arbitrary [`MigrationSource`].
-    pub fn merge_partitions_batch(
-        &self,
-        srcs: &[&Arc<Partition>],
         dst: &Arc<Partition>,
-        src: &dyn MigrationSource,
+        from: &[&Arc<Partition>],
     ) -> SwitchOutcome {
-        repartition(&self.inner, src, dst, srcs)
-    }
-
-    /// Splits `src`: creates a new partition from `cfg` and migrates
-    /// `vars` (typically the hot subset of `src`'s variables) into it.
-    ///
-    /// Returns the new partition together with the migration outcome. On
-    /// [`Contended`](SwitchOutcome::Contended) /
-    /// [`TimedOut`](SwitchOutcome::TimedOut) the new partition exists but
-    /// is empty; retry by calling [`Stm::migrate_pvars`] with the same
-    /// destination.
-    pub fn split_partition(
-        &self,
-        src: &Arc<Partition>,
-        cfg: PartitionConfig,
-        vars: &[&dyn Migratable],
-    ) -> (Arc<Partition>, SwitchOutcome) {
-        assert_eq!(
-            src.stm_id, self.inner.id,
-            "partition belongs to a different Stm"
-        );
-        let dst = self.new_partition(cfg);
-        let outcome = repartition(&self.inner, &VarsSource(vars), &dst, &[src]);
-        (dst, outcome)
-    }
-
-    /// Merges `srcs` into `dst`: migrates `vars` (the variables still
-    /// bound to the sources) into `dst` and bumps every source's
-    /// generation even if it contributed no variables, marking the merge
-    /// in its switch history.
-    pub fn merge_partitions(
-        &self,
-        srcs: &[&Arc<Partition>],
-        dst: &Arc<Partition>,
-        vars: &[&dyn Migratable],
-    ) -> SwitchOutcome {
-        repartition(&self.inner, &VarsSource(vars), dst, srcs)
-    }
-}
-
-/// One repartition window (see the [module docs](self)). `extra` names
-/// partitions that must participate in the protocol (flag + generation
-/// bump) even when no migrating binding currently points at them.
-fn repartition(
-    inner: &StmInner,
-    src: &dyn MigrationSource,
-    dst: &Arc<Partition>,
-    extra: &[&Arc<Partition>],
-) -> SwitchOutcome {
-    // Dedup on insertion: a whole-arena source enumerates thousands of
-    // bindings that resolve to a handful of partitions, so membership in
-    // the (tiny) involved set is cheaper than collecting one Arc clone per
-    // field and deduplicating afterwards.
-    let mut involved: Vec<Arc<Partition>> = Vec::with_capacity(extra.len() + 2);
-    let mut involve = |p: Arc<Partition>| {
-        assert_eq!(p.stm_id, inner.id, "partition belongs to a different Stm");
-        if !involved.iter().any(|q| Arc::ptr_eq(q, &p)) {
-            involved.push(p);
-        }
-    };
-    involve(Arc::clone(dst));
-    extra.iter().for_each(|p| involve(Arc::clone(p)));
-    let mut all_in_dst = true;
-    src.for_each_binding(&mut |b| {
-        let p = b.partition_arc();
-        all_in_dst &= Arc::ptr_eq(&p, dst);
-        involve(p);
-    });
-    let parts: Vec<(&Partition, u64)> = involved.iter().map(|p| (&**p, 0)).collect();
-    let mut w = QuiesceWindow::new(EventKind::Repartition, dst.id(), 0, parts);
-    if all_in_dst && involved.len() == 1 {
-        return w.finish(SwitchOutcome::Unchanged);
-    }
-    if let Err(out) = w.open(config::SWITCHING_BIT) {
-        return out;
-    }
-
-    // Re-validate every binding now that the flags are held: a concurrent
-    // repartition may have moved a variable *between our initial binding
-    // read and our flag acquisition*, to a partition outside the flagged
-    // set — proceeding would rebind a variable whose current partition
-    // never quiesced. Once every binding is confirmed inside the flagged
-    // set this cannot recur: any later rebind of these variables needs the
-    // switching flag of their current partition, which we hold. (A bound
-    // arena can *grow* new slots concurrently, but those bind to its home,
-    // which is in the flagged set — and the arena's own chunk-install
-    // re-check covers slots built against a pre-rebind home.)
-    let mut escaped = false;
-    src.for_each_binding(&mut |b| {
-        let p = b.load();
-        escaped |= !involved.iter().any(|q| Arc::as_ptr(q) == p);
-    });
-    if escaped {
-        return w.finish(SwitchOutcome::Contended);
-    }
-    if let Err(out) = w.quiesce(inner) {
-        return out;
-    }
-
-    let now = inner.clock.now();
-    let mut moved = 0u64;
-    let out = w.commit(now, None, || {
+        let inner = &*self.inner;
+        // Dedup on insertion: a whole-arena source enumerates thousands of
+        // bindings that resolve to a handful of partitions, so membership in
+        // the (tiny) involved set is cheaper than collecting one Arc clone per
+        // field and deduplicating afterwards.
+        let mut involved: Vec<Arc<Partition>> = Vec::with_capacity(from.len() + 2);
+        let mut involve = |p: Arc<Partition>| {
+            assert_eq!(p.stm_id, inner.id, "partition belongs to a different Stm");
+            if !involved.iter().any(|q| Arc::ptr_eq(q, &p)) {
+                involved.push(p);
+            }
+        };
+        involve(Arc::clone(dst));
+        from.iter().for_each(|p| involve(Arc::clone(p)));
+        let mut all_in_dst = true;
         src.for_each_binding(&mut |b| {
-            b.rebind(dst);
-            moved += 1;
+            let p = b.partition_arc();
+            all_in_dst &= Arc::ptr_eq(&p, dst);
+            involve(p);
         });
-        for p in &involved {
-            p.reset_orecs(now);
-            // Restart the tuner's observation window: post-repartition
-            // deltas must not straddle the structural change (a freshly
-            // split hot partition otherwise inherits a half-window of cold
-            // history — the tuner/controller cooperation contract, see
-            // `Partition::reset_tuning_window`).
-            p.reset_tuning_window();
+        let parts: Vec<(&Partition, u64)> = involved.iter().map(|p| (&**p, 0)).collect();
+        let mut w = QuiesceWindow::new(EventKind::Repartition, dst.id(), 0, parts);
+        if all_in_dst && involved.len() == 1 {
+            return w.finish(SwitchOutcome::Unchanged);
         }
-    });
-    w.arg = moved;
-    out
+        if let Err(out) = w.open(config::SWITCHING_BIT) {
+            return out;
+        }
+
+        // Re-validate every binding now that the flags are held: a concurrent
+        // repartition may have moved a variable *between our initial binding
+        // read and our flag acquisition*, to a partition outside the flagged
+        // set — proceeding would rebind a variable whose current partition
+        // never quiesced. Once every binding is confirmed inside the flagged
+        // set this cannot recur: any later rebind of these variables needs the
+        // switching flag of their current partition, which we hold. (A bound
+        // arena can *grow* new slots concurrently, but those bind to its home,
+        // which is in the flagged set — and the arena's own chunk-install
+        // re-check covers slots built against a pre-rebind home.)
+        let mut escaped = false;
+        src.for_each_binding(&mut |b| {
+            let p = b.load();
+            escaped |= !involved.iter().any(|q| Arc::as_ptr(q) == p);
+        });
+        if escaped {
+            return w.finish(SwitchOutcome::Contended);
+        }
+        if let Err(out) = w.quiesce(inner) {
+            return out;
+        }
+
+        let now = inner.clock.now();
+        let mut moved = 0u64;
+        let out = w.commit(now, None, || {
+            src.for_each_binding(&mut |b| {
+                b.rebind(dst);
+                moved += 1;
+            });
+            for p in &involved {
+                p.reset_orecs(now);
+                // Restart the tuner's observation window: post-repartition
+                // deltas must not straddle the structural change (a freshly
+                // split hot partition otherwise inherits a half-window of cold
+                // history — the tuner/controller cooperation contract, see
+                // `Partition::reset_tuning_window`).
+                p.reset_tuning_window();
+            }
+        });
+        w.arg = moved;
+        out
+    }
+
+    /// [`Stm::migrate`] of a flat batch of variables, with no extra
+    /// participants.
+    pub fn migrate_pvars(&self, vars: &[&dyn Migratable], dst: &Arc<Partition>) -> SwitchOutcome {
+        self.migrate(&VarsSource(vars), dst, &[])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PartitionConfig;
     use crate::pvar::PVar;
     use crate::stm::Stm;
     use core::sync::atomic::Ordering;
@@ -395,8 +325,8 @@ mod tests {
         let src = stm.new_partition(PartitionConfig::named("src"));
         let hot = src.tvar(7u64);
         let cold = src.tvar(8u64);
-        let (dst, outcome) =
-            stm.split_partition(&src, PartitionConfig::named("hot"), &[as_dyn(&hot)]);
+        let dst = stm.new_partition(PartitionConfig::named("hot"));
+        let outcome = stm.migrate(&VarsSource(&[as_dyn(&hot)]), &dst, &[&src]);
         assert_eq!(outcome, SwitchOutcome::Switched);
         assert_eq!(hot.partition_id(), dst.id());
         assert_eq!(cold.partition_id(), src.id());
@@ -420,7 +350,7 @@ mod tests {
         let x = b.tvar(1i64);
         let gc = c.generation();
         assert_eq!(
-            stm.merge_partitions(&[&b, &c], &a, &[as_dyn(&x)]),
+            stm.migrate(&VarsSource(&[as_dyn(&x)]), &a, &[&b, &c]),
             SwitchOutcome::Switched
         );
         assert_eq!(x.partition_id(), a.id());

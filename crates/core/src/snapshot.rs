@@ -170,8 +170,7 @@
 //!
 //! **Against migrations and orec resizes.** Both run strictly inside a
 //! flag→quiesce→generation+1 window ([`crate::Stm::resize_orecs`],
-//! which also swaps the rings, and
-//! [`crate::Stm::migrate_pvars`]/`split_partition`). A snapshot
+//! which also swaps the rings, and [`crate::Stm::migrate`]). A snapshot
 //! attempt participates in quiescence exactly like a regular attempt (odd
 //! `seq`, `start_epoch`), so the window and the attempt cannot overlap:
 //! an attempt that observed the flag clear at first touch runs entirely

@@ -31,8 +31,8 @@ pub const MAX_THREADS: usize = 64;
 pub(crate) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Result of [`Stm::switch_partition`], [`Stm::resize_orecs`] and of the
-/// repartition entry points ([`Stm::migrate_pvars`],
-/// [`Stm::split_partition`], [`Stm::merge_partitions`]): how the operation's quiesce window ended.
+/// repartition entry points ([`Stm::migrate`], [`Stm::migrate_pvars`]):
+/// how the operation's quiesce window ended.
 /// Only [`Switched`](SwitchOutcome::Switched) changes anything; the other
 /// three leave every involved partition — config word, generation, orec
 /// table, version ring, bindings — exactly as found.

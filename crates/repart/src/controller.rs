@@ -30,7 +30,7 @@
 //!    the window, and the next proposal is considered. Every
 //!    structural kind plans a migration *(source, destination, from)* and
 //!    hands it to the one executor, [`migrate`]: destination creation, the
-//!    repartition protocol (`repartition(source, dst, [from])`, the same
+//!    repartition protocol (`Stm::migrate(source, dst, &[from])`, the same
 //!    call on every attempt), the bounded `Contended` retry and corpse
 //!    accounting for a fresh destination that stayed empty. A resize is
 //!    not a migration but makes its protocol call through the same
@@ -58,10 +58,8 @@
 //! quiesce window (and without creating the fresh destination).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use partstm_analysis::online::{
@@ -74,7 +72,7 @@ use partstm_core::{
     SwitchOutcome,
 };
 
-use crate::directory::{PVarDirectory, TearMovers, TearSet};
+use crate::directory::{StaticDirectory, TearMovers, TearSet};
 
 /// Profiler ring capacity between windows.
 const PROFILER_CAPACITY: usize = 4096;
@@ -94,8 +92,6 @@ pub(crate) const BREAKER_THRESHOLD: u32 = 3;
 /// Controller tuning knobs. [`ControllerConfig::responsive`] is the preset.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Evaluation window length (daemon mode).
-    pub interval: Duration,
     /// Profiler sampling period (1 in N transactions).
     pub sample_period: u64,
     /// Thresholds of the online analysis.
@@ -117,7 +113,6 @@ impl ControllerConfig {
     /// benchmarks and tests.
     pub fn responsive() -> Self {
         ControllerConfig {
-            interval: Duration::from_millis(100),
             sample_period: 4,
             online: OnlineConfig {
                 min_samples: 32,
@@ -313,35 +308,28 @@ struct CtrlState {
     events: Vec<RepartEvent>,
 }
 
-struct Ctrl {
-    stm: Stm,
-    dir: Arc<dyn PVarDirectory>,
-    profiler: Arc<AccessProfiler>,
-    cfg: ControllerConfig,
-    state: Mutex<CtrlState>,
-    windows: AtomicU64,
-    stop: AtomicBool,
-}
-
-/// Background daemon that watches the profiler, scores candidate
+/// The decision loop: watches the profiler, scores candidate
 /// split/merge plans against observed abort/commit statistics, and
 /// executes approved plans live via the repartition protocol — with
 /// hysteresis and cooldown so it never thrashes.
 ///
-/// Construct with [`RepartitionController::new`] and drive it manually
-/// with [`step`](RepartitionController::step) (tests, benchmarks with
-/// their own scheduling), or with
-/// [`RepartitionController::spawn`] to run the loop on a background
-/// thread. Either way the controller installs an [`AccessProfiler`] on
-/// the `Stm` at construction.
+/// It runs no thread of its own: the caller drives it, one evaluation
+/// window per [`step`](RepartitionController::step), on whatever schedule
+/// suits it (a benchmark worker's tick, a test's loop). The controller
+/// installs an [`AccessProfiler`] on the `Stm` at construction and
+/// uninstalls it on drop, unless another controller has replaced it since.
 pub struct RepartitionController {
-    ctrl: Arc<Ctrl>,
-    handle: Option<JoinHandle<()>>,
+    stm: Stm,
+    dir: Arc<StaticDirectory>,
+    profiler: Arc<AccessProfiler>,
+    cfg: ControllerConfig,
+    state: Mutex<CtrlState>,
+    windows: AtomicU64,
 }
 
 impl RepartitionController {
-    /// Creates a controller (profiler installed, no thread spawned).
-    pub fn new(stm: &Stm, dir: Arc<dyn PVarDirectory>, cfg: ControllerConfig) -> Self {
+    /// Creates a controller and installs its profiler.
+    pub fn new(stm: &Stm, dir: Arc<StaticDirectory>, cfg: ControllerConfig) -> Self {
         let profiler = Arc::new(AccessProfiler::new(cfg.sample_period, PROFILER_CAPACITY));
         stm.set_profiler(Arc::clone(&profiler));
         let baseline = stm
@@ -350,75 +338,51 @@ impl RepartitionController {
             .map(|p| (p.id(), p.stats()))
             .collect();
         RepartitionController {
-            ctrl: Arc::new(Ctrl {
-                stm: stm.clone(),
-                dir,
-                profiler,
-                cfg,
-                state: Mutex::new(CtrlState {
-                    analyzer: OnlineAnalyzer::new(),
-                    last_stats: baseline,
-                    streaks: BTreeMap::new(),
-                    cooldown: 0,
-                    split_seq: 0,
-                    rng: XorShift64::new(0x5EED_C0FF_EE00_0001),
-                    breaker: BTreeMap::new(),
-                    dead: BTreeSet::new(),
-                    torn: BTreeMap::new(),
-                    events: Vec::new(),
-                }),
-                windows: AtomicU64::new(0),
-                stop: AtomicBool::new(false),
+            stm: stm.clone(),
+            dir,
+            profiler,
+            cfg,
+            state: Mutex::new(CtrlState {
+                analyzer: OnlineAnalyzer::new(),
+                last_stats: baseline,
+                streaks: BTreeMap::new(),
+                cooldown: 0,
+                split_seq: 0,
+                rng: XorShift64::new(0x5EED_C0FF_EE00_0001),
+                breaker: BTreeMap::new(),
+                dead: BTreeSet::new(),
+                torn: BTreeMap::new(),
+                events: Vec::new(),
             }),
-            handle: None,
+            windows: AtomicU64::new(0),
         }
-    }
-
-    /// Creates a controller and runs its window loop on a background
-    /// thread until [`stop`](RepartitionController::stop) (or drop).
-    pub fn spawn(stm: &Stm, dir: Arc<dyn PVarDirectory>, cfg: ControllerConfig) -> Self {
-        let mut c = Self::new(stm, dir, cfg);
-        let ctrl = Arc::clone(&c.ctrl);
-        c.handle = Some(std::thread::spawn(move || {
-            let tick = Duration::from_millis(10);
-            let mut elapsed = Duration::ZERO;
-            while !ctrl.stop.load(Ordering::Acquire) {
-                std::thread::sleep(tick);
-                elapsed += tick;
-                if elapsed >= ctrl.cfg.interval {
-                    elapsed = Duration::ZERO;
-                    step(&ctrl);
-                }
-            }
-        }));
-        c
     }
 
     /// Runs one evaluation window synchronously: drain samples, fold them
     /// into the affinity graph, score proposals, execute at most one
     /// approved action.
     pub fn step(&self) {
-        step(&self.ctrl);
+        step(self);
     }
 
     /// Windows evaluated so far.
     pub fn windows(&self) -> u64 {
-        self.ctrl.windows.load(Ordering::Relaxed)
+        self.windows.load(Ordering::Relaxed)
     }
 
     /// The profiler this controller installed.
     pub fn profiler(&self) -> &Arc<AccessProfiler> {
-        &self.ctrl.profiler
+        &self.profiler
     }
 
     /// Snapshot of the event log.
     pub fn events(&self) -> Vec<RepartEvent> {
-        self.ctrl.state.lock().events.clone()
+        self.state.lock().events.clone()
     }
 
     /// True if any action of `kind` executed (not merely failed) so far.
     fn has(&self, kind: ActionKind) -> bool {
-        self.ctrl.state.lock().events.iter().any(|e| {
+        self.state.lock().events.iter().any(|e| {
             e.header()
                 .is_some_and(|h| h.kind == kind && h.outcome == SwitchOutcome::Switched)
         })
@@ -443,27 +407,21 @@ impl RepartitionController {
     pub fn has_heal(&self) -> bool {
         self.has(ActionKind::Heal)
     }
-
-    /// Stops the daemon (if spawned), uninstalls the profiler and returns
-    /// the event log.
-    pub fn stop(mut self) -> Vec<RepartEvent> {
-        self.shutdown();
-        let events = std::mem::take(&mut self.ctrl.state.lock().events);
-        events
-    }
-
-    fn shutdown(&mut self) {
-        self.ctrl.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        self.ctrl.stm.clear_profiler();
-    }
 }
 
 impl Drop for RepartitionController {
+    /// Uninstalls the profiler — only if it is still this controller's:
+    /// a later controller on the same `Stm` replaced it with its own,
+    /// which must keep sampling. (Check, then clear: a controller created
+    /// concurrently with this drop may still be uninstalled.)
     fn drop(&mut self) {
-        self.shutdown();
+        if self
+            .stm
+            .profiler()
+            .is_some_and(|p| Arc::ptr_eq(&p, &self.profiler))
+        {
+            self.stm.clear_profiler();
+        }
     }
 }
 
@@ -471,7 +429,6 @@ impl core::fmt::Debug for RepartitionController {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RepartitionController")
             .field("windows", &self.windows())
-            .field("daemon", &self.handle.is_some())
             .finish()
     }
 }
@@ -484,7 +441,7 @@ fn part_of(parts: &[Arc<Partition>], id: PartitionId) -> Option<&Arc<Partition>>
 /// subtract the ones the controller knows are dead (merged-away sources,
 /// abandoned split destinations) — otherwise a long split/merge history
 /// would exhaust the cap with corpses and silently disable splitting.
-fn live_partitions(ctrl: &Ctrl, st: &CtrlState) -> usize {
+fn live_partitions(ctrl: &RepartitionController, st: &CtrlState) -> usize {
     ctrl.stm.partitions().len().saturating_sub(st.dead.len())
 }
 
@@ -543,7 +500,7 @@ impl Dest<'_> {
     /// Plans a fresh destination — or `None` at the partition cap (a
     /// precondition: the proposal is passed over, the window is not
     /// spent).
-    fn fresh(ctrl: &Ctrl, st: &CtrlState, suffix: &'static str) -> Option<Self> {
+    fn fresh(ctrl: &RepartitionController, st: &CtrlState, suffix: &'static str) -> Option<Self> {
         (live_partitions(ctrl, st) < ctrl.cfg.max_partitions).then_some(Dest::Fresh(suffix))
     }
 }
@@ -556,7 +513,7 @@ impl Dest<'_> {
 /// `Contended` retry, and — when a fresh destination stayed empty —
 /// accounts for the corpse so it does not consume the partition cap.
 fn migrate(
-    ctrl: &Ctrl,
+    ctrl: &RepartitionController,
     st: &mut CtrlState,
     source: &dyn MigrationSource,
     dest: Dest<'_>,
@@ -577,9 +534,8 @@ fn migrate(
             (ctrl.stm.new_partition(cfg), true)
         }
     };
-    // The general form of the repartition protocol; a split is this call
-    // into a fresh `dst`.
-    let call = || ctrl.stm.merge_partitions_batch(&[from], &dst, source);
+    // A split is this call into a fresh `dst`.
+    let call = || ctrl.stm.migrate(source, &dst, &[from]);
     match attempt(&mut st.rng, protocol, &call) {
         SwitchOutcome::Switched => Ok(dst),
         other => {
@@ -597,7 +553,7 @@ fn migrate(
 /// caller should consider the next proposal; `Some` is the event to
 /// [`record`] (the window is spent).
 fn execute(
-    ctrl: &Ctrl,
+    ctrl: &RepartitionController,
     st: &mut CtrlState,
     parts: &[Arc<Partition>],
     proposal: &Proposal,
@@ -782,7 +738,13 @@ fn execute(
 /// subject's circuit breaker, drops the sampled graph of the `stale`
 /// partitions (their shape changed under it), resets hysteresis and
 /// starts the cooldown.
-fn record(ctrl: &Ctrl, st: &mut CtrlState, window: u64, ev: RepartEvent, stale: &[PartitionId]) {
+fn record(
+    ctrl: &RepartitionController,
+    st: &mut CtrlState,
+    window: u64,
+    ev: RepartEvent,
+    stale: &[PartitionId],
+) {
     // Breaker transitions are logged where the breaker changes state.
     let Some(h) = ev.header() else { return };
     telemetry::control_event(
@@ -828,7 +790,7 @@ fn tick_breakers(st: &mut CtrlState, window: u64) {
 /// circuit breaker: quiesce timeouts accumulate and trip it at
 /// [`BREAKER_THRESHOLD`]; anything else proves quiesce works and resets
 /// the count.
-fn feed_breaker(ctrl: &Ctrl, st: &mut CtrlState, window: u64, h: &EventHeader) {
+fn feed_breaker(ctrl: &RepartitionController, st: &mut CtrlState, window: u64, h: &EventHeader) {
     let partition = h.subject;
     if h.outcome != SwitchOutcome::TimedOut {
         if let Some(b) = st.breaker.get_mut(&partition) {
@@ -866,7 +828,7 @@ fn privatized(p: &Arc<Partition>) -> bool {
 }
 
 /// One evaluation window (see the module docs' "The action pipeline").
-fn step(ctrl: &Ctrl) {
+fn step(ctrl: &RepartitionController) {
     let window = ctrl.windows.fetch_add(1, Ordering::Relaxed) + 1;
     let mut st = ctrl.state.lock();
     let st = &mut *st;
@@ -985,7 +947,6 @@ fn step(ctrl: &Ctrl) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::StaticDirectory;
     use partstm_core::profiler::bucket_of;
     use partstm_core::{Migratable, PVar};
 
@@ -994,11 +955,10 @@ mod tests {
     /// every later call runs for real. Returns the event and the number of
     /// protocol calls made.
     fn execute_scripted(
-        c: &RepartitionController,
+        ctrl: &RepartitionController,
         proposal: &Proposal,
         script: &[SwitchOutcome],
     ) -> (RepartEvent, usize) {
-        let ctrl = &c.ctrl;
         let parts = ctrl.stm.partitions();
         let h = proposal.header();
         let subject = part_of(&parts, h.subject).unwrap();
@@ -1061,7 +1021,7 @@ mod tests {
         let vars: Vec<Arc<PVar<u64>>> = (0..8).map(|_| Arc::new(a.tvar(1u64))).collect();
         dir.register_all(vars.iter().map(|v| Arc::clone(v) as Arc<dyn Migratable>));
         let c = RepartitionController::new(&stm, dir, ControllerConfig::responsive());
-        let dead = || c.ctrl.state.lock().dead.clone();
+        let dead = || c.state.lock().dead.clone();
         let stuck = [SwitchOutcome::Contended; 1 + CONTENDED_RETRIES as usize];
         let transient = [SwitchOutcome::Contended; 2];
         let failed_contended = |ev: &RepartEvent, kind: ActionKind, src: &Arc<Partition>| {
@@ -1137,6 +1097,22 @@ mod tests {
         assert_eq!(calls, 3);
     }
 
+    /// Dropping a controller uninstalls only its own profiler: a later
+    /// controller on the same `Stm` keeps sampling.
+    #[test]
+    fn drop_leaves_a_later_controllers_profiler_installed() {
+        let stm = Stm::new();
+        let dir = Arc::new(StaticDirectory::new());
+        let cfg = ControllerConfig::responsive();
+        let first = RepartitionController::new(&stm, Arc::clone(&dir), cfg.clone());
+        let second = RepartitionController::new(&stm, dir, cfg);
+        drop(first);
+        let installed = stm.profiler().expect("the second controller's profiler");
+        assert!(Arc::ptr_eq(&installed, second.profiler()));
+        drop(second);
+        assert!(stm.profiler().is_none(), "the owner's drop uninstalls it");
+    }
+
     #[test]
     fn breaker_opens_after_consecutive_timeouts_and_closes_on_expiry() {
         let stm = Stm::new();
@@ -1147,7 +1123,7 @@ mod tests {
             ..ControllerConfig::responsive()
         };
         let c = RepartitionController::new(&stm, Arc::new(StaticDirectory::new()), cfg);
-        let ctrl = &c.ctrl;
+        let ctrl = &c;
         let mut st = ctrl.state.lock();
         let st = &mut *st;
         let fail = |st: &mut CtrlState| {

@@ -1,5 +1,5 @@
-//! Migration directories: mapping profiler reports back to variables and
-//! structures.
+//! The migration directory: mapping profiler reports back to variables
+//! and structures.
 //!
 //! The profiler reports hot spots as `(partition, address bucket)` pairs;
 //! executing a split needs the concrete things bound there — flat
@@ -13,7 +13,7 @@
 //!
 //! Buckets the profiler flags but no registered variable or structure
 //! maps to are *controller misses*: the analyzer sees heat the directory
-//! cannot act on. Both directories report those through
+//! cannot act on. The directory reports those through
 //! [`partstm_core::rtlog`] so misconfigured registration is observable
 //! instead of silently degrading the loop — rate-limited to one message
 //! per [`MISS_REPORT_INTERVAL`] per directory (with a suppressed-count
@@ -39,8 +39,7 @@ type Covered = [bool; PROFILE_BUCKETS as usize];
 
 /// What a directory hands the controller for one migration: flat variable
 /// handles plus whole collections. Usable directly as the
-/// [`MigrationSource`] of `Stm::split_partition_batch` /
-/// `Stm::migrate_batch`.
+/// [`MigrationSource`] of [`Stm::migrate`](partstm_core::Stm::migrate).
 #[derive(Default)]
 pub struct MoverSet {
     /// Flat registered variables to rebind.
@@ -91,9 +90,9 @@ impl core::fmt::Debug for MoverSet {
 
 /// One slot subset torn (or tearable) out of a collection: the collection
 /// handle plus the raw slot tokens to move. Usable directly as the
-/// [`MigrationSource`] of `Stm::split_partition_batch` /
-/// `Stm::migrate_batch` — only the named slots' fields move; the
-/// collection's home binding and roots stay put.
+/// [`MigrationSource`] of [`Stm::migrate`](partstm_core::Stm::migrate) —
+/// only the named slots' fields move; the collection's home binding and
+/// roots stay put.
 #[derive(Clone)]
 pub struct TearSet {
     /// The collection the slots belong to.
@@ -132,230 +131,26 @@ impl MigrationSource for TearMovers<'_> {
     }
 }
 
-/// Source of movable handles for the controller.
-pub trait PVarDirectory: Send + Sync {
-    /// Movers currently bound to `part` whose profile buckets intersect
-    /// `buckets` (`buckets` is sorted). Requested buckets that map to
-    /// nothing registered are reported through `rtlog` as controller
-    /// misses.
-    fn collect(&self, part: PartitionId, buckets: &[u16]) -> MoverSet;
-
-    /// All registered movers currently bound to `part`.
-    fn collect_all(&self, part: PartitionId) -> MoverSet;
-
-    /// Slot subsets of tearable collections homed at `part` whose fields
-    /// land in `buckets` (sorted) — the celebrity keys. A collection only
-    /// yields a set when the subset is *small*: at most `max_fraction` of
-    /// its live nodes (a hot set spanning the whole structure is a split,
-    /// not a tear). Already-torn slots are excluded. The default (for
-    /// directories without per-slot attribution) tears nothing.
-    fn collect_tears(&self, part: PartitionId, buckets: &[u16], max_fraction: f64) -> Vec<TearSet> {
-        let _ = (part, buckets, max_fraction);
-        Vec::new()
-    }
-
-    /// Records that `set`'s slots were torn out: their buckets must no
-    /// longer be attributed to the origin collection, and they must not be
-    /// proposed for tearing again until healed.
-    fn mark_torn(&self, set: &TearSet) {
-        let _ = set;
-    }
-
-    /// Reverses [`PVarDirectory::mark_torn`] after a heal re-merged the
-    /// slots into their origin.
-    fn unmark_torn(&self, set: &TearSet) {
-        let _ = set;
-    }
-}
-
-/// Floor between unmapped-bucket warnings per directory: roughly one per
-/// controller window at the default interval, instead of one per retried
-/// action (suppressed repeats are counted and folded into the next
-/// message — see [`rtlog::Limiter`]).
+/// Floor between unmapped-bucket warnings per directory: at a controller
+/// cadence of tens of milliseconds, one warning every few dozen windows
+/// instead of one per retried action (suppressed repeats are counted and
+/// folded into the next message — see [`rtlog::Limiter`]).
 pub const MISS_REPORT_INTERVAL: Duration = Duration::from_secs(1);
-
-/// Counts how many of the requested `buckets` no candidate address hashes
-/// into, and warns (rate-limited) through `rtlog` if any.
-fn report_unmapped(
-    limiter: &rtlog::Limiter,
-    kind: &str,
-    part: PartitionId,
-    buckets: &[u16],
-    covered: &Covered,
-) {
-    let unmapped = buckets.iter().filter(|&&b| !covered[b as usize]).count();
-    if unmapped > 0 {
-        limiter.warn(&format!(
-            "{kind}: {unmapped} of {} hot buckets in partition {} map to \
-             nothing registered; the controller cannot act on them",
-            buckets.len(),
-            part.0
-        ));
-    }
-}
-
-/// Cached bucket index of a [`StaticDirectory`]: per-bucket candidate var
-/// indices (into the registry vec, which only grows) plus the registered
-/// bucket-coverage set. Invalidated by registration, reused across
-/// controller windows — collection cost drops from O(registered vars) per
-/// window to O(requested buckets' candidates).
-struct BucketIndex {
-    by_bucket: Vec<Vec<u32>>,
-    covered: Covered,
-}
-
-/// The straightforward directory: a flat registry of handles, filtered on
-/// demand by current binding and bucket. Registration is cheap
-/// (amortized push under a write lock); collection consults a cached
-/// bucket index (the private `BucketIndex`) that registration invalidates.
-pub struct StaticDirectory {
-    vars: RwLock<Vec<Arc<dyn Migratable>>>,
-    index: RwLock<Option<BucketIndex>>,
-    rebuilds: AtomicU64,
-    miss_limiter: rtlog::Limiter,
-}
-
-impl Default for StaticDirectory {
-    fn default() -> Self {
-        StaticDirectory {
-            vars: RwLock::default(),
-            index: RwLock::new(None),
-            rebuilds: AtomicU64::new(0),
-            miss_limiter: rtlog::Limiter::new(MISS_REPORT_INTERVAL),
-        }
-    }
-}
-
-impl StaticDirectory {
-    /// An empty directory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers one variable.
-    pub fn register(&self, var: Arc<dyn Migratable>) {
-        self.vars.write().push(var);
-        *self.index.write() = None;
-    }
-
-    /// Registers a batch of variables.
-    pub fn register_all<I: IntoIterator<Item = Arc<dyn Migratable>>>(&self, vars: I) {
-        self.vars.write().extend(vars);
-        *self.index.write() = None;
-    }
-
-    /// How many times the bucket index has been (re)built. Registration
-    /// invalidates it; collection windows reuse it — so this stays flat
-    /// across repeated `collect` calls. Diagnostic (used by tests to pin
-    /// the caching contract).
-    pub fn index_rebuilds(&self) -> u64 {
-        self.rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// Number of registered variables.
-    pub fn len(&self) -> usize {
-        self.vars.read().len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.vars.read().is_empty()
-    }
-
-    /// Shared filter body: vars currently bound to `part` whose profile
-    /// bucket is in `buckets`, via the cached [`BucketIndex`] (rebuilt
-    /// here if registration invalidated it) — only the requested buckets'
-    /// candidates are touched, and only their *bindings* are re-read.
-    /// `covered` is OR-merged with the cached coverage set, which spans
-    /// every *registered* var (not just those currently bound to `part`):
-    /// the unmapped-bucket report is a registration diagnostic, and
-    /// addresses don't change bucket when they migrate. Used by this
-    /// directory's `collect` and by [`ArenaDirectory`]'s embedded var
-    /// registry.
-    fn collect_vars_into(
-        &self,
-        part: PartitionId,
-        buckets: &[u16],
-        covered: &mut Covered,
-    ) -> Vec<Arc<dyn Migratable>> {
-        // Lock order vars -> index, same as the (non-nested) registration
-        // path. Indices stay valid across the lock because the registry
-        // vec only ever grows.
-        let vars = self.vars.read();
-        let mut slot = self.index.write();
-        let idx = slot.get_or_insert_with(|| {
-            self.rebuilds.fetch_add(1, Ordering::Relaxed);
-            let mut by_bucket: Vec<Vec<u32>> = vec![Vec::new(); PROFILE_BUCKETS as usize];
-            let mut cov: Covered = [false; PROFILE_BUCKETS as usize];
-            for (i, v) in vars.iter().enumerate() {
-                let b = bucket_of(v.var_addr()) as usize;
-                by_bucket[b].push(i as u32);
-                cov[b] = true;
-            }
-            BucketIndex {
-                by_bucket,
-                covered: cov,
-            }
-        });
-        for (c, cached) in covered.iter_mut().zip(idx.covered.iter()) {
-            *c |= cached;
-        }
-        let mut out = Vec::new();
-        for &b in buckets {
-            for &i in &idx.by_bucket[b as usize] {
-                let v = &vars[i as usize];
-                if v.pvar_binding().partition_id() == part {
-                    out.push(Arc::clone(v));
-                }
-            }
-        }
-        out
-    }
-}
-
-impl PVarDirectory for StaticDirectory {
-    fn collect(&self, part: PartitionId, buckets: &[u16]) -> MoverSet {
-        let mut covered: Covered = [false; PROFILE_BUCKETS as usize];
-        let vars = self.collect_vars_into(part, buckets, &mut covered);
-        report_unmapped(
-            &self.miss_limiter,
-            "StaticDirectory",
-            part,
-            buckets,
-            &covered,
-        );
-        MoverSet {
-            vars,
-            collections: Vec::new(),
-        }
-    }
-
-    fn collect_all(&self, part: PartitionId) -> MoverSet {
-        MoverSet {
-            vars: self
-                .vars
-                .read()
-                .iter()
-                .filter(|v| v.pvar_binding().partition_id() == part)
-                .map(Arc::clone)
-                .collect(),
-            collections: Vec::new(),
-        }
-    }
-}
-
-impl core::fmt::Debug for StaticDirectory {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("StaticDirectory")
-            .field("vars", &self.len())
-            .finish()
-    }
-}
 
 /// Over-representation factor for collection selection: a collection is
 /// considered hot when its live fields land in the requested buckets at
 /// least this many times more often than a uniform address spray would.
 const HOT_OVERREP: f64 = 2.0;
+
+/// Cached bucket index of the flat-variable registry: per-bucket candidate
+/// var indices (into the registry vec, which only grows) plus the
+/// registered bucket-coverage set. Invalidated by registration, reused
+/// across controller windows — collection cost drops from O(registered
+/// vars) per window to O(requested buckets' candidates).
+struct BucketIndex {
+    by_bucket: Vec<Vec<u32>>,
+    covered: Covered,
+}
 
 /// Cached reverse map of one registered collection: live-field count per
 /// profile bucket (`hist`, torn slots excluded), total counted fields,
@@ -381,8 +176,17 @@ struct CollEntry {
 }
 
 impl CollEntry {
-    fn rebuild_rev(&mut self, rebuilds: &AtomicU64) {
-        rebuilds.fetch_add(1, Ordering::Relaxed);
+    /// The cached reverse map, rebuilt first if registration or a
+    /// tear/heal invalidated it.
+    fn rev(&mut self, rebuilds: &AtomicU64) -> &RevMap {
+        if self.rev.is_none() {
+            rebuilds.fetch_add(1, Ordering::Relaxed);
+            self.rev = Some(self.build_rev());
+        }
+        self.rev.as_ref().expect("just built")
+    }
+
+    fn build_rev(&self) -> RevMap {
         let mut hist = [0u32; PROFILE_BUCKETS as usize];
         let mut total = 0usize;
         let by_bucket = match &self.tearable {
@@ -415,17 +219,29 @@ impl CollEntry {
                 None
             }
         };
-        self.rev = Some(RevMap {
+        RevMap {
             hist,
             total,
             by_bucket,
-        });
+        }
     }
 }
 
-/// Structure-aware directory: registered [`MigratableCollection`]s (each
-/// structure's `attach_directory` lands here) plus an embedded flat-var
-/// registry with [`StaticDirectory`] semantics.
+/// The migration directory: the registry the controller maps profiler
+/// reports back to movers with. It holds flat variables
+/// ([`register`](StaticDirectory::register)) and arena-backed collections
+/// ([`CollectionRegistry`]; each structure's `attach_directory` lands
+/// here), and answers one question per action kind: what to split
+/// ([`collect`](StaticDirectory::collect)), what to merge
+/// ([`collect_all`](StaticDirectory::collect_all)) and which slots to tear
+/// ([`collect_tears`](StaticDirectory::collect_tears)).
+///
+/// ## Flat variables
+///
+/// Registration is cheap (amortized push under a write lock); collection
+/// consults a cached bucket index (the private `BucketIndex`) that
+/// registration invalidates, and re-reads only the requested buckets'
+/// candidates' bindings.
 ///
 /// ## Bucket-to-structure mapping
 ///
@@ -445,99 +261,81 @@ impl CollEntry {
 /// Collections registered through
 /// [`CollectionRegistry::register_tearable`] additionally keep a reverse
 /// map from profile buckets to live slot tokens, so
-/// [`PVarDirectory::collect_tears`] can name the *individual slots* whose
-/// fields land in the hot buckets — the celebrity keys — instead of the
-/// whole structure. Torn slots are evicted from the reverse map
-/// ([`PVarDirectory::mark_torn`]) until a heal brings them home.
-pub struct ArenaDirectory {
+/// [`collect_tears`](StaticDirectory::collect_tears) can name the
+/// *individual slots* whose fields land in the hot buckets — the
+/// celebrity keys — instead of the whole structure. Torn slots are evicted
+/// from the reverse map ([`mark_torn`](StaticDirectory::mark_torn)) until
+/// a heal brings them home.
+pub struct StaticDirectory {
+    vars: RwLock<Vec<Arc<dyn Migratable>>>,
+    index: RwLock<Option<BucketIndex>>,
     collections: RwLock<Vec<CollEntry>>,
-    vars: StaticDirectory,
-    rebuilds: AtomicU64,
+    /// Builds of the var bucket index and of any collection's reverse map:
+    /// registration and tear/heal invalidate, collection windows reuse
+    /// (the caching tests pin this).
+    index_rebuilds: AtomicU64,
+    rev_rebuilds: AtomicU64,
     miss_limiter: rtlog::Limiter,
 }
 
-impl Default for ArenaDirectory {
+impl Default for StaticDirectory {
     fn default() -> Self {
-        ArenaDirectory {
+        StaticDirectory {
+            vars: RwLock::default(),
+            index: RwLock::new(None),
             collections: RwLock::default(),
-            vars: StaticDirectory::default(),
-            rebuilds: AtomicU64::new(0),
+            index_rebuilds: AtomicU64::new(0),
+            rev_rebuilds: AtomicU64::new(0),
             miss_limiter: rtlog::Limiter::new(MISS_REPORT_INTERVAL),
         }
     }
 }
 
-impl ArenaDirectory {
+impl StaticDirectory {
     /// An empty directory.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Registers one flat variable (as in [`StaticDirectory::register`]).
+    /// Registers one variable.
     pub fn register(&self, var: Arc<dyn Migratable>) {
-        self.vars.register(var);
+        self.vars.write().push(var);
+        *self.index.write() = None;
     }
 
-    /// Number of registered collections.
-    pub fn collections_len(&self) -> usize {
-        self.collections.read().len()
+    /// Registers a batch of variables.
+    pub fn register_all<I: IntoIterator<Item = Arc<dyn Migratable>>>(&self, vars: I) {
+        self.vars.write().extend(vars);
+        *self.index.write() = None;
     }
 
-    /// Number of registered flat variables.
-    pub fn vars_len(&self) -> usize {
-        self.vars.len()
+    /// Number of registered variables.
+    pub fn len(&self) -> usize {
+        self.vars.read().len()
     }
 
-    /// How many times any collection's reverse map has been (re)built.
-    /// Registration and tear/heal invalidate; collection windows reuse —
-    /// so this stays flat across repeated `collect` calls. Diagnostic
-    /// (used by tests to pin the caching contract).
-    pub fn rev_rebuilds(&self) -> u64 {
-        self.rebuilds.load(Ordering::Relaxed)
+    /// True when no variable is registered.
+    pub fn is_empty(&self) -> bool {
+        self.vars.read().is_empty()
     }
 
-    /// Drops every cached reverse map, forcing a rebuild on the next
-    /// window — for workloads whose live-slot population churns enough
-    /// that the heat attribution drifts.
-    pub fn refresh(&self) {
-        for e in self.collections.write().iter_mut() {
-            e.rev = None;
-        }
-    }
-}
-
-impl CollectionRegistry for ArenaDirectory {
-    fn register_collection(&self, c: Arc<dyn MigratableCollection>) {
-        self.collections.write().push(CollEntry {
-            coll: c,
-            tearable: None,
-            torn: Vec::new(),
-            rev: None,
-        });
-    }
-
-    fn register_tearable(&self, c: Arc<dyn TearableCollection>) {
-        self.collections.write().push(CollEntry {
-            coll: Arc::clone(&c) as Arc<dyn MigratableCollection>,
-            tearable: Some(c),
-            torn: Vec::new(),
-            rev: None,
-        });
-    }
-}
-
-impl PVarDirectory for ArenaDirectory {
-    fn collect(&self, part: PartitionId, buckets: &[u16]) -> MoverSet {
+    /// Movers currently bound (collections: homed) at `part` whose profile
+    /// buckets intersect `buckets` (sorted): the flat variables hashing
+    /// there, plus the collections over-represented there. Requested
+    /// buckets that map to nothing registered are reported through
+    /// `rtlog` as controller misses.
+    pub fn collect(&self, part: PartitionId, buckets: &[u16]) -> MoverSet {
+        // The coverage set spans every registered var and every collection
+        // homed at `part`, not just what is selected: the unmapped-bucket
+        // report is a registration diagnostic, and addresses don't change
+        // bucket when they migrate.
         let mut covered: Covered = [false; PROFILE_BUCKETS as usize];
         let mut collections = Vec::new();
         for e in self.collections.write().iter_mut() {
             if e.coll.home_partition().id() != part {
                 continue;
             }
-            if e.rev.is_none() {
-                e.rebuild_rev(&self.rebuilds);
-            }
-            let rev = e.rev.as_ref().expect("just built");
+            let rev = e.rev(&self.rev_rebuilds);
             if rev.total == 0 {
                 continue;
             }
@@ -546,47 +344,109 @@ impl PVarDirectory for ArenaDirectory {
             }
             let hits: usize = buckets.iter().map(|&b| rev.hist[b as usize] as usize).sum();
             let share = hits as f64 / rev.total as f64;
-            let uniform = buckets.len() as f64 / f64::from(partstm_core::PROFILE_BUCKETS);
+            let uniform = buckets.len() as f64 / f64::from(PROFILE_BUCKETS);
             if share >= uniform * HOT_OVERREP {
                 collections.push(Arc::clone(&e.coll));
             }
         }
-        // Flat vars ride along exactly as in the static directory; its
-        // unmapped-bucket report is folded into ours below.
-        let vars = self.vars.collect_vars_into(part, buckets, &mut covered);
-        report_unmapped(
-            &self.miss_limiter,
-            "ArenaDirectory",
-            part,
-            buckets,
-            &covered,
-        );
+        let vars = self.collect_vars(part, buckets, &mut covered);
+        let unmapped = buckets.iter().filter(|&&b| !covered[b as usize]).count();
+        if unmapped > 0 {
+            self.miss_limiter.warn(&format!(
+                "StaticDirectory: {unmapped} of {} hot buckets in partition {} map to \
+                 nothing registered; the controller cannot act on them",
+                buckets.len(),
+                part.0
+            ));
+        }
         MoverSet { vars, collections }
     }
 
-    fn collect_all(&self, part: PartitionId) -> MoverSet {
-        let mut set = self.vars.collect_all(part);
-        set.collections = self
-            .collections
-            .read()
-            .iter()
-            .filter(|e| e.coll.home_partition().id() == part)
-            .map(|e| Arc::clone(&e.coll))
-            .collect();
-        set
+    /// Flat vars currently bound to `part` whose profile bucket is in
+    /// `buckets`, via the cached [`BucketIndex`] (rebuilt here if
+    /// registration invalidated it) — only the requested buckets'
+    /// candidates are touched, and only their *bindings* are re-read.
+    /// `covered` is OR-merged with the index's coverage set.
+    fn collect_vars(
+        &self,
+        part: PartitionId,
+        buckets: &[u16],
+        covered: &mut Covered,
+    ) -> Vec<Arc<dyn Migratable>> {
+        // Lock order vars -> index, same as the (non-nested) registration
+        // path. Indices stay valid across the lock because the registry
+        // vec only ever grows.
+        let vars = self.vars.read();
+        let mut slot = self.index.write();
+        let idx = slot.get_or_insert_with(|| {
+            self.index_rebuilds.fetch_add(1, Ordering::Relaxed);
+            let mut by_bucket: Vec<Vec<u32>> = vec![Vec::new(); PROFILE_BUCKETS as usize];
+            let mut cov: Covered = [false; PROFILE_BUCKETS as usize];
+            for (i, v) in vars.iter().enumerate() {
+                let b = bucket_of(v.var_addr()) as usize;
+                by_bucket[b].push(i as u32);
+                cov[b] = true;
+            }
+            BucketIndex {
+                by_bucket,
+                covered: cov,
+            }
+        });
+        for (c, cached) in covered.iter_mut().zip(idx.covered.iter()) {
+            *c |= cached;
+        }
+        let mut out = Vec::new();
+        for &b in buckets {
+            for &i in &idx.by_bucket[b as usize] {
+                let v = &vars[i as usize];
+                if v.pvar_binding().partition_id() == part {
+                    out.push(Arc::clone(v));
+                }
+            }
+        }
+        out
     }
 
-    fn collect_tears(&self, part: PartitionId, buckets: &[u16], max_fraction: f64) -> Vec<TearSet> {
+    /// All registered movers currently bound (collections: homed) at
+    /// `part`.
+    pub fn collect_all(&self, part: PartitionId) -> MoverSet {
+        MoverSet {
+            vars: self
+                .vars
+                .read()
+                .iter()
+                .filter(|v| v.pvar_binding().partition_id() == part)
+                .map(Arc::clone)
+                .collect(),
+            collections: self
+                .collections
+                .read()
+                .iter()
+                .filter(|e| e.coll.home_partition().id() == part)
+                .map(|e| Arc::clone(&e.coll))
+                .collect(),
+        }
+    }
+
+    /// Slot subsets of tearable collections homed at `part` whose fields
+    /// land in `buckets` (sorted) — the celebrity keys. A collection only
+    /// yields a set when the subset is *small*: at most `max_fraction` of
+    /// its live nodes (a hot set spanning the whole structure is a split,
+    /// not a tear). Already-torn slots are excluded.
+    pub fn collect_tears(
+        &self,
+        part: PartitionId,
+        buckets: &[u16],
+        max_fraction: f64,
+    ) -> Vec<TearSet> {
         let mut out = Vec::new();
         for e in self.collections.write().iter_mut() {
             if e.tearable.is_none() || e.coll.home_partition().id() != part {
                 continue;
             }
-            if e.rev.is_none() {
-                e.rebuild_rev(&self.rebuilds);
-            }
-            let rev = e.rev.as_ref().expect("just built");
-            let Some(bb) = &rev.by_bucket else { continue };
+            let Some(bb) = &e.rev(&self.rev_rebuilds).by_bucket else {
+                continue;
+            };
             let mut raw: Vec<u32> = buckets
                 .iter()
                 .flat_map(|&b| bb[b as usize].iter().copied())
@@ -610,44 +470,66 @@ impl PVarDirectory for ArenaDirectory {
         out
     }
 
-    fn mark_torn(&self, set: &TearSet) {
-        for e in self.collections.write().iter_mut() {
-            let same = e
-                .tearable
-                .as_ref()
-                .is_some_and(|t| Arc::ptr_eq(t, &set.coll));
-            if !same {
-                continue;
-            }
-            e.torn.extend_from_slice(&set.raw);
-            e.torn.sort_unstable();
-            e.torn.dedup();
-            e.rev = None;
-            return;
-        }
+    /// Records that `set`'s slots were torn out: their buckets must no
+    /// longer be attributed to the origin collection, and they must not be
+    /// proposed for tearing again until healed.
+    pub fn mark_torn(&self, set: &TearSet) {
+        self.with_torn(set, |torn| {
+            torn.extend_from_slice(&set.raw);
+            torn.sort_unstable();
+            torn.dedup();
+        });
     }
 
-    fn unmark_torn(&self, set: &TearSet) {
-        for e in self.collections.write().iter_mut() {
-            let same = e
-                .tearable
+    /// Reverses [`StaticDirectory::mark_torn`] after a heal re-merged the
+    /// slots into their origin.
+    pub fn unmark_torn(&self, set: &TearSet) {
+        self.with_torn(set, |torn| {
+            torn.retain(|r| set.raw.binary_search(r).is_err());
+        });
+    }
+
+    /// Applies `f` to the torn list of `set`'s collection and invalidates
+    /// that collection's reverse map.
+    fn with_torn(&self, set: &TearSet, f: impl FnOnce(&mut Vec<u32>)) {
+        let mut colls = self.collections.write();
+        let same = |e: &&mut CollEntry| {
+            e.tearable
                 .as_ref()
-                .is_some_and(|t| Arc::ptr_eq(t, &set.coll));
-            if !same {
-                continue;
-            }
-            e.torn.retain(|r| set.raw.binary_search(r).is_err());
+                .is_some_and(|t| Arc::ptr_eq(t, &set.coll))
+        };
+        if let Some(e) = colls.iter_mut().find(same) {
+            f(&mut e.torn);
             e.rev = None;
-            return;
         }
     }
 }
 
-impl core::fmt::Debug for ArenaDirectory {
+impl CollectionRegistry for StaticDirectory {
+    fn register_collection(&self, c: Arc<dyn MigratableCollection>) {
+        self.collections.write().push(CollEntry {
+            coll: c,
+            tearable: None,
+            torn: Vec::new(),
+            rev: None,
+        });
+    }
+
+    fn register_tearable(&self, c: Arc<dyn TearableCollection>) {
+        self.collections.write().push(CollEntry {
+            coll: Arc::clone(&c) as Arc<dyn MigratableCollection>,
+            tearable: Some(c),
+            torn: Vec::new(),
+            rev: None,
+        });
+    }
+}
+
+impl core::fmt::Debug for StaticDirectory {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ArenaDirectory")
-            .field("collections", &self.collections_len())
-            .field("vars", &self.vars_len())
+        f.debug_struct("StaticDirectory")
+            .field("vars", &self.len())
+            .field("collections", &self.collections.read().len())
             .finish()
     }
 }
@@ -655,7 +537,7 @@ impl core::fmt::Debug for ArenaDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partstm_core::{Arena, PVar, PVarFields, PartitionConfig, Stm};
+    use partstm_core::{Arena, PVar, PVarFields, PartitionConfig, Stm, SwitchOutcome};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -733,11 +615,33 @@ mod tests {
         assert_eq!(got.vars.len(), 1);
         assert_eq!(hits.load(Ordering::Relaxed), 1, "no new report");
 
-        // The arena directory reports the same way.
-        let adir = ArenaDirectory::new();
-        adir.register(Arc::clone(&x) as Arc<dyn Migratable>);
-        let _ = adir.collect(a.id(), &buckets);
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        // With a collection registered beside the var, its live fields'
+        // buckets count as covered too; what neither covers is reported
+        // the same way.
+        let arena = Arc::new(Arena::new_bound(&a, |p| p.tvar(0u64)));
+        let _ = arena.alloc_raw();
+        let mut arena_buckets = Vec::new();
+        arena.for_each_live_addr(&mut |addr| arena_buckets.push(bucket_of(addr)));
+        let missing = (0..PROFILE_BUCKETS)
+            .find(|b| *b != own && !arena_buckets.contains(b))
+            .unwrap();
+        let mut mixed = vec![own, missing];
+        mixed.extend(&arena_buckets);
+        mixed.sort_unstable();
+        mixed.dedup();
+        let cdir = StaticDirectory::new();
+        cdir.register(Arc::clone(&x) as Arc<dyn Migratable>);
+        cdir.register_collection(Arc::clone(&arena) as Arc<dyn MigratableCollection>);
+        let got = cdir.collect(a.id(), &mixed);
+        assert_eq!((got.vars.len(), got.collections.len()), (1, 1));
+        assert_eq!(hits.load(Ordering::Relaxed), 2, "one report, one miss");
+        let _ = cdir.collect(a.id(), &[own]);
+        let _ = cdir.collect(a.id(), &arena_buckets);
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            2,
+            "covered buckets are no miss"
+        );
 
         // Miss reports are rate-limited per directory: back-to-back
         // misses inside the window fold into the first emission instead
@@ -760,7 +664,7 @@ mod tests {
     /// Over-representation selects the structure the buckets concentrate
     /// in and leaves proportional bystanders alone.
     #[test]
-    fn arena_directory_selects_overrepresented_collections() {
+    fn directory_selects_overrepresented_collections() {
         struct Probe {
             part: Arc<partstm_core::Partition>,
             arena: Arena<PVar<u64>>,
@@ -799,10 +703,10 @@ mod tests {
         let part = stm.new_partition(PartitionConfig::named("mixed"));
         let small = Probe::new(&part, 24);
         let big = Probe::new(&part, 4096);
-        let dir = ArenaDirectory::new();
+        let dir = StaticDirectory::new();
         dir.register_collection(Arc::clone(&small) as Arc<dyn MigratableCollection>);
         dir.register_collection(Arc::clone(&big) as Arc<dyn MigratableCollection>);
-        assert_eq!(dir.collections_len(), 2);
+        assert_eq!(dir.collections.read().len(), 2);
 
         // Hot buckets := exactly the small structure's buckets. The small
         // structure is 100% inside them; the big one only proportionally.
@@ -837,41 +741,68 @@ mod tests {
         for v in &vars {
             sdir.register(Arc::clone(v) as Arc<dyn Migratable>);
         }
-        assert_eq!(sdir.index_rebuilds(), 0, "built lazily");
+        assert_eq!(
+            sdir.index_rebuilds.load(Ordering::Relaxed),
+            0,
+            "built lazily"
+        );
         let b0 = bucket_of(Migratable::var_addr(&*vars[0]));
         let before = {
             let _ = sdir.collect(part.id(), &[b0]);
-            sdir.index_rebuilds()
+            sdir.index_rebuilds.load(Ordering::Relaxed)
         };
         let _ = sdir.collect(part.id(), &[b0]);
         let _ = sdir.collect(part.id(), &[b0]);
-        assert_eq!(sdir.index_rebuilds(), before, "windows reuse the index");
+        assert_eq!(
+            sdir.index_rebuilds.load(Ordering::Relaxed),
+            before,
+            "windows reuse the index"
+        );
         sdir.register(Arc::new(part.tvar(99u64)) as Arc<dyn Migratable>);
         let _ = sdir.collect(part.id(), &[b0]);
-        assert_eq!(sdir.index_rebuilds(), before + 1, "registration rebuilds");
+        assert_eq!(
+            sdir.index_rebuilds.load(Ordering::Relaxed),
+            before + 1,
+            "registration rebuilds"
+        );
 
-        // Collection registry: the reverse map survives repeated collects
-        // and is shared between `collect` and `collect_tears`.
-        let adir = ArenaDirectory::new();
+        // Collection registry, in the same directory: the reverse map
+        // survives repeated collects and is shared between `collect` and
+        // `collect_tears`; it leaves the var index alone.
         let arena = Arc::new(Arena::new_bound(&part, |p| p.tvar(0u64)));
         for _ in 0..32 {
             let _ = arena.alloc_raw();
         }
-        adir.register_tearable(Arc::clone(&arena) as Arc<dyn TearableCollection>);
+        sdir.register_tearable(Arc::clone(&arena) as Arc<dyn TearableCollection>);
         let mut buckets = Vec::new();
         arena.for_each_live_slot(|_, n| {
             n.for_each_pvar(&mut |m| buckets.push(bucket_of(m.var_addr())))
         });
         buckets.sort_unstable();
         buckets.dedup();
-        let _ = adir.collect(part.id(), &buckets);
-        assert_eq!(adir.rev_rebuilds(), 1);
-        let _ = adir.collect(part.id(), &buckets);
-        let _ = adir.collect_tears(part.id(), &buckets, 1.0);
-        assert_eq!(adir.rev_rebuilds(), 1, "windows and tears share the map");
-        adir.refresh();
-        let _ = adir.collect(part.id(), &buckets);
-        assert_eq!(adir.rev_rebuilds(), 2, "refresh forces a rebuild");
+        let _ = sdir.collect(part.id(), &buckets);
+        assert_eq!(sdir.rev_rebuilds.load(Ordering::Relaxed), 1);
+        let _ = sdir.collect(part.id(), &buckets);
+        let tears = sdir.collect_tears(part.id(), &buckets, 1.0);
+        assert_eq!(
+            sdir.rev_rebuilds.load(Ordering::Relaxed),
+            1,
+            "windows and tears share the map"
+        );
+        assert_eq!(
+            sdir.index_rebuilds.load(Ordering::Relaxed),
+            before + 1,
+            "var index untouched"
+        );
+        sdir.mark_torn(&tears[0]);
+        let _ = sdir.collect(part.id(), &buckets);
+        assert_eq!(
+            sdir.rev_rebuilds.load(Ordering::Relaxed),
+            2,
+            "a tear forces a rebuild"
+        );
+        let _ = sdir.collect_tears(part.id(), &buckets, 1.0);
+        assert_eq!(sdir.rev_rebuilds.load(Ordering::Relaxed), 2);
     }
 
     /// Satellite of the hot-key PR: tearing slots out must evict them from
@@ -885,7 +816,7 @@ mod tests {
         for _ in 0..64 {
             let _ = arena.alloc_raw();
         }
-        let dir = ArenaDirectory::new();
+        let dir = StaticDirectory::new();
         dir.register_tearable(Arc::clone(&arena) as Arc<dyn TearableCollection>);
 
         // Hot buckets := the buckets of the first four live slots.
@@ -922,5 +853,63 @@ mod tests {
         let again = dir.collect_tears(part.id(), &hot, 0.5);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].raw, set.raw, "heal restores attribution");
+    }
+
+    /// Flat vars and a collection in one directory and one partition:
+    /// `collect` returns both, and one `Stm::migrate` of the `MoverSet`
+    /// moves the collection (home, slots, roots) and the vars in a single
+    /// window, visiting the collection first.
+    #[test]
+    fn one_migration_moves_vars_and_a_collection_together() {
+        use partstm_structures::THashMap;
+        let stm = Stm::new();
+        let src = stm.new_partition(PartitionConfig::named("src"));
+        let dst = stm.new_partition(PartitionConfig::named("dst"));
+        let map = Arc::new(THashMap::new(Arc::clone(&src), 4));
+        let ctx = stm.register_thread();
+        for k in 0..8 {
+            ctx.run(|tx| map.put(tx, k, 100).map(|_| ()));
+        }
+        let vars: Vec<Arc<PVar<u64>>> = (0..4).map(|i| Arc::new(src.tvar(i))).collect();
+        let dir = StaticDirectory::new();
+        map.attach_directory(&dir);
+        dir.register_all(vars.iter().map(|v| Arc::clone(v) as Arc<dyn Migratable>));
+
+        let mut buckets: Vec<u16> = vars.iter().map(|v| bucket_of(v.var_addr())).collect();
+        map.for_each_live_slot_addr(&mut |_, a| buckets.push(bucket_of(a)));
+        buckets.sort_unstable();
+        buckets.dedup();
+        let movers = dir.collect(src.id(), &buckets);
+        assert_eq!(movers.vars.len(), 4);
+        assert_eq!(movers.collections.len(), 1);
+        assert_eq!(movers.moved_count(), 4 + 8);
+
+        // Enumeration order: every collection binding (arena home first,
+        // then slots, then roots), then every var.
+        let ptr = |b: &PVarBinding| b as *const PVarBinding;
+        let mut order = Vec::new();
+        movers.for_each_binding(&mut |b| order.push(ptr(b)));
+        let mut coll = Vec::new();
+        map.for_each_binding(&mut |b| coll.push(ptr(b)));
+        let (first, rest) = order.split_at(coll.len());
+        assert_eq!(first, coll, "the collection comes first");
+        let mut rest = rest.to_vec();
+        let mut flat: Vec<_> = vars.iter().map(|v| ptr(v.binding())).collect();
+        rest.sort_unstable();
+        flat.sort_unstable();
+        assert_eq!(rest, flat, "then the vars");
+
+        let (gs, gd) = (src.generation(), dst.generation());
+        assert_eq!(stm.migrate(&movers, &dst, &[&src]), SwitchOutcome::Switched);
+        assert_eq!(src.generation(), gs + 1, "one window on the source");
+        assert_eq!(dst.generation(), gd + 1, "one window on the destination");
+        assert_eq!(map.partition_of(), dst.id(), "arena home moved");
+        let mut strays = 0;
+        map.for_each_binding(&mut |b| strays += usize::from(b.partition_id() != dst.id()));
+        assert_eq!(strays, 0, "every slot and root moved");
+        assert!(vars.iter().all(|v| v.partition_id() == dst.id()));
+        let sum: u64 = map.snapshot_pairs().iter().map(|(_, v)| v).sum();
+        assert_eq!(sum, 800, "contents survive the move");
+        assert_eq!(ctx.run(|tx| map.get(tx, 3)), Some(100));
     }
 }

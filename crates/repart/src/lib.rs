@@ -5,10 +5,9 @@
 //! behaviour (`partstm_core::profiler`), and *this crate* re-partitions
 //! while the program runs — splitting conflict hot spots out of
 //! overloaded partitions, merging cold co-accessed partitions back, and
-//! migrating the affected [`PVar`](partstm_core::PVar)s live over the
-//! quiesce-based repartition protocol
-//! ([`Stm::split_partition`](partstm_core::Stm::split_partition) and
-//! friends).
+//! migrating the affected [`PVar`](partstm_core::PVar)s and structures
+//! live over the quiesce-based repartition protocol
+//! ([`Stm::migrate`](partstm_core::Stm::migrate)).
 //!
 //! ## The loop
 //!
@@ -19,14 +18,15 @@
 //!                 OnlineAnalyzer (partstm-analysis::online)
 //!                      │ affinity/conflict graph → Split/Merge proposals
 //!                      ▼
-//!                 RepartitionController (this crate)
+//!                 RepartitionController::step (this crate)
 //!                      │ windows, scores vs abort/commit stats,
 //!                      │ hysteresis + cooldown
 //!                      ▼
-//!                 Stm::split_partition / merge_partitions
-//!                      │ flag → quiesce → rebind PVars → gen+1
+//!                 StaticDirectory maps hot buckets back to
+//!                      │ variables, collections and slot subsets
 //!                      ▼
-//!                 PVarDirectory maps hot buckets back to variables
+//!                 Stm::migrate(source, dst, from)
+//!                        flag → quiesce → rebind PVars → gen+1
 //! ```
 //!
 //! ## Quickstart
@@ -44,8 +44,7 @@
 //! for v in &vars {
 //!     dir.register(Arc::clone(v) as Arc<dyn Migratable>);
 //! }
-//! // Drive the loop manually (or `RepartitionController::spawn` for a
-//! // background daemon).
+//! // The caller drives the loop: one evaluation window per `step`.
 //! let controller = RepartitionController::new(&stm, dir, ControllerConfig::responsive());
 //! controller.step();
 //! assert_eq!(controller.windows(), 1);
@@ -58,9 +57,7 @@ mod controller;
 mod directory;
 
 pub use controller::{ControllerConfig, RepartEvent, RepartitionController};
-pub use directory::{
-    ArenaDirectory, MoverSet, PVarDirectory, StaticDirectory, TearMovers, TearSet,
-};
+pub use directory::{MoverSet, StaticDirectory, TearMovers, TearSet};
 pub use partstm_analysis::online::ActionKind;
 
 #[cfg(test)]
@@ -257,7 +254,7 @@ mod tests {
             "controller never resized: {:?}",
             controller.events()
         );
-        let events = controller.stop();
+        let events = controller.events();
         let (from, to, aliased_share) = events
             .iter()
             .find_map(|e| match e {
@@ -309,7 +306,7 @@ mod tests {
         });
 
         assert!(split, "controller never split: {:?}", controller.events());
-        let events = controller.stop();
+        let events = controller.events();
         let (moved, dst) = events
             .iter()
             .find_map(|e| match e {
@@ -364,7 +361,7 @@ mod tests {
             max_partitions: 3, // all three in service: no room for a split
             ..ControllerConfig::responsive()
         };
-        let controller = RepartitionController::new(&stm, Arc::clone(&dir) as _, cfg);
+        let controller = RepartitionController::new(&stm, Arc::clone(&dir), cfg);
         telemetry::set_enabled(true);
         telemetry::set_tx_sample_period(0); // control-plane events only
         let t0 = telemetry::now_micros();
@@ -554,7 +551,7 @@ mod tests {
             (close_window.unwrap(), controller.windows())
         });
 
-        let events = controller.stop();
+        let events = controller.events();
         assert_eq!(events.len(), threshold + 3, "{action}: {events:?}");
         for e in &events[..threshold] {
             assert!(
@@ -604,7 +601,7 @@ mod tests {
                 ctx.run(|tx| cold.put(tx, k, 100).map(|_| ()));
             }
         }
-        let dir = Arc::new(crate::ArenaDirectory::new());
+        let dir = Arc::new(StaticDirectory::new());
         hot.attach_directory(&*dir);
         cold.attach_directory(&*dir);
         let mut cfg = ControllerConfig::responsive();
@@ -673,7 +670,7 @@ mod tests {
         });
 
         assert!(split, "controller never split: {:?}", controller.events());
-        let events = controller.stop();
+        let events = controller.events();
         let (dst, collections) = events
             .iter()
             .find_map(|e| match e {
@@ -719,7 +716,7 @@ mod tests {
                 ctx.run(|tx| map.put(tx, k, 100).map(|_| ()));
             }
         }
-        let dir = Arc::new(crate::ArenaDirectory::new());
+        let dir = Arc::new(StaticDirectory::new());
         map.attach_directory(&*dir);
         let mut cfg = ControllerConfig::responsive();
         cfg.online.split_abort_rate = 0.02;
@@ -793,7 +790,7 @@ mod tests {
 
         assert!(torn, "controller never tore: {:?}", controller.events());
         assert!(healed, "controller never healed: {:?}", controller.events());
-        let events = controller.stop();
+        let events = controller.events();
         let (tear_dst, moved, total_live) = events
             .iter()
             .find_map(|e| match e {
@@ -829,26 +826,5 @@ mod tests {
             .into_iter()
             .fold(0u64, |acc, (_, v)| acc.wrapping_add(v));
         assert_eq!(total, KEYS * 100, "contents conserved across tear + heal");
-    }
-
-    /// The daemon variant starts, ticks and stops cleanly.
-    #[test]
-    fn daemon_spawns_and_stops() {
-        let stm = Stm::new();
-        let (_bank, dir) = MovableBank::new(&stm, 16, 1);
-        let mut cfg = ControllerConfig::responsive();
-        cfg.interval = Duration::from_millis(20);
-        let controller = RepartitionController::spawn(&stm, dir, cfg);
-        let ctx = stm.register_thread();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while controller.windows() < 3 && Instant::now() < deadline {
-            // Keep some traffic flowing so windows have data to chew on.
-            let x = stm.partitions()[0].tvar(0u64);
-            ctx.run(|tx| tx.modify(&x, |v| v + 1).map(|_| ()));
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(controller.windows() >= 3, "daemon never ticked");
-        let _events = controller.stop();
-        assert!(stm.profiler().is_none(), "stop uninstalls the profiler");
     }
 }

@@ -10,7 +10,7 @@
 //! | [`core`] | `partstm-core` | the STM engine: partitions, `PVar`s, transactions, tuning hooks, access profiler |
 //! | [`analysis`] | `partstm-analysis` | the compile-time automatic partitioner + online affinity analysis |
 //! | [`repart`] | `partstm-repart` | the online repartitioner: live partition split/merge + `PVar` migration |
-//! | [`tuning`] | `partstm-tuning` | runtime tuning policies (threshold heuristic, hill climbing) |
+//! | [`tuning`] | `partstm-tuning` | the runtime tuning policy (threshold heuristic with hysteresis) |
 //! | [`structures`] | `partstm-structures` | transactional list / skip list / rb-tree / hash map / queue / bank |
 //! | [`stamp`] | `partstm-stamp` | STAMP application ports: vacation, kmeans, genome, intruder |
 //!

@@ -39,7 +39,7 @@ impl ControlOp {
                 stm.switch_partition(a, cfg)
             }
             ControlOp::ResizeOrecs => stm.resize_orecs(a, 100),
-            ControlOp::Migrate => stm.migrate_batch(src, b),
+            ControlOp::Migrate => stm.migrate(src, b, &[]),
             ControlOp::Privatize => match stm.privatize(a) {
                 Ok(guard) => {
                     guard.republish();

@@ -317,7 +317,7 @@ fn controller_run_reads_back_through_timeline_and_prometheus() {
         }
         stop.store(true, Ordering::Relaxed);
     });
-    let events = controller.stop();
+    let events = controller.events();
     assert!(
         events
             .iter()

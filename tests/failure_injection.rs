@@ -168,7 +168,7 @@ fn contended_arena_migration_rolls_back_bindings_and_freelist() {
 
     // Simulate a concurrent switch holding b's flag.
     b.debug_force_switch_flag(true);
-    assert_eq!(stm.migrate_batch(&map, &b), SwitchOutcome::Contended);
+    assert_eq!(stm.migrate(&map, &b, &[]), SwitchOutcome::Contended);
     assert_eq!(map.partition_of(), a.id(), "home untouched");
     assert_all_bindings_in(&map, a.id(), "map");
     assert_eq!(a.generation(), ga, "no generation bump on rollback");
@@ -178,14 +178,14 @@ fn contended_arena_migration_rolls_back_bindings_and_freelist() {
     // Source-side contention behaves the same.
     a.debug_force_switch_flag(true);
     b.debug_force_switch_flag(false);
-    assert_eq!(stm.migrate_batch(&map, &b), SwitchOutcome::Contended);
+    assert_eq!(stm.migrate(&map, &b, &[]), SwitchOutcome::Contended);
     assert_all_bindings_in(&map, a.id(), "map");
     a.debug_force_switch_flag(false);
 
     // Once clear, the same migration succeeds and the map still works:
     // recycled slots (from the free list the rollback preserved) come
     // back bound to the destination.
-    assert_eq!(stm.migrate_batch(&map, &b), SwitchOutcome::Switched);
+    assert_eq!(stm.migrate(&map, &b, &[]), SwitchOutcome::Switched);
     assert_all_bindings_in(&map, b.id(), "map");
     for k in (0..32u64).step_by(4) {
         assert!(ctx.run(|tx| map.put_if_absent(tx, k, k * 10)));
@@ -360,7 +360,7 @@ fn panicking_migration_source_does_not_wedge_the_partitions() {
             panic_on,
         };
         let r =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stm.migrate_batch(&src, &b)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stm.migrate(&src, &b, &[])));
         assert!(r.is_err(), "the source's panic propagates");
         assert_eq!(src.calls.get(), panic_on);
 
@@ -378,7 +378,7 @@ fn panicking_migration_source_does_not_wedge_the_partitions() {
         // left behind: a transfer across the tear commits at once…
         ctx.run(|tx| bank.transfer(tx, 0, ACCOUNTS - 1, 5));
         // …and so does the healthy migration of the same variables.
-        assert_eq!(stm.migrate_batch(&bank, &b), SwitchOutcome::Switched);
+        assert_eq!(stm.migrate(&bank, &b, &[]), SwitchOutcome::Switched);
         assert_all_bindings_in(&bank, b.id(), "bank");
         ctx.run(|tx| bank.transfer(tx, 1, 2, 7));
         assert_eq!(ctx.run(|tx| bank.total(tx)), ACCOUNTS as i64 * 100);
@@ -586,7 +586,7 @@ fn privatize_vs_repartition_storm_conserves_sum() {
             storms.push(s.spawn(move || {
                 for i in 0..20 {
                     let dst = if i % 2 == 0 { b } else { a };
-                    if stm.migrate_batch(bank, dst).switched() {
+                    if stm.migrate(bank, dst, &[]).switched() {
                         migrated.fetch_add(1, Ordering::Relaxed);
                     }
                     std::thread::sleep(Duration::from_millis(2));
@@ -697,7 +697,7 @@ fn kill_rescue_unwedges_quiesce_within_soft_deadline() {
             std::thread::yield_now();
         }
         let t0 = std::time::Instant::now();
-        let outcome = stm.migrate_batch(&bank, &b);
+        let outcome = stm.migrate(&bank, &b, &[]);
         let elapsed = t0.elapsed();
         stop.store(true, Ordering::Release);
         assert_eq!(outcome, SwitchOutcome::Switched, "rescue must unwedge");
@@ -742,7 +742,7 @@ fn kill_rescue_unwedges_quiesce_within_soft_deadline() {
     assert_eq!(bank.total_direct(), ACCOUNTS as i64 * 100, "sum conserved");
     assert_all_bindings_in(&bank, b.id(), "bank");
     // The control plane is healthy again: the next action needs no rescue.
-    assert_eq!(stm.migrate_batch(&bank, &a), SwitchOutcome::Switched);
+    assert_eq!(stm.migrate(&bank, &a, &[]), SwitchOutcome::Switched);
     let ctx = stm.register_thread();
     ctx.run(|tx| bank.transfer(tx, 0, 1, 1));
     assert_eq!(bank.total_direct(), ACCOUNTS as i64 * 100);

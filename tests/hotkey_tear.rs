@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use partstm::core::{retired_binding_count, PartitionConfig, Stm};
-use partstm::repart::{ArenaDirectory, ControllerConfig, RepartEvent, RepartitionController};
+use partstm::repart::{ControllerConfig, RepartEvent, RepartitionController, StaticDirectory};
 use partstm::structures::THashMap;
 
 const KEYS: u64 = 4096;
@@ -33,7 +33,7 @@ fn repeated_zipf_flips_tear_and_heal_idempotently() {
             ctx.run(|tx| map.put(tx, k, INITIAL).map(|_| ()));
         }
     }
-    let dir = Arc::new(ArenaDirectory::new());
+    let dir = Arc::new(StaticDirectory::new());
     map.attach_directory(&*dir);
     let mut cfg = ControllerConfig::responsive();
     cfg.online.split_abort_rate = 0.02;
@@ -129,7 +129,7 @@ fn repeated_zipf_flips_tear_and_heal_idempotently() {
         stop.store(true, Ordering::Relaxed);
     });
 
-    let events = controller.stop();
+    let events = controller.events();
     assert!(
         tears >= CYCLES && heals >= CYCLES,
         "storm finished only {tears} tears / {heals} heals: {events:?}"

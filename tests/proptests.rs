@@ -185,18 +185,15 @@ proptest! {
                 }
                 MigOp::Migrate(p) => {
                     let dst = &parts[p as usize % parts.len()];
-                    let _ = stm.migrate_batch(&set, dst);
+                    let _ = stm.migrate(&set, dst, &[]);
                     prop_assert_eq!(set.partition_of(), dst.id());
                     // No torn nodes: the full contents survive the move.
                     let expect: Vec<u64> = model.iter().copied().collect();
                     prop_assert_eq!(set.snapshot_keys(), expect, "after migrate step {}", i);
                 }
                 MigOp::Split => {
-                    let (dst, _) = stm.split_partition_batch(
-                        &set.home_partition(),
-                        PartitionConfig::named(format!("split{i}")),
-                        &set,
-                    );
+                    let dst = stm.new_partition(PartitionConfig::named(format!("split{i}")));
+                    let _ = stm.migrate(&set, &dst, &[&set.home_partition()]);
                     prop_assert_eq!(set.partition_of(), dst.id());
                     let expect: Vec<u64> = model.iter().copied().collect();
                     prop_assert_eq!(set.snapshot_keys(), expect, "after split step {}", i);
@@ -258,7 +255,7 @@ proptest! {
             model[i] += amt;
             if mig < 2 {
                 let dst = &parts[(mig as usize + i) % parts.len()];
-                let _ = stm.migrate_batch(&bank, dst);
+                let _ = stm.migrate(&bank, dst, &[]);
                 prop_assert_eq!(bank.partition_of(), dst.id());
             }
             prop_assert_eq!(ctx.run(|tx| tx.read(bank.account(i))), model[i]);

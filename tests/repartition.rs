@@ -10,6 +10,10 @@ use std::time::{Duration, Instant};
 use partstm::core::profiler::bucket_of;
 use partstm::core::{AccessProfiler, Migratable, PVar, PartitionConfig, Stm, SwitchOutcome};
 
+#[path = "common/vars.rs"]
+mod vars;
+use vars::Vars;
+
 /// Bank transfers while a background thread repeatedly splits the account
 /// partition, migrates the rest after it, and merges everything back home.
 /// Every partition view cached by an in-flight attempt must stay coherent
@@ -94,10 +98,10 @@ fn bank_conserves_total_under_split_merge_migration_storm() {
                         .collect();
                     let all: Vec<&dyn Migratable> =
                         accounts.iter().map(|a| &**a as &dyn Migratable).collect();
-                    let (side, o1) =
-                        stm2.split_partition(&home, PartitionConfig::named("side"), &evens);
+                    let side = stm2.new_partition(PartitionConfig::named("side"));
+                    let o1 = stm2.migrate(&Vars(&evens), &side, &[&home]);
                     let o2 = stm2.migrate_pvars(&odds, &side);
-                    let o3 = stm2.merge_partitions(&[&side], &home, &all);
+                    let o3 = stm2.migrate(&Vars(&all), &home, &[&side]);
                     if o1 == SwitchOutcome::Switched
                         && o2 == SwitchOutcome::Switched
                         && o3 == SwitchOutcome::Switched
@@ -180,9 +184,9 @@ fn resize_racing_split_and_migrate_conserves_total() {
                         .collect();
                     let all: Vec<&dyn Migratable> =
                         accounts.iter().map(|a| &**a as &dyn Migratable).collect();
-                    let (side, o1) =
-                        stm2.split_partition(&home, PartitionConfig::named("side"), &evens);
-                    let o2 = stm2.merge_partitions(&[&side], &home, &all);
+                    let side = stm2.new_partition(PartitionConfig::named("side"));
+                    let o1 = stm2.migrate(&Vars(&evens), &side, &[&home]);
+                    let o2 = stm2.migrate(&Vars(&all), &home, &[&side]);
                     if o1 == SwitchOutcome::Switched && o2 == SwitchOutcome::Switched {
                         storms_done.fetch_add(1, Ordering::Relaxed);
                     }

@@ -80,12 +80,9 @@ where
                 let mut seq = 0;
                 while !stop.load(Ordering::Relaxed) {
                     seq += 1;
-                    let (_side, o1) = stm2.split_partition_batch(
-                        &set.home_partition(),
-                        PartitionConfig::named(format!("side{seq}")),
-                        &**set,
-                    );
-                    let o2 = stm2.migrate_batch(&**set, home);
+                    let side = stm2.new_partition(PartitionConfig::named(format!("side{seq}")));
+                    let o1 = stm2.migrate(&**set, &side, &[&set.home_partition()]);
+                    let o2 = stm2.migrate(&**set, home, &[]);
                     if o1 == SwitchOutcome::Switched && o2 == SwitchOutcome::Switched {
                         storms.fetch_add(1, Ordering::Relaxed);
                     }
@@ -200,12 +197,9 @@ fn queue_conserves_items_under_migration_storm() {
                 let mut seq = 0;
                 while !stop.load(Ordering::Relaxed) {
                     seq += 1;
-                    let (_side, o1) = stm2.split_partition_batch(
-                        &q.home_partition(),
-                        PartitionConfig::named(format!("qside{seq}")),
-                        &**q,
-                    );
-                    let o2 = stm2.migrate_batch(&**q, home);
+                    let side = stm2.new_partition(PartitionConfig::named(format!("qside{seq}")));
+                    let o1 = stm2.migrate(&**q, &side, &[&q.home_partition()]);
+                    let o2 = stm2.migrate(&**q, home, &[]);
                     if o1 == SwitchOutcome::Switched && o2 == SwitchOutcome::Switched {
                         storms.fetch_add(1, Ordering::Relaxed);
                     }
@@ -293,12 +287,12 @@ fn hashmap_slot_subset_migration_conserves_sum() {
                     let live = map.arena().live_handles();
                     let subset: Vec<_> = live.iter().copied().skip(round % 2).step_by(2).collect();
                     if !subset.is_empty() {
-                        let _ = stm2.migrate_batch(&map.arena().slots_of(&subset), side);
+                        let _ = stm2.migrate(&map.arena().slots_of(&subset), side, &[]);
                     }
                     std::thread::sleep(Duration::from_millis(3));
                     // Heal: whole-collection migration home collects the
                     // torn slots' partition into the involved set.
-                    let _ = stm2.migrate_batch(&**map, home);
+                    let _ = stm2.migrate(&**map, home, &[]);
                     std::thread::sleep(Duration::from_millis(3));
                 }
                 stop.store(true, Ordering::Relaxed);
@@ -313,7 +307,7 @@ fn hashmap_slot_subset_migration_conserves_sum() {
     assert_eq!(total, KEYS.wrapping_mul(INITIAL), "sum conserved");
     // Heal once more from a quiescent state (the storm's last word may
     // have been a tear).
-    let _ = stm.migrate_batch(&*map, &home);
+    let _ = stm.migrate(&*map, &home, &[]);
     assert_all_bindings_in(&*map, home.id(), "hash map");
     assert_eq!(map.partition_of(), home.id());
 }
@@ -339,7 +333,7 @@ fn guard_access_to_a_torn_map_panics_at_the_foreign_slot_and_republishes() {
     // Tear the middle of the chain out (what a controller `Tear` does).
     let live = map.arena().live_handles();
     assert_eq!(
-        stm.migrate_batch(&map.arena().slots_of(&live[2..6]), &torn),
+        stm.migrate(&map.arena().slots_of(&live[2..6]), &torn, &[]),
         SwitchOutcome::Switched
     );
     assert_eq!(map.partition_of(), home.id(), "home binding stays");
@@ -386,7 +380,7 @@ fn guard_access_to_a_torn_map_panics_at_the_foreign_slot_and_republishes() {
     assert_eq!(ctx.run(|tx| map.get(tx, 0)), Some(0));
     assert_eq!(map.snapshot_pairs().len(), 8);
     // Healed, the same operations run under the guard.
-    assert_eq!(stm.migrate_batch(&map, &home), SwitchOutcome::Switched);
+    assert_eq!(stm.migrate(&map, &home, &[]), SwitchOutcome::Switched);
     assert_eq!(
         under_guard(&|g| assert_eq!(map.put(&mut g.access(), 0, 1), Ok(Some(0)))),
         Ok(())
