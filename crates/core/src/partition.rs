@@ -30,21 +30,17 @@ pub(crate) struct TuneState {
     pub(crate) last_at: Instant,
 }
 
-/// The orec-table allocations a partition owns: the current table plus
-/// every table retired by a live resize. Retired tables are *parked*, not
-/// freed — the same liveness idiom as `PVarBinding`'s retired list — so a
-/// control-plane reader (diagnostic scan, another switch) that loaded the
-/// table pointer just before a resize can still dereference it. Resizes
-/// are rare, controller-gated events; the list stays small.
+/// The orec-table allocations a partition owns: exactly one table and
+/// its version ring. A live resize swaps both and hands the old pair back
+/// to the resize window, which frees it once the window has closed
+/// ([`Partition::install_table`]); the memory a partition holds is its
+/// current capacity, however often it was resized.
 #[derive(Debug)]
 struct TableHold {
     current: Box<[Orec]>,
-    retired: Vec<Box<[Orec]>>,
     /// Version-ring allocation for `current` (`current.len() × ring
-    /// depth` slots, flat), plus rings parked by resizes — the same
-    /// park-don't-free liveness idiom as `retired`.
+    /// depth` slots, flat).
     ring: Box<[RingSlot]>,
-    retired_rings: Vec<Box<[RingSlot]>>,
 }
 
 /// One record evicted (or diverted) from an orec's version ring into the
@@ -97,7 +93,7 @@ pub struct Partition {
     /// `overflow.records.len()` mirror, so the read path can skip the
     /// mutex when the list is empty (the overwhelmingly common case).
     overflow_len: AtomicUsize,
-    /// Owning allocations behind `table` (current + parked retirees).
+    /// Owning allocations behind `table` and `ring`.
     tables: Mutex<TableHold>,
     /// [`crate::telemetry::now_micros`] timestamp at which the current
     /// privatization window began, or 0 when the partition is not
@@ -173,12 +169,7 @@ impl Partition {
             ring_depth: depth,
             overflow: Mutex::new(Overflow::default()),
             overflow_len: AtomicUsize::new(0),
-            tables: Mutex::new(TableHold {
-                current,
-                retired: Vec::new(),
-                ring,
-                retired_rings: Vec::new(),
-            }),
+            tables: Mutex::new(TableHold { current, ring }),
             privatized_at_micros: AtomicU64::new(0),
             stats: PartitionStats::default(),
             tunable: cfg.tune,
@@ -226,8 +217,8 @@ impl Partition {
     /// Same validity contract as [`Partition::table_view`]: meaningful only
     /// after observing the config word with the switching flag clear in the
     /// same attempt, because ring swaps happen strictly inside
-    /// flag→quiesce windows. The pointed-to ring outlives the partition
-    /// (retired rings are parked, never freed).
+    /// flag→quiesce windows, and dereferenceable only until that attempt
+    /// ends (a resize frees the old ring once its window has closed).
     #[inline(always)]
     pub(crate) fn ring_view(&self) -> (*const RingSlot, usize) {
         (self.ring.load(Ordering::Acquire), self.ring_depth)
@@ -334,8 +325,13 @@ impl Partition {
     /// at view creation): the resize protocol swaps the table strictly
     /// inside a flag→quiesce window, so an attempt that got past the flag
     /// check cannot interleave with a swap and the two loads are mutually
-    /// consistent. The pointed-to table outlives the partition (retired
-    /// tables are parked, never freed).
+    /// consistent.
+    ///
+    /// The pointer is dereferenceable only while no resize can complete
+    /// on this partition: inside the attempt that loaded it (a resize's
+    /// drain waits that attempt out before freeing the old table), under
+    /// the `tables` mutex, or on a single thread. See
+    /// [`Partition::install_table`] for the full list of consumers.
     #[inline(always)]
     pub(crate) fn table_view(&self) -> (*const Orec, usize) {
         (
@@ -348,14 +344,15 @@ impl Partition {
     ///
     /// Test convenience; the engine resolves orecs through the per-attempt
     /// cached [`Partition::table_view`] instead. The returned reference
-    /// stays valid for the partition's lifetime even across a resize
-    /// (retired tables are parked).
+    /// is valid until the next [`Partition::install_table`], which frees
+    /// the table it points into.
     #[cfg(test)]
     #[inline(always)]
     pub(crate) fn orec_for(&self, addr: usize, g: Granularity) -> &Orec {
         let (table, mask) = self.table_view();
-        // SAFETY: `table` points at `mask + 1` orecs owned (current or
-        // parked) by `self.tables`, alive as long as `self`.
+        // SAFETY: `table` points at the `mask + 1` orecs of
+        // `self.tables.current`; tests call this on one thread, with no
+        // resize between the lookup and the last use of the reference.
         unsafe { &*table.add(orec_index(mask, addr, g)) }
     }
 
@@ -405,8 +402,9 @@ impl Partition {
     }
 
     /// Replaces the orec table with a fresh one of `count` entries (a
-    /// power of two), every record stamped with `version`, and parks the
-    /// old table. The capacity half of [`crate::Stm::resize_orecs`].
+    /// power of two), every record stamped with `version`, and its version
+    /// ring with a fresh empty one; hands the old `(table, ring)` pair
+    /// back. The capacity half of [`crate::Stm::resize_orecs`].
     ///
     /// # Protocol
     ///
@@ -415,7 +413,37 @@ impl Partition {
     /// transaction holds orec pointers, locks, reader bits or read-set
     /// entries against the old table, and none will look at the table
     /// until the flag clears (which the caller does strictly afterwards).
-    pub(crate) fn install_table(&self, count: usize, version: u64) {
+    ///
+    /// # Freeing the old pair
+    ///
+    /// The caller drops the returned pair once the window has closed (the
+    /// quiesce module docs, "What a closed window frees"). Nothing can
+    /// still dereference it then, because every consumer of
+    /// [`Partition::table_view`] / [`Partition::ring_view`] is one of:
+    ///
+    /// - **an attempt** — `Tx`'s and `ReadTx`'s view creation, which load
+    ///   both pointers only after observing the switching flag clear. An
+    ///   attempt that loaded the old pair began before the window's epoch
+    ///   bump, so the drain waited until it left (every orec and ring
+    ///   access of an attempt, its rollback's unlocks and reader-bit
+    ///   clears included, precedes the release store that leaves it); an
+    ///   attempt that begins after the bump sees the flag and restarts
+    ///   without touching the table, or, after the close, loads the new
+    ///   pair;
+    /// - **a holder of the `tables` mutex** — `debug_scan`,
+    ///   `held_locks_of` and `reset_orecs` reach the table through
+    ///   [`TableHold`], never through a pointer loaded earlier, and this
+    ///   swap runs under the same mutex;
+    /// - **a single-threaded test**, which resizes only between uses.
+    ///
+    /// Contended and timed-out windows never call this, so they have
+    /// nothing to free.
+    #[must_use = "the retired pair is freed by dropping it once the window has closed"]
+    pub(crate) fn install_table(
+        &self,
+        count: usize,
+        version: u64,
+    ) -> (Box<[Orec]>, Box<[RingSlot]>) {
         debug_assert!(count.is_power_of_two());
         let new = alloc_table(count, version);
         let mut hold = self.tables.lock();
@@ -429,16 +457,13 @@ impl Partition {
             .store(new.as_ptr() as *mut Orec, Ordering::Release);
         self.mask.store(count - 1, Ordering::Release);
         let old = std::mem::replace(&mut hold.current, new);
-        hold.retired.push(old);
         // The rings are indexed by orec, so a table resize needs a fresh
-        // (empty) ring array of the new size; the old one is parked for
-        // the same liveness reason as the old table. Discarded history is
-        // safe for readers by the same argument as in `reset_orecs`.
+        // (empty) ring array of the new size. Discarded history is safe
+        // for readers by the same argument as in `reset_orecs`.
         let new_ring = alloc_ring(count, self.ring_depth);
         self.ring
             .store(new_ring.as_ptr() as *mut RingSlot, Ordering::Release);
         let old_ring = std::mem::replace(&mut hold.ring, new_ring);
-        hold.retired_rings.push(old_ring);
         drop(hold);
         let mut ovf = self.overflow.lock();
         ovf.records.clear();
@@ -446,6 +471,7 @@ impl Partition {
         self.overflow_len.store(0, Ordering::Release);
         drop(ovf);
         self.stats.orec_resizes(1);
+        (old, old_ring)
     }
 
     /// Diagnostic scan of the orec table: `(locked_count, owner_slots,
@@ -496,6 +522,18 @@ impl Partition {
     #[cfg(test)]
     pub(crate) fn table_ptr(&self) -> *const Orec {
         self.table.load(Ordering::Acquire)
+    }
+
+    /// Lengths of the one table and the one ring this partition owns,
+    /// checked against the published registers: tests assert that a
+    /// resize leaves nothing else behind.
+    #[cfg(test)]
+    pub(crate) fn held_allocations(&self) -> (usize, usize) {
+        let hold = self.tables.lock();
+        assert_eq!(hold.current.as_ptr(), self.table_ptr());
+        assert_eq!(hold.current.len(), self.orec_count());
+        assert_eq!(hold.ring.as_ptr(), self.ring_view().0);
+        (hold.current.len(), hold.ring.len())
     }
 
     /// Test hook: forcibly sets or clears this partition's switching flag,
@@ -553,29 +591,44 @@ mod tests {
         assert_eq!(a, p.table_ptr());
     }
 
+    /// Every orec of the current table is unlocked and carries `version`.
+    fn assert_all_stamped(p: &Partition, version: u64) {
+        let hold = p.tables.lock();
+        for o in hold.current.iter() {
+            assert_eq!(
+                o.lock.load(Ordering::SeqCst),
+                crate::orec::make_version(version)
+            );
+        }
+    }
+
     #[test]
-    fn install_table_swaps_capacity_and_parks_the_old_table() {
-        let p = part(PartitionConfig::default().orecs(64));
+    fn install_table_swaps_capacity_and_returns_the_old_pair() {
+        let p = part(PartitionConfig::default().orecs(64).ring(4));
         assert_eq!(p.orec_count(), 64);
         assert_eq!(p.stats().orec_resizes, 0);
         let old = p.table_ptr();
-        let old_orec = p.orec_for(0x1000, Granularity::Word) as *const Orec;
-        p.install_table(512, 7);
+        let (old_ring, depth) = p.ring_view();
+        let (table, ring) = p.install_table(512, 7);
         assert_eq!(p.orec_count(), 512);
+        assert_eq!(p.held_allocations(), (512, 512 * depth));
         assert_eq!(p.stats().orec_resizes, 1);
-        assert_ne!(p.table_ptr(), old, "fresh allocation");
-        // Every new orec carries the stamp version.
-        let (locked, _, maxv) = p.debug_scan();
-        assert_eq!(locked, 0);
-        assert_eq!(maxv, 7);
-        // The old table is parked, not freed: pointers into it stay valid.
-        // SAFETY: parked allocation, alive as long as `p`.
-        let stale = unsafe { &*old_orec };
-        assert!(!crate::orec::is_locked(stale.lock.load(Ordering::SeqCst)));
+        assert_ne!(p.table_ptr(), old, "fresh table");
+        assert_ne!(p.ring_view().0, old_ring, "fresh ring");
+        assert_all_stamped(&p, 7);
+        // The caller now owns the old pair, whole; dropping it frees it
+        // and leaves the partition untouched.
+        assert_eq!((table.as_ptr(), table.len()), (old, 64));
+        assert_eq!((ring.as_ptr(), ring.len()), (old_ring, 64 * depth));
+        drop((table, ring));
+        assert_all_stamped(&p, 7);
         // Shrink works too.
-        p.install_table(8, 9);
+        let (table, ring) = p.install_table(8, 9);
+        assert_eq!((table.len(), ring.len()), (512, 512 * depth));
         assert_eq!(p.orec_count(), 8);
+        assert_eq!(p.held_allocations(), (8, 8 * depth));
         assert_eq!(p.stats().orec_resizes, 2);
+        assert_all_stamped(&p, 9);
     }
 
     #[test]
@@ -639,7 +692,7 @@ mod tests {
         assert_eq!(p.overflow_best(0x40, 2), Some((9, 3)));
         assert_eq!(p.overflow_best(0x40, 3), None, "to must exceed t");
         assert_eq!(p.overflow_best(0x48, 2), None, "address mismatch");
-        p.install_table(32, 7);
+        drop(p.install_table(32, 7));
         assert_eq!(p.overflow_len(), 0);
         assert_eq!(p.overflow_best(0x40, 2), None);
         assert_eq!(p.ring_depth(), 2, "a resize keeps the depth");

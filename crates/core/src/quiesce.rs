@@ -50,7 +50,27 @@
 //! 5. **Mutate and close** ([`QuiesceWindow::commit`]): run the
 //!    operation's mutation, then publish every held word with
 //!    generation+1 and the flags clear:
-//!    [`Switched`](SwitchOutcome::Switched).
+//!    [`Switched`](SwitchOutcome::Switched). What the mutation unlinked
+//!    — a resize's old orec table and version ring — is freed right
+//!    after, once the flags are clear (next section).
+//!
+//! ## What a closed window frees
+//!
+//! A closed window is a grace period. The drain waited out every attempt
+//! begun before the epoch bump, and every attempt begun after it observed
+//! a flag and restarted before touching a held partition's table, so
+//! when `commit` returns no attempt can still hold a pointer loaded
+//! before the mutation; attempts admitted by the close load the new
+//! registers. A resize therefore frees the old table and ring instead of
+//! parking them: `Partition::install_table` hands the pair back, and
+//! `StmInner::reconfigure` drops it after `commit` returns, so the free
+//! never lengthens the stall and a partition owns exactly one table and
+//! one ring however often it is resized. The partition's other table
+//! readers go through its `tables` mutex, which the swap also holds; the
+//! full list of consumers is at `Partition::install_table`.
+//! Contended and timed-out windows never mutate, so they have nothing to
+//! free. (Bindings a repartition retires are still parked, by
+//! `PVarBinding::rebind`: a view borrows its partition through them.)
 //!
 //! ## Why restoring the word is race-free
 //!

@@ -141,10 +141,20 @@ impl Drop for Limiter {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// The sink is process-global: each test that installs a handler holds
+    /// this for its whole body, so a concurrently running one cannot swap
+    /// the handler out from under it (the limiter test sleeps 250 ms with
+    /// its handler installed).
+    fn own_sink() -> MutexGuard<'static, ()> {
+        static SINK_OWNER: Mutex<()> = Mutex::new(());
+        SINK_OWNER.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn handler_receives_warnings_and_quiet_drops_them() {
+        let _sink = own_sink();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
         set_handler(Some(Box::new(move |m| {
@@ -162,6 +172,7 @@ mod tests {
 
     #[test]
     fn limiter_folds_suppressed_calls_into_the_next_emission() {
+        let _sink = own_sink();
         let msgs: Arc<std::sync::Mutex<Vec<String>>> = Arc::default();
         let sink = Arc::clone(&msgs);
         let me = std::thread::current().id();
@@ -195,6 +206,7 @@ mod tests {
 
     #[test]
     fn limiter_drop_flushes_pending_suppressed_count() {
+        let _sink = own_sink();
         let msgs: Arc<std::sync::Mutex<Vec<String>>> = Arc::default();
         let sink = Arc::clone(&msgs);
         let me = std::thread::current().id();

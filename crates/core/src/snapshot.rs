@@ -178,8 +178,10 @@
 //! epoch bump observes the flag and **restarts instead of spinning** —
 //! spinning would deadlock against the switcher waiting for us to
 //! quiesce. Cached view state (table, mask, ring pointer, depth) is
-//! therefore stable for the attempt, and old allocations are parked, not
-//! freed, so even a stale pointer could only read stale telemetry.
+//! therefore stable for the attempt, and an old table or ring is freed
+//! only after the window has closed, by which time the drain has waited
+//! out every attempt that could hold a pointer into it (the quiesce
+//! module docs, "What a closed window frees").
 //!
 //! Those windows *discard* accumulated history (rings cleared or swapped
 //! fresh, overflow emptied). Safe: readers pinned before the window were

@@ -422,8 +422,10 @@ impl Stm {
     /// (rather than rehashing old versions, which is impossible — the
     /// mapping is lossy), forcing old-snapshot readers to
     /// extend-or-abort on first contact exactly as a granularity switch
-    /// does. The old table is parked for pointer liveness. The
-    /// partition's tuning window is reset so an installed
+    /// does. The old table and ring are freed once the window has closed,
+    /// outside the stall (no attempt can still hold them: the quiesce
+    /// module docs, "What a closed window frees"). The partition's tuning
+    /// window is reset so an installed
     /// [`TuningPolicy`] evaluates the resized table on post-resize
     /// statistics instead of a straddling delta.
     ///
@@ -445,8 +447,9 @@ impl Stm {
             None,
             || partition.orec_count() == n,
             |now| {
-                partition.install_table(n, now);
+                let retired = partition.install_table(n, now);
                 partition.reset_tuning_window();
+                retired
             },
         )
     }
@@ -471,15 +474,17 @@ impl StmInner {
     /// `done` is the operation's no-op test, run before flagging and
     /// again under the flag (where it can no longer race an interleaved
     /// window); `mutate` is its change, handed the clock value to stamp
-    /// with; `new` is the configuration to publish, if it changes.
-    fn reconfigure(
+    /// with, and returns what it unlinked, which is dropped only once the
+    /// window has closed; `new` is the configuration to publish, if it
+    /// changes.
+    fn reconfigure<R>(
         &self,
         kind: EventKind,
         arg: u64,
         partition: &Partition,
         new: Option<DynConfig>,
         done: impl Fn() -> bool,
-        mutate: impl FnOnce(u64),
+        mutate: impl FnOnce(u64) -> R,
     ) -> SwitchOutcome {
         assert_eq!(
             partition.stm_id, self.id,
@@ -499,7 +504,13 @@ impl StmInner {
             return out;
         }
         let now = self.clock.now();
-        w.commit(now, new, || mutate(now))
+        let mut retired = None;
+        let out = w.commit(now, new, || retired = Some(mutate(now)));
+        // The flags are clear: freeing here never lengthens the stall, and
+        // the drain already waited out every attempt that could reach
+        // what the mutation unlinked.
+        drop(retired);
+        out
     }
 }
 
@@ -635,33 +646,108 @@ mod tests {
     #[test]
     fn resize_orecs_preserves_data_under_load() {
         // Values live in PVars, not orecs: a resize must not disturb
-        // committed state or lose updates racing the quiesce.
+        // committed state or lose updates racing the quiesce. Each resize
+        // also frees the table and ring it replaces, so updaters and a
+        // snapshot reader hammer the partition while 200 resizes run: an
+        // attempt still holding a freed pointer would read garbage (and
+        // fail an assertion below) or trip AddressSanitizer.
+        const ACCOUNTS: u64 = 8;
+        const START: u64 = 100;
+        const RESIZES: usize = 200;
         let stm = Stm::new();
         let p = stm.new_partition(PartitionConfig::default().orecs(64));
-        let x = std::sync::Arc::new(p.tvar(0u64));
-        let iters = 2000u64;
+        let accounts: Vec<_> = (0..ACCOUNTS).map(|_| p.tvar(START)).collect();
+        let updates = p.tvar(0u64);
+        let stop = AtomicBool::new(false);
+        let committed = AtomicU64::new(0);
+        let scans = AtomicU64::new(0);
+        let inexact_sums = AtomicU64::new(0);
+        let mut switched = 0;
+        let mut stalled = false;
         std::thread::scope(|s| {
-            for _ in 0..3 {
+            for t in 0..2u64 {
                 let ctx = stm.register_thread();
-                let x = std::sync::Arc::clone(&x);
+                let (accounts, updates, stop, committed) = (&accounts, &updates, &stop, &committed);
                 s.spawn(move || {
-                    for _ in 0..iters {
-                        ctx.run(|tx| tx.modify(&x, |v| v + 1).map(|_| ()));
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        let from = &accounts[(i % ACCOUNTS) as usize];
+                        let to = &accounts[((i * 5 + 3) % ACCOUNTS) as usize];
+                        ctx.run(|tx| {
+                            let v = tx.read(from)?;
+                            if v > 0 {
+                                tx.write(from, v - 1)?;
+                                tx.modify(to, |w| w + 1)?;
+                            }
+                            tx.modify(updates, |n| n + 1).map(|_| ())
+                        });
+                        committed.fetch_add(1, Ordering::Relaxed);
+                        i += 1;
                     }
                 });
             }
-            let stm2 = stm.clone();
-            let p2 = std::sync::Arc::clone(&p);
+            let ctx = stm.register_thread();
+            let (accounts, stop, scans, inexact_sums) = (&accounts, &stop, &scans, &inexact_sums);
             s.spawn(move || {
-                for i in 0..24 {
-                    let n = if i % 2 == 0 { 1024 } else { 64 };
-                    let _ = stm2.resize_orecs(&p2, n);
-                    std::thread::yield_now();
+                while !stop.load(Ordering::Relaxed) {
+                    let sum = ctx.snapshot_read(|tx| {
+                        let mut sum = 0;
+                        for a in accounts {
+                            sum += tx.read(a)?;
+                        }
+                        Ok(sum)
+                    });
+                    // Counted, not asserted: a panic here would stall the
+                    // resize loop until its deadline.
+                    if sum != ACCOUNTS * START {
+                        inexact_sums.fetch_add(1, Ordering::Relaxed);
+                    }
+                    scans.fetch_add(1, Ordering::Relaxed);
                 }
             });
+            let progress = || {
+                (
+                    committed.load(Ordering::Relaxed),
+                    scans.load(Ordering::Relaxed),
+                )
+            };
+            // A worker that died (a failed engine assertion) stops making
+            // progress; give up then rather than hang the suite.
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            'resizes: for i in 0..RESIZES {
+                // Each resize waits for a commit and a scan since the last
+                // one, so every pair it frees was in use while installed.
+                let (c, r) = progress();
+                while progress().0 == c || progress().1 == r {
+                    if std::time::Instant::now() > deadline {
+                        stalled = true;
+                        break 'resizes;
+                    }
+                    std::thread::yield_now();
+                }
+                let n = if i % 2 == 0 { 1024 } else { 64 };
+                switched += stm.resize_orecs(&p, n).switched() as u64;
+            }
+            stop.store(true, Ordering::Relaxed);
         });
-        assert_eq!(x.load_direct(), 3 * iters, "no update lost across resizes");
-        assert!(p.stats().orec_resizes > 0, "at least one resize executed");
+        assert!(!stalled, "updaters or reader stopped making progress");
+        assert_eq!(
+            updates.load_direct(),
+            committed.load(Ordering::Relaxed),
+            "no update lost across resizes"
+        );
+        assert_eq!(
+            inexact_sums.load(Ordering::Relaxed),
+            0,
+            "every snapshot sum exact"
+        );
+        let total: u64 = accounts.iter().map(|a| a.load_direct()).sum();
+        assert_eq!(total, ACCOUNTS * START);
+        assert!(switched > 0, "at least one resize executed");
+        assert_eq!(p.stats().orec_resizes, switched);
+        // One table and one ring, of the current size: nothing parked.
+        let n = p.orec_count();
+        assert_eq!(p.held_allocations(), (n, n * p.ring_depth()));
     }
 
     #[test]

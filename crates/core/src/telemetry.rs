@@ -163,16 +163,23 @@ mod tests {
     #[test]
     fn disabled_recording_is_a_no_op() {
         // Other tests may have toggled the global flag; force a known
-        // state, record, and restore.
+        // state, record, and restore. While the flag is on, control
+        // windows of concurrently running tests record too, so the
+        // enabled half finds this test's event by its payload instead of
+        // counting every event in the process.
+        const MARK: u64 = 0x7e1e_0000_d15a_b1ed;
         let was = enabled();
         set_enabled(false);
         let before = global().recorder.recorded();
-        control_event(EventKind::QuiesceBegin, 1, 0, 0);
+        control_event(EventKind::QuiesceBegin, MARK, 0, 0);
         assert_eq!(global().recorder.recorded(), before);
         set_enabled(true);
-        control_event(EventKind::QuiesceBegin, 1, 0, 0);
-        assert_eq!(global().recorder.recorded(), before + 1);
+        control_event(EventKind::QuiesceBegin, MARK, 0, 0);
         set_enabled(was);
+        let marked = (global().recorder.snapshot().iter())
+            .filter(|e| e.kind == EventKind::QuiesceBegin && e.a == MARK)
+            .count();
+        assert_eq!(marked, 1, "recorded once enabled, never while disabled");
     }
 
     #[test]

@@ -54,9 +54,10 @@
 //! Hence a view snapshotted at first touch is, for the rest of the attempt,
 //! identical to what a per-access decode would produce, and the cached
 //! generation — and every orec pointer derived from the cached table —
-//! is stable until the attempt's `seq` returns to even. (Tables retired by
-//! a resize are additionally *parked*, never freed, so even a stale orec
-//! pointer could only read stale telemetry, never freed memory.)
+//! is stable until the attempt's `seq` returns to even. (A table retired
+//! by a resize is freed only after its window closes, and that window's
+//! drain waited for this `seq` to return to even first, so every orec
+//! access of the attempt, rollback included, precedes the free.)
 //!
 //! ## One full fence per attempt
 //!
