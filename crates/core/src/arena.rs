@@ -66,11 +66,11 @@
 //!   (plain store-buffering argument). Fresh slots are unreachable — no
 //!   handle to them exists yet — so this off-protocol rebind cannot race
 //!   any transactional access.
-//! * **Retired homes.** A rebound home (like any rebound `PVar`) parks its
-//!   previous partition reference for the process lifetime, so a stale
-//!   reader that loaded the old binding can at worst observe the previous
-//!   partition — which the engine detects and converts into an ordinary
-//!   switching abort (see `Tx::view_of_binding`).
+//! * **Retired homes.** A rebound home, like any rebound `PVar`, is kept
+//!   alive until the drain and the pin cover every reader (`pvar` module
+//!   docs; the home readers here take the pin), so a stale reader at worst
+//!   observes the previous partition — which the engine converts into an
+//!   ordinary switching abort (see `Tx::view_of_binding`).
 
 use core::marker::PhantomData;
 use core::num::NonZeroU32;
@@ -219,6 +219,7 @@ pub struct Arena<N> {
 // only shared references to slots; `N` must itself be shareable/sendable for
 // that to be sound.
 unsafe impl<N: Send + Sync> Send for Arena<N> {}
+// SAFETY: as for `Send`: shared access hands out only `&N`.
 unsafe impl<N: Send + Sync> Sync for Arena<N> {}
 
 impl<N: 'static> Arena<N> {
@@ -239,8 +240,7 @@ impl<N: 'static> Arena<N> {
         // Build the chunk against the home partition observed *now* and
         // re-check after publishing (module docs: chunk installs racing a
         // migration).
-        let built_against = self.home.load();
-        let part = PVarBinding::arc_of(built_against);
+        let part = self.home.partition_arc();
         let mut v: Vec<N> = Vec::with_capacity(chunk_capacity(c));
         v.resize_with(chunk_capacity(c), || (self.make)(&part));
         let boxed: Box<[N]> = v.into_boxed_slice();
@@ -265,8 +265,8 @@ impl<N: 'static> Arena<N> {
             }
             return;
         }
-        let now = self.home.load();
-        if now != built_against {
+        let now = self.home.partition_arc();
+        if !Arc::ptr_eq(&now, &part) {
             // A migration moved the home while we were building: our
             // slots are bound to the retired home. They are unreachable
             // (no handle to them exists yet), so rebinding them here,
@@ -280,12 +280,11 @@ impl<N: 'static> Arena<N> {
             // whole attempt — including this loop — before walking.
             // The one migration that can overlap us (bump before our
             // begin) is exactly the one whose destination `now` is.
-            let dst = PVarBinding::arc_of(now);
             // SAFETY: `ptr` was just published by us with this capacity
             // and chunks are never freed before the arena drops.
             let slots = unsafe { core::slice::from_raw_parts(ptr as *const N, chunk_capacity(c)) };
             for n in slots {
-                (self.rebind_slot)(n, &dst);
+                (self.rebind_slot)(n, &now);
             }
         }
     }
@@ -381,7 +380,7 @@ impl<N: 'static> Arena<N> {
         // SAFETY: handles are only minted by `alloc*`, which installs the
         // chunk (Release) before returning; chunks are never freed or moved
         // until the arena drops, and `&self` keeps the arena alive.
-        unsafe { &*ptr.add(off) }
+        unsafe { &*ptr.wrapping_add(off) }
     }
 
     /// Number of slots handed out and never freed (approximate under
@@ -514,7 +513,8 @@ impl<N: PVarFields + 'static> Arena<N> {
 /// Per-slot rebind helper, monomorphized where `N: PVarFields` is known
 /// and stored as a plain `fn` in the arena.
 fn rebind_node<N: PVarFields>(n: &N, dst: &Arc<Partition>) {
-    n.for_each_pvar(&mut |m| m.pvar_binding().rebind(dst));
+    // The installer still owns the home the slots leave.
+    n.for_each_pvar(&mut |m| drop(m.pvar_binding().rebind(dst)));
 }
 
 impl<N: PVarFields + 'static> MigrationSource for Arena<N> {
@@ -612,7 +612,8 @@ impl<N> Drop for Arena<N> {
 /// `arena` must point to a live `Arena<N>` of the matching `N` and `raw`
 /// must be a raw handle minted by it.
 pub(crate) unsafe fn reclaim_into<N>(arena: *const (), raw: u32, tag: u64) {
-    let arena = &*(arena as *const Arena<N>);
+    // SAFETY: the caller's contract above.
+    let arena = unsafe { &*(arena as *const Arena<N>) };
     arena.free.lock().push((raw - 1, tag));
 }
 

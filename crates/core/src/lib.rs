@@ -60,6 +60,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(clippy::multiple_unsafe_ops_per_block)]
 
 pub mod arena;
 pub mod clock;
@@ -92,7 +95,7 @@ pub use fault::{FaultPlan, FaultSite};
 pub use partition::{Partition, PartitionId};
 pub use privatize::{PrivateGuard, PrivatizeError};
 pub use profiler::{AccessProfiler, BucketTouch, SampleTouch, TxSample, PROFILE_BUCKETS};
-pub use pvar::{retired_binding_count, Access, Migratable, PVar, PVarBinding, PVarFields};
+pub use pvar::{Access, Migratable, PVar, PVarBinding, PVarFields};
 pub use repartition::{
     CollectionRegistry, MigratableCollection, MigrationSource, TearableCollection,
 };

@@ -353,7 +353,7 @@ impl Partition {
         // SAFETY: `table` points at the `mask + 1` orecs of
         // `self.tables.current`; tests call this on one thread, with no
         // resize between the lookup and the last use of the reference.
-        unsafe { &*table.add(orec_index(mask, addr, g)) }
+        unsafe { &*table.wrapping_add(orec_index(mask, addr, g)) }
     }
 
     /// Resets every ownership record to `version` with no readers.
@@ -700,7 +700,7 @@ mod tests {
         assert_eq!(depth, 2);
         for i in 0..32 * depth {
             // SAFETY: fresh ring of 32 × 2 slots, alive as long as `p`.
-            assert_eq!(unsafe { &*ptr.add(i) }.load().2, 0);
+            assert_eq!(unsafe { &*ptr.wrapping_add(i) }.load().2, 0);
         }
     }
 

@@ -21,34 +21,53 @@
 //! ## Rebinding (runtime repartitioning)
 //!
 //! The binding is *stable but not immutable*: the runtime repartitioner
-//! ([`crate::Stm::migrate_pvars`] and the split/merge entry points built
-//! on it) may move a variable to a different partition — but only inside
-//! the quiesce window of the repartition protocol, while every involved
-//! partition carries the switching flag and no transaction is in flight
-//! on any of them. Outside that protocol the binding never changes, which
-//! is what lets the engine cache one partition view per attempt (see the
-//! `txn` module docs). The binding cell itself is a [`PVarBinding`]: an
-//! atomic partition pointer whose every past value remains valid for the
-//! process lifetime (retired bindings are parked, never freed), so a
-//! racing reader can at worst observe the *previous* binding — a case the
-//! engine detects and converts into an ordinary switching abort.
+//! ([`crate::Stm::migrate`]) may move a variable to a different partition
+//! — but only inside the quiesce window of the repartition protocol, while
+//! every involved partition carries the switching flag and no transaction
+//! is in flight on any of them. Outside that protocol the binding never
+//! changes, which is what lets the engine cache one partition view per
+//! attempt (see the `txn` module docs). The binding cell itself is a
+//! [`PVarBinding`]: an atomic pointer that owns one reference to its
+//! partition. A racing reader can at worst observe the *previous* binding
+//! — a case the engine detects and converts into an ordinary switching
+//! abort.
+//!
+//! ## What keeps a loaded pointer alive
+//!
+//! A partition lives while something owns it: a binding, a user handle,
+//! the repartition that just unbound it. A pointer loaded from a binding
+//! owns nothing, so [`crate::Stm::migrate`] keeps what a rebind hands back
+//! until two covers have passed:
+//!
+//! * **the drain**, for readers inside an attempt (the engine's partition
+//!   views): the repartition's grace period waits out every attempt that
+//!   could have loaded the old pointer (`quiesce::drain`);
+//! * **the pin**, for every other reader ([`PVarBinding::partition_id`],
+//!   [`PVar::partition`], the arena's home readers, the repartition's own
+//!   enumeration): a stateless process-wide `RwLock<()>`, read-held across
+//!   the load and the dereference or count increment. The repartition
+//!   takes its write side once, after the grace period.
 
 use core::marker::PhantomData;
+use core::mem::ManuallyDrop;
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::arena::{Arena, Handle};
 use crate::error::TxResult;
 use crate::partition::{Partition, PartitionId};
 use crate::word::TxWord;
 
-/// Bindings retired by [`PVarBinding::rebind`]. Parking the old `Arc` here
-/// (instead of dropping it) makes every pointer that was ever observable
-/// through a binding valid for the process lifetime, closing the
-/// load-then-dereference race against a concurrent rebind. Repartitions
-/// are rare control-plane events, so the list stays small; the partitions
-/// it retains are typically still registered with their `Stm` anyway.
-static RETIRED: std::sync::Mutex<Vec<Arc<Partition>>> = std::sync::Mutex::new(Vec::new());
+/// The reader pin of the module docs. Holds no data: only its lock state
+/// orders binding readers outside an attempt against the repartition that
+/// drops what it unbound.
+static PIN: RwLock<()> = RwLock::new(());
+
+/// The pin's write side: returns once every reader that loaded a binding
+/// before the call has let go of the pointer.
+pub(crate) fn wait_for_pinned_readers() {
+    drop(PIN.write().unwrap_or_else(PoisonError::into_inner));
+}
 
 /// The atomic partition binding inside every [`PVar`].
 ///
@@ -74,88 +93,64 @@ impl PVarBinding {
         self.ptr.load(Ordering::SeqCst)
     }
 
-    /// Current binding as a reference, good for as long as the binding is
-    /// borrowed — even across a concurrent rebind, which parks the old
-    /// partition instead of dropping it. This is what lets the engine's
+    /// Current binding as a reference, for callers inside an attempt
+    /// (covered by the drain, module docs). This is what lets the engine's
     /// partition views borrow instead of counting a reference.
     #[inline(always)]
     pub(crate) fn load_ref(&self) -> &Partition {
-        // SAFETY: every pointer this binding ever held has a strong count
-        // >= 1 until the binding is dropped (owned by it, or parked in
-        // `RETIRED` forever — see `arc_of`), and dropping needs exclusive
-        // access, which the returned borrow rules out.
+        // SAFETY: the caller is inside an attempt, and a repartition that
+        // unbinds this pointer waits the attempt out before it drops its
+        // reference (the drain).
         unsafe { &*self.load() }
     }
 
-    /// Clones out the bound partition.
+    /// Clones out the bound partition under the reader pin: the one way
+    /// to reach a binding's partition outside an attempt.
     pub(crate) fn partition_arc(&self) -> Arc<Partition> {
+        let _pin = PIN.read().unwrap_or_else(PoisonError::into_inner);
         Self::arc_of(self.load())
     }
 
-    /// Manufactures an owning handle for a pointer previously loaded from
-    /// *some* binding via [`PVarBinding::load`].
+    /// Manufactures an owning handle for a partition loaded from a
+    /// binding, inside an attempt or under the pin.
     pub(crate) fn arc_of(p: *const Partition) -> Arc<Partition> {
-        // SAFETY: `p` came from `Arc::into_raw` and its strong count is
-        // >= 1 for as long as the caller's borrow lasts: the owning
-        // reference is still in a binding or was parked in `RETIRED` by a
-        // rebind (never dropped).
-        // The only dropped binding reference is the current one at
-        // `PVarBinding::drop`, which requires exclusive access — no
-        // shared-borrow caller can still be running then.
-        unsafe {
-            Arc::increment_strong_count(p);
-            Arc::from_raw(p)
-        }
+        // SAFETY: every binding pointer came from `Arc::into_raw`, and the
+        // caller's cover (the drain or the pin) keeps its strong count >= 1
+        // until we are done; `ManuallyDrop` leaves that count as found.
+        let borrowed = ManuallyDrop::new(unsafe { Arc::from_raw(p) });
+        Arc::clone(&borrowed)
     }
 
     /// Id of the bound partition. Racy by nature during a repartition (it
     /// may return the pre-migration partition for an instant); transactions
     /// never rely on it — the engine revalidates the binding itself.
     pub fn partition_id(&self) -> PartitionId {
-        self.load_ref().id()
+        self.partition_arc().id()
     }
 
-    /// Rebinds to `dst`, parking the previous owning reference.
+    /// Rebinds to `dst` and hands back the previous owning reference,
+    /// which the caller keeps until both covers have passed (module docs).
     ///
     /// # Protocol
     ///
     /// Must only be called by the repartition protocol, inside the quiesce
     /// window in which both the old and the new partition carry the
     /// switching flag and no transaction is in flight on either.
-    pub(crate) fn rebind(&self, dst: &Arc<Partition>) {
+    #[must_use]
+    pub(crate) fn rebind(&self, dst: &Arc<Partition>) -> Arc<Partition> {
         let new = Arc::into_raw(Arc::clone(dst)) as *mut Partition;
         let old = self.ptr.swap(new, Ordering::SeqCst);
         // SAFETY: `old` was this binding's owning reference (installed by
         // `new` or a previous `rebind`).
-        let old = unsafe { Arc::from_raw(old as *const Partition) };
-        // One parked reference per *distinct* partition suffices for the
-        // liveness argument; dropping duplicates keeps the list bounded by
-        // the number of partitions ever retired, not by vars x migrations
-        // (a batch migration rebinds every variable away from the same
-        // source). Dropping a duplicate is safe: the first parked entry
-        // already pins the pointee forever.
-        let mut retired = RETIRED.lock().unwrap_or_else(|e| e.into_inner());
-        let p = Arc::as_ptr(&old);
-        if !retired.iter().any(|a| Arc::as_ptr(a) == p) {
-            retired.push(old);
-        }
+        unsafe { Arc::from_raw(old) }
     }
-}
-
-/// Number of distinct partitions currently parked by retired bindings.
-///
-/// Observability hook for leak tests: the parked list must stay bounded by
-/// the number of partitions ever torn down by a rebind — **not** grow with
-/// `vars × migrations` — or a repartition storm slowly pins the heap.
-pub fn retired_binding_count() -> usize {
-    RETIRED.lock().unwrap_or_else(|e| e.into_inner()).len()
 }
 
 impl Drop for PVarBinding {
     fn drop(&mut self) {
         // SAFETY: dropping the binding's owning reference; exclusive
         // access, so no concurrent `load` can observe this pointer.
-        unsafe { drop(Arc::from_raw(self.ptr.load(Ordering::SeqCst))) };
+        drop(unsafe { Arc::from_raw(*self.ptr.get_mut()) });
     }
 }
 
@@ -357,18 +352,30 @@ mod tests {
     }
 
     #[test]
-    fn rebind_parks_the_old_reference() {
+    fn rebind_hands_back_the_old_reference() {
+        use std::sync::Arc;
         let stm = Stm::new();
         let a = stm.new_partition(PartitionConfig::named("a"));
         let b = stm.new_partition(PartitionConfig::named("b"));
         let x = a.tvar(1u64);
         assert_eq!(x.partition_id(), a.id());
-        x.binding.rebind(&b);
+        assert_eq!(
+            Arc::strong_count(&a),
+            2,
+            "the test's handle and the binding's"
+        );
+        let old = x.binding.rebind(&b);
+        assert!(Arc::ptr_eq(&old, &a));
         assert_eq!(x.partition_id(), b.id());
-        assert!(std::sync::Arc::ptr_eq(&x.partition(), &b));
-        // The old partition handle is still fully usable.
-        assert_eq!(a.name(), "a");
+        assert!(Arc::ptr_eq(&x.partition(), &b));
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 2));
+        drop(old);
+        assert_eq!(
+            Arc::strong_count(&a),
+            1,
+            "nothing else pins the old partition"
+        );
         drop(x);
-        assert_eq!(b.name(), "b");
+        assert_eq!(Arc::strong_count(&b), 1);
     }
 }

@@ -69,8 +69,11 @@
 //! readers go through its `tables` mutex, which the swap also holds; the
 //! full list of consumers is at `Partition::install_table`.
 //! Contended and timed-out windows never mutate, so they have nothing to
-//! free. (Bindings a repartition retires are still parked, by
-//! `PVarBinding::rebind`: a view borrows its partition through them.)
+//! free.
+//!
+//! A repartition needs more: an attempt begun after the bump may load a
+//! binding before the rebind and dereference it after the close, so what
+//! it unbound waits for a second [`drain`] and the pin (`pvar` docs).
 //!
 //! ## Why restoring the word is race-free
 //!
@@ -365,26 +368,7 @@ fn bump_epoch_and_quiesce(inner: &StmInner, subject: &Partition) -> bool {
             std::thread::sleep(delay);
         }
     }
-    let epoch = inner.switch_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-    let start = Instant::now();
-    let soft = inner.kill_after;
-    // Rescue disabled when the soft deadline cannot precede the hard one.
-    let mut kills_raised = soft >= inner.quiesce_timeout;
-    let mut ok = true;
-    'drain: for slot in inner.slots.iter() {
-        while blocks(slot, epoch) {
-            let waited = start.elapsed();
-            if waited > inner.quiesce_timeout {
-                ok = false;
-                break 'drain;
-            }
-            if !kills_raised && waited > soft {
-                kills_raised = true;
-                raise_kills(inner, epoch, subject, waited);
-            }
-            std::thread::yield_now();
-        }
-    }
+    let (epoch, ok) = drain(inner, Some(subject));
     subject.stats.quiesce_windows(1);
     if !ok {
         subject.stats.quiesce_timeouts(1);
@@ -396,6 +380,34 @@ fn bump_epoch_and_quiesce(inner: &StmInner, subject: &Partition) -> bool {
         telemetry::control_event(EventKind::QuiesceEnd, tele_part, us, ok as u64);
     }
     ok
+}
+
+/// Bumps the epoch and waits out every attempt begun before the bump
+/// (raising kills past the soft deadline when `rescue` names a subject);
+/// returns the epoch and `false` on the hard deadline. Without `rescue` it
+/// is a repartition's grace period (module docs): an attempt that loaded a
+/// binding before the rebind began before this bump.
+pub(crate) fn drain(inner: &StmInner, rescue: Option<&Partition>) -> (u64, bool) {
+    let epoch = inner.switch_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+    let start = Instant::now();
+    let soft = inner.kill_after;
+    // Rescue disabled when the soft deadline cannot precede the hard one.
+    let mut kills_raised = soft >= inner.quiesce_timeout;
+    let ok = inner.slots.iter().all(|slot| {
+        while blocks(slot, epoch) {
+            let waited = start.elapsed();
+            if waited > inner.quiesce_timeout {
+                return false;
+            }
+            if let Some(subject) = rescue.filter(|_| !kills_raised && waited > soft) {
+                kills_raised = true;
+                raise_kills(inner, epoch, subject, waited);
+            }
+            std::thread::yield_now();
+        }
+        true
+    });
+    (epoch, ok)
 }
 
 /// Whether `slot` belongs to a live thread inside an attempt begun before
@@ -445,10 +457,8 @@ fn report_stuck_slots(inner: &StmInner, epoch: u64, subject: &Partition) {
     // `try_lock`: this runs inside an already-failing control-plane
     // window, and deadlocking the diagnostic on the partition list would
     // be worse than reporting without held-lock counts.
-    let parts: Vec<Arc<Partition>> = inner
-        .partitions
-        .try_lock()
-        .map(|g| g.clone())
+    let parts: Vec<Arc<Partition>> = (inner.partitions.try_lock())
+        .map(|g| g.iter().filter_map(std::sync::Weak::upgrade).collect())
         .unwrap_or_default();
     for (i, slot) in inner.slots.iter().enumerate() {
         if !blocks(slot, epoch) {

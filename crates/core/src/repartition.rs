@@ -56,12 +56,13 @@
 //! move it with one [`Stm::migrate`] call. See the arena module docs for
 //! why the free list and racing `alloc`/`free` survive all this.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::config;
 use crate::partition::Partition;
-use crate::pvar::{Migratable, PVarBinding};
-use crate::quiesce::QuiesceWindow;
+use crate::pvar::{self, Migratable, PVarBinding};
+use crate::quiesce::{self, QuiesceWindow};
 use crate::stm::{Stm, SwitchOutcome};
 use crate::telemetry::EventKind;
 
@@ -178,7 +179,9 @@ impl Stm {
     /// already points at `dst` and `from` names nothing else. On
     /// [`Contended`](SwitchOutcome::Contended) /
     /// [`TimedOut`](SwitchOutcome::TimedOut) nothing moved; a fresh
-    /// destination stays empty and the same call may be retried.
+    /// destination stays empty and the same call may be retried. After a
+    /// move it returns once a grace period has passed, so that a partition
+    /// the move left unowned is freed (`pvar` module docs).
     ///
     /// Must not be called from inside a transaction.
     ///
@@ -245,23 +248,39 @@ impl Stm {
 
         let now = inner.clock.now();
         let mut moved = 0u64;
-        let out = w.commit(now, None, || {
-            src.for_each_binding(&mut |b| {
-                b.rebind(dst);
-                moved += 1;
-            });
-            for p in &involved {
-                p.reset_orecs(now);
-                // Restart the tuner's observation window: post-repartition
-                // deltas must not straddle the structural change (a freshly
-                // split hot partition otherwise inherits a half-window of cold
-                // history — the tuner/controller cooperation contract, see
-                // `Partition::reset_tuning_window`).
-                p.reset_tuning_window();
-            }
-        });
+        // The references the rebinds hand back, one per partition: dropped
+        // only once both covers of the `pvar` module docs have passed (also
+        // when the mutation unwinds), leaked if the grace period times out.
+        let mut retired = Vec::<Arc<_>>::with_capacity(involved.len());
+        let out = panic::catch_unwind(AssertUnwindSafe(|| {
+            w.commit(now, None, || {
+                src.for_each_binding(&mut |b| {
+                    let old = b.rebind(dst);
+                    if !retired.iter().any(|r| Arc::ptr_eq(r, &old)) {
+                        retired.push(old);
+                    }
+                    moved += 1;
+                });
+                for p in &involved {
+                    p.reset_orecs(now);
+                    // Restart the tuner's observation window: post-repartition
+                    // deltas must not straddle the structural change (a freshly
+                    // split hot partition otherwise inherits a half-window of
+                    // cold history — the tuner/controller cooperation contract,
+                    // see `Partition::reset_tuning_window`).
+                    p.reset_tuning_window();
+                }
+            })
+        }));
         w.arg = moved;
-        out
+        drop(w);
+        if quiesce::drain(inner, None).1 {
+            pvar::wait_for_pinned_readers();
+            drop(retired);
+        } else {
+            core::mem::forget(retired);
+        }
+        out.unwrap_or_else(|p| panic::resume_unwind(p))
     }
 
     /// [`Stm::migrate`] of a flat batch of variables, with no extra

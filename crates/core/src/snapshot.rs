@@ -256,10 +256,10 @@ pub(crate) struct RoView {
 impl RoView {
     #[inline(always)]
     fn part(&self) -> &Partition {
-        // SAFETY: `part` was a `&'e Partition` when the view was created,
-        // and views exist only while the `ReadTx<'e, '_>` that created
-        // them does (`ReadTx::begin` and `Drop for ReadTx` clear the
-        // table), so `'e` is still running.
+        // SAFETY: the drain covers it, as for the engine's `PartView`:
+        // `part` was loaded from a binding inside this attempt, and every
+        // caller runs before the attempt's `end_slot`, which a repartition
+        // waits for before it drops what it unbound.
         unsafe { &*self.part }
     }
 }
@@ -349,7 +349,8 @@ impl<'e, 's> ReadTx<'e, 's> {
                 "partition config switched mid-snapshot (quiesce protocol violated)"
             );
         }
-        self.end_slot();
+        // As in `Tx::finish_commit`: every view dereference precedes the
+        // end of the attempt, after which a partition may be freed.
         for v in self.views.iter_mut() {
             let st = &v.part().stats;
             st.starts(self.slot, 1);
@@ -360,10 +361,10 @@ impl<'e, 's> ReadTx<'e, 's> {
             st.snapshot_reads(self.slot, v.reads as u64);
             st.snapshot_history_reads(self.slot, v.hist_reads as u64);
         }
+        self.end_slot();
     }
 
     fn do_restart(&mut self) {
-        self.end_slot();
         if self.restart == Restart::User {
             if let Some(v) = self.views.first() {
                 v.part().stats.aborts_user(self.slot, 1);
@@ -377,6 +378,7 @@ impl<'e, 's> ReadTx<'e, 's> {
             st.snapshot_reads(self.slot, v.reads as u64);
             st.snapshot_history_reads(self.slot, v.hist_reads as u64);
         }
+        self.end_slot();
     }
 
     /// Resolves (or creates) the view for a partition. A set switching
@@ -520,10 +522,10 @@ impl<'e, 's> ReadTx<'e, 's> {
         debug_assert!(idx <= v.mask);
         // SAFETY: orec points into the view's table (computed by caller).
         let orec = unsafe { &*orec };
+        let base = v.ring.wrapping_add(idx * v.ring_depth);
         // SAFETY: the ring has `(mask + 1) * ring_depth` slots and `idx <=
         // mask`; alive and stable as the table is (module docs).
-        let ring =
-            unsafe { core::slice::from_raw_parts(v.ring.add(idx * v.ring_depth), v.ring_depth) };
+        let ring = unsafe { core::slice::from_raw_parts(base, v.ring_depth) };
         let mut best: Option<(u64, u64)>; // (to, val)
         let mut tries = 0u32;
         let mut scanned = 0u64;
@@ -920,9 +922,10 @@ mod tests {
                 let (table, mask) = self.part.table_view();
                 let (ring, depth) = self.part.ring_view();
                 assert_eq!(mask, 0);
-                // SAFETY: a one-orec table and its `depth`-slot ring, both
-                // alive as long as the partition.
-                let (orec, slots) = unsafe { (&*table, core::slice::from_raw_parts(ring, depth)) };
+                // SAFETY: a one-orec table, alive as long as the partition.
+                let orec = unsafe { &*table };
+                // SAFETY: its `depth`-slot ring, alive as long as the table.
+                let slots = unsafe { core::slice::from_raw_parts(ring, depth) };
                 // (i) The cursor slot is empty or the ring's minimum.
                 let cursor = orec.ring_cursor();
                 assert!(

@@ -4,7 +4,7 @@
 //! (`quiesce.rs`).
 
 use core::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crossbeam_utils::CachePadded;
@@ -119,7 +119,9 @@ pub(crate) struct StmInner {
     free_slots: Mutex<Vec<usize>>,
     /// Bumped at the start of every configuration switch.
     pub(crate) switch_epoch: CachePadded<AtomicU64>,
-    pub(crate) partitions: Mutex<Vec<Arc<Partition>>>,
+    /// Every partition in creation order: a partition lives while something
+    /// owns it (`pvar` module docs), and `new_partition` prunes dead ones.
+    pub(crate) partitions: Mutex<Vec<Weak<Partition>>>,
     next_partition: AtomicU32,
     pub(crate) tuner: RwLock<Option<Arc<dyn TuningPolicy>>>,
     /// The installed policy's `window()`, read once at install and
@@ -288,7 +290,10 @@ impl Stm {
     pub fn new_partition(&self, cfg: PartitionConfig) -> Arc<Partition> {
         let id = PartitionId(self.inner.next_partition.fetch_add(1, Ordering::Relaxed));
         let p = Partition::new(id, self.inner.id, &cfg);
-        self.inner.partitions.lock().push(Arc::clone(&p));
+        let mut parts = self.inner.partitions.lock();
+        // A dead entry's `Weak` still holds the partition's allocation.
+        parts.retain(|w| w.strong_count() > 0);
+        parts.push(Arc::downgrade(&p));
         p
     }
 
@@ -302,9 +307,10 @@ impl Stm {
         cfgs.into_iter().map(|c| self.new_partition(c)).collect()
     }
 
-    /// All partitions created so far (for reports).
+    /// Every live partition, in creation order (for reports).
     pub fn partitions(&self) -> Vec<Arc<Partition>> {
-        self.inner.partitions.lock().clone()
+        let parts = self.inner.partitions.lock();
+        parts.iter().filter_map(Weak::upgrade).collect()
     }
 
     /// Current global clock value.

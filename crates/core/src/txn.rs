@@ -122,16 +122,19 @@
 //!
 //! A view *borrows* its partition; it never touches the `Arc` strong
 //! count, a line every thread of the partition would otherwise RMW twice
-//! per transaction. The borrow is a plain `&'e Partition`: the pointer
-//! was loaded from a `&'e PVarBinding`, and every pointer a binding ever
-//! held is owned by it or parked in the retired list forever (the
-//! argument at `PVarBinding::arc_of`).
+//! per transaction. The borrow is covered by the drain: the pointer was
+//! loaded from a binding inside the attempt, and a repartition that
+//! unbinds it drops its reference only after a grace period that waits the
+//! attempt out (`pvar` module docs). So every view dereference — the
+//! statistics flush, the profiler sample's partition ids, the tuner hook's
+//! owning `Arc` — happens before `seq` returns to even; after that the
+//! partition may be gone.
 //!
 //! The view stores it as a raw pointer only because the scratch tables
-//! outlive `'e`; they are emptied when the `Tx` drops, so no pointer is
-//! dereferenced outside the `run` call that created it. An owning `Arc` is
-//! manufactured in one place: the tuner hook, on every `stride`-th own
-//! commit of a *tunable* partition while a tuner is installed.
+//! outlive the attempt; they are emptied when the `Tx` drops. An owning
+//! `Arc` is manufactured in one place: the tuner hook, on every
+//! `stride`-th own commit of a *tunable* partition while a tuner is
+//! installed; the policy runs on it after the attempt.
 //!
 //! ## Synchronization budget
 //!
@@ -161,11 +164,11 @@
 //! | commit | clock `fetch_add` (`wv`) | acq-rel RMW | the commit order | 1 → 1 |
 //! | commit ×2 | ring: cursor + stamp load, `ring_epoch` → odd, `fence(Release)`, record ×3, cursor, `ring_epoch` → even | relaxed; release fence; relaxed ×4; release | single-writer seqlock under the orec lock, no store→load handshake ([`crate::snapshot`], "The orderings"); was two `SeqCst` RMWs + five `SeqCst` stores + a min-scan of `ring_depth` stamps | 14 → 0 |
 //! | commit ×2 | cell load / store, orec unlock | acquire / release, release | unlock publishes the written data | 0 |
-//! | leave | `seq` → even | release store (was `SeqCst` RMW) | single writer; a late even value only prolongs a drain | 1 → 0 |
 //! | leave | clock load for `free_tag` | acquire | only when the free log is non-empty | 0 |
-//! | leave | `starts`, `commits`, `update_commits`, `reads`, `writes` | relaxed load + store, own shard (were `fetch_add`s on a shared shard) | single writer per slot ([`crate::stats`]) | 5 → 0 |
+//! | leave | `starts`, `commits`, `update_commits`, `reads`, `writes` | relaxed load + store, own shard (were `fetch_add`s on a shared shard) | single writer per slot ([`crate::stats`]); before `seq` → even, which ends the view borrows | 5 → 0 |
 //! | leave | view table clear, tuner hook's `Arc` clone + drop | — (gone for non-tunable partitions) | `tunable` is tested before the clone | 3 → 0 |
 //! | leave | tuner hook: window copy (`tune_window`) | relaxed load | on/off switch; 0 = no tuner and the hook returns, touching nothing else | 0 |
+//! | leave | `seq` → even | release store (was `SeqCst` RMW) | single writer; a late even value only prolongs a drain | 1 → 0 |
 //! | | **total** | | | **31 → 4**: the `seq` RMW, two orec CASes, the clock RMW — the protocol itself |
 //! | leave, *tunable* partition (not in the total) | own shard's `commits` and `snapshot_commits`; every `stride`-th own commit only (`stride = min(64, window)`): tuner `RwLock` read, policy and partition `Arc` clone + drop, `tune_gate` `fetch_add` (plus one claiming CAS when that fills a window) | relaxed loads; the rest as before | single writer per slot ([`crate::tuner`], "Cadence"); the shared state is visited once per stride | 7 → 0 per commit (7 per stride); with no tuner installed, 4 → 0: nothing after the window load |
 //!
@@ -307,10 +310,10 @@ struct PartView {
 impl PartView {
     #[inline(always)]
     fn part(&self) -> &Partition {
-        // SAFETY: `part` was a `&'e Partition` when the view was created,
-        // and views exist only while the `Tx<'e, '_>` that created them
-        // does (`Tx::begin` and `Drop for Tx` clear the table), so `'e` is
-        // still running.
+        // SAFETY: the drain covers it: `part` was loaded from a binding
+        // inside this attempt, and every caller runs before the attempt's
+        // `leave_attempt` (module docs, "Refcount-free views"), which a
+        // repartition waits for before it drops what it unbound.
         unsafe { &*self.part }
     }
 }
@@ -451,6 +454,9 @@ pub(crate) struct TxScratch {
     tele_begin: Instant,
     /// Sampled accesses: (view index, address bucket, is_write).
     sample_log: Vec<(u16, u16, bool)>,
+    /// Tunable partitions whose stride this commit filled, owned from
+    /// inside the attempt for [`Tx::after_commit_tuning`].
+    tune_claims: Vec<Arc<Partition>>,
     /// Partition views of the snapshot read path (reused across
     /// [`crate::ThreadCtx::snapshot_read`] attempts; see
     /// [`crate::snapshot`]).
@@ -489,6 +495,7 @@ impl TxScratch {
             tele_sampling: false,
             tele_begin: Instant::now(),
             sample_log: Vec::new(),
+            tune_claims: Vec::new(),
             ro_views: Vec::new(),
         }
     }
@@ -1309,7 +1316,7 @@ impl<'e, 's> Tx<'e, 's> {
         // SAFETY: the ring has `(mask + 1) * depth` slots and `idx <=
         // mask`; the allocation is alive for the partition's lifetime and
         // stable for the attempt (same argument as the orec table).
-        let ring = unsafe { core::slice::from_raw_parts(v.ring.add(idx * depth), depth) };
+        let ring = unsafe { core::slice::from_raw_parts(v.ring.wrapping_add(idx * depth), depth) };
         let cur = orec.ring_cursor();
         let victim = ring[cur].close_stamp();
         debug_assert!(
@@ -1363,7 +1370,8 @@ impl<'e, 's> Tx<'e, 's> {
                 unsafe { (f.push_free)(f.arena, f.raw, free_tag) }
             }
         }
-        self.my_slot().leave_attempt();
+        // Everything that dereferences a view happens before the attempt
+        // ends: once `seq` is even, a repartition may free the partition.
         for t in &self.s.views {
             let st = &t.part().stats;
             st.starts(self.slot, 1);
@@ -1375,8 +1383,24 @@ impl<'e, 's> Tx<'e, 's> {
             }
             t.stats.flush(st, self.slot);
         }
-        if self.s.sampling {
-            self.flush_sample();
+        let window = self.stm.tune_window.load(Ordering::Relaxed);
+        if window != 0 {
+            // Tuning hook, first half ([`crate::tuner`], "Cadence"): own each
+            // tunable partition whose own commits reached a stride multiple.
+            let stride = window.min(TUNE_STRIDE);
+            for v in &self.s.views {
+                let p = v.part();
+                if p.tunable && p.stats.own_commits(self.slot).is_multiple_of(stride) {
+                    self.s.tune_claims.push(PVarBinding::arc_of(p));
+                }
+            }
+        }
+        let sample = self.s.sampling.then(|| self.take_sample());
+        self.my_slot().leave_attempt();
+        if let Some(sample) = sample {
+            if let Some(profiler) = self.stm.profiler.read().clone() {
+                profiler.record(sample);
+            }
         }
         if self.s.tele_sampling {
             self.flush_telemetry();
@@ -1405,13 +1429,12 @@ impl<'e, 's> Tx<'e, 's> {
         );
     }
 
-    /// Folds a sampled, committed attempt into a [`TxSample`] and hands it
-    /// to the installed profiler. Off the fast path: runs only for the one
-    /// in `period` attempts that was sampled at [`Tx::begin`].
-    fn flush_sample(&mut self) {
-        let Some(profiler) = self.stm.profiler.read().clone() else {
-            return;
-        };
+    /// Folds a sampled, committed attempt into a [`TxSample`], copying the
+    /// partition ids out while the attempt still covers the views. Off the
+    /// fast path: runs only for the one in `period` attempts that was
+    /// sampled at [`Tx::begin`].
+    #[cold]
+    fn take_sample(&mut self) -> TxSample {
         let s = &mut *self.s;
         let mut touched: Vec<SampleTouch> = s
             .views
@@ -1444,10 +1467,10 @@ impl<'e, 's> Tx<'e, 's> {
                 writes,
             });
         }
-        profiler.record(TxSample {
+        TxSample {
             failed_attempts: s.attempts,
             touched,
-        });
+        }
     }
 
     /// Rolls the attempt back: releases held locks (restoring the previous
@@ -1474,11 +1497,11 @@ impl<'e, 's> Tx<'e, 's> {
             // never published, so the pre-existing constraint still rules.
             unsafe { (a.push_free)(a.arena, a.raw, a.tag) }
         }
-        self.my_slot().leave_attempt();
         for t in &self.s.views {
             t.part().stats.starts(self.slot, 1);
             t.stats.flush(&t.part().stats, self.slot);
         }
+        self.my_slot().leave_attempt();
         self.s.in_attempt = false;
         self.s.attempts += 1;
     }
@@ -1538,30 +1561,16 @@ impl<'e, 's> Tx<'e, 's> {
         }
     }
 
-    /// Post-commit tuning hook ([`crate::tuner`], "Cadence"): every
-    /// `stride`-th own commit of a tunable partition credits `stride`
-    /// commits to its gate and, when a window fills, evaluates the
-    /// installed policy and applies its decision. Every other commit stops
-    /// at relaxed loads of the window copy and of its own stat shard.
+    /// The tuning hook's second half, after the attempt: each claimed
+    /// partition credits `stride` commits to its gate and, when a window
+    /// fills, evaluates the installed policy and applies its decision.
     fn after_commit_tuning(&mut self) {
-        let window = self.stm.tune_window.load(Ordering::Relaxed);
-        if window == 0 {
-            return;
-        }
-        let stride = window.min(TUNE_STRIDE);
-        for i in 0..self.s.views.len() {
-            let p = self.s.views[i].part();
-            if !p.tunable || !p.stats.own_commits(self.slot).is_multiple_of(stride) {
+        while let Some(part) = self.s.tune_claims.pop() {
+            let window = self.stm.tune_window.load(Ordering::Relaxed);
+            let Some(tuner) = self.stm.tuner.read().clone().filter(|_| window != 0) else {
                 continue;
-            }
-            let part = PVarBinding::arc_of(self.s.views[i].part);
-            let tuner = {
-                let guard = self.stm.tuner.read();
-                match &*guard {
-                    Some(t) => Arc::clone(t),
-                    None => return,
-                }
             };
+            let stride = window.min(TUNE_STRIDE);
             if part.tune_gate.fetch_add(stride, Ordering::Relaxed) + stride < window {
                 continue;
             }

@@ -31,8 +31,7 @@
 //!    structural kind plans a migration *(source, destination, from)* and
 //!    hands it to the one executor, [`migrate`]: destination creation, the
 //!    repartition protocol (`Stm::migrate(source, dst, &[from])`, the same
-//!    call on every attempt), the bounded `Contended` retry and corpse
-//!    accounting for a fresh destination that stayed empty. A resize is
+//!    call on every attempt) and the bounded `Contended` retry. A resize is
 //!    not a migration but makes its protocol call through the same
 //!    [`attempt`], so all five kinds ride out transient flag collisions
 //!    ([`retry_contended`]) and every quiesce window the controller opens
@@ -50,8 +49,8 @@
 //! |---|---|---|---|---|
 //! | split (and a tear with nothing tearable) | `dir.collect(src, buckets)` | fresh `~hot` | `src` | — |
 //! | tear | `dir.collect_tears(..)` slot subsets | the torn partition of the same origin, else fresh `~torn` | `src` | `mark_torn`, torn record extended |
-//! | merge | `dir.collect_all(src)` | `dst` | `src` | `src` is dead |
-//! | heal | the recorded tear sets, one migration per current home | that home | `src` | `unmark_torn`, healed sets dropped from the record; all home ⇒ record removed, `src` is dead |
+//! | merge | `dir.collect_all(src)` | `dst` | `src` | — (`src` dies with its last handle) |
+//! | heal | the recorded tear sets, one migration per current home | that home | `src` | `unmark_torn`, healed sets dropped from the record; all home ⇒ record removed |
 //! | resize | — (`resize_orecs`) | — | — | graph kept (buckets do not depend on the orec table) |
 //!
 //! An empty `collect`/`collect_all` is a `Failed{Unchanged}` without a
@@ -297,10 +296,6 @@ struct CtrlState {
     rng: XorShift64,
     /// Per-partition circuit breakers (see [`BREAKER_THRESHOLD`]).
     breaker: BTreeMap<PartitionId, BreakerState>,
-    /// Partitions this controller knows to be dead (merged-away sources,
-    /// abandoned split destinations); the Stm itself never unregisters
-    /// them, so the partition-cap check discounts these.
-    dead: BTreeSet<PartitionId>,
     /// Live torn partitions, keyed by the torn (destination) partition.
     /// Feeds `PartitionMeta::torn_from` so the analyzer treats them as
     /// heal-only.
@@ -350,7 +345,6 @@ impl RepartitionController {
                 split_seq: 0,
                 rng: XorShift64::new(0x5EED_C0FF_EE00_0001),
                 breaker: BTreeMap::new(),
-                dead: BTreeSet::new(),
                 torn: BTreeMap::new(),
                 events: Vec::new(),
             }),
@@ -437,14 +431,6 @@ fn part_of(parts: &[Arc<Partition>], id: PartitionId) -> Option<&Arc<Partition>>
     parts.iter().find(|p| p.id() == id)
 }
 
-/// Partitions currently in service: the Stm never removes partitions, so
-/// subtract the ones the controller knows are dead (merged-away sources,
-/// abandoned split destinations) — otherwise a long split/merge history
-/// would exhaust the cap with corpses and silently disable splitting.
-fn live_partitions(ctrl: &RepartitionController, st: &CtrlState) -> usize {
-    ctrl.stm.partitions().len().saturating_sub(st.dead.len())
-}
-
 /// Retry budget of [`retry_contended`]: a `Contended` action collides
 /// with a transient flag holder (tuner switch, privatization), which
 /// clears in well under eight backed-off attempts or not at all.
@@ -500,8 +486,8 @@ impl Dest<'_> {
     /// Plans a fresh destination — or `None` at the partition cap (a
     /// precondition: the proposal is passed over, the window is not
     /// spent).
-    fn fresh(ctrl: &RepartitionController, st: &CtrlState, suffix: &'static str) -> Option<Self> {
-        (live_partitions(ctrl, st) < ctrl.cfg.max_partitions).then_some(Dest::Fresh(suffix))
+    fn fresh(ctrl: &RepartitionController, suffix: &'static str) -> Option<Self> {
+        (ctrl.stm.partitions().len() < ctrl.cfg.max_partitions).then_some(Dest::Fresh(suffix))
     }
 }
 
@@ -510,8 +496,8 @@ impl Dest<'_> {
 /// in the protocol even if nothing enumerated is still bound to it — see
 /// the module docs' plan table); this creates a fresh destination if the
 /// plan asks for one, runs the repartition protocol with the bounded
-/// `Contended` retry, and — when a fresh destination stayed empty —
-/// accounts for the corpse so it does not consume the partition cap.
+/// `Contended` retry. A fresh destination that stayed empty dies with its
+/// last handle, here.
 fn migrate(
     ctrl: &RepartitionController,
     st: &mut CtrlState,
@@ -520,8 +506,8 @@ fn migrate(
     from: &Arc<Partition>,
     protocol: &mut Protocol<'_>,
 ) -> Result<Arc<Partition>, SwitchOutcome> {
-    let (dst, fresh) = match dest {
-        Dest::Existing(d) => (Arc::clone(d), false),
+    let dst = match dest {
+        Dest::Existing(d) => Arc::clone(d),
         Dest::Fresh(suffix) => {
             st.split_seq += 1;
             // Engine defaults, tunable: the parameter tuner (when
@@ -531,19 +517,14 @@ fn migrate(
             // burn the cycles the lock holder needs.
             let name = format!("{}~{suffix}{}", from.name(), st.split_seq);
             let cfg = PartitionConfig::named(name).tunable();
-            (ctrl.stm.new_partition(cfg), true)
+            ctrl.stm.new_partition(cfg)
         }
     };
     // A split is this call into a fresh `dst`.
     let call = || ctrl.stm.migrate(source, &dst, &[from]);
     match attempt(&mut st.rng, protocol, &call) {
         SwitchOutcome::Switched => Ok(dst),
-        other => {
-            if fresh {
-                st.dead.insert(dst.id());
-            }
-            Err(other)
-        }
+        other => Err(other),
     }
 }
 
@@ -593,7 +574,7 @@ fn execute(
                 // hot buckets (flat vars, subset wider than
                 // `TEAR_MAX_FRACTION`, slots already torn), which falls
                 // back to the whole-structure split.
-                let dest = Dest::fresh(ctrl, st, "hot")?;
+                let dest = Dest::fresh(ctrl, "hot")?;
                 let movers = ctrl.dir.collect(src, buckets);
                 if movers.is_empty() {
                     return nothing(ActionKind::Split);
@@ -615,7 +596,7 @@ fn execute(
                 let torn = st.torn.iter().find(|(_, r)| r.origin == src);
                 let dest = match torn.and_then(|(id, _)| part_of(parts, *id)) {
                     Some(d) => Dest::Existing(d),
-                    None => Dest::fresh(ctrl, st, "torn")?,
+                    None => Dest::fresh(ctrl, "torn")?,
                 };
                 match migrate(ctrl, st, &TearMovers(&sets), dest, subject, protocol) {
                     Ok(dst) => {
@@ -650,15 +631,12 @@ fn execute(
                 return nothing(ActionKind::Merge);
             }
             match migrate(ctrl, st, &movers, Dest::Existing(dst), subject, protocol) {
-                Ok(_) => {
-                    st.dead.insert(src);
-                    RepartEvent::Merge {
-                        src,
-                        dst: dst.id(),
-                        moved: movers.moved_count(),
-                        collections: movers.collections.len(),
-                    }
-                }
+                Ok(_) => RepartEvent::Merge {
+                    src,
+                    dst: dst.id(),
+                    moved: movers.moved_count(),
+                    collections: movers.collections.len(),
+                },
                 Err(outcome) => failed(ActionKind::Merge, outcome),
             }
         }
@@ -695,10 +673,9 @@ fn execute(
                 }
             }
             match failure {
-                // Fully healed: the torn partition is now empty — retire it.
+                // Fully healed: the torn partition is now empty.
                 None => {
                     st.torn.remove(&src);
-                    st.dead.insert(src);
                     RepartEvent::Heal {
                         src,
                         dst,
@@ -903,8 +880,7 @@ fn step(ctrl: &RepartitionController) {
         let named = || std::iter::once(subject).chain(partner);
         // Every protocol action against a privatized partition would only
         // bounce off the installed switch flag (Contended), burning this
-        // window's single action — and a split would leak a corpse
-        // destination. An open breaker means the action would burn it on
+        // window's single action. An open breaker means the action would burn it on
         // another doomed quiesce. Both skips leave the streak alive: the
         // proposal fires on the first window after the guard republishes
         // / the breaker closes.
@@ -1021,7 +997,10 @@ mod tests {
         let vars: Vec<Arc<PVar<u64>>> = (0..8).map(|_| Arc::new(a.tvar(1u64))).collect();
         dir.register_all(vars.iter().map(|v| Arc::clone(v) as Arc<dyn Migratable>));
         let c = RepartitionController::new(&stm, dir, ControllerConfig::responsive());
-        let dead = || c.state.lock().dead.clone();
+        let registry = || -> Vec<String> {
+            let parts = stm.partitions();
+            parts.iter().map(|p| p.name().to_string()).collect()
+        };
         let stuck = [SwitchOutcome::Contended; 1 + CONTENDED_RETRIES as usize];
         let transient = [SwitchOutcome::Contended; 2];
         let failed_contended = |ev: &RepartEvent, kind: ActionKind, src: &Arc<Partition>| {
@@ -1037,7 +1016,7 @@ mod tests {
         let (ev, calls) = execute_scripted(&c, &merge, &stuck);
         assert!(failed_contended(&ev, ActionKind::Merge, &a), "{ev:?}");
         assert_eq!(calls, stuck.len(), "one call + CONTENDED_RETRIES retries");
-        assert!(dead().is_empty(), "an existing destination is no corpse");
+        assert_eq!(registry(), ["a", "b"], "a failed merge registers nothing");
         let (ev, calls) = execute_scripted(&c, &merge, &transient);
         assert!(
             matches!(ev, RepartEvent::Merge { src, dst, moved: 8, .. } if src == a.id() && dst == b.id()),
@@ -1045,10 +1024,11 @@ mod tests {
         );
         assert_eq!(calls, 3);
         assert!(vars.iter().all(|v| v.partition_id() == b.id()));
+        drop(a);
         assert_eq!(
-            dead(),
-            BTreeSet::from([a.id()]),
-            "only the dissolved source"
+            registry(),
+            ["b"],
+            "the dissolved source dies with its last handle"
         );
 
         let mut buckets: Vec<u16> = vars.iter().map(|v| bucket_of(v.var_addr())).collect();
@@ -1063,22 +1043,21 @@ mod tests {
         let (ev, calls) = execute_scripted(&c, &split, &stuck);
         assert!(failed_contended(&ev, ActionKind::Split, &b), "{ev:?}");
         assert_eq!(calls, stuck.len());
-        let corpse = stm.partitions().last().unwrap().clone();
-        assert_eq!(corpse.name(), "b~hot1");
         assert_eq!(
-            dead(),
-            BTreeSet::from([a.id(), corpse.id()]),
-            "the fresh destination that stayed empty is accounted for"
+            registry(),
+            ["b"],
+            "the fresh destination that stayed empty died"
         );
         let (ev, calls) = execute_scripted(&c, &split, &transient);
         let hot = stm.partitions().last().unwrap().clone();
+        assert_eq!(hot.name(), "b~hot2");
         assert!(
             matches!(ev, RepartEvent::Split { src, dst, moved: 8, .. } if src == b.id() && dst == hot.id()),
             "{ev:?}"
         );
         assert_eq!(calls, 3);
         assert!(vars.iter().all(|v| v.partition_id() == hot.id()));
-        assert_eq!(dead().len(), 2, "a filled destination is no corpse");
+        assert_eq!(registry(), ["b", "b~hot2"], "a filled destination lives");
 
         let resize = Proposal::Resize {
             partition: hot.id(),

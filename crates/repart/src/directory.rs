@@ -41,22 +41,22 @@ type Covered = [bool; PROFILE_BUCKETS as usize];
 /// handles plus whole collections. Usable directly as the
 /// [`MigrationSource`] of [`Stm::migrate`](partstm_core::Stm::migrate).
 #[derive(Default)]
-pub struct MoverSet {
+pub(crate) struct MoverSet {
     /// Flat registered variables to rebind.
-    pub vars: Vec<Arc<dyn Migratable>>,
+    pub(crate) vars: Vec<Arc<dyn Migratable>>,
     /// Whole collections (arena + roots) to rebind.
-    pub collections: Vec<Arc<dyn MigratableCollection>>,
+    pub(crate) collections: Vec<Arc<dyn MigratableCollection>>,
 }
 
 impl MoverSet {
     /// True when there is nothing to move.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.vars.is_empty() && self.collections.is_empty()
     }
 
     /// Flat vars plus live nodes of every collection (the `moved` count
     /// reported in controller events).
-    pub fn moved_count(&self) -> usize {
+    pub(crate) fn moved_count(&self) -> usize {
         self.vars.len()
             + self
                 .collections
@@ -79,29 +79,20 @@ impl MigrationSource for MoverSet {
     }
 }
 
-impl core::fmt::Debug for MoverSet {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("MoverSet")
-            .field("vars", &self.vars.len())
-            .field("collections", &self.collections.len())
-            .finish()
-    }
-}
-
 /// One slot subset torn (or tearable) out of a collection: the collection
 /// handle plus the raw slot tokens to move. Usable directly as the
 /// [`MigrationSource`] of [`Stm::migrate`](partstm_core::Stm::migrate) —
 /// only the named slots' fields move; the collection's home binding and
 /// roots stay put.
 #[derive(Clone)]
-pub struct TearSet {
+pub(crate) struct TearSet {
     /// The collection the slots belong to.
-    pub coll: Arc<dyn TearableCollection>,
+    pub(crate) coll: Arc<dyn TearableCollection>,
     /// Raw slot tokens (sorted, deduplicated) to move.
-    pub raw: Vec<u32>,
+    pub(crate) raw: Vec<u32>,
     /// The collection's live-node count when the set was assembled (for
     /// "subset, not the whole structure" accounting in reports).
-    pub total_live: usize,
+    pub(crate) total_live: usize,
 }
 
 impl MigrationSource for TearSet {
@@ -110,18 +101,9 @@ impl MigrationSource for TearSet {
     }
 }
 
-impl core::fmt::Debug for TearSet {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TearSet")
-            .field("raw", &self.raw.len())
-            .field("total_live", &self.total_live)
-            .finish()
-    }
-}
-
 /// Several [`TearSet`]s (one per collection) as a single migration source,
 /// so one quiesce window moves every collection's celebrity slots at once.
-pub struct TearMovers<'a>(pub &'a [TearSet]);
+pub(crate) struct TearMovers<'a>(pub(crate) &'a [TearSet]);
 
 impl MigrationSource for TearMovers<'_> {
     fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
@@ -231,10 +213,9 @@ impl CollEntry {
 /// reports back to movers with. It holds flat variables
 /// ([`register`](StaticDirectory::register)) and arena-backed collections
 /// ([`CollectionRegistry`]; each structure's `attach_directory` lands
-/// here), and answers one question per action kind: what to split
-/// ([`collect`](StaticDirectory::collect)), what to merge
-/// ([`collect_all`](StaticDirectory::collect_all)) and which slots to tear
-/// ([`collect_tears`](StaticDirectory::collect_tears)).
+/// here), and answers the controller one question per action kind: what
+/// to split (`collect`), what to merge (`collect_all`) and which slots to
+/// tear (`collect_tears`).
 ///
 /// ## Flat variables
 ///
@@ -260,12 +241,10 @@ impl CollEntry {
 ///
 /// Collections registered through
 /// [`CollectionRegistry::register_tearable`] additionally keep a reverse
-/// map from profile buckets to live slot tokens, so
-/// [`collect_tears`](StaticDirectory::collect_tears) can name the
-/// *individual slots* whose fields land in the hot buckets — the
+/// map from profile buckets to live slot tokens, so `collect_tears` can
+/// name the *individual slots* whose fields land in the hot buckets — the
 /// celebrity keys — instead of the whole structure. Torn slots are evicted
-/// from the reverse map ([`mark_torn`](StaticDirectory::mark_torn)) until
-/// a heal brings them home.
+/// from the reverse map (`mark_torn`) until a heal brings them home.
 pub struct StaticDirectory {
     vars: RwLock<Vec<Arc<dyn Migratable>>>,
     index: RwLock<Option<BucketIndex>>,
@@ -324,7 +303,7 @@ impl StaticDirectory {
     /// there, plus the collections over-represented there. Requested
     /// buckets that map to nothing registered are reported through
     /// `rtlog` as controller misses.
-    pub fn collect(&self, part: PartitionId, buckets: &[u16]) -> MoverSet {
+    pub(crate) fn collect(&self, part: PartitionId, buckets: &[u16]) -> MoverSet {
         // The coverage set spans every registered var and every collection
         // homed at `part`, not just what is selected: the unmapped-bucket
         // report is a registration diagnostic, and addresses don't change
@@ -409,7 +388,7 @@ impl StaticDirectory {
 
     /// All registered movers currently bound (collections: homed) at
     /// `part`.
-    pub fn collect_all(&self, part: PartitionId) -> MoverSet {
+    pub(crate) fn collect_all(&self, part: PartitionId) -> MoverSet {
         MoverSet {
             vars: self
                 .vars
@@ -433,7 +412,7 @@ impl StaticDirectory {
     /// yields a set when the subset is *small*: at most `max_fraction` of
     /// its live nodes (a hot set spanning the whole structure is a split,
     /// not a tear). Already-torn slots are excluded.
-    pub fn collect_tears(
+    pub(crate) fn collect_tears(
         &self,
         part: PartitionId,
         buckets: &[u16],
@@ -473,7 +452,7 @@ impl StaticDirectory {
     /// Records that `set`'s slots were torn out: their buckets must no
     /// longer be attributed to the origin collection, and they must not be
     /// proposed for tearing again until healed.
-    pub fn mark_torn(&self, set: &TearSet) {
+    pub(crate) fn mark_torn(&self, set: &TearSet) {
         self.with_torn(set, |torn| {
             torn.extend_from_slice(&set.raw);
             torn.sort_unstable();
@@ -483,7 +462,7 @@ impl StaticDirectory {
 
     /// Reverses [`StaticDirectory::mark_torn`] after a heal re-merged the
     /// slots into their origin.
-    pub fn unmark_torn(&self, set: &TearSet) {
+    pub(crate) fn unmark_torn(&self, set: &TearSet) {
         self.with_torn(set, |torn| {
             torn.retain(|r| set.raw.binary_search(r).is_err());
         });
@@ -834,7 +813,7 @@ mod tests {
         let sets = dir.collect_tears(part.id(), &hot, 0.5);
         assert_eq!(sets.len(), 1);
         let set = &sets[0];
-        assert!(set.raw.len() >= 4, "at least the four seeds: {set:?}");
+        assert!(set.raw.len() >= 4, "at least the four seeds: {:?}", set.raw);
         assert!(set.raw.len() <= 32, "a subset, not the structure");
         assert_eq!(set.total_live, 64);
         // The concentrated subset also over-represents the collection for

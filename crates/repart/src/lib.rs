@@ -57,7 +57,7 @@ mod controller;
 mod directory;
 
 pub use controller::{ControllerConfig, RepartEvent, RepartitionController};
-pub use directory::{MoverSet, StaticDirectory, TearMovers, TearSet};
+pub use directory::StaticDirectory;
 pub use partstm_analysis::online::ActionKind;
 
 #[cfg(test)]
@@ -333,8 +333,9 @@ mod tests {
     /// other two — two proposals sharing one streak key per window. The
     /// streak still advances once per window, so nothing happens in the
     /// first proposing window and exactly one merge lands in the second;
-    /// the dissolved partition then stops counting against
-    /// `max_partitions`. Single-threaded: every window is deterministic.
+    /// once its last handle is dropped, the dissolved partition leaves the
+    /// registry and stops counting against `max_partitions`.
+    /// Single-threaded: every window is deterministic.
     #[test]
     fn controller_merges_cold_coaccessed_partitions() {
         use partstm_core::telemetry::{self, codes, EventKind};
@@ -434,9 +435,18 @@ mod tests {
         window();
         assert_eq!(total(), expect, "conserved sum across the merge");
 
-        // Three partitions are registered and `max_partitions` is three,
-        // but `cold-a` is dead: a hot cluster in the bank can still be
-        // split out into a fourth.
+        // `max_partitions` is three and all three are live while the test
+        // holds `cold-a`; dropped, it dies (nothing else owns it) and a hot
+        // cluster in the bank can be split out into a third.
+        assert_eq!(stm.partitions().len(), 3, "a held partition is live");
+        drop(cold_a);
+        let names: Vec<String> = stm
+            .partitions()
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect();
+        assert_eq!(names.len(), 2, "the dissolved partition left: {names:?}");
+        assert!(!names.iter().any(|n| n == "cold-a"), "{names:?}");
         let stop = AtomicBool::new(false);
         let split = std::thread::scope(|s| {
             let _stop = StopOnDrop(&stop);
@@ -448,7 +458,7 @@ mod tests {
             "dead partition still counted: {:?}",
             controller.events()
         );
-        assert_eq!(stm.partitions().len(), 4);
+        assert_eq!(stm.partitions().len(), 3);
         assert_eq!(total(), expect, "conserved sum across merge + split");
     }
 

@@ -4,15 +4,15 @@
 //! repartition lifecycle (`Proposal::Tear` → torn partition →
 //! `Proposal::Heal` → re-merge home) rather than the single round the
 //! crate-level e2e test covers, and checks the three leak-shaped
-//! invariants: conserved sums, parked binding references bounded by
-//! partitions-ever (not `slots × migrations`), and every heal returning the
-//! torn slots to the map's home partition.
+//! invariants: conserved sums, a live partition registry bounded by the
+//! origin plus one torn partition (healed ones die), and every heal
+//! returning the torn slots to the map's home partition.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partstm::core::{retired_binding_count, PartitionConfig, Stm};
+use partstm::core::{PartitionConfig, Stm};
 use partstm::repart::{ControllerConfig, RepartEvent, RepartitionController, StaticDirectory};
 use partstm::structures::THashMap;
 
@@ -151,26 +151,19 @@ fn repeated_zipf_flips_tear_and_heal_idempotently() {
         }
     }
     assert_eq!(map.partition_of(), part.id(), "map home never moves");
-    // Partition accounting: each tear attempt minted at most one fresh
-    // torn partition (a timed-out attempt leaves a dead corpse and a
-    // `Failed` event instead of a `Tear`), so the registry grows linearly
-    // in control actions, and the parked binding list (deduplicated per
-    // partition) is bounded by partitions-ever — not by the ~50 slots ×
-    // CYCLES migrations the storm performed. This file holds exactly one
-    // test, so the process-global parked list is entirely ours.
-    let failed = events
+    // Partition accounting: repeated tears of one origin accrete into one
+    // torn partition, a healed one dies with its last binding, and so does
+    // a fresh destination a failed attempt left empty — so however many
+    // tear/heal rounds ran, the live registry is the origin plus at most
+    // one torn partition.
+    let names: Vec<String> = stm
+        .partitions()
         .iter()
-        .filter(|e| matches!(e, RepartEvent::Failed { .. }))
-        .count();
-    let partitions = stm.partitions().len();
+        .map(|p| p.name().to_string())
+        .collect();
     assert!(
-        partitions <= 1 + tears + failed,
-        "unexpected partition growth: {partitions} for {tears} tears + {failed} failed attempts"
-    );
-    assert!(
-        retired_binding_count() <= partitions,
-        "parked refs leak: {} parked for {partitions} partitions",
-        retired_binding_count()
+        names.len() <= 2 && names[0] == "table",
+        "registry grew past the origin plus one torn partition: {names:?} after {tears} tears"
     );
 
     let ctx = stm.register_thread();
