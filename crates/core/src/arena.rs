@@ -80,8 +80,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::partition::{Partition, PartitionId};
-use crate::pvar::{PVarBinding, PVarFields};
-use crate::repartition::{MigratableCollection, MigrationSource, TearableCollection};
+use crate::pvar::{Migratable, PVarBinding, PVarFields};
+use crate::repartition::{ArenaView, MigratableCollection, MigrationSource};
 use crate::txn::Tx;
 use crate::word::TxWord;
 
@@ -500,12 +500,10 @@ impl<N: PVarFields + 'static> Arena<N> {
     /// A migration surface over a subset of this arena's slots, for
     /// [`Stm::migrate`](crate::Stm::migrate): only the named
     /// slots' fields move; the home binding (and every other slot) stays.
-    /// The caller must keep the handles valid for the batch's lifetime
-    /// (they borrow the arena, so the usual rules apply).
     pub fn slots_of<'a>(&'a self, handles: &'a [Handle<N>]) -> ArenaSlots<'a, N> {
         ArenaSlots {
             arena: self,
-            handles,
+            raw: handles.iter().map(|h| h.raw()).collect(),
         }
     }
 }
@@ -517,70 +515,60 @@ fn rebind_node<N: PVarFields>(n: &N, dst: &Arc<Partition>) {
     n.for_each_pvar(&mut |m| drop(m.pvar_binding().rebind(dst)));
 }
 
-impl<N: PVarFields + 'static> MigrationSource for Arena<N> {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        // Home binding strictly before the slots: the chunk-installation
-        // re-check (module docs) needs any racing installer that missed
-        // the walk to observe the already-moved home.
-        f(&self.home);
-        self.for_each_installed_slot(&mut |n| n.for_each_pvar(&mut |m| f(m.pvar_binding())));
-    }
-}
-
-impl<N: PVarFields + Send + Sync + 'static> MigratableCollection for Arena<N> {
-    fn home_partition(&self) -> Arc<Partition> {
-        self.partition()
+impl<N: PVarFields + 'static> ArenaView for Arena<N> {
+    fn home(&self) -> &PVarBinding {
+        &self.home
     }
 
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        self.for_each_live_slot(|_, n| n.for_each_pvar(&mut |m| f(m.var_addr())));
-    }
-
-    fn live_nodes(&self) -> usize {
+    fn live_slots(&self) -> usize {
         self.live()
     }
-}
 
-impl<N: PVarFields + Send + Sync + 'static> TearableCollection for Arena<N> {
-    fn for_each_live_slot_addr(&self, f: &mut dyn FnMut(u32, usize)) {
-        self.for_each_live_slot(|h, n| n.for_each_pvar(&mut |m| f(h.raw(), m.var_addr())));
+    fn for_each_installed_field(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        self.for_each_installed_slot(&mut |n| n.for_each_pvar(f));
     }
 
-    fn for_each_slot_binding(&self, raw: &[u32], f: &mut dyn FnMut(&PVarBinding)) {
-        // Tokens were minted by `for_each_live_slot_addr` as `Handle::raw`
-        // (index + 1). Cap at the installed-chunk prefix like
-        // `live_handles`: a stale token must never reach into an
-        // uninstalled chunk. Freed-and-recycled slots are fine — their
+    fn for_each_live_field(&self, f: &mut dyn FnMut(u32, &dyn Migratable)) {
+        self.for_each_live_slot(|h, n| n.for_each_pvar(&mut |m| f(h.raw(), m)));
+    }
+
+    fn for_each_slot_field(&self, raw: &[u32], f: &mut dyn FnMut(&dyn Migratable)) {
+        // Tokens are `Handle::raw` (index + 1). Cap at the installed-chunk
+        // prefix like `live_handles`: a stale token must never reach into
+        // an uninstalled chunk. Freed-and-recycled slots are fine — their
         // fields are factory-initialized, and rebinding them is sound.
         let cap = self.installed_cap();
         for &r in raw {
-            let Some(i) = r.checked_sub(1) else { continue };
-            if i >= cap {
-                continue;
+            if let Some(i) = r.checked_sub(1).filter(|&i| i < cap) {
+                self.get(Handle::from_index(i)).for_each_pvar(f);
             }
-            self.get(Handle::from_index(i))
-                .for_each_pvar(&mut |m| f(m.pvar_binding()));
         }
     }
 }
 
+/// An arena is a collection with no roots.
+impl<N: PVarFields + 'static> MigratableCollection for Arena<N> {
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        Some(self)
+    }
+
+    fn for_each_root(&self, _: &mut dyn FnMut(&dyn Migratable)) {}
+}
+
 /// A borrowed slot subset of an [`Arena`], usable as a
-/// [`MigrationSource`]: migrating it rebinds the named slots' fields only.
+/// [`MigrationSource`]: migrating it rebinds the named slots' fields only,
+/// through the same tear walk a migration directory's slot sets take.
 /// The arena's home (and all other slots) keep their binding, so a
 /// structure can be *torn across partitions* deliberately — every access
 /// routes each field through its own binding, which keeps that sound.
 pub struct ArenaSlots<'a, N> {
     arena: &'a Arena<N>,
-    handles: &'a [Handle<N>],
+    raw: Vec<u32>,
 }
 
 impl<N: PVarFields + 'static> MigrationSource for ArenaSlots<'_, N> {
     fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        for &h in self.handles {
-            self.arena
-                .get(h)
-                .for_each_pvar(&mut |m| f(m.pvar_binding()));
-        }
+        self.arena.for_each_slot_binding(&self.raw, f);
     }
 }
 
@@ -838,6 +826,24 @@ mod tests {
             let mut walked = 0;
             a.for_each_live_slot(|_, _| walked += 1);
             assert_eq!(walked, BASE as usize);
+        }
+
+        #[test]
+        fn slot_walk_skips_stale_tokens() {
+            let stm = Stm::new();
+            let p = stm.new_partition(PartitionConfig::named("stale"));
+            let a = pair_arena(&p);
+            let _ = a.alloc_raw(); // installs chunk 0 only
+            let fields = |i: u32| {
+                let n = a.get(Handle::from_index(i));
+                [n.a.binding(), n.b.binding()].map(|b| b as *const PVarBinding)
+            };
+            let mut seen = Vec::new();
+            a.for_each_slot_binding(&[0, 1, BASE, BASE + 1, u32::MAX], &mut |b| {
+                seen.push(b as *const PVarBinding)
+            });
+            let want: Vec<_> = fields(0).into_iter().chain(fields(BASE - 1)).collect();
+            assert_eq!(seen, want, "token 0 and tokens past chunk 0 are skipped");
         }
 
         #[test]

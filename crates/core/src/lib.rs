@@ -96,9 +96,7 @@ pub use partition::{Partition, PartitionId};
 pub use privatize::{PrivateGuard, PrivatizeError};
 pub use profiler::{AccessProfiler, BucketTouch, SampleTouch, TxSample, PROFILE_BUCKETS};
 pub use pvar::{Access, Migratable, PVar, PVarBinding, PVarFields};
-pub use repartition::{
-    CollectionRegistry, MigratableCollection, MigrationSource, TearableCollection,
-};
+pub use repartition::{ArenaView, MigratableCollection, MigrationSource};
 pub use snapshot::ReadTx;
 pub use stats::StatCounters;
 pub use stm::{Stm, StmBuilder, SwitchOutcome, ThreadCtx, MAX_THREADS};

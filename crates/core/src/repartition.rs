@@ -40,27 +40,30 @@
 //! `Tx::view_of_binding` in `txn.rs`). Every other interleaving either
 //! observes a switching flag (abort) or is ordered by the quiesce itself.
 //!
-//! ## Migration sources: flat batches, arenas, collections
+//! ## Migration sources: flat batches, slot subsets, collections
 //!
 //! The protocol is agnostic to *what* enumerates the bindings it moves:
 //! everything funnels through [`MigrationSource`], whose one method visits
-//! each binding cell. A flat `&[&dyn Migratable]` batch is one source; a
-//! partition-bound [`Arena`](crate::Arena) is another (home binding plus
-//! every installed slot's fields); an arena slot subset
-//! ([`Arena::slots_of`](crate::Arena::slots_of)) is a third; and a
-//! structure (list, tree, map) is its arena plus its root variables.
-//! [`MigratableCollection`] layers the introspection a migration
-//! *directory* needs on top — home partition, live-field addresses for
-//! profiler-bucket accounting — so the online repartitioner can map a
-//! "bucket 17 of partition 3 is hot" report back to a whole structure and
-//! move it with one [`Stm::migrate`] call. See the arena module docs for
-//! why the free list and racing `alloc`/`free` survive all this.
+//! each binding cell. A flat `[&dyn Migratable]` slice is one source; an
+//! arena slot subset ([`Arena::slots_of`](crate::Arena::slots_of)) is
+//! another; and every [`MigratableCollection`] — a structure (list, tree,
+//! map) or a bare [`Arena`](crate::Arena) — is a third. A collection is
+//! its node arena, seen through the type-erased [`ArenaView`], plus its
+//! root variables, and every walk over those two parts is written once on
+//! the trait: the migration walk (home binding, every installed slot,
+//! roots), the live-field addresses a migration *directory* accounts
+//! against profiler buckets, and the tear walk over slot tokens that moves
+//! a structure's celebrity keys without the rest of it. The online
+//! repartitioner can thus map a "bucket 17 of partition 3 is hot" report
+//! back to a whole structure, or to a few of its slots, and move it with
+//! one [`Stm::migrate`] call. See the arena module docs for why the free
+//! list and racing `alloc`/`free` survive all this.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::config;
-use crate::partition::Partition;
+use crate::partition::{Partition, PartitionId};
 use crate::pvar::{self, Migratable, PVarBinding};
 use crate::quiesce::{self, QuiesceWindow};
 use crate::stm::{Stm, SwitchOutcome};
@@ -72,88 +75,137 @@ use crate::telemetry::EventKind;
 ///
 /// Implementations only *enumerate* — the cells' mutators are private to
 /// this crate, so a `MigrationSource` cannot rebind anything outside the
-/// protocol. Implementations that own an arena must visit the arena's
-/// home binding **before** its slot fields (delegate to the arena's own
-/// [`MigrationSource`] impl): the chunk-installation re-check in
-/// `arena.rs` relies on that order.
+/// protocol. Every [`MigratableCollection`] is a source (its walk is
+/// written once, below), and so is a flat `[&dyn Migratable]` slice.
+/// Sources that own an arena visit its home binding before its slots: the
+/// chunk-installation re-check in `arena.rs` relies on that order.
 pub trait MigrationSource {
     /// Visits every binding cell this source moves.
     fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding));
 }
 
-/// A migratable collection: an arena-backed structure (or an arena
-/// itself) that a migration directory can register, account against
-/// profiler buckets, and move as a unit.
+/// An [`Arena`](crate::Arena) with its node type erased: what the
+/// [`MigratableCollection`] walks need of a structure's node storage.
+/// Implemented by every `Arena<N>`.
 ///
-/// Implemented by every structure in `partstm-structures` and by
-/// [`Arena`](crate::Arena) directly (for arenas without separate roots).
+/// Slot tokens are opaque `u32`s minted by
+/// [`for_each_live_field`](ArenaView::for_each_live_field) and consumed by
+/// [`for_each_slot_field`](ArenaView::for_each_slot_field); callers never
+/// interpret them. Both walks are approximate under concurrency (a slot
+/// may be freed and reused between the two calls), which is sound:
+/// visiting a freed slot just rebinds factory-initialized fields.
+pub trait ArenaView: Send + Sync {
+    /// The home binding: where newly installed slots bind.
+    fn home(&self) -> &PVarBinding;
+
+    /// Number of live slots (approximate under concurrency).
+    fn live_slots(&self) -> usize;
+
+    /// Visits every field of every installed slot — live, freed and never
+    /// handed out alike: a recycled slot must not come back bound to a
+    /// partition its arena left.
+    fn for_each_installed_field(&self, f: &mut dyn FnMut(&dyn Migratable));
+
+    /// Visits `(token, field)` for every field of every live slot; a slot
+    /// with several fields is visited once per field, under one token.
+    fn for_each_live_field(&self, f: &mut dyn FnMut(u32, &dyn Migratable));
+
+    /// Visits every field of the slots `raw` names. Tokens that name no
+    /// installed slot are skipped.
+    fn for_each_slot_field(&self, raw: &[u32], f: &mut dyn FnMut(&dyn Migratable));
+}
+
+/// A movable data structure: its node arena plus its roots. The paper's
+/// unit of partitioning, and what a migration directory registers,
+/// accounts against profiler buckets, and moves — whole, or torn into
+/// slot subsets.
+///
+/// Implementors name the two parts; every walk over them is provided here
+/// once. Implemented by every structure in `partstm-structures` and by
+/// [`Arena`](crate::Arena) itself (an arena with no roots).
 pub trait MigratableCollection: MigrationSource + Send + Sync {
-    /// The partition newly allocated nodes bind to — the collection's
-    /// current home. Racy during a migration, like
+    /// The node arena, or `None` for a structure made of roots only.
+    fn node_arena(&self) -> Option<&dyn ArenaView>;
+
+    /// Visits every partition-bound variable outside the arena.
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable));
+
+    /// The collection's current home: where its arena's new slots bind.
+    /// Racy during a migration, like
     /// [`PVar::partition`](crate::PVar::partition).
-    fn home_partition(&self) -> Arc<Partition>;
+    ///
+    /// # Panics
+    ///
+    /// If the collection has no arena; an arena-less collection overrides
+    /// this.
+    fn home_partition(&self) -> Arc<Partition> {
+        match self.node_arena() {
+            Some(a) => a.home().partition_arc(),
+            None => panic!("an arena-less collection overrides home_partition"),
+        }
+    }
+
+    /// Id of [`home_partition`](MigratableCollection::home_partition).
+    fn partition_of(&self) -> PartitionId {
+        self.home_partition().id()
+    }
 
     /// Visits the word address of every *live* partition-bound field
-    /// (roots and live arena slots), for profiler-bucket accounting (see
+    /// (live arena slots, then roots), for profiler-bucket accounting (see
     /// [`profiler::bucket_of`](crate::profiler::bucket_of)). Approximate
     /// under concurrency.
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize));
+    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
+        if let Some(a) = self.node_arena() {
+            a.for_each_live_field(&mut |_, m| f(m.var_addr()));
+        }
+        self.for_each_root(&mut |m| f(m.var_addr()));
+    }
 
-    /// Number of live nodes (approximate under concurrency).
-    fn live_nodes(&self) -> usize;
-}
+    /// Number of live nodes: live arena slots, or the roots of an
+    /// arena-less collection (approximate under concurrency).
+    fn live_nodes(&self) -> usize {
+        if let Some(a) = self.node_arena() {
+            return a.live_slots();
+        }
+        let mut n = 0;
+        self.for_each_root(&mut |_| n += 1);
+        n
+    }
 
-/// A collection that can be *torn*: its live slots are individually
-/// addressable (by the arena's raw handle word), so a directory can
-/// attribute profiler heat to slot subsets and migrate just the hot
-/// slots — celebrity keys — without moving the whole structure.
-///
-/// The raw handle values are opaque tokens minted by
-/// [`for_each_live_slot_addr`](TearableCollection::for_each_live_slot_addr)
-/// and consumed by
-/// [`for_each_slot_binding`](TearableCollection::for_each_slot_binding);
-/// callers never interpret them. Both views are approximate under
-/// concurrency (slots may be freed and reused between the two calls),
-/// which is sound: visiting a freed slot's bindings just rebinds
-/// factory-initialized fields.
-pub trait TearableCollection: MigratableCollection {
-    /// Visits `(raw_handle, field_addr)` for every partition-bound field
-    /// of every live slot. A slot with several fields is visited once per
-    /// field, under the same raw handle.
-    fn for_each_live_slot_addr(&self, f: &mut dyn FnMut(u32, usize));
-
-    /// Visits every binding cell of the slots named by `raw` (tokens from
-    /// [`for_each_live_slot_addr`](TearableCollection::for_each_live_slot_addr)).
-    /// Unknown / stale tokens are skipped. Deliberately does *not* visit
-    /// the collection's home binding or roots: tearing moves slots, not
-    /// the structure.
-    fn for_each_slot_binding(&self, raw: &[u32], f: &mut dyn FnMut(&PVarBinding));
-}
-
-/// Registration half of a migration directory: anything that accepts
-/// [`MigratableCollection`] handles for later bucket-to-structure mapping.
-///
-/// Implemented by `partstm-repart`'s `StaticDirectory`; declared here so
-/// data-structure crates can expose `attach_directory` without depending
-/// on the controller crate.
-pub trait CollectionRegistry {
-    /// Registers one collection.
-    fn register_collection(&self, c: Arc<dyn MigratableCollection>);
-
-    /// Registers a tearable collection. Directories that track per-slot
-    /// heat override this to retain the tearable view; the default just
-    /// registers the whole-collection view.
-    fn register_tearable(&self, c: Arc<dyn TearableCollection>) {
-        self.register_collection(c);
+    /// The tear walk: every binding of the arena slots `raw` names (tokens
+    /// from [`ArenaView::for_each_live_field`]; stale ones are skipped).
+    ///
+    /// The home binding and the roots stay home on a tear: heat under key
+    /// skew concentrates on node fields, and torn slots stay reachable
+    /// through home-bound roots because every field routes through its own
+    /// binding.
+    fn for_each_slot_binding(&self, raw: &[u32], f: &mut dyn FnMut(&PVarBinding)) {
+        if let Some(a) = self.node_arena() {
+            a.for_each_slot_field(raw, &mut |m| f(m.pvar_binding()));
+        }
     }
 }
 
-/// Adapter: a flat batch of variables as a [`MigrationSource`].
-struct VarsSource<'a>(&'a [&'a dyn Migratable]);
-
-impl MigrationSource for VarsSource<'_> {
+/// The migration walk, once for every collection: the arena's home
+/// binding, then every installed slot, then the roots.
+impl<C: MigratableCollection + ?Sized> MigrationSource for C {
     fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        for v in self.0 {
+        if let Some(a) = self.node_arena() {
+            // Home binding strictly before the slots: the arena's
+            // chunk-installation re-check (`arena` module docs) needs any
+            // racing installer that missed the walk to observe the
+            // already-moved home.
+            f(a.home());
+            a.for_each_installed_field(&mut |m| f(m.pvar_binding()));
+        }
+        self.for_each_root(&mut |m| f(m.pvar_binding()));
+    }
+}
+
+/// A flat batch of variables, in slice order.
+impl MigrationSource for [&dyn Migratable] {
+    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
+        for v in self {
             f(v.pvar_binding());
         }
     }
@@ -161,9 +213,9 @@ impl MigrationSource for VarsSource<'_> {
 
 impl Stm {
     /// Atomically rebinds everything a [`MigrationSource`] enumerates —
-    /// flat variables, a whole arena, an arena slot subset
-    /// ([`Arena::slots_of`](crate::Arena::slots_of)), a structure, or any
-    /// combination — to partition `dst`, in one repartition window (see
+    /// a `[&dyn Migratable]` slice of flat variables, a whole arena, an
+    /// arena slot subset ([`Arena::slots_of`](crate::Arena::slots_of)), a
+    /// structure, or any combination — to partition `dst`, in one repartition window (see
     /// the [module docs](crate::repartition)).
     ///
     /// `from` names partitions that take part in the window (flag,
@@ -189,9 +241,9 @@ impl Stm {
     ///
     /// If `dst`, a partition in `from` or any enumerated binding's current
     /// partition belongs to a different [`Stm`].
-    pub fn migrate(
+    pub fn migrate<S: MigrationSource + ?Sized>(
         &self,
-        src: &dyn MigrationSource,
+        src: &S,
         dst: &Arc<Partition>,
         from: &[&Arc<Partition>],
     ) -> SwitchOutcome {
@@ -286,7 +338,7 @@ impl Stm {
     /// [`Stm::migrate`] of a flat batch of variables, with no extra
     /// participants.
     pub fn migrate_pvars(&self, vars: &[&dyn Migratable], dst: &Arc<Partition>) -> SwitchOutcome {
-        self.migrate(&VarsSource(vars), dst, &[])
+        self.migrate(vars, dst, &[])
     }
 }
 
@@ -345,7 +397,7 @@ mod tests {
         let hot = src.tvar(7u64);
         let cold = src.tvar(8u64);
         let dst = stm.new_partition(PartitionConfig::named("hot"));
-        let outcome = stm.migrate(&VarsSource(&[as_dyn(&hot)]), &dst, &[&src]);
+        let outcome = stm.migrate(&[as_dyn(&hot)][..], &dst, &[&src]);
         assert_eq!(outcome, SwitchOutcome::Switched);
         assert_eq!(hot.partition_id(), dst.id());
         assert_eq!(cold.partition_id(), src.id());
@@ -369,7 +421,7 @@ mod tests {
         let x = b.tvar(1i64);
         let gc = c.generation();
         assert_eq!(
-            stm.migrate(&VarsSource(&[as_dyn(&x)]), &a, &[&b, &c]),
+            stm.migrate(&[as_dyn(&x)][..], &a, &[&b, &c]),
             SwitchOutcome::Switched
         );
         assert_eq!(x.partition_id(), a.id());

@@ -8,8 +8,8 @@
 //! not track which variables live in a partition (that would put a
 //! registry write on the allocation path), so the application registers
 //! what it wants the repartitioner to be able to move — typically at
-//! allocation time, next to `Partition::tvar`, or via each structure's
-//! `attach_directory`.
+//! allocation time, next to `Partition::tvar`, and each structure through
+//! [`StaticDirectory::register_collection`].
 //!
 //! Buckets the profiler flags but no registered variable or structure
 //! maps to are *controller misses*: the analyzer sees heat the directory
@@ -27,8 +27,8 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use partstm_core::profiler::bucket_of;
 use partstm_core::{
-    rtlog, CollectionRegistry, Migratable, MigratableCollection, MigrationSource, PVarBinding,
-    PartitionId, TearableCollection, PROFILE_BUCKETS,
+    rtlog, Migratable, MigratableCollection, MigrationSource, PVarBinding, PartitionId,
+    PROFILE_BUCKETS,
 };
 
 /// Bucket-coverage set: one flag per profile bucket. A fixed array beats
@@ -82,12 +82,12 @@ impl MigrationSource for MoverSet {
 /// One slot subset torn (or tearable) out of a collection: the collection
 /// handle plus the raw slot tokens to move. Usable directly as the
 /// [`MigrationSource`] of [`Stm::migrate`](partstm_core::Stm::migrate) —
-/// only the named slots' fields move; the collection's home binding and
-/// roots stay put.
+/// the collection's tear walk moves only the named slots' fields; its home
+/// binding and roots stay put.
 #[derive(Clone)]
 pub(crate) struct TearSet {
     /// The collection the slots belong to.
-    pub(crate) coll: Arc<dyn TearableCollection>,
+    pub(crate) coll: Arc<dyn MigratableCollection>,
     /// Raw slot tokens (sorted, deduplicated) to move.
     pub(crate) raw: Vec<u32>,
     /// The collection's live-node count when the set was assembled (for
@@ -136,20 +136,19 @@ struct BucketIndex {
 
 /// Cached reverse map of one registered collection: live-field count per
 /// profile bucket (`hist`, torn slots excluded), total counted fields,
-/// and — for tearable collections — the raw slot tokens with a field in
-/// each bucket. Rebuilt lazily after registration or a tear/heal
-/// invalidates it, reused across controller windows: the per-window cost
-/// drops from O(live fields) per collection to O(requested buckets).
+/// and the raw slot tokens with a field in each bucket. Rebuilt lazily
+/// after registration or a tear/heal invalidates it, reused across
+/// controller windows: the per-window cost drops from O(live fields) per
+/// collection to O(requested buckets).
 struct RevMap {
     hist: [u32; PROFILE_BUCKETS as usize],
     total: usize,
-    by_bucket: Option<Vec<Vec<u32>>>,
+    by_bucket: Vec<Vec<u32>>,
 }
 
 /// One registered collection with its tear state and reverse-map cache.
 struct CollEntry {
     coll: Arc<dyn MigratableCollection>,
-    tearable: Option<Arc<dyn TearableCollection>>,
     /// Raw slot tokens currently torn out (sorted). Excluded from the
     /// reverse map so their buckets are no longer attributed here — a
     /// stale attribution would re-propose tearing already-torn slots.
@@ -168,39 +167,32 @@ impl CollEntry {
         self.rev.as_ref().expect("just built")
     }
 
+    /// Heat is attributed to live arena slots, by token; a collection
+    /// without an arena has only its roots to count, and nothing to tear.
     fn build_rev(&self) -> RevMap {
         let mut hist = [0u32; PROFILE_BUCKETS as usize];
         let mut total = 0usize;
-        let by_bucket = match &self.tearable {
-            Some(t) => {
-                let torn = &self.torn;
-                let mut bb: Vec<Vec<u32>> = vec![Vec::new(); PROFILE_BUCKETS as usize];
-                t.for_each_live_slot_addr(&mut |raw, addr| {
-                    if torn.binary_search(&raw).is_ok() {
-                        return;
-                    }
-                    let b = bucket_of(addr) as usize;
-                    hist[b] += 1;
-                    total += 1;
-                    bb[b].push(raw);
-                });
-                // One token per bucket per slot: a slot with two fields in
-                // the same bucket is still one candidate.
-                for v in &mut bb {
-                    v.sort_unstable();
-                    v.dedup();
-                }
-                Some(bb)
-            }
-            None => {
-                self.coll.for_each_live_addr(&mut |addr| {
-                    let b = bucket_of(addr) as usize;
-                    hist[b] += 1;
-                    total += 1;
-                });
-                None
-            }
+        let mut by_bucket: Vec<Vec<u32>> = vec![Vec::new(); PROFILE_BUCKETS as usize];
+        let mut count = |addr: usize, raw: Option<u32>| {
+            let b = bucket_of(addr) as usize;
+            hist[b] += 1;
+            total += 1;
+            by_bucket[b].extend(raw);
         };
+        match self.coll.node_arena() {
+            Some(a) => a.for_each_live_field(&mut |raw, m| {
+                if self.torn.binary_search(&raw).is_err() {
+                    count(m.var_addr(), Some(raw));
+                }
+            }),
+            None => self.coll.for_each_root(&mut |m| count(m.var_addr(), None)),
+        }
+        // One token per bucket per slot: a slot with two fields in the
+        // same bucket is still one candidate.
+        for v in &mut by_bucket {
+            v.sort_unstable();
+            v.dedup();
+        }
         RevMap {
             hist,
             total,
@@ -211,9 +203,9 @@ impl CollEntry {
 
 /// The migration directory: the registry the controller maps profiler
 /// reports back to movers with. It holds flat variables
-/// ([`register`](StaticDirectory::register)) and arena-backed collections
-/// ([`CollectionRegistry`]; each structure's `attach_directory` lands
-/// here), and answers the controller one question per action kind: what
+/// ([`register`](StaticDirectory::register)) and collections
+/// ([`register_collection`](StaticDirectory::register_collection)), and
+/// answers the controller one question per action kind: what
 /// to split (`collect`), what to merge (`collect_all`) and which slots to
 /// tear (`collect_tears`).
 ///
@@ -239,12 +231,14 @@ impl CollEntry {
 ///
 /// ## Per-slot attribution (tears)
 ///
-/// Collections registered through
-/// [`CollectionRegistry::register_tearable`] additionally keep a reverse
-/// map from profile buckets to live slot tokens, so `collect_tears` can
-/// name the *individual slots* whose fields land in the hot buckets — the
-/// celebrity keys — instead of the whole structure. Torn slots are evicted
-/// from the reverse map (`mark_torn`) until a heal brings them home.
+/// Every arena-backed collection also keeps a reverse map from profile
+/// buckets to live slot tokens, so `collect_tears` can name the
+/// *individual slots* whose fields land in the hot buckets — the celebrity
+/// keys — instead of the whole structure. A tear is sound for any arena:
+/// every field routes through its own binding, so slots torn away from
+/// their home-bound roots stay reachable (the tear walk on
+/// [`MigratableCollection`]). Torn slots are evicted from the reverse map
+/// (`mark_torn`) until a heal brings them home.
 pub struct StaticDirectory {
     vars: RwLock<Vec<Arc<dyn Migratable>>>,
     index: RwLock<Option<BucketIndex>>,
@@ -286,6 +280,15 @@ impl StaticDirectory {
     pub fn register_all<I: IntoIterator<Item = Arc<dyn Migratable>>>(&self, vars: I) {
         self.vars.write().extend(vars);
         *self.index.write() = None;
+    }
+
+    /// Registers one collection: a structure, or a bare arena.
+    pub fn register_collection(&self, c: Arc<dyn MigratableCollection>) {
+        self.collections.write().push(CollEntry {
+            coll: c,
+            torn: Vec::new(),
+            rev: None,
+        });
     }
 
     /// Number of registered variables.
@@ -407,7 +410,7 @@ impl StaticDirectory {
         }
     }
 
-    /// Slot subsets of tearable collections homed at `part` whose fields
+    /// Slot subsets of arena-backed collections homed at `part` whose fields
     /// land in `buckets` (sorted) — the celebrity keys. A collection only
     /// yields a set when the subset is *small*: at most `max_fraction` of
     /// its live nodes (a hot set spanning the whole structure is a split,
@@ -420,12 +423,10 @@ impl StaticDirectory {
     ) -> Vec<TearSet> {
         let mut out = Vec::new();
         for e in self.collections.write().iter_mut() {
-            if e.tearable.is_none() || e.coll.home_partition().id() != part {
+            if e.coll.home_partition().id() != part {
                 continue;
             }
-            let Some(bb) = &e.rev(&self.rev_rebuilds).by_bucket else {
-                continue;
-            };
+            let bb = &e.rev(&self.rev_rebuilds).by_bucket;
             let mut raw: Vec<u32> = buckets
                 .iter()
                 .flat_map(|&b| bb[b as usize].iter().copied())
@@ -441,7 +442,7 @@ impl StaticDirectory {
                 continue;
             }
             out.push(TearSet {
-                coll: Arc::clone(e.tearable.as_ref().expect("checked above")),
+                coll: Arc::clone(&e.coll),
                 raw,
                 total_live: live,
             });
@@ -472,35 +473,10 @@ impl StaticDirectory {
     /// that collection's reverse map.
     fn with_torn(&self, set: &TearSet, f: impl FnOnce(&mut Vec<u32>)) {
         let mut colls = self.collections.write();
-        let same = |e: &&mut CollEntry| {
-            e.tearable
-                .as_ref()
-                .is_some_and(|t| Arc::ptr_eq(t, &set.coll))
-        };
-        if let Some(e) = colls.iter_mut().find(same) {
+        if let Some(e) = colls.iter_mut().find(|e| Arc::ptr_eq(&e.coll, &set.coll)) {
             f(&mut e.torn);
             e.rev = None;
         }
-    }
-}
-
-impl CollectionRegistry for StaticDirectory {
-    fn register_collection(&self, c: Arc<dyn MigratableCollection>) {
-        self.collections.write().push(CollEntry {
-            coll: c,
-            tearable: None,
-            torn: Vec::new(),
-            rev: None,
-        });
-    }
-
-    fn register_tearable(&self, c: Arc<dyn TearableCollection>) {
-        self.collections.write().push(CollEntry {
-            coll: Arc::clone(&c) as Arc<dyn MigratableCollection>,
-            tearable: Some(c),
-            torn: Vec::new(),
-            rev: None,
-        });
     }
 }
 
@@ -516,7 +492,7 @@ impl core::fmt::Debug for StaticDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partstm_core::{Arena, PVar, PVarFields, PartitionConfig, Stm, SwitchOutcome};
+    use partstm_core::{Arena, ArenaView, PVar, PVarFields, PartitionConfig, Stm, SwitchOutcome};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -645,7 +621,6 @@ mod tests {
     #[test]
     fn directory_selects_overrepresented_collections() {
         struct Probe {
-            part: Arc<partstm_core::Partition>,
             arena: Arena<PVar<u64>>,
         }
         impl Probe {
@@ -654,28 +629,14 @@ mod tests {
                 for _ in 0..n {
                     let _ = arena.alloc_raw();
                 }
-                Arc::new(Probe {
-                    part: Arc::clone(part),
-                    arena,
-                })
-            }
-        }
-        impl MigrationSource for Probe {
-            fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-                MigrationSource::for_each_binding(&self.arena, f);
+                Arc::new(Probe { arena })
             }
         }
         impl MigratableCollection for Probe {
-            fn home_partition(&self) -> Arc<partstm_core::Partition> {
-                Arc::clone(&self.part)
+            fn node_arena(&self) -> Option<&dyn ArenaView> {
+                Some(&self.arena)
             }
-            fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-                self.arena
-                    .for_each_live_slot(|_, n| n.for_each_pvar(&mut |m| f(m.var_addr())));
-            }
-            fn live_nodes(&self) -> usize {
-                self.arena.live()
-            }
+            fn for_each_root(&self, _: &mut dyn FnMut(&dyn Migratable)) {}
         }
 
         let stm = Stm::new();
@@ -752,7 +713,7 @@ mod tests {
         for _ in 0..32 {
             let _ = arena.alloc_raw();
         }
-        sdir.register_tearable(Arc::clone(&arena) as Arc<dyn TearableCollection>);
+        sdir.register_collection(Arc::clone(&arena) as Arc<dyn MigratableCollection>);
         let mut buckets = Vec::new();
         arena.for_each_live_slot(|_, n| {
             n.for_each_pvar(&mut |m| buckets.push(bucket_of(m.var_addr())))
@@ -796,7 +757,7 @@ mod tests {
             let _ = arena.alloc_raw();
         }
         let dir = StaticDirectory::new();
-        dir.register_tearable(Arc::clone(&arena) as Arc<dyn TearableCollection>);
+        dir.register_collection(Arc::clone(&arena) as Arc<dyn MigratableCollection>);
 
         // Hot buckets := the buckets of the first four live slots.
         let mut hot: Vec<u16> = Vec::new();
@@ -851,11 +812,12 @@ mod tests {
         }
         let vars: Vec<Arc<PVar<u64>>> = (0..4).map(|i| Arc::new(src.tvar(i))).collect();
         let dir = StaticDirectory::new();
-        map.attach_directory(&dir);
+        dir.register_collection(Arc::clone(&map) as Arc<dyn MigratableCollection>);
         dir.register_all(vars.iter().map(|v| Arc::clone(v) as Arc<dyn Migratable>));
 
         let mut buckets: Vec<u16> = vars.iter().map(|v| bucket_of(v.var_addr())).collect();
-        map.for_each_live_slot_addr(&mut |_, a| buckets.push(bucket_of(a)));
+        map.arena()
+            .for_each_live_addr(&mut |a| buckets.push(bucket_of(a)));
         buckets.sort_unstable();
         buckets.dedup();
         let movers = dir.collect(src.id(), &buckets);
@@ -890,5 +852,88 @@ mod tests {
         let sum: u64 = map.snapshot_pairs().iter().map(|(_, v)| v).sum();
         assert_eq!(sum, 800, "contents survive the move");
         assert_eq!(ctx.run(|tx| map.get(tx, 3)), Some(100));
+    }
+
+    /// Any arena-backed structure tears, not only a hash map: hot writes on
+    /// a few keys of a red-black tree name exactly those keys' slots, and
+    /// tearing them out and healing them back leaves the tree intact.
+    #[test]
+    fn a_tree_tears_and_heals() {
+        use partstm_core::AccessProfiler;
+        use partstm_structures::TRbTree;
+        const KEYS: u64 = 64;
+        let stm = Stm::new();
+        let part = stm.new_partition(PartitionConfig::named("tree"));
+        let tree = Arc::new(TRbTree::new(Arc::clone(&part)));
+        let ctx = stm.register_thread();
+        for k in 0..KEYS {
+            ctx.run(|tx| tree.put(tx, k, k).map(|_| ()));
+        }
+        let dir = StaticDirectory::new();
+        dir.register_collection(Arc::clone(&tree) as Arc<dyn MigratableCollection>);
+
+        // The slots with a live field in each bucket.
+        let mut owners: Vec<Vec<u32>> = vec![Vec::new(); PROFILE_BUCKETS as usize];
+        let nodes = tree.node_arena().expect("a tree has a node arena");
+        nodes.for_each_live_field(&mut |raw, m| owners[bucket_of(m.var_addr()) as usize].push(raw));
+        owners.iter_mut().for_each(Vec::dedup);
+
+        // Drive hot writes, one key at a time, and keep three keys whose
+        // written bucket no other slot shares: those buckets name exactly
+        // the hot keys' slots.
+        let profiler = Arc::new(AccessProfiler::new(1, 64));
+        stm.set_profiler(Arc::clone(&profiler));
+        let (mut buckets, mut slots) = (Vec::new(), Vec::new());
+        for k in 0..KEYS {
+            ctx.run(|tx| tree.put(tx, k, k + 1).map(|_| ()));
+            let written: Vec<u16> = profiler
+                .drain()
+                .iter()
+                .flat_map(|s| &s.touched)
+                .flat_map(|t| &t.buckets)
+                .filter(|b| b.writes > 0)
+                .map(|b| b.bucket)
+                .collect();
+            if let [b] = written[..] {
+                if let [raw] = owners[b as usize][..] {
+                    buckets.push(b);
+                    slots.push(raw);
+                }
+            }
+            if slots.len() == 3 {
+                break;
+            }
+        }
+        stm.clear_profiler();
+        assert_eq!(slots.len(), 3, "three uncontested hot keys");
+        buckets.sort_unstable();
+        slots.sort_unstable();
+
+        let sets = dir.collect_tears(part.id(), &buckets, 0.5);
+        assert_eq!(sets.len(), 1, "one set, for the tree");
+        assert_eq!(sets[0].raw, slots, "exactly the hot keys' slots");
+
+        let pairs = tree.snapshot_pairs();
+        let height = tree.check_invariants();
+        let torn = stm.new_partition(PartitionConfig::named("torn"));
+        dir.mark_torn(&sets[0]);
+        assert_eq!(
+            stm.migrate(&sets[0], &torn, &[&part]),
+            SwitchOutcome::Switched
+        );
+        let mut moved = 0;
+        sets[0].for_each_binding(&mut |b| moved += usize::from(b.partition_id() == torn.id()));
+        assert_eq!(moved, 3 * 6, "three slots, six fields each");
+        assert_eq!(tree.partition_of(), part.id(), "home stays on a tear");
+        assert_eq!(ctx.run(|tx| tree.get(tx, 0)), Some(1), "torn tree reads");
+        assert_eq!(
+            stm.migrate(&sets[0], &part, &[&torn]),
+            SwitchOutcome::Switched
+        );
+        dir.unmark_torn(&sets[0]);
+
+        assert_eq!(tree.snapshot_pairs(), pairs);
+        assert_eq!(tree.check_invariants(), height);
+        assert_eq!(tree.partition_of(), part.id());
     }
 }

@@ -69,7 +69,9 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use partstm_core::fault::{self, FaultPlan, FaultSite};
-    use partstm_core::{Migratable, PVar, PartitionConfig, Stm, SwitchOutcome};
+    use partstm_core::{
+        Migratable, MigratableCollection, PVar, PartitionConfig, Stm, SwitchOutcome,
+    };
 
     /// A registry-backed bank whose accounts the controller may migrate.
     struct MovableBank {
@@ -612,8 +614,8 @@ mod tests {
             }
         }
         let dir = Arc::new(StaticDirectory::new());
-        hot.attach_directory(&*dir);
-        cold.attach_directory(&*dir);
+        dir.register_collection(Arc::clone(&hot) as Arc<dyn MigratableCollection>);
+        dir.register_collection(Arc::clone(&cold) as Arc<dyn MigratableCollection>);
         let mut cfg = ControllerConfig::responsive();
         cfg.online.split_abort_rate = 0.02;
         cfg.online.split_hot_share = 0.30;
@@ -727,7 +729,7 @@ mod tests {
             }
         }
         let dir = Arc::new(StaticDirectory::new());
-        map.attach_directory(&*dir);
+        dir.register_collection(Arc::clone(&map) as Arc<dyn MigratableCollection>);
         let mut cfg = ControllerConfig::responsive();
         cfg.online.split_abort_rate = 0.02;
         cfg.online.split_hot_share = 0.30;

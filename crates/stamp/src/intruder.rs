@@ -19,8 +19,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, PVar, PVarFields,
-    Partition, PartitionConfig, Stm, Tx, TxResult, TxWord,
+    Arena, Handle, Migratable, MigratableCollection, PVar, PVarFields, Partition, PartitionConfig,
+    Stm, Tx, TxResult, TxWord,
 };
 use partstm_structures::{THashMap, TQueue};
 
@@ -206,14 +206,16 @@ impl Intruder {
         &self.parts
     }
 
-    /// Registers the pipeline's arena-backed state (both queues, the
-    /// reassembly map and the flow arena) with a migration directory,
-    /// making every stage repartition-aware.
-    pub fn register_with(&self, dir: &dyn CollectionRegistry) {
-        self.packet_queue.attach_directory(dir);
-        self.fragment_map.attach_directory(dir);
-        self.decoded_queue.attach_directory(dir);
-        dir.register_collection(Arc::clone(&self.flow_arena) as Arc<dyn MigratableCollection>);
+    /// The pipeline's arena-backed state (both queues, the reassembly map
+    /// and the flow arena): registered with a migration directory, they
+    /// make every stage repartition-aware.
+    pub fn collections(&self) -> Vec<Arc<dyn MigratableCollection>> {
+        vec![
+            Arc::clone(&self.packet_queue) as _,
+            Arc::clone(&self.fragment_map) as _,
+            Arc::clone(&self.decoded_queue) as _,
+            Arc::clone(&self.flow_arena) as _,
+        ]
     }
 
     /// Decoder step: pop one packet index and integrate the fragment;
@@ -367,25 +369,19 @@ pub fn partition_plan() -> partstm_analysis::ProgramModel {
 mod tests {
     use super::*;
 
-    /// `register_with` hands both queues, the reassembly map and the flow
-    /// arena to the directory.
+    /// `collections` names both queues, the reassembly map and the flow
+    /// arena.
     #[test]
-    fn register_with_covers_every_stage() {
-        use std::cell::Cell;
-        struct Counting(Cell<usize>);
-        impl CollectionRegistry for Counting {
-            fn register_collection(&self, c: Arc<dyn MigratableCollection>) {
-                let _ = c.home_partition();
-                self.0.set(self.0.get() + 1);
-            }
-        }
+    fn collections_cover_every_stage() {
         let stm = Stm::new();
         let cfg = IntruderConfig::scaled(50);
         let (packets, _) = generate_stream(&cfg);
         let pipeline = Intruder::new(&stm, IntruderParts::partitioned(&stm, false), &packets);
-        let reg = Counting(Cell::new(0));
-        pipeline.register_with(&reg);
-        assert_eq!(reg.0.get(), 4, "packet queue, map, decoded queue, arena");
+        let colls = pipeline.collections();
+        for c in &colls {
+            let _ = c.home_partition();
+        }
+        assert_eq!(colls.len(), 4, "packet queue, map, decoded queue, arena");
     }
 
     #[test]

@@ -4,8 +4,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use partstm_core::{
-    Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, PVar, PVarFields,
-    Partition, PartitionConfig, Stm, Tx, TxResult,
+    Arena, Handle, Migratable, MigratableCollection, PVar, PVarFields, Partition, PartitionConfig,
+    Stm, Tx, TxResult,
 };
 use partstm_structures::TRbTree;
 
@@ -157,11 +157,6 @@ impl ItemTable {
         }
     }
 
-    fn register_with(&self, dir: &dyn CollectionRegistry) {
-        self.tree.attach_directory(dir);
-        dir.register_collection(Arc::clone(&self.arena) as Arc<dyn MigratableCollection>);
-    }
-
     fn lookup<'e>(&'e self, tx: &mut Tx<'e, '_>, id: u64) -> TxResult<Option<Handle<Reservation>>> {
         Ok(self.tree.get(tx, id)?.map(Handle::<Reservation>::from_word))
     }
@@ -214,15 +209,19 @@ impl Manager {
         &self.parts
     }
 
-    /// Registers every arena-backed relation (item trees + inventory
-    /// arenas, the customer tree and the reservation-info arena) with a
-    /// migration directory, making the whole database repartition-aware.
-    pub fn register_with(&self, dir: &dyn CollectionRegistry) {
-        self.cars.register_with(dir);
-        self.flights.register_with(dir);
-        self.rooms.register_with(dir);
-        self.customers.attach_directory(dir);
-        dir.register_collection(Arc::clone(&self.infos) as Arc<dyn MigratableCollection>);
+    /// Every arena-backed relation (item trees + inventory arenas, the
+    /// customer tree and the reservation-info arena): registered with a
+    /// migration directory, they make the whole database
+    /// repartition-aware.
+    pub fn collections(&self) -> Vec<Arc<dyn MigratableCollection>> {
+        let mut out: Vec<Arc<dyn MigratableCollection>> = Vec::new();
+        for t in [&self.cars, &self.flights, &self.rooms] {
+            out.push(Arc::clone(&t.tree) as _);
+            out.push(Arc::clone(&t.arena) as _);
+        }
+        out.push(Arc::clone(&self.customers) as _);
+        out.push(Arc::clone(&self.infos) as _);
+        out
     }
 
     fn table(&self, kind: ReservationKind) -> &ItemTable {
@@ -533,24 +532,18 @@ mod tests {
         (stm, m)
     }
 
-    /// `register_with` hands every arena-backed relation to the directory:
-    /// three item tables (tree + inventory arena each), the customer tree
-    /// and the reservation-info arena.
+    /// `collections` names every arena-backed relation: three item tables
+    /// (tree + inventory arena each), the customer tree and the
+    /// reservation-info arena.
     #[test]
-    fn register_with_covers_every_relation() {
-        use std::cell::Cell;
-        struct Counting(Cell<usize>);
-        impl CollectionRegistry for Counting {
-            fn register_collection(&self, c: Arc<dyn MigratableCollection>) {
-                // Every registered collection has a live home partition.
-                let _ = c.home_partition();
-                self.0.set(self.0.get() + 1);
-            }
-        }
+    fn collections_cover_every_relation() {
         let (_stm, m) = setup();
-        let reg = Counting(Cell::new(0));
-        m.register_with(&reg);
-        assert_eq!(reg.0.get(), 8, "3 x (tree + arena) + customers + infos");
+        let colls = m.collections();
+        for c in &colls {
+            // Every collection has a live home partition.
+            let _ = c.home_partition();
+        }
+        assert_eq!(colls.len(), 8, "3 x (tree + arena) + customers + infos");
     }
 
     #[test]

@@ -9,8 +9,7 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    CollectionRegistry, Migratable, MigratableCollection, MigrationSource, PVar, PVarBinding,
-    Partition, PartitionId, PrivateGuard, Tx, TxResult,
+    ArenaView, Migratable, MigratableCollection, PVar, Partition, PrivateGuard, Tx, TxResult,
 };
 
 /// A fixed array of accounts guarded by one partition. Every account is a
@@ -32,28 +31,10 @@ impl Bank {
         }
     }
 
-    /// Id of the partition currently guarding the accounts. Starts as the
-    /// construction partition and moves when the repartitioner migrates
-    /// the bank (an empty bank never migrates and reports its construction
-    /// partition).
-    pub fn partition_of(&self) -> PartitionId {
-        self.accounts
-            .first()
-            .map(|a| a.partition_id())
-            .unwrap_or_else(|| self.part.id())
-    }
-
     /// Direct access to one account variable (diagnostics and migration
     /// batches).
     pub fn account(&self, i: usize) -> &PVar<i64> {
         &self.accounts[i]
-    }
-
-    /// Registers this bank with a migration directory so the online
-    /// repartitioner can account its variables against profiler buckets
-    /// and migrate it live.
-    pub fn attach_directory(self: &Arc<Self>, dir: &dyn CollectionRegistry) {
-        dir.register_collection(Arc::clone(self) as Arc<dyn MigratableCollection>);
     }
 
     /// Number of accounts.
@@ -157,30 +138,23 @@ impl Bank {
     }
 }
 
-impl MigrationSource for Bank {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        for a in self.accounts.iter() {
-            f(a.binding());
-        }
-    }
-}
-
+/// A bank is a collection of roots only.
 impl MigratableCollection for Bank {
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        None
+    }
+
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        self.accounts.iter().for_each(|a| f(a));
+    }
+
+    /// The accounts' partition; an empty bank never migrates and reports
+    /// its construction partition.
     fn home_partition(&self) -> Arc<Partition> {
         self.accounts
             .first()
             .map(|a| a.partition())
             .unwrap_or_else(|| Arc::clone(&self.part))
-    }
-
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        for a in self.accounts.iter() {
-            f(Migratable::var_addr(a));
-        }
-    }
-
-    fn live_nodes(&self) -> usize {
-        self.accounts.len()
     }
 }
 

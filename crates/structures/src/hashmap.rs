@@ -9,9 +9,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
-    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, TearableCollection, Tx,
-    TxResult,
+    Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
+    Partition, PrivateGuard, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -62,21 +61,6 @@ impl THashMap {
             mask: (n - 1) as u64,
             part,
         }
-    }
-
-    /// Id of the partition currently guarding this map (its arena home).
-    /// Starts as the construction partition and moves when the
-    /// repartitioner migrates the map.
-    pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id()
-    }
-
-    /// Registers this map with a migration directory so the online
-    /// repartitioner can account its nodes against profiler buckets and
-    /// migrate it live — whole, or as hot slot subsets (the map is
-    /// [`TearableCollection`]).
-    pub fn attach_directory(self: &Arc<Self>, dir: &dyn CollectionRegistry) {
-        dir.register_tearable(Arc::clone(self) as Arc<dyn TearableCollection>);
     }
 
     /// The node arena backing this map: live-slot enumeration and
@@ -221,42 +205,13 @@ impl THashMap {
     }
 }
 
-impl MigrationSource for THashMap {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        MigrationSource::for_each_binding(&self.arena, f);
-        for b in self.buckets.iter() {
-            f(b.binding());
-        }
-    }
-}
-
 impl MigratableCollection for THashMap {
-    fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition()
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        Some(&self.arena)
     }
 
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        MigratableCollection::for_each_live_addr(&self.arena, f);
-        for b in self.buckets.iter() {
-            f(Migratable::var_addr(b));
-        }
-    }
-
-    fn live_nodes(&self) -> usize {
-        self.arena.live()
-    }
-}
-
-impl TearableCollection for THashMap {
-    // Bucket-head roots stay home on a tear: heat under key skew
-    // concentrates on node fields, and torn slots stay reachable through
-    // home-bound heads because every field routes through its own binding.
-    fn for_each_live_slot_addr(&self, f: &mut dyn FnMut(u32, usize)) {
-        TearableCollection::for_each_live_slot_addr(&self.arena, f);
-    }
-
-    fn for_each_slot_binding(&self, raw: &[u32], f: &mut dyn FnMut(&PVarBinding)) {
-        TearableCollection::for_each_slot_binding(&self.arena, raw, f);
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        self.buckets.iter().for_each(|b| f(b));
     }
 }
 
@@ -272,47 +227,15 @@ impl THashSet {
             map: THashMap::new(part, buckets),
         }
     }
-
-    /// Id of the partition currently guarding this set (see
-    /// [`THashMap::partition_of`]).
-    pub fn partition_of(&self) -> PartitionId {
-        self.map.partition_of()
-    }
-
-    /// Registers this set with a migration directory (see
-    /// [`THashMap::attach_directory`]).
-    pub fn attach_directory(self: &Arc<Self>, dir: &dyn CollectionRegistry) {
-        dir.register_tearable(Arc::clone(self) as Arc<dyn TearableCollection>);
-    }
-}
-
-impl MigrationSource for THashSet {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        self.map.for_each_binding(f);
-    }
 }
 
 impl MigratableCollection for THashSet {
-    fn home_partition(&self) -> Arc<Partition> {
-        self.map.home_partition()
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        self.map.node_arena()
     }
 
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        self.map.for_each_live_addr(f);
-    }
-
-    fn live_nodes(&self) -> usize {
-        self.map.live_nodes()
-    }
-}
-
-impl TearableCollection for THashSet {
-    fn for_each_live_slot_addr(&self, f: &mut dyn FnMut(u32, usize)) {
-        self.map.for_each_live_slot_addr(f);
-    }
-
-    fn for_each_slot_binding(&self, raw: &[u32], f: &mut dyn FnMut(&PVarBinding)) {
-        self.map.for_each_slot_binding(raw, f);
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        self.map.for_each_root(f);
     }
 }
 

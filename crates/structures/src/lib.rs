@@ -12,6 +12,14 @@
 //! and, at plain-memory speed, under a privatization hold
 //! (`tree.put(&mut guard.access(), k, v)`).
 //!
+//! Every structure is also movable: it implements
+//! [`MigratableCollection`](partstm_core::MigratableCollection) by naming
+//! its node arena and its roots, and the trait provides the rest — the
+//! migration walk, `partition_of`, the profiler-bucket accounting and the
+//! tear walk over hot slots. Register one with the online repartitioner's
+//! directory (`StaticDirectory::register_collection` in
+//! `partstm-repart`) and it can be split off whole or torn by key.
+//!
 //! ```
 //! use partstm_core::{PartitionConfig, Stm};
 //! use partstm_structures::{IntSet, TRbTree};

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
-    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
+    Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
+    Partition, PrivateGuard, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -60,20 +60,6 @@ impl TLinkedList {
             head: part.tvar(None),
             part,
         }
-    }
-
-    /// Id of the partition currently guarding this list (its arena home).
-    /// Starts as the construction partition and moves when the
-    /// repartitioner migrates the list.
-    pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id()
-    }
-
-    /// Registers this list with a migration directory so the online
-    /// repartitioner can account its nodes against profiler buckets and
-    /// migrate it live.
-    pub fn attach_directory(self: &Arc<Self>, dir: &dyn CollectionRegistry) {
-        dir.register_collection(Arc::clone(self) as Arc<dyn MigratableCollection>);
     }
 
     /// Walks to the first node with `node.key >= key`; returns
@@ -127,27 +113,13 @@ impl TLinkedList {
     }
 }
 
-impl MigrationSource for TLinkedList {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        // Arena first (home binding before slots — see the protocol docs),
-        // then the structure's roots.
-        MigrationSource::for_each_binding(&self.arena, f);
-        f(self.head.binding());
-    }
-}
-
 impl MigratableCollection for TLinkedList {
-    fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition()
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        Some(&self.arena)
     }
 
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        MigratableCollection::for_each_live_addr(&self.arena, f);
-        f(Migratable::var_addr(&self.head));
-    }
-
-    fn live_nodes(&self) -> usize {
-        self.arena.live()
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        f(&self.head);
     }
 }
 

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
-    PVar, PVarBinding, PVarFields, Partition, PartitionId, Tx, TxResult, TxWord,
+    Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
+    Partition, Tx, TxResult, TxWord,
 };
 
 /// Queue node: one value word plus the next link, bound to the queue's
@@ -59,23 +59,6 @@ impl<T: TxWord> TQueue<T> {
             part,
             _m: core::marker::PhantomData,
         }
-    }
-
-    /// Id of the partition currently guarding this queue (its arena home).
-    /// Starts as the construction partition and moves when the
-    /// repartitioner migrates the queue.
-    pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id()
-    }
-
-    /// Registers this queue with a migration directory so the online
-    /// repartitioner can account its nodes against profiler buckets and
-    /// migrate it live.
-    pub fn attach_directory(self: &Arc<Self>, dir: &dyn CollectionRegistry)
-    where
-        T: Send + Sync + 'static,
-    {
-        dir.register_collection(Arc::clone(self) as Arc<dyn MigratableCollection>);
     }
 
     /// Appends a value at the tail.
@@ -139,29 +122,15 @@ impl<T: TxWord> TQueue<T> {
     }
 }
 
-impl<T: TxWord + Send + Sync> MigrationSource for TQueue<T> {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        MigrationSource::for_each_binding(&self.arena, f);
-        f(self.head.binding());
-        f(self.tail.binding());
-        f(self.len.binding());
-    }
-}
-
 impl<T: TxWord + Send + Sync> MigratableCollection for TQueue<T> {
-    fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition()
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        Some(&self.arena)
     }
 
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        MigratableCollection::for_each_live_addr(&self.arena, f);
-        f(Migratable::var_addr(&self.head));
-        f(Migratable::var_addr(&self.tail));
-        f(Migratable::var_addr(&self.len));
-    }
-
-    fn live_nodes(&self) -> usize {
-        self.arena.live()
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        f(&self.head);
+        f(&self.tail);
+        f(&self.len);
     }
 }
 

@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
-    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
+    Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
+    Partition, PrivateGuard, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -90,20 +90,6 @@ impl TRbTree {
             root: part.tvar(None),
             part,
         }
-    }
-
-    /// Id of the partition currently guarding this tree (its arena home).
-    /// Starts as the construction partition and moves when the
-    /// repartitioner migrates the tree.
-    pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id()
-    }
-
-    /// Registers this tree with a migration directory so the online
-    /// repartitioner can account its nodes against profiler buckets and
-    /// migrate it live.
-    pub fn attach_directory(self: &Arc<Self>, dir: &dyn CollectionRegistry) {
-        dir.register_collection(Arc::clone(self) as Arc<dyn MigratableCollection>);
     }
 
     field!(left, set_left, left, H);
@@ -500,36 +486,19 @@ impl TRbTree {
         walk(self, root, None, None, None)
     }
 
-    /// Number of live nodes (quiescent only).
-    pub fn live_nodes(&self) -> usize {
-        self.arena.live()
-    }
-
     /// The partition guarding this tree.
     pub fn partition(&self) -> &Arc<Partition> {
         &self.part
     }
 }
 
-impl MigrationSource for TRbTree {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        MigrationSource::for_each_binding(&self.arena, f);
-        f(self.root.binding());
-    }
-}
-
 impl MigratableCollection for TRbTree {
-    fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition()
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        Some(&self.arena)
     }
 
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        MigratableCollection::for_each_live_addr(&self.arena, f);
-        f(Migratable::var_addr(&self.root));
-    }
-
-    fn live_nodes(&self) -> usize {
-        self.arena.live()
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        f(&self.root);
     }
 }
 

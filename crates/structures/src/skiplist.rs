@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    Access, Arena, CollectionRegistry, Handle, Migratable, MigratableCollection, MigrationSource,
-    PVar, PVarBinding, PVarFields, Partition, PartitionId, PrivateGuard, Tx, TxResult,
+    Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
+    Partition, PrivateGuard, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -79,20 +79,6 @@ impl TSkipList {
             heads: core::array::from_fn(|_| part.tvar(None)),
             part,
         }
-    }
-
-    /// Id of the partition currently guarding this skip list (its arena
-    /// home). Starts as the construction partition and moves when the
-    /// repartitioner migrates the list.
-    pub fn partition_of(&self) -> PartitionId {
-        self.arena.partition_id()
-    }
-
-    /// Registers this skip list with a migration directory so the online
-    /// repartitioner can account its nodes against profiler buckets and
-    /// migrate it live.
-    pub fn attach_directory(self: &Arc<Self>, dir: &dyn CollectionRegistry) {
-        dir.register_collection(Arc::clone(self) as Arc<dyn MigratableCollection>);
     }
 
     /// Forward link at `lvl` from `from` (None = the head tower).
@@ -173,29 +159,13 @@ impl TSkipList {
     }
 }
 
-impl MigrationSource for TSkipList {
-    fn for_each_binding(&self, f: &mut dyn FnMut(&PVarBinding)) {
-        MigrationSource::for_each_binding(&self.arena, f);
-        for h in &self.heads {
-            f(h.binding());
-        }
-    }
-}
-
 impl MigratableCollection for TSkipList {
-    fn home_partition(&self) -> Arc<Partition> {
-        self.arena.partition()
+    fn node_arena(&self) -> Option<&dyn ArenaView> {
+        Some(&self.arena)
     }
 
-    fn for_each_live_addr(&self, f: &mut dyn FnMut(usize)) {
-        MigratableCollection::for_each_live_addr(&self.arena, f);
-        for h in &self.heads {
-            f(Migratable::var_addr(h));
-        }
-    }
-
-    fn live_nodes(&self) -> usize {
-        self.arena.live()
+    fn for_each_root(&self, f: &mut dyn FnMut(&dyn Migratable)) {
+        self.heads.iter().for_each(|h| f(h));
     }
 }
 

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partstm::core::{PartitionConfig, Stm};
+use partstm::core::{MigratableCollection, PartitionConfig, Stm};
 use partstm::repart::{ControllerConfig, RepartEvent, RepartitionController, StaticDirectory};
 use partstm::structures::THashMap;
 
@@ -34,7 +34,7 @@ fn repeated_zipf_flips_tear_and_heal_idempotently() {
         }
     }
     let dir = Arc::new(StaticDirectory::new());
-    map.attach_directory(&*dir);
+    dir.register_collection(Arc::clone(&map) as Arc<dyn MigratableCollection>);
     let mut cfg = ControllerConfig::responsive();
     cfg.online.split_abort_rate = 0.02;
     cfg.online.split_hot_share = 0.30;

@@ -11,10 +11,6 @@ use std::time::{Duration, Instant};
 
 use partstm::core::{Abort, Migratable, PVar, PartitionConfig, Stm, SwitchOutcome};
 
-#[path = "common/vars.rs"]
-mod vars;
-use vars::Vars;
-
 const ACCOUNTS: usize = 16;
 const INITIAL: i64 = 100;
 const CYCLES: usize = 500;
@@ -69,7 +65,7 @@ fn merge_and_resplit_storm_frees_partitions_under_load() {
 
         let dyn_accounts: Vec<&dyn Migratable> =
             accounts.iter().map(|a| a as &dyn Migratable).collect();
-        let src = Vars(&dyn_accounts);
+        let src = &dyn_accounts[..];
         let deadline = Instant::now() + Duration::from_secs(120);
         let retry = |call: &dyn Fn() -> SwitchOutcome| {
             while call() != SwitchOutcome::Switched {
@@ -80,11 +76,11 @@ fn merge_and_resplit_storm_frees_partitions_under_load() {
         for cycle in 0..CYCLES {
             // Merge the cycle partition away (only the bindings own it)…
             let cycling = accounts[0].partition();
-            retry(&|| stm.migrate(&src, &home, &[&cycling]));
+            retry(&|| stm.migrate(src, &home, &[&cycling]));
             drop(cycling);
             // …and split the variables back out into a fresh one.
             let fresh = stm.new_partition(PartitionConfig::named("cycle"));
-            retry(&|| stm.migrate(&src, &fresh, &[&home]));
+            retry(&|| stm.migrate(src, &fresh, &[&home]));
             drop(fresh);
             // Let the workers touch the new partition before it dies.
             let seen = work.load(Ordering::Relaxed);

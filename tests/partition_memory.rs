@@ -13,10 +13,6 @@ use partstm::core::{
     Arena, Handle, Migratable, PVar, Partition, PartitionConfig, Stm, SwitchOutcome,
 };
 
-#[path = "common/vars.rs"]
-mod vars;
-use vars::Vars;
-
 /// Counts live heap bytes, then defers to the system allocator.
 struct Counting;
 
@@ -79,14 +75,14 @@ fn dissolved_partitions_free_their_memory() {
     let _b = bystander.tvar(0u64);
     let vars: Vec<PVar<u64>> = (0..64).map(|i| home.tvar(i)).collect();
     let dyn_vars: Vec<&dyn Migratable> = vars.iter().map(|v| v as &dyn Migratable).collect();
-    let src = Vars(&dyn_vars);
+    let src = &dyn_vars[..];
 
     // Split the 64 variables out into a fresh default partition, merge
     // them back home, drop the handle.
     let split_merge = || {
         let hot = stm.new_partition(PartitionConfig::default());
-        assert_eq!(stm.migrate(&src, &hot, &[&home]), SwitchOutcome::Switched);
-        assert_eq!(stm.migrate(&src, &home, &[&hot]), SwitchOutcome::Switched);
+        assert_eq!(stm.migrate(src, &hot, &[&home]), SwitchOutcome::Switched);
+        assert_eq!(stm.migrate(src, &home, &[&hot]), SwitchOutcome::Switched);
     };
     let mut at_500 = 0;
     for cycle in 1..=2_000 {

@@ -12,10 +12,6 @@ use proptest::prelude::*;
 
 use partstm::core::{Migratable, PVar, PartitionConfig, Stm, SwitchOutcome};
 
-#[path = "common/vars.rs"]
-mod vars;
-use vars::Vars;
-
 const ACCOUNTS: usize = 16;
 const INITIAL: i64 = 1_000;
 const EXPECT: i64 = ACCOUNTS as i64 * INITIAL;
@@ -244,8 +240,8 @@ fn snapshot_reads_span_partitions_across_split_and_migrate_storms() {
                     let all: Vec<&dyn Migratable> =
                         accounts.iter().map(|a| &**a as &dyn Migratable).collect();
                     let side = stm2.new_partition(PartitionConfig::named("side").ring(2));
-                    let o1 = stm2.migrate(&Vars(&evens), &side, &[&home]);
-                    let o2 = stm2.migrate(&Vars(&all), &home, &[&side]);
+                    let o1 = stm2.migrate(&evens[..], &side, &[&home]);
+                    let o2 = stm2.migrate(&all[..], &home, &[&side]);
                     if o1 == SwitchOutcome::Switched && o2 == SwitchOutcome::Switched {
                         storms.fetch_add(1, Ordering::Relaxed);
                     }
