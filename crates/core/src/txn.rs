@@ -156,7 +156,7 @@
 //! | first touch | binding load ×2, config-word load | `SeqCst` loads | the handshake's load side; binding recheck is ordered against the flag | 0 |
 //! | first touch | table / mask / ring / depth loads | acquire | see the installed table's contents | 0 |
 //! | first touch | `Arc<Partition>` strong count | — (gone) | views borrow | 1 → 0 |
-//! | read ×2 | `kill` poll; orec `l1`, cell, orec `l2` | `SeqCst` load; acquire ×3 | seqlock sandwich pairs with the writer's release unlock | 0 |
+//! | read ×2 | `kill` poll; orec `l1`, cell, orec `l2` | `SeqCst` load; acquire ×3 | seqlock sandwich pairs with the writer's release unlock; the inlined fast path performs these same loads (below) | 0 |
 //! | write ×2 | `kill` poll, orec lock load | `SeqCst` loads | — | 0 |
 //! | write ×2 | orec CAS | `SeqCst` RMW | lock acquisition; `SeqCst` because lock-then-check-readers races set-bit-then-check-lock | 2 → 2 |
 //! | write ×2 | hint store; reader-bitmap load; fault switch | relaxed; `SeqCst` load; relaxed | telemetry; arbitration's load side; on/off switch | 0 |
@@ -182,6 +182,49 @@
 //! loads between an acquire load and an acquire fence + re-load of the
 //! orec's `ring_epoch` (plus the overflow mutex when that list is
 //! non-empty) — no locked instruction on the lock-free part.
+//!
+//! ## The read fast path
+//!
+//! [`Tx::read`] is inlined into every access site, and so is the common
+//! case of both of its steps; only the rest is out of line.
+//!
+//! * **View.** The most recently used view is checked inline: one
+//!   binding load compared with its partition pointer, exactly the first
+//!   test of `view_of_binding`, so a hit needs no binding recheck for the
+//!   same reason a cached hit there does. A miss calls `view_of_binding`.
+//! * **Read.** `read_fast` runs when all four entry conditions hold:
+//!   1. the write set is empty, so there is no buffered value to return;
+//!   2. the attempt is not profiler-sampled, so no bucket is to be
+//!      recorded;
+//!   3. the slot's kill word does not name this attempt;
+//!   4. the view's read mode is `Invisible`.
+//!
+//!   It loads `l1`, then (if `l1` is unlocked) the cell, then `l2`, and
+//!   serves the cell's value when all three serve conditions hold:
+//!   1. `l1` is unlocked;
+//!   2. `l1 == l2`;
+//!   3. `version_of(l1) <= rv`.
+//!
+//!   Serving, it does what the full path does on that outcome: the view's
+//!   `reads += 1` and the same `ReadEntry` push. Every other outcome
+//!   changes nothing and calls `read_at`, which re-checks from scratch:
+//!   read-own-write, sampling, killed, visible, locked (own or foreign),
+//!   torn sandwich, and newer than `rv` (extend).
+//!
+//! **Why it is the same read.** When the entry conditions hold, `read_at`
+//! polls the kill word, finds nothing in the write set without loading
+//! anything shared, and calls `read_invisible`, whose first iteration is:
+//! `l1` (acquire); if unlocked, the cell (acquire) and `l2` (acquire);
+//! return the value if `l1 == l2` and `version_of(l1) <= rv`. The fast
+//! path performs exactly these loads, in this order, with these
+//! orderings, plus the same `SeqCst` kill poll, read through a pointer to
+//! the slot's kill word cached when `run` starts instead of through the
+//! slot table. On the serve outcome it returns the same value and leaves
+//! the same read set and counters; on any other outcome the loads it made
+//! are discarded and the full path starts over, as `read_invisible` does
+//! when it loops. So the fast path adds no protocol state and no
+//! interleaving, and the "read ×2" row of the budget above stays at 0
+//! locked instructions.
 //!
 //! ## Aliasing telemetry
 //!
@@ -507,6 +550,10 @@ pub struct Tx<'e, 's> {
     stm: &'s StmInner,
     slot: usize,
     s: &'s mut TxScratch,
+    /// This slot's kill word (`stm.slots[slot].kill`), resolved once per
+    /// `run` for the read fast path; every other poll goes through
+    /// `killed`.
+    kill: *const AtomicU64,
     /// Invariant in `'e`: references passed to transactional operations
     /// must outlive the whole `run` call.
     _env: PhantomData<fn(&'e ()) -> &'e ()>,
@@ -747,10 +794,64 @@ impl<'e, 's> Tx<'e, 's> {
     /// The partition is the one the variable is bound to
     /// ([`Partition::tvar`], possibly moved since by the repartitioner);
     /// no partition is named at the access site.
-    #[inline]
+    #[inline(always)]
     pub fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
-        let ti = self.view_of_binding(&var.binding)?;
-        self.read_at(ti, &var.cell)
+        // The MRU hit of `view_of_binding`, inline: same test, same proof;
+        // the binding is loaded only when there is an MRU view to test.
+        let li = self.s.last_view as usize;
+        let ti = if li < self.s.views.len()
+            && core::ptr::eq(self.s.views[li].part, var.binding.load())
+        {
+            li as u16
+        } else {
+            self.view_of_binding(&var.binding)?
+        };
+        match self.read_fast(ti, &var.cell) {
+            Some(w) => Ok(T::from_word(w)),
+            None => self.read_at(ti, &var.cell),
+        }
+    }
+
+    /// The read fast path (module docs, "The read fast path"): the first
+    /// iteration of `read_invisible`, taken when the attempt has no write
+    /// set to probe, is not sampled and is not killed, and the view reads
+    /// invisibly. `None` leaves everything untouched and hands the read to
+    /// `read_at`.
+    #[inline(always)]
+    fn read_fast(&mut self, ti: u16, cell: &'e AtomicU64) -> Option<u64> {
+        // SAFETY: `kill` points into `self.stm.slots`, borrowed for `'s`.
+        let kill = unsafe { &*self.kill };
+        if self.s.sampling
+            || !self.s.write_set.is_empty()
+            || kill.load(Ordering::SeqCst) == self.s.serial
+        {
+            return None;
+        }
+        let s = &mut *self.s;
+        let v = &mut s.views[ti as usize];
+        if v.cfg.read_mode != ReadMode::Invisible {
+            return None;
+        }
+        let addr = cell as *const AtomicU64 as usize;
+        // SAFETY: as in `read_at`.
+        let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.cfg.granularity)) };
+        // SAFETY: as in `read_invisible`.
+        let orec_ref = unsafe { &*orec };
+        let l1 = orec_ref.load_lock();
+        if is_locked(l1) {
+            return None;
+        }
+        let val = cell.load(Ordering::Acquire);
+        if orec_ref.load_lock() != l1 || version_of(l1) > s.rv {
+            return None;
+        }
+        v.stats.reads += 1;
+        s.read_set.push(ReadEntry {
+            orec,
+            seen: l1,
+            addr,
+        });
+        Some(val)
     }
 
     /// Transactional write (buffered until commit) of a partition-bound
@@ -1667,6 +1768,7 @@ impl ThreadCtx {
             stm: &self.stm.inner,
             slot: self.slot,
             s: &mut scratch,
+            kill: &self.stm.inner.slots[self.slot].kill,
             _env: PhantomData,
         };
         loop {
@@ -2235,5 +2337,184 @@ mod tests {
         });
         assert_eq!(x.load_direct(), 4 * iters);
         assert!(p.generation() > 0, "switches must have happened");
+    }
+}
+
+/// One deterministic, single-thread test per exit of the read fast path
+/// (module docs, "The read fast path"): each sets up exactly one reason
+/// to fall back and checks that the full path still does its job.
+#[cfg(test)]
+mod read_path {
+    use super::*;
+    use crate::config::PartitionConfig;
+    use crate::stm::Stm;
+
+    fn addr_of(x: &PVar<u64>) -> usize {
+        &x.cell as *const AtomicU64 as usize
+    }
+
+    #[test]
+    fn fast_reads_record_every_entry() {
+        const N: usize = 48;
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let vars: Vec<PVar<u64>> = (0..N as u64).map(|v| p.tvar(v)).collect();
+        let ctx = stm.register_thread();
+        let (sum, in_set) = ctx.run(|tx| {
+            let mut sum = 0;
+            for v in &vars {
+                sum += tx.read(v)?;
+            }
+            let (valid, len, _) = tx.debug_validate();
+            assert!(valid);
+            Ok((sum, len))
+        });
+        assert_eq!(sum, (0..N as u64).sum::<u64>());
+        assert_eq!(in_set, N);
+        let s = p.stats();
+        assert_eq!(s.reads, N as u64);
+        assert_eq!((s.commits, s.ro_commits), (1, 1));
+    }
+
+    #[test]
+    fn read_own_write_returns_the_buffered_value() {
+        // Under commit-time acquisition nothing is locked before commit,
+        // so only the write-set check keeps the committed value out.
+        for acquire in [AcquireMode::Commit, AcquireMode::Encounter] {
+            let stm = Stm::new();
+            let p = stm.new_partition(PartitionConfig::default().acquire(acquire));
+            let (x, y) = (p.tvar(1u64), p.tvar(2u64));
+            let ctx = stm.register_thread();
+            let seen = ctx.run(|tx| {
+                tx.write(&x, 10)?;
+                let own = tx.read(&x)?;
+                let other = tx.read(&y)?;
+                Ok((own, other, tx.debug_validate().1))
+            });
+            // The buffered value is served from the write set, which
+            // records no read entry; `y` takes the full path's invisible
+            // read.
+            assert_eq!(seen, (10, 2, 1), "{acquire:?}");
+            assert_eq!(x.load_direct(), 10);
+            assert_eq!(p.stats().reads, 2);
+        }
+    }
+
+    #[test]
+    fn sampled_attempt_records_each_read_bucket() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let vars: Vec<PVar<u64>> = (0..6).map(|v| p.tvar(v)).collect();
+        let prof = Arc::new(crate::AccessProfiler::new(1, 16));
+        stm.set_profiler(Arc::clone(&prof));
+        let ctx = stm.register_thread();
+        ctx.run(|tx| {
+            for v in &vars {
+                tx.read(v)?;
+            }
+            tx.read(&vars[0])?;
+            Ok(())
+        });
+        let mut want = std::collections::BTreeMap::new();
+        for v in vars.iter().chain(&vars[..1]) {
+            *want.entry(profiler::bucket_of(addr_of(v))).or_insert(0u32) += 1;
+        }
+        let samples = prof.drain();
+        assert_eq!(samples.len(), 1);
+        let touch = &samples[0].touched[0];
+        assert_eq!((touch.partition, touch.reads, touch.writes), (p.id(), 7, 0));
+        let got: std::collections::BTreeMap<u16, u32> =
+            touch.buckets.iter().map(|b| (b.bucket, b.reads)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn visible_read_sets_and_clears_the_reader_bit() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default().read_mode(ReadMode::Visible));
+        let x = p.tvar(7u64);
+        let g = p.current_config().granularity;
+        let ctx = stm.register_thread();
+        let (v, bit_set, entries) = ctx.run(|tx| {
+            let v = tx.read(&x)?;
+            let bits = p.orec_for(addr_of(&x), g).readers_except(0);
+            Ok((v, bits & reader_bit(tx.slot) != 0, tx.debug_validate().1))
+        });
+        assert_eq!(v, 7);
+        assert!(bit_set, "a visible read announces itself");
+        assert_eq!(entries, 0, "a visible read records no read entry");
+        assert_eq!(p.orec_for(addr_of(&x), g).readers_except(0), 0);
+        assert_eq!(p.stats().reads, 1);
+    }
+
+    #[test]
+    fn orec_locked_by_another_slot_aborts_wlock() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let x = p.tvar(1u64);
+        let (holder, reader) = (stm.register_thread(), stm.register_thread());
+        holder.run(|h| {
+            // An encounter-time lock on `x`, held while the reader runs.
+            h.write(&x, 9)?;
+            let got = reader.run(|tx| {
+                if tx.attempts() >= 1 {
+                    return Ok(None);
+                }
+                tx.read(&x).map(Some)
+            });
+            assert_eq!(got, None, "the first attempt must abort");
+            Ok(())
+        });
+        let s = p.stats();
+        assert_eq!(s.aborts_wlock, 1);
+        assert_eq!(s.conflicts_true, 1);
+        assert_eq!(x.load_direct(), 9);
+    }
+
+    #[test]
+    fn orec_newer_than_rv_extends_and_serves_the_new_value() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let (x, y) = (p.tvar(1u64), p.tvar(2u64));
+        let (ctx, pump) = (stm.register_thread(), stm.register_thread());
+        let mut runs = 0;
+        let seen = ctx.run(|tx| {
+            runs += 1;
+            let a = tx.read(&x)?;
+            let rv = tx.read_version();
+            pump.run(|q| q.write(&y, 42));
+            let b = tx.read(&y)?;
+            assert!(tx.read_version() > rv, "the snapshot was extended");
+            Ok((a, b))
+        });
+        assert_eq!((seen, runs), ((1, 42), 1));
+        let s = p.stats();
+        assert_eq!(s.extensions, 1);
+        assert_eq!(s.aborts_validation, 0);
+    }
+
+    #[test]
+    fn killed_attempt_aborts_killed() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let x = p.tvar(3u64);
+        let ctx = stm.register_thread();
+        let v = ctx.run(|tx| {
+            if tx.attempts() >= 1 {
+                return tx.read(&x);
+            }
+            // A kill request naming this attempt, as a writer's
+            // arbitration or the quiesce rescue would store it.
+            tx.stm.slots[tx.slot]
+                .kill
+                .store(tx.s.serial, Ordering::SeqCst);
+            let r = tx.read(&x);
+            assert!(r.is_err(), "a killed attempt serves no read");
+            r
+        });
+        assert_eq!(v, 3);
+        let s = p.stats();
+        assert_eq!(s.aborts_killed, 1);
+        assert_eq!(s.reads, 1, "only the second attempt's read counts");
     }
 }

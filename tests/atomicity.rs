@@ -61,6 +61,76 @@ fn bank_conservation_under_all_configurations() {
     }
 }
 
+/// Opacity of read-only audits under every granularity and read mode:
+/// two transfer threads move money while an auditor sums the whole bank
+/// in a read-only `run`. Every audit must see the conserved total, inside
+/// every attempt that reaches the end of its sum and in the committed
+/// result, not only once the transfers are over.
+#[test]
+fn read_only_audits_see_the_conserved_total_under_all_configurations() {
+    const ACCOUNTS: usize = 16;
+    const TOTAL: i64 = ACCOUNTS as i64 * 100;
+    for read_mode in [ReadMode::Invisible, ReadMode::Visible] {
+        for granularity in [
+            Granularity::Word,
+            Granularity::Stripe { shift: 6 },
+            Granularity::PartitionLock,
+        ] {
+            let stm = Stm::new();
+            let cfg = PartitionConfig::named("bank")
+                .read_mode(read_mode)
+                .granularity(granularity);
+            let bank = Bank::new(stm.new_partition(cfg), ACCOUNTS, 100);
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                for t in 0..2u64 {
+                    let ctx = stm.register_thread();
+                    let (bank, stop) = (&bank, &stop);
+                    s.spawn(move || {
+                        let mut r = (t + 1).wrapping_mul(0x9E37_79B9);
+                        while !stop.load(Ordering::Relaxed) {
+                            r ^= r << 13;
+                            r ^= r >> 7;
+                            r ^= r << 17;
+                            let (from, to) = (r as usize % ACCOUNTS, (r >> 8) as usize % ACCOUNTS);
+                            ctx.run(|tx| bank.transfer(tx, from, to, (r % 40) as i64));
+                        }
+                    });
+                }
+                // Stops the transfers when the audits end, and also when an
+                // audit panics, so a failure fails the test instead of
+                // hanging it.
+                struct StopOnDrop<'a>(&'a AtomicBool);
+                impl Drop for StopOnDrop<'_> {
+                    fn drop(&mut self) {
+                        self.0.store(true, Ordering::Relaxed);
+                    }
+                }
+                let _stop = StopOnDrop(&stop);
+                let ctx = stm.register_thread();
+                for audit in 0..400 {
+                    let seen = ctx.run(|tx| {
+                        let total = bank.total(tx)?;
+                        assert_eq!(
+                            total,
+                            TOTAL,
+                            "audit {audit} attempt {} saw a torn bank under \
+                             {read_mode:?}/{granularity:?}",
+                            tx.attempts()
+                        );
+                        Ok(total)
+                    });
+                    assert_eq!(
+                        seen, TOTAL,
+                        "audit {audit} under {read_mode:?}/{granularity:?}"
+                    );
+                }
+            });
+            assert_eq!(bank.total_direct(), TOTAL);
+        }
+    }
+}
+
 /// Reader-wins arbitration also preserves atomicity.
 #[test]
 fn bank_conservation_reader_wins() {
