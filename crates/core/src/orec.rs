@@ -145,6 +145,27 @@ impl Orec {
         self.lock.load(Ordering::Acquire)
     }
 
+    /// The seqlock read of one word this orec covers, as both read fast
+    /// paths take it: `l1`, then (only when `l1` is unlocked) the cell,
+    /// then `l2`, all acquire — the first iteration of the full paths'
+    /// loops (`Tx::read_invisible`, `ReadTx::read_word`), with the same
+    /// loads in the same order. Returns `(l1, value)` when `l1` is
+    /// unlocked, `l1 == l2` and `version_of(l1) <= *bound`; `None` on any
+    /// other outcome, which the caller hands to its full path. `bound` is
+    /// read last, after `l2`, as the full paths read it.
+    #[inline(always)]
+    pub(crate) fn sandwich(&self, cell: &AtomicU64, bound: &u64) -> Option<(u64, u64)> {
+        let l1 = self.load_lock();
+        if is_locked(l1) {
+            return None;
+        }
+        let val = cell.load(Ordering::Acquire);
+        if self.load_lock() != l1 || version_of(l1) > *bound {
+            return None;
+        }
+        Some((l1, val))
+    }
+
     /// Reader bitmap excluding `my_bit`. SeqCst: the visible-read protocol
     /// is a store-buffering pattern (reader: set bit then check lock;
     /// writer: take lock then check bits) and needs a total order so at

@@ -207,6 +207,51 @@
 //! on the flag like any attempt (counted as `snapshot_restarts` plus
 //! `privatized_collisions`); there is no third case.
 //!
+//! # The read fast path
+//!
+//! [`ReadTx::read`] is inlined into every access site, and so is the
+//! common case of both of its steps; only the rest is out of line.
+//!
+//! * **View.** The most recently used view (`last_view`, reset at begin)
+//!   is tested inline: one `SeqCst` binding load compared with the view's
+//!   partition pointer. A miss calls `view_of_binding`, which finds an
+//!   existing view by pointer or creates one; only creation rechecks the
+//!   binding.
+//! * **Read.** With the view resolved, the fast path loads `l1`, then (if
+//!   `l1` is unlocked) the cell, then `l2`, all acquire
+//!   (`Orec::sandwich`, the one statement of this check that the
+//!   engine's `Tx::read` shares), and serves the cell's value when all
+//!   three serve conditions hold:
+//!   1. `l1` is unlocked;
+//!   2. `l1 == l2`;
+//!   3. `version_of(l1) <= T`.
+//!
+//!   Serving, it does what the full path does on that outcome: the view's
+//!   `reads += 1`. Every other outcome changes nothing and calls
+//!   `read_word`, which starts over from scratch: locked (history, else
+//!   wait), torn sandwich (retry), moved past `T` (history, else the
+//!   cell).
+//!
+//! **Why it is the same read.** `read_word`'s first iteration is exactly
+//! these loads, in this order, with these orderings, and on the serve
+//! outcome it returns the same value and bumps the same counter. On any
+//! other outcome the fast path's loads are discarded and `read_word` runs
+//! its loop from the top, as it does itself after a torn sandwich. The
+//! snapshot read has no read set, no kill poll and no sampling, so there
+//! are no entry conditions beyond the view. The fast path adds no
+//! protocol state and no interleaving.
+//!
+//! **Why a view hit needs no recheck.** A view exists only if this
+//! attempt created it with the partition's switching flag observed clear
+//! and, at creation, re-loaded the binding and saw the same pointer. A
+//! migration that moves a variable into or out of that partition flags
+//! it and then waits for this attempt to quiesce before it rebinds, so
+//! while the attempt runs no binding can change to or from that pointer:
+//! a fresh binding load equal to the view's partition proves the binding
+//! current, as a cached view hit does in `Tx::view_of_binding`. The same
+//! holds for a view found by `view_of_binding`'s search, so only a new
+//! view pays the second load.
+//!
 //! # Cost model
 //!
 //! Writers pay, per written word and only after the point of no return,
@@ -215,12 +260,15 @@
 //! one ring line (a slot is 32 B, aligned, so it never straddles two) —
 //! no atomic read-modify-write, no `SeqCst` store, and nothing that
 //! depends on `ring_depth`. Readers pay two clock loads and two slot
-//! stores per transaction, and per read the same sandwich as the regular
-//! path; the ring is scanned (relaxed loads inside the epoch bracket) only
-//! when an orec moved past `T`. Memory is `orec_count × ring_depth × 32`
-//! bytes per partition, bounded; the overflow list is pruned against the
-//! floor at a doubling watermark, so it is proportional to records
-//! actually protected by a live pin.
+//! stores per transaction. Per read, on the fast path, they pay one
+//! binding load and the same three acquire loads as the engine's
+//! invisible read, inline, with no call, no view search, no second
+//! binding load and no read-set record — so a snapshot read costs less
+//! than a transactional one. The ring is scanned (relaxed loads inside
+//! the epoch bracket) only when an orec moved past `T`. Memory is
+//! `orec_count × ring_depth × 32` bytes per partition, bounded; the
+//! overflow list is pruned against the floor at a doubling watermark, so
+//! it is proportional to records actually protected by a live pin.
 
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -229,7 +277,7 @@ use crate::config::{self, Granularity};
 use crate::error::{Abort, TxResult};
 use crate::orec::{is_locked, version_of, Orec, RingSlot};
 use crate::partition::{orec_index, Partition};
-use crate::pvar::PVar;
+use crate::pvar::{PVar, PVarBinding};
 use crate::stm::{StmInner, ThreadCtx};
 use crate::word::TxWord;
 
@@ -294,6 +342,9 @@ pub struct ReadTx<'e, 's> {
     stm: &'s StmInner,
     slot: usize,
     views: &'s mut Vec<RoView>,
+    /// Index of the most recently used view (the read fast path's MRU
+    /// test); `u32::MAX` when no view has been touched this attempt.
+    last_view: u32,
     /// The pinned snapshot timestamp.
     t: u64,
     in_attempt: bool,
@@ -322,6 +373,7 @@ impl<'e, 's> ReadTx<'e, 's> {
         slot.ro_snap.store(p, Ordering::SeqCst);
         self.t = self.stm.clock.now();
         self.views.clear();
+        self.last_view = u32::MAX;
         self.restart = Restart::User;
         self.in_attempt = true;
     }
@@ -381,13 +433,39 @@ impl<'e, 's> ReadTx<'e, 's> {
         self.end_slot();
     }
 
-    /// Resolves (or creates) the view for a partition. A set switching
-    /// flag restarts the attempt — abort-not-spin, so the switcher waiting
-    /// for our quiescence is never deadlocked (module docs).
-    fn view_of(&mut self, part: &'e Partition) -> Result<u16, Abort> {
-        if let Some(i) = self.views.iter().position(|v| core::ptr::eq(v.part, part)) {
-            return Ok(i as u16);
-        }
+    /// Resolves the view for a variable from its binding cell, past the
+    /// MRU test [`ReadTx::read`] makes inline: a view already created this
+    /// attempt is found by pointer, and only a new view rechecks the
+    /// binding, exactly as in `Tx::view_of_binding` (module docs, "The
+    /// read fast path").
+    fn view_of_binding(&mut self, binding: &'e PVarBinding) -> Result<u16, Abort> {
+        let part = binding.load_ref();
+        let vi = match self.views.iter().position(|v| core::ptr::eq(v.part, part)) {
+            Some(i) => i as u16,
+            None => {
+                let vi = self.view_create(part)?;
+                // A changed pointer means the load straddled a completing
+                // migration: the attempt restarts as if it had caught the
+                // switching flag itself.
+                if !core::ptr::eq(binding.load(), part) {
+                    let st = &self.views[vi as usize].part().stats;
+                    st.snapshot_restarts(self.slot, 1);
+                    st.aborts_switching(self.slot, 1);
+                    self.restart = Restart::Attributed;
+                    return Err(Abort(()));
+                }
+                vi
+            }
+        };
+        self.last_view = vi as u32;
+        Ok(vi)
+    }
+
+    /// First contact with a partition this attempt: records its view. A
+    /// set switching flag restarts the attempt — abort-not-spin, so the
+    /// switcher waiting for our quiescence is never deadlocked (module
+    /// docs).
+    fn view_create(&mut self, part: &'e Partition) -> Result<u16, Abort> {
         assert_eq!(
             part.stm_id, self.stm.id,
             "partition belongs to a different Stm"
@@ -423,19 +501,30 @@ impl<'e, 's> ReadTx<'e, 's> {
     }
 
     /// Snapshot read of a partition-bound variable.
-    #[inline]
+    ///
+    /// Inlined into every access site together with the common case of
+    /// both of its steps (module docs, "The read fast path"): the MRU view
+    /// test and the first seqlock sandwich. Anything else goes out of line
+    /// to `view_of_binding` or to `read_word`.
+    #[inline(always)]
     pub fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
-        let part = var.binding.load_ref();
-        let vi = self.view_of(part)?;
-        // Binding recheck, exactly as in `Tx::view_of_binding`: a changed
-        // pointer means the load straddled a completing migration — the
-        // attempt restarts as if it had caught the switching flag itself.
-        if !core::ptr::eq(var.binding.load(), part) {
-            let st = &self.views[vi as usize].part().stats;
-            st.snapshot_restarts(self.slot, 1);
-            st.aborts_switching(self.slot, 1);
-            self.restart = Restart::Attributed;
-            return Err(Abort(()));
+        let li = self.last_view as usize;
+        let vi = if li < self.views.len() && core::ptr::eq(self.views[li].part, var.binding.load())
+        {
+            li as u16
+        } else {
+            self.view_of_binding(&var.binding)?
+        };
+        let v = &mut self.views[vi as usize];
+        let addr = &var.cell as *const AtomicU64 as usize;
+        // SAFETY: the index is masked into the view's table, which stays
+        // alive and installed for the attempt (module docs).
+        let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.granularity)) };
+        // SAFETY: `orec` points into that table (previous line).
+        let orec = unsafe { &*orec };
+        if let Some((_, val)) = orec.sandwich(&var.cell, &self.t) {
+            v.reads += 1;
+            return Ok(T::from_word(val));
         }
         Ok(T::from_word(self.read_word(vi, &var.cell)))
     }
@@ -622,6 +711,7 @@ impl ThreadCtx {
                 stm: &self.stm.inner,
                 slot: self.slot,
                 views: &mut views,
+                last_view: u32::MAX,
                 t: 0,
                 in_attempt: false,
                 restart: Restart::User,
@@ -946,12 +1036,13 @@ mod tests {
                         stm: &self.stm.inner,
                         slot: self.readers[k].slot(),
                         views: &mut views,
+                        last_view: u32::MAX,
                         t,
                         in_attempt: false,
                         restart: Restart::User,
                         _env: PhantomData,
                     };
-                    let vi = rtx.view_of(&self.part).expect("no window is open");
+                    let vi = rtx.view_create(&self.part).expect("no window is open");
                     for i in 0..VARS {
                         let addr = self.vars[i].cell.as_ptr() as usize;
                         let want = self.model[i].range(t + 1..).next();
@@ -1062,5 +1153,192 @@ mod tests {
             let _ = ctx.snapshot_read(|rtx| rtx.read(&x));
             Ok(())
         });
+    }
+}
+
+/// One deterministic, single-thread test per exit of the snapshot read's
+/// fast path (module docs, "The read fast path"): each sets up exactly one
+/// reason to leave it and checks that the full path still serves the value
+/// at the pin and counts it where it belongs.
+#[cfg(test)]
+mod read_path {
+    use crate::config::PartitionConfig;
+    use crate::pvar::{Migratable, PVar};
+    use crate::stm::Stm;
+
+    #[test]
+    fn fast_reads_count_every_read() {
+        const N: u64 = 48;
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let vars: Vec<PVar<u64>> = (0..N).map(|v| p.tvar(v)).collect();
+        let ctx = stm.register_thread();
+        let sum = ctx.snapshot_read(|tx| {
+            let mut sum = 0;
+            for v in &vars {
+                sum += tx.read(v)?;
+            }
+            Ok(sum)
+        });
+        assert_eq!(sum, (0..N).sum::<u64>());
+        let s = p.stats();
+        assert_eq!((s.reads, s.snapshot_reads), (N, N));
+        assert_eq!(s.snapshot_history_reads, 0);
+        assert_eq!((s.snapshot_commits, s.snapshot_restarts), (1, 0));
+    }
+
+    #[test]
+    fn orec_locked_by_another_slot_serves_the_history_pre_image() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let x = p.tvar(1u64);
+        let pad = p.tvar(0u64);
+        let (writer, holder, reader) = (
+            stm.register_thread(),
+            stm.register_thread(),
+            stm.register_thread(),
+        );
+        // Move the clock past every slot index: a locked word taken for a
+        // version (the owner's slot) would then pass the version test.
+        for i in 1..=8 {
+            writer.run(|tx| tx.write(&pad, i));
+        }
+        let seen = reader.snapshot_read(|tx| {
+            // After the pin: the ring now holds (x, 1, to > T).
+            writer.run(|w| w.write(&x, 2));
+            let mut got = None;
+            holder.run(|h| {
+                // An encounter-time lock on `x`, held while the reader
+                // reads; the live cell holds the post-pin value 2.
+                h.write(&x, 3)?;
+                got = Some(tx.read(&x));
+                Ok(())
+            });
+            got.expect("the holder ran once")
+        });
+        assert_eq!(seen, 1);
+        assert_eq!(x.load_direct(), 3);
+        let s = p.stats();
+        assert_eq!((s.snapshot_reads, s.snapshot_history_reads), (1, 1));
+        assert_eq!(s.snapshot_restarts, 0);
+    }
+
+    #[test]
+    fn orec_moved_past_the_pin_serves_the_pre_image() {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default());
+        let x = p.tvar(1u64);
+        let (writer, reader) = (stm.register_thread(), stm.register_thread());
+        let seen = reader.snapshot_read(|tx| {
+            writer.run(|w| w.write(&x, 2));
+            tx.read(&x)
+        });
+        assert_eq!(seen, 1);
+        assert_eq!(x.load_direct(), 2);
+        let s = p.stats();
+        assert_eq!((s.snapshot_reads, s.snapshot_history_reads), (1, 1));
+    }
+
+    #[test]
+    fn orec_moved_past_the_pin_by_an_aliased_word_serves_the_live_cell() {
+        // One orec: a commit to `y` moves the orec that also covers `x`.
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::default().orecs(1));
+        let (x, y) = (p.tvar(1u64), p.tvar(100u64));
+        let (writer, reader) = (stm.register_thread(), stm.register_thread());
+        let seen = reader.snapshot_read(|tx| {
+            writer.run(|w| w.write(&y, 101));
+            // The lookup misses for `x`, which proves its cell stands.
+            let vx = tx.read(&x)?;
+            let hist_after_x = p.stats().snapshot_history_reads;
+            Ok((vx, hist_after_x, tx.read(&y)?))
+        });
+        assert_eq!(seen, (1, 0, 100));
+        let s = p.stats();
+        assert_eq!((s.snapshot_reads, s.snapshot_history_reads), (2, 1));
+    }
+
+    #[test]
+    fn alternating_partitions_miss_then_hit_without_restart() {
+        let stm = Stm::new();
+        let (p, q) = (
+            stm.new_partition(PartitionConfig::named("p")),
+            stm.new_partition(PartitionConfig::named("q")),
+        );
+        let (a, b) = (p.tvar(1u64), q.tvar(2u64));
+        let ctx = stm.register_thread();
+        let mut attempts = 0;
+        let trail = ctx.snapshot_read(|tx| {
+            attempts += 1;
+            let mut trail = Vec::new();
+            for (var, want) in [(&a, 1), (&a, 1), (&b, 2), (&b, 2), (&a, 1), (&b, 2)] {
+                assert_eq!(tx.read(var)?, want);
+                trail.push((tx.last_view, tx.views.len()));
+            }
+            Ok(trail)
+        });
+        // Each partition gets one view; the MRU follows the partition read.
+        assert_eq!(trail, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (1, 2)]);
+        assert_eq!(attempts, 1);
+        for part in [&p, &q] {
+            let s = part.stats();
+            assert_eq!((s.snapshot_reads, s.snapshot_commits), (3, 1));
+            assert_eq!((s.snapshot_restarts, s.aborts()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn variable_migrated_between_attempts_resolves_to_its_new_partition() {
+        let stm = Stm::new();
+        let (p, q) = (
+            stm.new_partition(PartitionConfig::named("p")),
+            stm.new_partition(PartitionConfig::named("q")),
+        );
+        let (x, stay) = (p.tvar(5u64), p.tvar(6u64));
+        let ctx = stm.register_thread();
+        assert_eq!(ctx.snapshot_read(|tx| tx.read(&x)), 5);
+        let moved: &dyn Migratable = &x;
+        assert!(stm.migrate_pvars(&[moved], &q).switched());
+        // `stay` makes `p` the MRU view; `x` must miss it and reach `q`.
+        let seen = ctx.snapshot_read(|tx| Ok((tx.read(&stay)?, tx.read(&x)?)));
+        assert_eq!(seen, (6, 5));
+        let (sp, sq) = (p.stats(), q.stats());
+        assert_eq!((sp.snapshot_reads, sq.snapshot_reads), (2, 1));
+        assert_eq!((sp.snapshot_commits, sq.snapshot_commits), (2, 1));
+        assert_eq!(sp.snapshot_restarts + sq.snapshot_restarts, 0);
+    }
+
+    #[test]
+    fn switching_flag_restarts_the_attempt_counted_once() {
+        let stm = Stm::new();
+        let (p, q) = (
+            stm.new_partition(PartitionConfig::named("p")),
+            stm.new_partition(PartitionConfig::named("q")),
+        );
+        let (a, b) = (p.tvar(1u64), q.tvar(2u64));
+        let ctx = stm.register_thread();
+        q.debug_force_switch_flag(true);
+        let mut attempts = 0;
+        let seen = ctx.snapshot_read(|tx| {
+            attempts += 1;
+            let va = tx.read(&a)?;
+            match tx.read(&b) {
+                Ok(vb) => Ok((va, vb)),
+                Err(e) => {
+                    // A real switch clears its flag itself.
+                    q.debug_force_switch_flag(false);
+                    Err(e)
+                }
+            }
+        });
+        assert_eq!((seen, attempts), ((1, 2), 2));
+        let (sp, sq) = (p.stats(), q.stats());
+        assert_eq!((sq.snapshot_restarts, sq.aborts_switching), (1, 1));
+        assert_eq!(sq.aborts(), 1);
+        assert_eq!((sp.snapshot_restarts, sp.aborts()), (0, 0));
+        // Both attempts count as starts; the first attempt's read of `a`
+        // is flushed at its restart.
+        assert_eq!((sp.starts, sq.starts), (2, 2));
+        assert_eq!((sp.snapshot_reads, sq.snapshot_reads), (2, 1));
     }
 }

@@ -177,7 +177,10 @@
 //! `ro_snap` pin (the two store→load fences of the quiesce and pin
 //! handshakes). Gone: the `start_epoch` `SeqCst` store, the `Arc` count
 //! pair, six statistics `fetch_add`s, the `SeqCst` unpin and the leaving
-//! RMW. Per read it performs the same three acquire loads as above; the
+//! RMW. Per read it performs the same three acquire loads as above, and
+//! on its inlined fast path ([`crate::snapshot`], "The read fast path")
+//! only those plus one `SeqCst` binding load: 0 locked instructions, no
+//! kill poll and no read-set record, so it is the cheaper word read. The
 //! ring is scanned only when an orec moved past the pin, with relaxed
 //! loads between an acquire load and an acquire fence + re-load of the
 //! orec's `ring_epoch` (plus the overflow mutex when that list is
@@ -199,7 +202,8 @@
 //!   3. the slot's kill word does not name this attempt;
 //!   4. the view's read mode is `Invisible`.
 //!
-//!   It loads `l1`, then (if `l1` is unlocked) the cell, then `l2`, and
+//!   It loads `l1`, then (if `l1` is unlocked) the cell, then `l2`
+//!   (`Orec::sandwich`, shared with the snapshot read's fast path), and
 //!   serves the cell's value when all three serve conditions hold:
 //!   1. `l1` is unlocked;
 //!   2. `l1 == l2`;
@@ -837,14 +841,7 @@ impl<'e, 's> Tx<'e, 's> {
         let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.cfg.granularity)) };
         // SAFETY: as in `read_invisible`.
         let orec_ref = unsafe { &*orec };
-        let l1 = orec_ref.load_lock();
-        if is_locked(l1) {
-            return None;
-        }
-        let val = cell.load(Ordering::Acquire);
-        if orec_ref.load_lock() != l1 || version_of(l1) > s.rv {
-            return None;
-        }
+        let (l1, val) = orec_ref.sandwich(cell, &s.rv)?;
         v.stats.reads += 1;
         s.read_set.push(ReadEntry {
             orec,
