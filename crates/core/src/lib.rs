@@ -53,8 +53,10 @@
 //! fixed at allocation (and moved only by the repartition protocol), and
 //! no access site can name a partition at all. There is one way to touch
 //! one — [`Access`], implemented by a transaction ([`Tx`]) and by the
-//! holder of a privatized partition ([`PrivateGuard::access`]) — so
-//! structure code is written once and runs in both. The
+//! holder of a privatized partition ([`PrivateGuard::access`]) — and one
+//! way to read one — its read half [`Read`], implemented by those two, by
+//! a snapshot reader ([`ReadTx`]) and by the plain-load [`Quiescent`]. So
+//! structure code is written once and runs in all of them. The
 //! `partstm-analysis` crate reproduces the analysis that derives the
 //! variable→partition assignment automatically.
 
@@ -95,7 +97,7 @@ pub use fault::{FaultPlan, FaultSite};
 pub use partition::{Partition, PartitionId};
 pub use privatize::{PrivateGuard, PrivatizeError};
 pub use profiler::{AccessProfiler, BucketTouch, SampleTouch, TxSample, PROFILE_BUCKETS};
-pub use pvar::{Access, Migratable, PVar, PVarBinding, PVarFields};
+pub use pvar::{Access, Migratable, PVar, PVarBinding, PVarFields, Quiescent, Read};
 pub use repartition::{ArenaView, MigratableCollection, MigrationSource};
 pub use snapshot::ReadTx;
 pub use stats::StatCounters;

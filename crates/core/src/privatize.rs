@@ -97,7 +97,7 @@ use crate::arena::{Arena, Handle};
 use crate::config;
 use crate::error::TxResult;
 use crate::partition::Partition;
-use crate::pvar::{Access, PVar};
+use crate::pvar::{Access, PVar, Read};
 use crate::quiesce::{QuiesceWindow, WARN_INTERVAL};
 use crate::repartition::MigrationSource;
 use crate::rtlog;
@@ -260,7 +260,7 @@ impl PrivateGuard {
     }
 
     /// This guard as an [`Access`], so any structure operation written
-    /// over `A: Access` runs under the hold with plain loads and stores:
+    /// over `A: Access` or `R: Read` runs under the hold with plain loads and stores:
     /// `map.put(&mut guard.access(), k, v)`. Never aborts; panics where
     /// [`PrivateGuard::read`] would, and on allocating from an arena whose
     /// home is not the held partition.
@@ -282,12 +282,14 @@ impl PrivateGuard {
     pub fn republish(self) {}
 }
 
-impl<'e> Access<'e> for &'e PrivateGuard {
+impl<'e> Read<'e> for &'e PrivateGuard {
     #[inline]
     fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
         Ok(PrivateGuard::read(self, var))
     }
+}
 
+impl<'e> Access<'e> for &'e PrivateGuard {
     #[inline]
     fn write<T: TxWord>(&mut self, var: &'e PVar<T>, value: T) -> TxResult<()> {
         PrivateGuard::write(self, var, value);

@@ -15,8 +15,9 @@
 //! There is one access tier. Code that reads and writes `PVar`s is written
 //! once over [`Access`], implemented by an in-flight transaction
 //! ([`Tx`](crate::Tx)) and by the exclusive holder of a privatized
-//! partition ([`PrivateGuard::access`](crate::PrivateGuard::access)); the
-//! structure crate's algorithms are generic over it.
+//! partition ([`PrivateGuard::access`](crate::PrivateGuard::access)); code
+//! that only reads is written once over its read half, [`Read`], which
+//! [`ReadTx`](crate::ReadTx) and [`Quiescent`] implement too.
 //!
 //! ## Rebinding (runtime repartitioning)
 //!
@@ -263,21 +264,26 @@ impl<T: TxWord> PVar<T> {
     }
 }
 
-/// The one way to touch a [`PVar`]: read it, write it, allocate the arena
-/// node it lives in.
+/// The read half of [`Access`], so a read-only algorithm (a lookup, a
+/// walk, an invariant check) is written once, generic over `R: Read<'e>`:
+/// implemented by [`Tx`](crate::Tx), [`ReadTx`](crate::ReadTx) (snapshot
+/// reads, never a data-conflict abort), the privatization guard and
+/// [`Quiescent`]. `'e` is the lifetime every read variable must outlive.
+/// An `Err` is an abort like any other: propagate it with `?`.
+pub trait Read<'e> {
+    /// Reads `var`.
+    fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T>;
+}
+
+/// The one way to touch a [`PVar`]: [`Read`] it, write it, allocate the
+/// arena node it lives in.
 ///
 /// Implemented by [`Tx`](crate::Tx) (the STM protocol) and by
 /// [`PrivateGuard::access`](crate::PrivateGuard::access) (plain loads and
 /// stores, each checked against the held partition), so an algorithm over
 /// partition-bound words is written once, generic over `A: Access<'e>`,
 /// and runs unchanged inside a transaction or under a privatization hold.
-/// `'e` is the lifetime every touched variable must outlive (the
-/// environment lifetime of [`Tx`](crate::Tx)). An `Err` is an abort like
-/// any other: propagate it with `?`.
-pub trait Access<'e> {
-    /// Reads `var`.
-    fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T>;
-
+pub trait Access<'e>: Read<'e> {
     /// Writes `var`.
     fn write<T: TxWord>(&mut self, var: &'e PVar<T>, value: T) -> TxResult<()>;
 
@@ -285,6 +291,26 @@ pub trait Access<'e> {
     /// previous user left: initialize them through `self` before
     /// publishing a handle to it.
     fn alloc<N: Send + Sync + 'static>(&mut self, arena: &'e Arena<N>) -> TxResult<Handle<N>>;
+}
+
+/// The quiescent [`Read`]: one plain load per word. Consistent only while
+/// nothing commits to what it reads (setup, teardown, after joining every
+/// writer); under commits, read through a snapshot instead.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Quiescent;
+
+impl Quiescent {
+    /// Runs the read-only `op` with plain loads, which never abort.
+    pub fn run<T>(op: impl FnOnce(&mut Quiescent) -> TxResult<T>) -> T {
+        op(&mut Quiescent).expect("a quiescent read never aborts")
+    }
+}
+
+impl<'e> Read<'e> for Quiescent {
+    #[inline]
+    fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
+        Ok(var.load_direct())
+    }
 }
 
 impl<T: TxWord + Send + Sync> Migratable for PVar<T> {

@@ -277,7 +277,7 @@ use crate::config::{self, Granularity};
 use crate::error::{Abort, TxResult};
 use crate::orec::{is_locked, version_of, Orec, RingSlot};
 use crate::partition::{orec_index, Partition};
-use crate::pvar::{PVar, PVarBinding};
+use crate::pvar::{PVar, PVarBinding, Read};
 use crate::stm::{StmInner, ThreadCtx};
 use crate::word::TxWord;
 
@@ -334,7 +334,8 @@ enum Restart {
 /// An in-flight read-only snapshot transaction. Obtained inside
 /// [`ThreadCtx::snapshot_read`]; deliberately exposes no write operations
 /// — the read-only/update split is enforced by the type, not by a runtime
-/// check.
+/// check. It implements [`Read`] and not [`Access`](crate::Access), so
+/// every structure operation written over `R: Read<'e>` runs on it.
 ///
 /// Lifetimes mirror [`Tx`](crate::Tx): `'e` is the environment every
 /// `&PVar` must outlive, `'s` the engine's borrow of its scratch state.
@@ -658,6 +659,14 @@ impl<'e, 's> ReadTx<'e, 's> {
                 .record(scanned);
         }
         best.map(|(to, val)| (val, to))
+    }
+}
+
+/// The snapshot protocol as a [`Read`]: the inherent method's body.
+impl<'e> Read<'e> for ReadTx<'e, '_> {
+    #[inline]
+    fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
+        ReadTx::read(self, var)
     }
 }
 

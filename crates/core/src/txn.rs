@@ -293,7 +293,7 @@ use crate::error::{Abort, AbortKind, TxResult};
 use crate::orec::{is_locked, make_version, owner_of, reader_bit, version_of, Orec, RingSlot};
 use crate::partition::{orec_index, Partition};
 use crate::profiler::{self, BucketTouch, SampleTouch, TxSample};
-use crate::pvar::{Access, PVar, PVarBinding};
+use crate::pvar::{Access, PVar, PVarBinding, Read};
 use crate::stats::LocalStats;
 use crate::stm::{StmInner, ThreadCtx};
 use crate::telemetry::{self, EventKind};
@@ -1802,13 +1802,16 @@ impl ThreadCtx {
     }
 }
 
-/// The STM protocol as an [`Access`]: the inherent methods' bodies.
-impl<'e> Access<'e> for Tx<'e, '_> {
+/// The STM protocol as a [`Read`]: the inherent method's body.
+impl<'e> Read<'e> for Tx<'e, '_> {
     #[inline]
     fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
         Tx::read(self, var)
     }
+}
 
+/// The STM protocol as an [`Access`]: the inherent methods' bodies.
+impl<'e> Access<'e> for Tx<'e, '_> {
     #[inline]
     fn write<T: TxWord>(&mut self, var: &'e PVar<T>, value: T) -> TxResult<()> {
         Tx::write(self, var, value)
@@ -1817,26 +1820,6 @@ impl<'e> Access<'e> for Tx<'e, '_> {
     #[inline]
     fn alloc<N: Send + Sync + 'static>(&mut self, arena: &'e Arena<N>) -> TxResult<Handle<N>> {
         arena.alloc(self)
-    }
-}
-
-impl<T: TxWord> PVar<T> {
-    /// Transactional read (convenience wrapper over [`Tx::read`]).
-    #[inline]
-    pub fn read<'e>(&'e self, tx: &mut Tx<'e, '_>) -> TxResult<T> {
-        tx.read(self)
-    }
-
-    /// Transactional write (convenience wrapper over [`Tx::write`]).
-    #[inline]
-    pub fn write<'e>(&'e self, tx: &mut Tx<'e, '_>, value: T) -> TxResult<()> {
-        tx.write(self, value)
-    }
-
-    /// Read-modify-write (convenience wrapper over [`Tx::modify`]).
-    #[inline]
-    pub fn modify<'e>(&'e self, tx: &mut Tx<'e, '_>, f: impl FnOnce(T) -> T) -> TxResult<T> {
-        tx.modify(self, f)
     }
 }
 
@@ -1910,19 +1893,6 @@ mod tests {
         let nv = ctx.run(|tx| tx.modify(&x, |v| v * -3));
         assert_eq!(nv, -30);
         assert_eq!(x.load_direct(), -30);
-    }
-
-    #[test]
-    fn pvar_convenience_wrappers() {
-        let (stm, p) = setup();
-        let ctx = stm.register_thread();
-        let x = p.tvar(3u64);
-        let v = ctx.run(|tx| {
-            x.write(tx, 4)?;
-            x.modify(tx, |v| v + 1)?;
-            x.read(tx)
-        });
-        assert_eq!(v, 5);
     }
 
     #[test]

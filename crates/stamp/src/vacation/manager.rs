@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use partstm_core::{
     Arena, Handle, Migratable, MigratableCollection, PVar, PVarFields, Partition, PartitionConfig,
-    Stm, Tx, TxResult,
+    Quiescent, Read, Stm, Tx, TxResult,
 };
 use partstm_structures::TRbTree;
 
@@ -475,49 +475,57 @@ impl Manager {
         Ok(Some(bill))
     }
 
-    /// Cross-partition consistency check (quiescent only): per record
+    /// Cross-partition consistency check through any [`Read`]: per record
     /// `used + free == total`, and for every kind the sum of `used` equals
     /// the number of reservation infos customers hold. Returns counts
-    /// `(records, customers, infos)`.
-    pub fn check_invariants(&self) -> Result<(usize, usize, usize), String> {
+    /// `(records, customers, infos)`, or the first violation.
+    pub fn invariants<'e, R: Read<'e>>(
+        &'e self,
+        r: &mut R,
+    ) -> TxResult<Result<(usize, usize, usize), String>> {
         let mut used_by_kind = [0u64; 3];
         let mut records = 0usize;
         for kind in ReservationKind::ALL {
             let t = self.table(kind);
-            for (id, raw) in t.tree.snapshot_pairs() {
-                let h = Handle::<Reservation>::from_word(raw);
-                let r = t.arena.get(h);
-                let total = r.total.load_direct();
-                let used = r.used.load_direct();
-                let free = r.free.load_direct();
+            let mut pairs = Vec::new();
+            t.tree.for_each(r, |id, raw| pairs.push((id, raw)))?;
+            for (id, raw) in pairs {
+                let rec = t.arena.get(Handle::<Reservation>::from_word(raw));
+                let total = r.read(&rec.total)?;
+                let used = r.read(&rec.used)?;
+                let free = r.read(&rec.free)?;
                 if used + free != total {
-                    return Err(format!(
+                    return Ok(Err(format!(
                         "{kind:?} item {id}: used {used} + free {free} != total {total}"
-                    ));
+                    )));
                 }
                 used_by_kind[kind.code() as usize] += used;
                 records += 1;
             }
         }
         let mut infos_by_kind = [0u64; 3];
-        let mut customers = 0usize;
-        let mut infos = 0usize;
-        for (_id, head) in self.customers.snapshot_pairs() {
-            customers += 1;
+        let mut heads = Vec::new();
+        self.customers.for_each(r, |_, head| heads.push(head))?;
+        for &head in &heads {
             let mut cur = Option::<Handle<ResInfo>>::from_word(head);
             while let Some(h) = cur {
                 let n = self.infos.get(h);
-                infos_by_kind[n.kind.load_direct() as usize] += 1;
-                infos += 1;
-                cur = n.next.load_direct();
+                infos_by_kind[r.read(&n.kind)? as usize] += 1;
+                cur = r.read(&n.next)?;
             }
         }
         if used_by_kind != infos_by_kind {
-            return Err(format!(
+            return Ok(Err(format!(
                 "used per kind {used_by_kind:?} != customer infos per kind {infos_by_kind:?}"
-            ));
+            )));
         }
-        Ok((records, customers, infos))
+        let infos = infos_by_kind.iter().sum::<u64>() as usize;
+        Ok(Ok((records, heads.len(), infos)))
+    }
+
+    /// [`Manager::invariants`] with plain loads (quiescent only).
+    pub fn check_invariants(&self) -> Result<(usize, usize, usize), String> {
+        Quiescent::run(|q| self.invariants(q))
     }
 }
 

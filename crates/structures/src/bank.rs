@@ -9,7 +9,8 @@
 use std::sync::Arc;
 
 use partstm_core::{
-    ArenaView, Migratable, MigratableCollection, PVar, Partition, PrivateGuard, Tx, TxResult,
+    ArenaView, Migratable, MigratableCollection, PVar, Partition, PrivateGuard, Quiescent, Read,
+    Tx, TxResult,
 };
 
 /// A fixed array of accounts guarded by one partition. Every account is a
@@ -52,9 +53,9 @@ impl Bank {
         &self.part
     }
 
-    /// Balance of account `i`.
-    pub fn balance<'e>(&'e self, tx: &mut Tx<'e, '_>, i: usize) -> TxResult<i64> {
-        tx.read(&self.accounts[i])
+    /// Balance of account `i`, through any [`Read`].
+    pub fn balance<'e, R: Read<'e>>(&'e self, r: &mut R, i: usize) -> TxResult<i64> {
+        r.read(&self.accounts[i])
     }
 
     /// Adds `amount` to account `i` (negative to withdraw).
@@ -81,18 +82,18 @@ impl Bank {
         Ok(())
     }
 
-    /// Sums all balances in one (read-only) transaction.
-    pub fn total<'e>(&'e self, tx: &mut Tx<'e, '_>) -> TxResult<i64> {
+    /// Sums all balances, through any [`Read`].
+    pub fn total<'e, R: Read<'e>>(&'e self, r: &mut R) -> TxResult<i64> {
         let mut sum = 0i64;
         for a in self.accounts.iter() {
-            sum += tx.read(a)?;
+            sum += r.read(a)?;
         }
         Ok(sum)
     }
 
     /// Non-transactional total (quiescent only).
     pub fn total_direct(&self) -> i64 {
-        self.accounts.iter().map(|a| a.load_direct()).sum()
+        Quiescent::run(|q| self.total(q))
     }
 
     /// Checks that `guard` holds this bank's partition: O(1) in release
@@ -118,15 +119,6 @@ impl Bank {
         self.assert_covered(guard);
         for (i, a) in self.accounts.iter().enumerate() {
             a.store_direct(balance(i));
-        }
-    }
-
-    /// Guard-gated bulk iterator over `(account index, balance)`. Exact:
-    /// the hold excludes every concurrent writer.
-    pub fn bulk_for_each(&self, guard: &PrivateGuard, mut f: impl FnMut(usize, i64)) {
-        self.assert_covered(guard);
-        for (i, a) in self.accounts.iter().enumerate() {
-            f(i, a.load_direct());
         }
     }
 
@@ -201,13 +193,14 @@ mod tests {
                     }
                 });
             }
-            // A reader thread snapshots concurrently: must always see the
-            // invariant total (atomicity + opacity probe).
+            // A reader thread sums concurrently, in a transaction and on a
+            // snapshot: both must always see the invariant total.
             let ctx = stm.register_thread();
             let bank2 = Arc::clone(&bank);
             s.spawn(move || {
                 for _ in 0..500 {
                     assert_eq!(ctx.run(|tx| bank2.total(tx)), expect);
+                    assert_eq!(ctx.snapshot_read(|r| bank2.total(r)), expect);
                 }
             });
         });
@@ -223,12 +216,12 @@ mod tests {
             bank.bulk_load(&guard, |i| (i as i64 + 1) * 10);
             let expect: i64 = (1..=32).map(|i| i * 10).sum();
             assert_eq!(bank.bulk_total(&guard), expect);
-            let mut seen = 0;
-            bank.bulk_for_each(&guard, |i, b| {
-                assert_eq!(b, (i as i64 + 1) * 10);
-                seen += 1;
-            });
-            assert_eq!(seen, 32);
+            for i in 0..32 {
+                assert_eq!(
+                    bank.balance(&mut guard.access(), i),
+                    Ok((i as i64 + 1) * 10)
+                );
+            }
             guard.republish();
         }
         let ctx = stm.register_thread();

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use partstm_core::{
     Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
-    Partition, PrivateGuard, Tx, TxResult,
+    Partition, PrivateGuard, Quiescent, Read, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -81,15 +81,15 @@ impl THashMap {
         self.buckets.len()
     }
 
-    /// Looks up `key`.
-    pub fn get<'e, A: Access<'e>>(&'e self, a: &mut A, key: u64) -> TxResult<Option<u64>> {
-        let mut cur = a.read(self.bucket(key))?;
+    /// Looks up `key`, through any [`Read`].
+    pub fn get<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<Option<u64>> {
+        let mut cur = r.read(self.bucket(key))?;
         while let Some(h) = cur {
             let node = self.arena.get(h);
-            if a.read(&node.key)? == key {
-                return Ok(Some(a.read(&node.val)?));
+            if r.read(&node.key)? == key {
+                return Ok(Some(r.read(&node.val)?));
             }
-            cur = a.read(&node.next)?;
+            cur = r.read(&node.next)?;
         }
         Ok(None)
     }
@@ -167,18 +167,30 @@ impl THashMap {
         Ok(None)
     }
 
+    /// Calls `f` on every `(key, value)` pair in bucket-chain order, through
+    /// any [`Read`]. Under a guard's [`access`](PrivateGuard::access), a map
+    /// torn across partitions panics at its first foreign slot.
+    pub fn for_each<'e, R: Read<'e>>(
+        &'e self,
+        r: &mut R,
+        mut f: impl FnMut(u64, u64),
+    ) -> TxResult<()> {
+        for b in self.buckets.iter() {
+            let mut cur = r.read(b)?;
+            while let Some(h) = cur {
+                let n = self.arena.get(h);
+                f(r.read(&n.key)?, r.read(&n.val)?);
+                cur = r.read(&n.next)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Non-transactional `(key, value)` snapshot, sorted by key
     /// (quiescent only).
     pub fn snapshot_pairs(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        for b in self.buckets.iter() {
-            let mut cur = b.load_direct();
-            while let Some(h) = cur {
-                let n = self.arena.get(h);
-                out.push((n.key.load_direct(), n.val.load_direct()));
-                cur = n.next.load_direct();
-            }
-        }
+        Quiescent::run(|q| self.for_each(q, |k, v| out.push((k, v))));
         out.sort_unstable();
         out
     }
@@ -186,22 +198,6 @@ impl THashMap {
     /// The partition guarding this map.
     pub fn partition(&self) -> &Arc<Partition> {
         &self.part
-    }
-
-    /// Guard-gated bulk iterator over every `(key, value)` pair, in
-    /// bucket-chain order. Exact: the hold excludes every concurrent
-    /// writer, and every cell is read through the guard's per-variable
-    /// check — a map torn across partitions panics at its first foreign
-    /// slot instead of racing the transactions that still own it.
-    pub fn bulk_for_each(&self, guard: &PrivateGuard, mut f: impl FnMut(u64, u64)) {
-        for b in self.buckets.iter() {
-            let mut cur = guard.read(b);
-            while let Some(h) = cur {
-                let n = self.arena.get(h);
-                f(guard.read(&n.key), guard.read(&n.val));
-                cur = guard.read(&n.next);
-            }
-        }
     }
 }
 
@@ -276,6 +272,12 @@ mod tests {
     use super::*;
     use crate::intset::testing;
     use partstm_core::{PartitionConfig, Stm};
+
+    impl testing::ReadContains for THashSet {
+        fn contains_via<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<bool> {
+            Ok(self.map.get(r, key)?.is_some())
+        }
+    }
 
     #[test]
     fn map_put_get_delete() {
@@ -369,7 +371,8 @@ mod tests {
                 );
             }
             let mut seen = Vec::new();
-            held.bulk_for_each(&guard, |k, v| seen.push((k, v)));
+            held.for_each(&mut guard.access(), |k, v| seen.push((k, v)))
+                .expect("guard access never aborts");
             seen.sort_unstable();
             assert_eq!(
                 seen,

@@ -46,8 +46,15 @@ pub(crate) mod testing {
     //! Shared conformance tests run against every `IntSet` implementation.
 
     use super::*;
-    use partstm_core::Stm;
+    use partstm_core::{Quiescent, Read, Stm};
     use std::collections::BTreeSet;
+
+    /// [`IntSet::contains`] through any [`Read`], so the conformance checks
+    /// can ask every reader (each structure's test module implements it).
+    pub trait ReadContains: IntSet {
+        /// Whether `key` is in the set, read through `r`.
+        fn contains_via<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<bool>;
+    }
 
     /// Evaluates `$op` — an expression over a structure `$s` and an
     /// `$a: &mut impl Access` — through both `Access` impls: as a
@@ -78,8 +85,10 @@ pub(crate) mod testing {
     pub(crate) use via_both;
 
     /// Sequential semantics vs a `BTreeSet` model under a deterministic
-    /// op mix.
-    pub fn check_sequential_model(stm: &Stm, set: &dyn IntSet) {
+    /// op mix. Every `contains` is answered by all four readers — a
+    /// transaction, a snapshot, a privatization guard and [`Quiescent`] —
+    /// and they must agree with the model.
+    pub fn check_sequential_model(stm: &Stm, set: &impl ReadContains) {
         let ctx = stm.register_thread();
         let mut model = BTreeSet::new();
         let mut state = 0x1234_5678_9abc_def0u64;
@@ -101,8 +110,19 @@ pub(crate) mod testing {
                 }
                 _ => {
                     let expect = model.contains(&key);
-                    let got = ctx.run(|tx| set.contains(tx, key));
-                    assert_eq!(got, expect, "contains({key}) step {i}");
+                    let guard = stm.privatize(set.partition()).expect("privatize");
+                    let guarded = set.contains_via(&mut guard.access(), key);
+                    guard.republish();
+                    let readers = [
+                        ctx.run(|tx| set.contains(tx, key)),
+                        ctx.snapshot_read(|r| set.contains_via(r, key)),
+                        guarded.expect("guard access never aborts"),
+                        Quiescent::run(|q| set.contains_via(q, key)),
+                    ];
+                    assert_eq!(
+                        readers, [expect; 4],
+                        "contains({key}) step {i}: Tx, ReadTx, guard, Quiescent"
+                    );
                 }
             }
         }

@@ -7,10 +7,13 @@
 //! `PVar` words and owns the partition that guards it, so composing
 //! structures composes partitions — exactly the application shape the
 //! paper's per-partition tuning exploits. Each arena-backed algorithm is
-//! written once over `partstm_core::Access`, so the same `put`/`get`/
-//! `insert`/`push_back` runs inside a transaction (`tree.put(tx, k, v)`)
-//! and, at plain-memory speed, under a privatization hold
-//! (`tree.put(&mut guard.access(), k, v)`).
+//! written once over `partstm_core::Access`, so the same `put`/`insert`/
+//! `push_back` runs inside a transaction (`tree.put(tx, k, v)`) and, at
+//! plain-memory speed, under a privatization hold
+//! (`tree.put(&mut guard.access(), k, v)`); each read-only one (`get`,
+//! `contains`, `for_each`, `invariants`) over its read half `Read`, so it
+//! also runs on a snapshot (`ctx.snapshot_read(|r| tree.get(r, k))`) and,
+//! for the quiescent `snapshot_*` helpers, through `Quiescent`.
 //!
 //! Every structure is also movable: it implements
 //! [`MigratableCollection`](partstm_core::MigratableCollection) by naming

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use partstm_core::{
     Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
-    Partition, PrivateGuard, Tx, TxResult,
+    Partition, PrivateGuard, Quiescent, Read, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -65,23 +65,43 @@ impl TLinkedList {
     /// Walks to the first node with `node.key >= key`; returns
     /// `(prev, cur)` handles.
     #[allow(clippy::type_complexity)]
-    fn locate<'e, A: Access<'e>>(
+    fn locate<'e, R: Read<'e>>(
         &'e self,
-        a: &mut A,
+        r: &mut R,
         key: u64,
     ) -> TxResult<(Option<Handle<Node>>, Option<Handle<Node>>)> {
         let mut prev: Option<Handle<Node>> = None;
-        let mut cur = a.read(&self.head)?;
+        let mut cur = r.read(&self.head)?;
         while let Some(h) = cur {
             let node = self.arena.get(h);
-            let k = a.read(&node.key)?;
+            let k = r.read(&node.key)?;
             if k >= key {
                 break;
             }
             prev = Some(h);
-            cur = a.read(&node.next)?;
+            cur = r.read(&node.next)?;
         }
         Ok((prev, cur))
+    }
+
+    /// Returns whether `key` is in the list, through any [`Read`].
+    pub fn contains<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<bool> {
+        let (_, cur) = self.locate(r, key)?;
+        match cur {
+            Some(h) => Ok(r.read(&self.arena.get(h).key)? == key),
+            None => Ok(false),
+        }
+    }
+
+    /// Calls `f` on every key in ascending order, through any [`Read`].
+    pub fn for_each<'e, R: Read<'e>>(&'e self, r: &mut R, mut f: impl FnMut(u64)) -> TxResult<()> {
+        let mut cur = r.read(&self.head)?;
+        while let Some(h) = cur {
+            let node = self.arena.get(h);
+            f(r.read(&node.key)?);
+            cur = r.read(&node.next)?;
+        }
+        Ok(())
     }
 
     fn link_after<'e, A: Access<'e>>(
@@ -125,11 +145,7 @@ impl MigratableCollection for TLinkedList {
 
 impl IntSet for TLinkedList {
     fn contains<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
-        let (_, cur) = self.locate(tx, key)?;
-        match cur {
-            Some(h) => Ok(tx.read(&self.arena.get(h).key)? == key),
-            None => Ok(false),
-        }
+        TLinkedList::contains(self, tx, key)
     }
 
     fn insert<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
@@ -163,12 +179,7 @@ impl IntSet for TLinkedList {
 
     fn snapshot_keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = self.head.load_direct();
-        while let Some(h) = cur {
-            let node = self.arena.get(h);
-            out.push(node.key.load_direct());
-            cur = node.next.load_direct();
-        }
+        Quiescent::run(|q| self.for_each(q, |k| out.push(k)));
         out
     }
 }
@@ -178,6 +189,12 @@ mod tests {
     use super::*;
     use crate::intset::testing;
     use partstm_core::{PartitionConfig, ReadMode, Stm};
+
+    impl testing::ReadContains for TLinkedList {
+        fn contains_via<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<bool> {
+            self.contains(r, key)
+        }
+    }
 
     fn fresh(stm: &Stm) -> TLinkedList {
         TLinkedList::new(stm.new_partition(PartitionConfig::named("list")))

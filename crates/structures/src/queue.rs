@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use partstm_core::{
     Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
-    Partition, Tx, TxResult, TxWord,
+    Partition, Quiescent, Read, Tx, TxResult, TxWord,
 };
 
 /// Queue node: one value word plus the next link, bound to the queue's
@@ -94,14 +94,14 @@ impl<T: TxWord> TQueue<T> {
         Ok(Some(T::from_word(val)))
     }
 
-    /// Current length.
-    pub fn len_tx<'e>(&'e self, tx: &mut Tx<'e, '_>) -> TxResult<u64> {
-        tx.read(&self.len)
+    /// Current length, through any [`Read`].
+    pub fn len_tx<'e, R: Read<'e>>(&'e self, r: &mut R) -> TxResult<u64> {
+        r.read(&self.len)
     }
 
-    /// Whether the queue is empty.
-    pub fn is_empty_tx<'e>(&'e self, tx: &mut Tx<'e, '_>) -> TxResult<bool> {
-        Ok(tx.read(&self.head)?.is_none())
+    /// Whether the queue is empty, through any [`Read`].
+    pub fn is_empty_tx<'e, R: Read<'e>>(&'e self, r: &mut R) -> TxResult<bool> {
+        Ok(r.read(&self.head)?.is_none())
     }
 
     /// The partition guarding this queue.
@@ -109,15 +109,21 @@ impl<T: TxWord> TQueue<T> {
         &self.part
     }
 
+    /// Calls `f` on every value front to back, through any [`Read`].
+    pub fn for_each<'e, R: Read<'e>>(&'e self, r: &mut R, mut f: impl FnMut(T)) -> TxResult<()> {
+        let mut cur = r.read(&self.head)?;
+        while let Some(h) = cur {
+            let n = self.arena.get(h);
+            f(T::from_word(r.read(&n.val)?));
+            cur = r.read(&n.next)?;
+        }
+        Ok(())
+    }
+
     /// Non-transactional front-to-back snapshot (quiescent only).
     pub fn snapshot(&self) -> Vec<T> {
         let mut out = Vec::new();
-        let mut cur = self.head.load_direct();
-        while let Some(h) = cur {
-            let n = self.arena.get(h);
-            out.push(T::from_word(n.val.load_direct()));
-            cur = n.next.load_direct();
-        }
+        Quiescent::run(|q| self.for_each(q, |v| out.push(v)));
         out
     }
 }
@@ -202,6 +208,7 @@ mod tests {
         for q in [&tx_side, &held] {
             assert_eq!(q.snapshot(), (0..50).collect::<Vec<_>>());
             assert_eq!(ctx.run(|tx| q.len_tx(tx)), 50);
+            assert_eq!(ctx.snapshot_read(|r| q.len_tx(r)), 50);
             for i in 0..50u64 {
                 assert_eq!(ctx.run(|tx| q.pop_front(tx)), Some(i));
             }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use partstm_core::{
     Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
-    Partition, PrivateGuard, Tx, TxResult,
+    Partition, PrivateGuard, Quiescent, Read, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -53,8 +53,8 @@ pub struct TRbTree {
 
 macro_rules! field {
     ($get:ident, $set:ident, $field:ident, $t:ty) => {
-        fn $get<'e, A: Access<'e>>(&'e self, a: &mut A, h: Handle<Node>) -> TxResult<$t> {
-            a.read(&self.arena.get(h).$field)
+        fn $get<'e, R: Read<'e>>(&'e self, r: &mut R, h: Handle<Node>) -> TxResult<$t> {
+            r.read(&self.arena.get(h).$field)
         }
         fn $set<'e, A: Access<'e>>(&'e self, a: &mut A, h: Handle<Node>, v: $t) -> TxResult<()> {
             a.write(&self.arena.get(h).$field, v)
@@ -98,9 +98,9 @@ impl TRbTree {
     field!(key_of, set_key, key, u64);
     field!(val_of, set_val, val, u64);
 
-    fn is_red<'e, A: Access<'e>>(&'e self, a: &mut A, h: H) -> TxResult<bool> {
+    fn is_red<'e, R: Read<'e>>(&'e self, r: &mut R, h: H) -> TxResult<bool> {
         match h {
-            Some(n) => a.read(&self.arena.get(n).red),
+            Some(n) => r.read(&self.arena.get(n).red),
             None => Ok(false), // nil is black
         }
     }
@@ -109,8 +109,8 @@ impl TRbTree {
         a.write(&self.arena.get(h).red, red)
     }
 
-    fn root_of<'e, A: Access<'e>>(&'e self, a: &mut A) -> TxResult<H> {
-        a.read(&self.root)
+    fn root_of<'e, R: Read<'e>>(&'e self, r: &mut R) -> TxResult<H> {
+        r.read(&self.root)
     }
 
     /// Replaces `old`'s slot in its parent (or the root) with `new`.
@@ -163,15 +163,15 @@ impl TRbTree {
         Ok(())
     }
 
-    /// Looks up `key`.
-    pub fn get<'e, A: Access<'e>>(&'e self, a: &mut A, key: u64) -> TxResult<Option<u64>> {
-        let mut cur = self.root_of(a)?;
+    /// Looks up `key`, through any [`Read`].
+    pub fn get<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<Option<u64>> {
+        let mut cur = self.root_of(r)?;
         while let Some(h) = cur {
-            let k = self.key_of(a, h)?;
+            let k = self.key_of(r, h)?;
             cur = match key.cmp(&k) {
-                core::cmp::Ordering::Less => self.left(a, h)?,
-                core::cmp::Ordering::Greater => self.right(a, h)?,
-                core::cmp::Ordering::Equal => return Ok(Some(self.val_of(a, h)?)),
+                core::cmp::Ordering::Less => self.left(r, h)?,
+                core::cmp::Ordering::Greater => self.right(r, h)?,
+                core::cmp::Ordering::Equal => return Ok(Some(self.val_of(r, h)?)),
             };
         }
         Ok(None)
@@ -415,75 +415,75 @@ impl TRbTree {
         Ok(())
     }
 
-    /// Non-transactional in-order `(key, value)` snapshot (quiescent only).
-    pub fn snapshot_pairs(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
+    /// Calls `f` on every `(key, value)` pair in key order, through any [`Read`].
+    pub fn for_each<'e, R: Read<'e>>(
+        &'e self,
+        r: &mut R,
+        mut f: impl FnMut(u64, u64),
+    ) -> TxResult<()> {
         let mut stack = Vec::new();
-        let mut cur = self.root.load_direct();
+        let mut cur = self.root_of(r)?;
         loop {
             while let Some(h) = cur {
                 stack.push(h);
-                cur = self.arena.get(h).left.load_direct();
+                cur = self.left(r, h)?;
             }
             let Some(h) = stack.pop() else { break };
-            let n = self.arena.get(h);
-            out.push((n.key.load_direct(), n.val.load_direct()));
-            cur = n.right.load_direct();
+            f(self.key_of(r, h)?, self.val_of(r, h)?);
+            cur = self.right(r, h)?;
         }
+        Ok(())
+    }
+
+    /// Non-transactional in-order `(key, value)` snapshot (quiescent only).
+    pub fn snapshot_pairs(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        Quiescent::run(|q| self.for_each(q, |k, v| out.push((k, v))));
         out
     }
 
-    /// Verifies all red-black invariants (quiescent only): BST order,
+    /// Verifies all red-black invariants through any [`Read`]: BST order,
     /// parent-pointer consistency, no red-red edge, equal black heights,
-    /// black root. Returns the black height.
-    pub fn check_invariants(&self) -> Result<usize, String> {
-        fn walk(
-            tree: &TRbTree,
+    /// black root. Returns the black height, or the first violation.
+    pub fn invariants<'e, R: Read<'e>>(&'e self, r: &mut R) -> TxResult<Result<usize, String>> {
+        fn walk<'e, R: Read<'e>>(
+            tree: &'e TRbTree,
+            r: &mut R,
             h: H,
             parent: H,
             lo: Option<u64>,
             hi: Option<u64>,
-        ) -> Result<usize, String> {
-            let Some(n) = h else { return Ok(1) }; // nil is black
-            let node = tree.arena.get(n);
-            let k = node.key.load_direct();
-            if let Some(lo) = lo {
-                if k <= lo {
-                    return Err(format!("BST violation: {k} <= lo {lo}"));
-                }
+        ) -> TxResult<Result<usize, String>> {
+            let Some(n) = h else { return Ok(Ok(1)) }; // nil is black
+            let k = tree.key_of(r, n)?;
+            if lo.is_some_and(|lo| k <= lo) || hi.is_some_and(|hi| k >= hi) {
+                return Ok(Err(format!("BST violation: {k} outside ({lo:?}, {hi:?})")));
             }
-            if let Some(hi) = hi {
-                if k >= hi {
-                    return Err(format!("BST violation: {k} >= hi {hi}"));
-                }
+            if tree.parent(r, n)? != parent {
+                return Ok(Err(format!("parent pointer of {k} inconsistent")));
             }
-            if node.parent.load_direct() != parent {
-                return Err(format!("parent pointer of {k} inconsistent"));
+            let red = tree.is_red(r, h)?;
+            let (left, right) = (tree.left(r, n)?, tree.right(r, n)?);
+            if red && (tree.is_red(r, left)? || tree.is_red(r, right)?) {
+                return Ok(Err(format!("red-red edge at {k}")));
             }
-            let red = node.red.load_direct();
-            let l = node.left.load_direct();
-            let r = node.right.load_direct();
-            if red {
-                for c in [l, r].into_iter().flatten() {
-                    if tree.arena.get(c).red.load_direct() {
-                        return Err(format!("red-red edge at {k}"));
-                    }
-                }
-            }
-            let bl = walk(tree, l, h, lo, Some(k))?;
-            let br = walk(tree, r, h, Some(k), hi)?;
-            if bl != br {
-                return Err(format!("black height mismatch at {k}: {bl} vs {br}"));
-            }
-            Ok(bl + usize::from(!red))
+            let bl = walk(tree, r, left, h, lo, Some(k))?;
+            Ok(match (bl, walk(tree, r, right, h, Some(k), hi)?) {
+                (Ok(bl), Ok(br)) if bl == br => Ok(bl + usize::from(!red)),
+                (Ok(bl), Ok(br)) => Err(format!("black height mismatch at {k}: {bl} vs {br}")),
+                (Err(e), _) | (_, Err(e)) => Err(e),
+            })
         }
-        let root = self.root.load_direct();
-        if let Some(r) = root {
-            if self.arena.get(r).red.load_direct() {
-                return Err("red root".into());
-            }
+        let root = self.root_of(r)?;
+        if self.is_red(r, root)? {
+            return Ok(Err("red root".into()));
         }
-        walk(self, root, None, None, None)
+        walk(self, r, root, None, None, None)
+    }
+
+    /// [`TRbTree::invariants`] with plain loads (quiescent only).
+    pub fn check_invariants(&self) -> Result<usize, String> {
+        Quiescent::run(|q| self.invariants(q))
     }
 
     /// The partition guarding this tree.
@@ -535,6 +535,12 @@ mod tests {
     use super::*;
     use crate::intset::testing;
     use partstm_core::{PartitionConfig, Stm};
+
+    impl testing::ReadContains for TRbTree {
+        fn contains_via<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<bool> {
+            Ok(self.get(r, key)?.is_some())
+        }
+    }
 
     fn fresh(stm: &Stm) -> TRbTree {
         TRbTree::new(stm.new_partition(PartitionConfig::named("rbtree")))

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use partstm_core::{
     Access, Arena, ArenaView, Handle, Migratable, MigratableCollection, PVar, PVarFields,
-    Partition, PrivateGuard, Tx, TxResult,
+    Partition, PrivateGuard, Quiescent, Read, Tx, TxResult,
 };
 
 use crate::intset::IntSet;
@@ -82,15 +82,15 @@ impl TSkipList {
     }
 
     /// Forward link at `lvl` from `from` (None = the head tower).
-    fn next_of<'e, A: Access<'e>>(
+    fn next_of<'e, R: Read<'e>>(
         &'e self,
-        a: &mut A,
+        r: &mut R,
         from: Option<Handle<Node>>,
         lvl: usize,
     ) -> TxResult<Option<Handle<Node>>> {
         match from {
-            Some(h) => a.read(&self.arena.get(h).next[lvl]),
-            None => a.read(&self.heads[lvl]),
+            Some(h) => r.read(&self.arena.get(h).next[lvl]),
+            None => r.read(&self.heads[lvl]),
         }
     }
 
@@ -110,27 +110,47 @@ impl TSkipList {
     /// Finds the predecessors of `key` at every level and the candidate
     /// node at level 0.
     #[allow(clippy::type_complexity)]
-    fn locate<'e, A: Access<'e>>(
+    fn locate<'e, R: Read<'e>>(
         &'e self,
-        a: &mut A,
+        r: &mut R,
         key: u64,
     ) -> TxResult<([Option<Handle<Node>>; MAX_LEVEL], Option<Handle<Node>>)> {
         let mut preds: [Option<Handle<Node>>; MAX_LEVEL] = [None; MAX_LEVEL];
         let mut pred: Option<Handle<Node>> = None;
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut cur = self.next_of(a, pred, lvl)?;
+            let mut cur = self.next_of(r, pred, lvl)?;
             while let Some(h) = cur {
-                let k = a.read(&self.arena.get(h).key)?;
+                let k = r.read(&self.arena.get(h).key)?;
                 if k >= key {
                     break;
                 }
                 pred = Some(h);
-                cur = self.next_of(a, pred, lvl)?;
+                cur = self.next_of(r, pred, lvl)?;
             }
             preds[lvl] = pred;
         }
-        let candidate = self.next_of(a, preds[0], 0)?;
+        let candidate = self.next_of(r, preds[0], 0)?;
         Ok((preds, candidate))
+    }
+
+    /// Returns whether `key` is in the list, through any [`Read`].
+    pub fn contains<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<bool> {
+        let (_, cand) = self.locate(r, key)?;
+        match cand {
+            Some(h) => Ok(r.read(&self.arena.get(h).key)? == key),
+            None => Ok(false),
+        }
+    }
+
+    /// Calls `f` on every key in ascending order, through any [`Read`].
+    pub fn for_each<'e, R: Read<'e>>(&'e self, r: &mut R, mut f: impl FnMut(u64)) -> TxResult<()> {
+        let mut cur = r.read(&self.heads[0])?;
+        while let Some(h) = cur {
+            let node = self.arena.get(h);
+            f(r.read(&node.key)?);
+            cur = r.read(&node.next[0])?;
+        }
+        Ok(())
     }
 
     /// [`IntSet::insert`] over any [`Access`].
@@ -171,11 +191,7 @@ impl MigratableCollection for TSkipList {
 
 impl IntSet for TSkipList {
     fn contains<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
-        let (_, cand) = self.locate(tx, key)?;
-        match cand {
-            Some(h) => Ok(tx.read(&self.arena.get(h).key)? == key),
-            None => Ok(false),
-        }
+        TSkipList::contains(self, tx, key)
     }
 
     fn insert<'e>(&'e self, tx: &mut Tx<'e, '_>, key: u64) -> TxResult<bool> {
@@ -214,12 +230,7 @@ impl IntSet for TSkipList {
 
     fn snapshot_keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = self.heads[0].load_direct();
-        while let Some(h) = cur {
-            let node = self.arena.get(h);
-            out.push(node.key.load_direct());
-            cur = node.next[0].load_direct();
-        }
+        Quiescent::run(|q| self.for_each(q, |k| out.push(k)));
         out
     }
 }
@@ -229,6 +240,12 @@ mod tests {
     use super::*;
     use crate::intset::testing;
     use partstm_core::{AcquireMode, PartitionConfig, Stm};
+
+    impl testing::ReadContains for TSkipList {
+        fn contains_via<'e, R: Read<'e>>(&'e self, r: &mut R, key: u64) -> TxResult<bool> {
+            self.contains(r, key)
+        }
+    }
 
     fn fresh(stm: &Stm) -> TSkipList {
         TSkipList::new(stm.new_partition(PartitionConfig::named("skip")))
@@ -275,12 +292,12 @@ mod tests {
         ctx.run(|tx| sl.insert(tx, tall + 20_000));
         assert!(ctx.run(|tx| sl.remove(tx, tall + 20_000)));
         // All levels of the head tower must no longer reach the removed key.
+        let q = &mut Quiescent;
         for lvl in 0..MAX_LEVEL {
-            let mut cur = sl.heads[lvl].load_direct();
+            let mut cur = sl.next_of(q, None, lvl).unwrap();
             while let Some(h) = cur {
-                let node = sl.arena.get(h);
-                assert_ne!(node.key.load_direct(), tall + 20_000);
-                cur = node.next[lvl].load_direct();
+                assert_ne!(q.read(&sl.arena.get(h).key), Ok(tall + 20_000));
+                cur = sl.next_of(q, Some(h), lvl).unwrap();
             }
         }
     }

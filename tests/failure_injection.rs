@@ -37,8 +37,8 @@ fn panics_under_concurrency_leak_nothing() {
                 for i in 0..50 {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         ctx.run(|tx| {
-                            let v = x.read(tx)?;
-                            x.write(tx, v + 1)?;
+                            let v = tx.read(&x)?;
+                            tx.write(&x, v + 1)?;
                             if i % 2 == 0 {
                                 panic!("injected failure {t}/{i}");
                             }
@@ -79,7 +79,7 @@ fn panic_clears_visible_reader_bits() {
     let ctx = stm.register_thread();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         ctx.run(|tx| {
-            let _ = x.read(tx)?; // sets our reader bit
+            let _ = tx.read(&x)?; // sets our reader bit
             panic!("reader dies");
             #[allow(unreachable_code)]
             Ok(())
@@ -90,7 +90,7 @@ fn panic_clears_visible_reader_bits() {
     // A writer must succeed immediately (no stale reader bit to wait on).
     let ctx2 = stm.register_thread();
     let done = ctx2.run(|tx| {
-        x.write(tx, 8)?;
+        tx.write(&x, 8)?;
         Ok(true)
     });
     assert!(done);
@@ -796,10 +796,10 @@ fn user_retry_until_condition() {
         let (flag1, value1) = (flag.clone(), value.clone());
         let waiter = s.spawn(move || {
             ctx.run(|tx| {
-                if !flag1.read(tx)? {
+                if !tx.read(&flag1)? {
                     return Err(Abort::retry()); // backoff + retry
                 }
-                value1.read(tx)
+                tx.read(&value1)
             })
         });
         let ctx2 = stm.register_thread();
@@ -807,8 +807,8 @@ fn user_retry_until_condition() {
         s.spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(50));
             ctx2.run(|tx| {
-                value2.write(tx, 99)?;
-                flag2.write(tx, true)?;
+                tx.write(&value2, 99)?;
+                tx.write(&flag2, true)?;
                 Ok(())
             });
         });

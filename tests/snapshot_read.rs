@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use partstm::core::{Migratable, PVar, PartitionConfig, Stm, SwitchOutcome};
+use partstm::structures::{THashMap, TRbTree};
 
 const ACCOUNTS: usize = 16;
 const INITIAL: i64 = 1_000;
@@ -297,6 +298,78 @@ fn snapshot_reader_straddling_a_quiesce_window_restarts_cleanly() {
     assert_eq!(sb.snapshot_restarts, 1);
     // The partition read *before* the injected window is uncharged.
     assert_eq!(pa.stats().snapshot_restarts, 0);
+}
+
+/// A structure's own read-only walks run unchanged on a snapshot, and
+/// every snapshot is consistent while updaters commit: 3,000 red-black
+/// invariant checks of a tree under concurrent inserts and removes, and as
+/// many sums over a map whose updaters only move value between entries.
+#[test]
+fn structure_walks_hold_their_invariants_in_every_snapshot_under_updates() {
+    const KEYS: u64 = 64;
+    const TOTAL: u64 = KEYS * 1_000;
+    let stm = Stm::new();
+    let tree = TRbTree::new(stm.new_partition(PartitionConfig::named("tree")));
+    let map = THashMap::new(stm.new_partition(PartitionConfig::named("map")), 16);
+    let ctx = stm.register_thread();
+    for k in 0..KEYS {
+        ctx.run(|tx| map.put(tx, k, 1_000).map(|_| ()));
+    }
+    let stop = AtomicBool::new(false);
+    let commits = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let ctx = stm.register_thread();
+            let (tree, map, stop, commits) = (&tree, &map, &stop, &commits);
+            s.spawn(move || {
+                let mut r = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                while !stop.load(Ordering::Relaxed) {
+                    r ^= r << 13;
+                    r ^= r >> 7;
+                    r ^= r << 17;
+                    let key = r % KEYS;
+                    if (r >> 32) & 1 == 0 {
+                        ctx.run(|tx| tree.put(tx, key, key).map(|_| ()));
+                    } else {
+                        ctx.run(|tx| tree.delete(tx, key).map(|_| ()));
+                    }
+                    let (from, to, amt) = (r % KEYS, (r >> 8) % KEYS, (r >> 16) % 50);
+                    ctx.run(|tx| {
+                        let f = map.get(tx, from)?.expect("every key is present");
+                        map.put(tx, from, f.wrapping_sub(amt))?;
+                        let v = map.get(tx, to)?.expect("every key is present");
+                        map.put(tx, to, v.wrapping_add(amt))?;
+                        Ok(())
+                    });
+                    commits.fetch_add(2, Ordering::Relaxed);
+                }
+            });
+        }
+        let ctx = stm.register_thread();
+        let (tree, map, stop, commits) = (&tree, &map, &stop, &commits);
+        s.spawn(move || {
+            let start = commits.load(Ordering::Relaxed);
+            for i in 0..3_000 {
+                let checked = ctx.snapshot_read(|r| tree.invariants(r));
+                assert!(checked.is_ok(), "snapshot {i}: {checked:?}");
+                let sum = ctx.snapshot_read(|r| {
+                    let mut sum = 0u64;
+                    map.for_each(r, |_, v| sum = sum.wrapping_add(v))?;
+                    Ok(sum)
+                });
+                assert_eq!(sum, TOTAL, "snapshot {i}: map sum");
+            }
+            let during = commits.load(Ordering::Relaxed) - start;
+            stop.store(true, Ordering::Relaxed);
+            assert!(during > 0, "the updaters must commit while the checks run");
+        });
+    });
+    tree.check_invariants().unwrap();
+    let sum = map
+        .snapshot_pairs()
+        .iter()
+        .fold(0u64, |s, &(_, v)| s.wrapping_add(v));
+    assert_eq!(sum, TOTAL);
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 //! End-to-end application tests: the STAMP ports produce correct results
 //! under concurrency, in every partitioning mode, with and without tuning.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use partstm::core::Stm;
@@ -34,7 +35,24 @@ fn vacation_invariants_all_modes() {
         let ctx = stm.register_thread();
         vacation::populate(&ctx, &manager, &cfg);
         drop(ctx);
-        let stats = vacation::run_vacation(&stm, &manager, &cfg, 4, 500);
+        // One extra thread checks the cross-partition invariants on
+        // snapshots while the clients run, at least once.
+        let done = AtomicBool::new(false);
+        let stats = std::thread::scope(|s| {
+            let ctx = stm.register_thread();
+            let (manager, done) = (&manager, &done);
+            s.spawn(move || {
+                let mut checks = 0u32;
+                while checks == 0 || !done.load(Ordering::Relaxed) {
+                    ctx.snapshot_read(|r| manager.invariants(r))
+                        .unwrap_or_else(|e| panic!("mode {mode}, snapshot {checks}: {e}"));
+                    checks += 1;
+                }
+            });
+            let stats = vacation::run_vacation(&stm, manager, &cfg, 4, 500);
+            done.store(true, Ordering::Relaxed);
+            stats
+        });
         assert_eq!(stats.tasks(), 2000, "mode {mode}");
         assert!(stats.reservations > 0, "mode {mode}");
         manager

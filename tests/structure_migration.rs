@@ -366,7 +366,9 @@ fn guard_access_to_a_torn_map_panics_at_the_foreign_slot_and_republishes() {
         ("put", &|g| {
             let _ = map.put(&mut g.access(), 0, 1);
         }),
-        ("bulk_for_each", &|g| map.bulk_for_each(g, |_, _| {})),
+        ("for_each", &|g| {
+            let _ = map.for_each(&mut g.access(), |_, _| {});
+        }),
     ];
     for (what, op) in ops {
         let result = under_guard(op);
