@@ -157,7 +157,7 @@
 //! | first touch | table / mask / ring / depth loads | acquire | see the installed table's contents | 0 |
 //! | first touch | `Arc<Partition>` strong count | — (gone) | views borrow | 1 → 0 |
 //! | read ×2 | `kill` poll; orec `l1`, cell, orec `l2` | `SeqCst` load; acquire ×3 | seqlock sandwich pairs with the writer's release unlock; the inlined fast path performs these same loads (below) | 0 |
-//! | write ×2 | `kill` poll, orec lock load | `SeqCst` loads | — | 0 |
+//! | write ×2 | `kill` poll, orec lock load | `SeqCst` loads | —; no read-set scan follows, so a write costs the same at any read-set size ("Why acquisition needs no read-set scan") | 0 |
 //! | write ×2 | orec CAS | `SeqCst` RMW | lock acquisition; `SeqCst` because lock-then-check-readers races set-bit-then-check-lock | 2 → 2 |
 //! | write ×2 | hint store; reader-bitmap load; fault switch | relaxed; `SeqCst` load; relaxed | telemetry; arbitration's load side; on/off switch | 0 |
 //! | commit | `kill` poll, `ro_floor` load | `SeqCst` loads | — | 0 |
@@ -229,6 +229,42 @@
 //! when it loops. So the fast path adds no protocol state and no
 //! interleaving, and the "read ×2" row of the budget above stays at 0
 //! locked instructions.
+//!
+//! ## Why acquisition needs no read-set scan
+//!
+//! `acquire_orec` (both encounter-time and commit-time acquisition) loads
+//! the orec's unlocked word `l`, calls `extend` if `version_of(l) > rv`,
+//! and locks with a CAS from `l`. Every earlier invisible read of that
+//! orec then saw exactly `l`, so the acquisition validates nothing
+//! itself and costs the same at any read-set size, as in TL2:
+//!
+//! * **`version_of(l) > rv`.** `extend` has just validated every
+//!   read-set entry against the orec's current word: each entry for this
+//!   orec saw the word that validation loaded. That load comes after the
+//!   load of `l` and before the CAS, and the CAS succeeds only if nothing
+//!   was written between `l` and its own write. So validation loaded `l`
+//!   itself.
+//! * **`version_of(l) <= rv`.** An entry saw an unlocked word `s` of this
+//!   orec, with `rv` sampled before that load. This holds at `begin`, and
+//!   it holds after an extension too, because `extend` and
+//!   `ensure_snapshot_at_least` sample the new `rv` before they validate,
+//!   and the validation loaded `s` again. Suppose `s != l`. Then a commit
+//!   released this orec between them: a rollback puts back the word it
+//!   locked from, and a table reset happens only in a quiesce window,
+//!   which no attempt spans, so only a commit leaves another unlocked
+//!   word behind. That commit locked the orec
+//!   after our load of `s` and drew its `wv` (acq-rel `fetch_add`) after
+//!   its lock. If our acquire load of `rv` had seen that increment, the
+//!   lock would happen-before our load of `s`, and that load could not
+//!   return the word from before the lock. So `wv > rv`. Versions only
+//!   grow along the orec's history, which gives `version_of(l) >= wv > rv`,
+//!   a contradiction.
+//!
+//! Commit-time validation relies on the same fact: an entry whose orec it
+//! finds locked by this attempt is skipped, because the lock was taken
+//! from the word the entry saw. The check stays as a `debug_assert!` after
+//! the CAS, so every debug test run checks the argument at every
+//! acquisition, and `txn::write_path` pins the `extend` step.
 //!
 //! ## Aliasing telemetry
 //!
@@ -1138,8 +1174,9 @@ impl<'e, 's> Tx<'e, 's> {
                 continue;
             }
             if is_locked(l) && owner_of(l) == self.slot {
-                // Acquired by me after the read; acquisition validated the
-                // version then, and it cannot change while I hold the lock.
+                // Acquired by me after the read, from the word the read saw
+                // (module docs, "Why acquisition needs no read-set scan"),
+                // and it cannot change while I hold the lock.
                 continue;
             }
             return Err(i);
@@ -1181,17 +1218,16 @@ impl<'e, 's> Tx<'e, 's> {
                 e.prev = l;
                 e.acquired_here = true;
             }
-            // Validate my earlier invisible reads of this orec: they must
-            // have seen exactly the pre-acquisition word. (Classified
-            // against the hint *before* we overwrite it below — the hint
-            // still names the writer whose commit moved the version.)
-            for i in 0..self.s.read_set.len() {
-                let e = &self.s.read_set[i];
-                if e.orec == orec_ptr && e.seen != l {
-                    self.note_failed_entry(ti, i);
-                    return Err(self.fail(ti, AbortKind::Validation));
-                }
-            }
+            // My earlier invisible reads of this orec saw exactly `l`: no
+            // scan needed (module docs, "Why acquisition needs no read-set
+            // scan").
+            debug_assert!(
+                self.s
+                    .read_set
+                    .iter()
+                    .all(|e| e.orec != orec_ptr || e.seen == l),
+                "an earlier read of an acquired orec saw another word"
+            );
             // Publish the acquisition address (aliasing telemetry): the
             // CAS above made this line exclusively ours, so the store is
             // effectively free.
@@ -1804,7 +1840,7 @@ impl ThreadCtx {
 
 /// The STM protocol as a [`Read`]: the inherent method's body.
 impl<'e> Read<'e> for Tx<'e, '_> {
-    #[inline]
+    #[inline(always)]
     fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
         Tx::read(self, var)
     }
@@ -2483,5 +2519,105 @@ mod read_path {
         let s = p.stats();
         assert_eq!(s.aborts_killed, 1);
         assert_eq!(s.reads, 1, "only the second attempt's read counts");
+    }
+}
+
+/// Deterministic, single-thread tests of orec acquisition (module docs,
+/// "Why acquisition needs no read-set scan"): a write to an orec that
+/// moved past `rv` validates the read set through `extend`, under both
+/// acquisition modes, and a write to an orec that did not move validates
+/// nothing.
+#[cfg(test)]
+mod write_path {
+    use super::*;
+    use crate::config::{Granularity, PartitionConfig};
+    use crate::stm::Stm;
+
+    /// Reads `a`, lets a second thread context commit `b` on the same
+    /// (only) orec, then writes `a`: the first attempt must abort on
+    /// validation and the second commit.
+    fn stale_read_then_write(acquire: AcquireMode) {
+        let stm = Stm::new();
+        let p = stm.new_partition(
+            PartitionConfig::default()
+                .granularity(Granularity::PartitionLock)
+                .acquire(acquire),
+        );
+        let (a, b) = (p.tvar(0u64), p.tvar(0u64));
+        let (ctx, pump) = (stm.register_thread(), stm.register_thread());
+        let mut runs = 0;
+        ctx.run(|tx| {
+            runs += 1;
+            let v = tx.read(&a)?;
+            if tx.attempts() == 0 {
+                pump.run(|q| q.write(&b, 1));
+            }
+            tx.write(&a, v + 1)
+        });
+        assert_eq!(runs, 2, "{acquire:?}");
+        assert_eq!((a.load_direct(), b.load_direct()), (1, 1), "{acquire:?}");
+        let s = p.stats();
+        assert_eq!(s.aborts_validation, 1, "{acquire:?}");
+        assert_eq!(s.commits, 2, "{acquire:?}");
+    }
+
+    #[test]
+    fn stale_read_aborts_encounter_acquisition() {
+        stale_read_then_write(AcquireMode::Encounter);
+    }
+
+    #[test]
+    fn stale_read_aborts_commit_acquisition() {
+        stale_read_then_write(AcquireMode::Commit);
+    }
+
+    #[test]
+    fn read_then_write_acquires_without_extending() {
+        let stm = Stm::new();
+        let p =
+            stm.new_partition(PartitionConfig::default().granularity(Granularity::PartitionLock));
+        let a = p.tvar(5u64);
+        let ctx = stm.register_thread();
+        let mut runs = 0;
+        ctx.run(|tx| {
+            runs += 1;
+            let v = tx.read(&a)?;
+            tx.write(&a, v + 1)?;
+            // The entry's orec is now ours, taken from the word it saw.
+            let (valid, len, _) = tx.debug_validate();
+            assert!(valid);
+            assert_eq!(len, 1);
+            Ok(())
+        });
+        assert_eq!(runs, 1);
+        assert_eq!(a.load_direct(), 6);
+        let s = p.stats();
+        assert_eq!((s.extensions, s.aborts_validation), (0, 0));
+    }
+
+    #[test]
+    fn newer_orec_with_valid_reads_extends_and_commits() {
+        let stm = Stm::new();
+        let (p, q) = (
+            stm.new_partition(PartitionConfig::default()),
+            stm.new_partition(PartitionConfig::default()),
+        );
+        let (a, b) = (p.tvar(1u64), q.tvar(0u64));
+        let (ctx, pump) = (stm.register_thread(), stm.register_thread());
+        let mut runs = 0;
+        ctx.run(|tx| {
+            runs += 1;
+            let v = tx.read(&a)?;
+            let rv = tx.read_version();
+            pump.run(|t| t.write(&b, 7));
+            // `b`'s orec is past `rv`; `a`'s is not, so `extend` passes.
+            tx.write(&b, v + 10)?;
+            assert!(tx.read_version() > rv, "the snapshot was extended");
+            Ok(())
+        });
+        assert_eq!(runs, 1);
+        assert_eq!(b.load_direct(), 11);
+        let s = q.stats();
+        assert_eq!((s.extensions, s.aborts_validation), (1, 0));
     }
 }

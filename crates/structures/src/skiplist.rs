@@ -25,6 +25,10 @@ pub struct Node {
     /// Height of this node's tower (1..=MAX_LEVEL). Transactional so
     /// recycled nodes stay under orec protection.
     level: PVar<u64>,
+    /// Forward links; only `next[..level]` are meaningful. Every walk
+    /// reads `next[i]` only of a node it reached through a level-`i` (or
+    /// higher) link, or of a node whose `level` it read, so a recycled
+    /// slot's stale upper links are never followed.
     next: [PVar<Option<Handle<Node>>>; MAX_LEVEL],
 }
 
@@ -171,10 +175,6 @@ impl TSkipList {
             a.write(&node.next[i], succ)?;
             self.set_next(a, pred, i, Some(new))?;
         }
-        // Clear unused tower levels (slot may be recycled).
-        for i in lvl..MAX_LEVEL {
-            a.write(&node.next[i], None)?;
-        }
         Ok(true)
     }
 }
@@ -299,6 +299,55 @@ mod tests {
                 assert_ne!(q.read(&sl.arena.get(h).key), Ok(tall + 20_000));
                 cur = sl.next_of(q, Some(h), lvl).unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn short_key_in_a_tall_nodes_slot_is_linked_only_at_its_levels() {
+        let stm = Stm::new();
+        let sl = fresh(&stm);
+        let ctx = stm.register_thread();
+        let tall = (10_000..20_000u64).max_by_key(|&k| level_for(k)).unwrap();
+        let short = (20_000..30_000u64).find(|&k| level_for(k) == 1).unwrap();
+        assert!(level_for(tall) >= 8);
+        let mut model: Vec<u64> = (0..300u64).collect();
+        for &k in &model {
+            ctx.run(|tx| sl.insert(tx, k));
+        }
+        let q = &mut Quiescent;
+        let slot_of = |key: u64| {
+            let mut cur = sl.next_of(&mut Quiescent, None, 0).unwrap();
+            while let Some(h) = cur {
+                if Quiescent.read(&sl.arena.get(h).key) == Ok(key) {
+                    return h;
+                }
+                cur = sl.next_of(&mut Quiescent, Some(h), 0).unwrap();
+            }
+            panic!("{key} is not linked at level 0");
+        };
+        assert!(ctx.run(|tx| sl.insert(tx, tall)));
+        let freed = slot_of(tall);
+        assert!(ctx.run(|tx| sl.remove(tx, tall)));
+        assert!(ctx.run(|tx| sl.insert(tx, short)));
+        assert_eq!(slot_of(short), freed, "the short key reuses the slot");
+        model.push(short);
+        for lvl in 0..MAX_LEVEL {
+            let want: Vec<u64> = model
+                .iter()
+                .copied()
+                .filter(|&k| level_for(k) > lvl)
+                .collect();
+            let mut got = Vec::new();
+            let mut cur = sl.next_of(q, None, lvl).unwrap();
+            while let Some(h) = cur {
+                got.push(q.read(&sl.arena.get(h).key).unwrap());
+                cur = sl.next_of(q, Some(h), lvl).unwrap();
+            }
+            assert_eq!(got, want, "level {lvl}");
+        }
+        for k in (0..400u64).chain([tall, short]) {
+            let want = model.contains(&k);
+            assert_eq!(ctx.run(|tx| sl.contains(tx, k)), want, "{k}");
         }
     }
 
