@@ -295,17 +295,27 @@ impl<N: 'static> Arena<N> {
     /// contents are whatever the previous user left (or the factory's value
     /// for a fresh slot).
     pub fn alloc_raw(&self) -> Handle<N> {
-        if let Some((i, _tag)) = self.free.lock().pop() {
-            return Handle::from_index(i);
+        self.take_slot().0
+    }
+
+    /// Pops a free slot with its free tag, or bumps a fresh one (tag 0)
+    /// and installs its chunk.
+    #[inline]
+    fn take_slot(&self) -> (Handle<N>, u64) {
+        let popped = self.free.lock().pop();
+        match popped {
+            Some((i, tag)) => (Handle::from_index(i), tag),
+            None => {
+                let i = self.next.fetch_add(1, Ordering::Relaxed);
+                assert!(
+                    (i as usize) < chunk_capacity(NUM_CHUNKS) * 2,
+                    "arena exhausted"
+                );
+                let (c, _) = locate(i);
+                self.ensure_chunk(c);
+                (Handle::from_index(i), 0)
+            }
         }
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            (i as usize) < chunk_capacity(NUM_CHUNKS) * 2,
-            "arena exhausted"
-        );
-        let (c, _) = locate(i);
-        self.ensure_chunk(c);
-        Handle::from_index(i)
     }
 
     /// Returns a slot to the free list outside of any transaction (setup/
@@ -329,20 +339,7 @@ impl<N: 'static> Arena<N> {
     where
         N: Send + Sync + 'static,
     {
-        let popped = self.free.lock().pop();
-        let (h, tag) = match popped {
-            Some((i, tag)) => (Handle::from_index(i), tag),
-            None => {
-                let i = self.next.fetch_add(1, Ordering::Relaxed);
-                assert!(
-                    (i as usize) < chunk_capacity(NUM_CHUNKS) * 2,
-                    "arena exhausted"
-                );
-                let (c, _) = locate(i);
-                self.ensure_chunk(c);
-                (Handle::from_index(i), 0)
-            }
-        };
+        let (h, tag) = self.take_slot();
         if let Err(abort) = tx.ensure_snapshot_at_least(tag) {
             // Could not extend past the slot's free: put it back untouched
             // (with its original tag) and abort this attempt.

@@ -86,6 +86,7 @@ pub mod stm;
 pub mod telemetry;
 pub mod tuner;
 pub mod txn;
+mod view;
 pub mod word;
 
 pub use arena::{Arena, ArenaSlots, Handle};

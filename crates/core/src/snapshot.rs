@@ -6,8 +6,9 @@
 //! without taking locks, registering reader bits, building a read set, or
 //! validating anything. Writers make that possible by publishing the value
 //! they overwrite into a small per-orec *version ring* at commit time
-//! ([`RingSlot`]; the commit side lives in `txn.rs`): where the regular
-//! path validates, the snapshot path *reconstructs*.
+//! ([`RingSlot`](crate::orec::RingSlot); the commit side lives in
+//! `txn.rs`): where the regular path validates, the snapshot path
+//! *reconstructs*.
 //!
 //! The only restart causes are a configuration switch caught in flight
 //! and a user-requested retry — never a concurrent writer. That is the
@@ -177,11 +178,8 @@
 //! before the window's mutations, and an attempt that begins after the
 //! epoch bump observes the flag and **restarts instead of spinning** —
 //! spinning would deadlock against the switcher waiting for us to
-//! quiesce. Cached view state (table, mask, ring pointer, depth) is
-//! therefore stable for the attempt, and an old table or ring is freed
-//! only after the window has closed, by which time the drain has waited
-//! out every attempt that could hold a pointer into it (the quiesce
-//! module docs, "What a closed window frees").
+//! quiesce. An attempt's views are the engine's `View`s (`view.rs`), so
+//! their table and ring stay stable and alive until it ends.
 //!
 //! Those windows *discard* accumulated history (rings cleared or swapped
 //! fresh, overflow emptied). Safe: readers pinned before the window were
@@ -215,13 +213,13 @@
 //! * **View.** The most recently used view (`last_view`, reset at begin)
 //!   is tested inline: one `SeqCst` binding load compared with the view's
 //!   partition pointer. A miss calls `view_of_binding`, which finds an
-//!   existing view by pointer or creates one; only creation rechecks the
-//!   binding.
-//! * **Read.** With the view resolved, the fast path loads `l1`, then (if
-//!   `l1` is unlocked) the cell, then `l2`, all acquire
-//!   (`Orec::sandwich`, the one statement of this check that the
-//!   engine's `Tx::read` shares), and serves the cell's value when all
-//!   three serve conditions hold:
+//!   existing view by pointer or opens one (`View::open`, `view.rs`, the
+//!   engine's first touch); only opening rechecks the binding.
+//! * **Read.** With the view resolved, `View::orec` names the orec, and
+//!   the fast path loads `l1`, then (if `l1` is unlocked) the cell, then
+//!   `l2`, all acquire (`Orec::sandwich`, the one statement of this check
+//!   that the engine's `Tx::read` shares), and serves the cell's value
+//!   when all three serve conditions hold:
 //!   1. `l1` is unlocked;
 //!   2. `l1 == l2`;
 //!   3. `version_of(l1) <= T`.
@@ -265,7 +263,8 @@
 //! invisible read, inline, with no call, no view search, no second
 //! binding load and no read-set record — so a snapshot read costs less
 //! than a transactional one. The ring is scanned (relaxed loads inside
-//! the epoch bracket) only when an orec moved past `T`. Memory is
+//! the epoch bracket) only when an orec moved past `T`, over the orec's
+//! `ring_depth` slots (`View::ring_of`, `view.rs`). Memory is
 //! `orec_count × ring_depth × 32` bytes per partition, bounded; the
 //! overflow list is pruned against the floor at a doubling watermark, so
 //! it is proportional to records actually protected by a live pin.
@@ -273,52 +272,21 @@
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::{self, Granularity};
 use crate::error::{Abort, TxResult};
-use crate::orec::{is_locked, version_of, Orec, RingSlot};
-use crate::partition::{orec_index, Partition};
+use crate::orec::{is_locked, version_of, Orec};
 use crate::pvar::{PVar, PVarBinding, Read};
 use crate::stm::{StmInner, ThreadCtx};
+use crate::view::View;
 use crate::word::TxWord;
 
-/// Per-partition state of one snapshot attempt: the read-only analogue of
-/// the engine's partition view (same one-decode-per-attempt soundness
-/// argument, see the `txn` module docs), without the write-side fields.
+/// Per-partition state of one snapshot attempt: the partition's [`View`]
+/// plus the reads this attempt served there.
 pub(crate) struct RoView {
-    /// The partition, borrowed for the attempt exactly as in the engine's
-    /// `PartView` (a `&'e Partition` at view creation; no reference count
-    /// is touched). Also the lookup key.
-    part: *const Partition,
-    granularity: Granularity,
-    table: *const Orec,
-    mask: usize,
-    ring: *const RingSlot,
-    ring_depth: usize,
-    generation: u32,
+    view: View,
     /// Reads served this attempt (flushed as `reads` + `snapshot_reads`).
     reads: u32,
     /// Reads served from a history record rather than the live cell.
     hist_reads: u32,
-}
-
-impl RoView {
-    #[inline(always)]
-    fn part(&self) -> &Partition {
-        // SAFETY: the drain covers it, as for the engine's `PartView`:
-        // `part` was loaded from a binding inside this attempt, and every
-        // caller runs before the attempt's `end_slot`, which a repartition
-        // waits for before it drops what it unbound.
-        unsafe { &*self.part }
-    }
-}
-
-impl core::fmt::Debug for RoView {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("RoView")
-            .field("partition", &self.part)
-            .field("generation", &self.generation)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Why the current snapshot attempt must restart. Data conflicts are not
@@ -392,20 +360,14 @@ impl<'e, 's> ReadTx<'e, 's> {
     }
 
     fn finish_commit(&mut self) {
-        // Same debug tripwire as the regular commit: no touched partition
-        // may have switched configurations mid-attempt.
         #[cfg(debug_assertions)]
         for v in self.views.iter() {
-            debug_assert_eq!(
-                config::generation(v.part().config_word()),
-                v.generation,
-                "partition config switched mid-snapshot (quiesce protocol violated)"
-            );
+            v.view.assert_generation();
         }
         // As in `Tx::finish_commit`: every view dereference precedes the
         // end of the attempt, after which a partition may be freed.
         for v in self.views.iter_mut() {
-            let st = &v.part().stats;
+            let st = &v.view.part().stats;
             st.starts(self.slot, 1);
             st.commits(self.slot, 1);
             st.ro_commits(self.slot, 1);
@@ -420,12 +382,12 @@ impl<'e, 's> ReadTx<'e, 's> {
     fn do_restart(&mut self) {
         if self.restart == Restart::User {
             if let Some(v) = self.views.first() {
-                v.part().stats.aborts_user(self.slot, 1);
-                v.part().stats.snapshot_restarts(self.slot, 1);
+                v.view.part().stats.aborts_user(self.slot, 1);
+                v.view.part().stats.snapshot_restarts(self.slot, 1);
             }
         }
         for v in self.views.iter() {
-            let st = &v.part().stats;
+            let st = &v.view.part().stats;
             st.starts(self.slot, 1);
             st.reads(self.slot, v.reads as u64);
             st.snapshot_reads(self.slot, v.reads as u64);
@@ -441,64 +403,36 @@ impl<'e, 's> ReadTx<'e, 's> {
     /// read fast path").
     fn view_of_binding(&mut self, binding: &'e PVarBinding) -> Result<u16, Abort> {
         let part = binding.load_ref();
-        let vi = match self.views.iter().position(|v| core::ptr::eq(v.part, part)) {
+        let vi = match self.views.iter().position(|v| v.view.is(part)) {
             Some(i) => i as u16,
             None => {
-                let vi = self.view_create(part)?;
+                // A set switching flag restarts the attempt — abort-not-spin,
+                // so the switcher waiting for our quiescence is never
+                // deadlocked (module docs).
+                let Some(view) = View::open(part, self.stm.id, self.slot) else {
+                    part.stats.snapshot_restarts(self.slot, 1);
+                    self.restart = Restart::Attributed;
+                    return Err(Abort(()));
+                };
+                self.views.push(RoView {
+                    view,
+                    reads: 0,
+                    hist_reads: 0,
+                });
                 // A changed pointer means the load straddled a completing
                 // migration: the attempt restarts as if it had caught the
                 // switching flag itself.
                 if !core::ptr::eq(binding.load(), part) {
-                    let st = &self.views[vi as usize].part().stats;
-                    st.snapshot_restarts(self.slot, 1);
-                    st.aborts_switching(self.slot, 1);
+                    part.stats.snapshot_restarts(self.slot, 1);
+                    part.stats.aborts_switching(self.slot, 1);
                     self.restart = Restart::Attributed;
                     return Err(Abort(()));
                 }
-                vi
+                (self.views.len() - 1) as u16
             }
         };
         self.last_view = vi as u32;
         Ok(vi)
-    }
-
-    /// First contact with a partition this attempt: records its view. A
-    /// set switching flag restarts the attempt — abort-not-spin, so the
-    /// switcher waiting for our quiescence is never deadlocked (module
-    /// docs).
-    fn view_create(&mut self, part: &'e Partition) -> Result<u16, Abort> {
-        assert_eq!(
-            part.stm_id, self.stm.id,
-            "partition belongs to a different Stm"
-        );
-        let word = part.config_word();
-        if config::is_switching(word) {
-            if config::is_privatized(word) {
-                part.stats.privatized_collisions(self.slot, 1);
-            }
-            part.stats.starts(self.slot, 1);
-            part.stats.aborts_switching(self.slot, 1);
-            part.stats.snapshot_restarts(self.slot, 1);
-            self.restart = Restart::Attributed;
-            return Err(Abort(()));
-        }
-        // Snapshot table and ring registers after observing the flag
-        // clear; stable for the attempt (same argument as `Tx`).
-        let (table, mask) = part.table_view();
-        let (ring, ring_depth) = part.ring_view();
-        let cfg = config::decode(word);
-        self.views.push(RoView {
-            part,
-            granularity: cfg.granularity,
-            table,
-            mask,
-            ring,
-            ring_depth,
-            generation: config::generation(word),
-            reads: 0,
-            hist_reads: 0,
-        });
-        Ok((self.views.len() - 1) as u16)
     }
 
     /// Snapshot read of a partition-bound variable.
@@ -510,19 +444,14 @@ impl<'e, 's> ReadTx<'e, 's> {
     #[inline(always)]
     pub fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
         let li = self.last_view as usize;
-        let vi = if li < self.views.len() && core::ptr::eq(self.views[li].part, var.binding.load())
-        {
+        let vi = if li < self.views.len() && self.views[li].view.is(var.binding.load()) {
             li as u16
         } else {
             self.view_of_binding(&var.binding)?
         };
         let v = &mut self.views[vi as usize];
         let addr = &var.cell as *const AtomicU64 as usize;
-        // SAFETY: the index is masked into the view's table, which stays
-        // alive and installed for the attempt (module docs).
-        let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.granularity)) };
-        // SAFETY: `orec` points into that table (previous line).
-        let orec = unsafe { &*orec };
+        let orec = v.view.orec(addr);
         if let Some((_, val)) = orec.sandwich(&var.cell, &self.t) {
             v.reads += 1;
             return Ok(T::from_word(val));
@@ -536,13 +465,7 @@ impl<'e, 's> ReadTx<'e, 's> {
     fn read_word(&mut self, vi: u16, cell: *const AtomicU64) -> u64 {
         let t = self.t;
         let addr = cell as usize;
-        let v = &self.views[vi as usize];
-        // SAFETY: index masked into the view's table; the allocation is
-        // alive for the partition's lifetime and stable for the attempt
-        // (module docs).
-        let orec_ptr = unsafe { v.table.add(orec_index(v.mask, addr, v.granularity)) };
-        // SAFETY: as above.
-        let orec = unsafe { &*orec_ptr };
+        let orec = self.views[vi as usize].view.orec(addr);
         let mut spins = 0u32;
         loop {
             let l1 = orec.load_lock();
@@ -562,7 +485,7 @@ impl<'e, 's> ReadTx<'e, 's> {
                 // The orec moved past `T`: reconstruct from history. A
                 // miss proves `addr` itself was not overwritten after `T`
                 // (module docs), so the sandwiched value stands.
-                if let Some((h, _)) = self.history_lookup(vi, orec_ptr, addr, t) {
+                if let Some((h, _)) = self.history_lookup(vi, orec, addr, t) {
                     let v = &mut self.views[vi as usize];
                     v.reads += 1;
                     v.hist_reads += 1;
@@ -575,7 +498,7 @@ impl<'e, 's> ReadTx<'e, 's> {
             // we need one, is already published (records are pushed before
             // cells are overwritten); otherwise wait for the unlock and
             // re-arbitrate on the new version.
-            if let Some((h, _)) = self.history_lookup(vi, orec_ptr, addr, t) {
+            if let Some((h, _)) = self.history_lookup(vi, orec, addr, t) {
                 let v = &mut self.views[vi as usize];
                 v.reads += 1;
                 v.hist_reads += 1;
@@ -594,28 +517,17 @@ impl<'e, 's> ReadTx<'e, 's> {
     /// The reconstruction rule's search: among records for `addr` with
     /// close stamp strictly greater than `t`, the value of the one with
     /// the smallest stamp — across the orec's ring and, only when
-    /// non-empty, the partition overflow list. Returns `(val, to)`.
+    /// non-empty, the partition overflow list. Returns `(val, to)`. `orec`
+    /// is the one view `vi`'s `orec` returned for `addr`.
     ///
     /// The pass is bracketed by the orec's ring epoch and retried until it
     /// overlapped no publication, which makes it an atomic read of ring +
     /// overflow (the *marching hazard*; module docs). Nothing loaded inside
     /// the bracket is used before the closing check.
-    fn history_lookup(
-        &self,
-        vi: u16,
-        orec: *const Orec,
-        addr: usize,
-        t: u64,
-    ) -> Option<(u64, u64)> {
-        let v = &self.views[vi as usize];
-        let idx = (orec as usize - v.table as usize) / core::mem::size_of::<Orec>();
-        debug_assert!(idx <= v.mask);
-        // SAFETY: orec points into the view's table (computed by caller).
-        let orec = unsafe { &*orec };
-        let base = v.ring.wrapping_add(idx * v.ring_depth);
-        // SAFETY: the ring has `(mask + 1) * ring_depth` slots and `idx <=
-        // mask`; alive and stable as the table is (module docs).
-        let ring = unsafe { core::slice::from_raw_parts(base, v.ring_depth) };
+    fn history_lookup(&self, vi: u16, orec: &Orec, addr: usize, t: u64) -> Option<(u64, u64)> {
+        let v = &self.views[vi as usize].view;
+        // SAFETY: `orec` came from this view's `orec` (`read_word`).
+        let ring = unsafe { v.ring_of(orec) };
         let mut best: Option<(u64, u64)>; // (to, val)
         let mut tries = 0u32;
         let mut scanned = 0u64;
@@ -678,7 +590,7 @@ impl Drop for ReadTx<'_, '_> {
         if self.in_attempt {
             self.end_slot();
         }
-        // The views borrow partitions for `'e` (see `RoView::part`).
+        // The views borrow partitions for `'e` (see `View::part`).
         self.views.clear();
     }
 }
@@ -1051,12 +963,14 @@ mod tests {
                         restart: Restart::User,
                         _env: PhantomData,
                     };
-                    let vi = rtx.view_create(&self.part).expect("no window is open");
+                    let vi = rtx
+                        .view_of_binding(&self.vars[0].binding)
+                        .expect("no window is open");
                     for i in 0..VARS {
                         let addr = self.vars[i].cell.as_ptr() as usize;
                         let want = self.model[i].range(t + 1..).next();
                         assert_eq!(
-                            rtx.history_lookup(vi, table, addr, t),
+                            rtx.history_lookup(vi, orec, addr, t),
                             want.map(|(&to, &old)| (old, to)),
                             "after {after:?}: var {i} at pin {t}"
                         );

@@ -26,38 +26,16 @@
 //!
 //! ## Partition views: one config decode per attempt
 //!
-//! Every attempt keeps a *partition view* table: the first touch of a
-//! partition loads its config word (one `SeqCst` load), rejects the attempt
-//! if the switching flag is set, and caches the decoded [`DynConfig`] plus
-//! generation — and, since orec tables became resizable, the table's base
-//! pointer and index mask — in the view. Every later access to that
-//! partition resolves to the cached view (a one-entry MRU fast path backed
-//! by a stamped hash index) and never re-reads the config word or the
-//! table registers.
-//!
-//! **Soundness.** Caching the decode (and the table pointer/mask) for the
-//! whole attempt is sound because the quiesce-based switch protocol (see
-//! [`crate::Stm::switch_partition`]; [`crate::Stm::resize_orecs`] runs the
-//! identical window) guarantees no attempt spans a configuration switch or
-//! table resize:
-//!
-//! 1. the switcher sets the partition's *switching* flag **before** bumping
-//!    the global switch epoch, so any attempt that begins after the bump
-//!    (its `start_epoch` is past the bump) observes the flag at first touch
-//!    — all the loads involved are `SeqCst`, ordered after the attempt's
-//!    one fence (see "One full fence per attempt" below) — and aborts
-//!    without caching anything;
-//! 2. the switcher waits for every attempt begun **before** the bump (odd
-//!    `seq`, older `start_epoch`) to finish before it resets (or swaps)
-//!    the orec table and installs the new config word.
-//!
-//! Hence a view snapshotted at first touch is, for the rest of the attempt,
-//! identical to what a per-access decode would produce, and the cached
-//! generation — and every orec pointer derived from the cached table —
-//! is stable until the attempt's `seq` returns to even. (A table retired
-//! by a resize is freed only after its window closes, and that window's
-//! drain waited for this `seq` to return to even first, so every orec
-//! access of the attempt, rollback included, precedes the free.)
+//! Every attempt keeps a *partition view* table. The first touch of a
+//! partition opens a `View` (`view.rs`): one `SeqCst` load of the config
+//! word, an abort if the switching flag is set, and otherwise the decoded
+//! configuration, its generation and the orec-table and version-ring
+//! registers, cached for the rest of the attempt. Every later access to
+//! that partition resolves to the cached view (a one-entry MRU fast path
+//! backed by a stamped hash index) and never re-reads the config word or
+//! the table registers. Why the cache is sound for the whole attempt, and
+//! the invariants its orec and ring accessors rest on, are stated once in
+//! `view.rs`; the snapshot path opens the same `View`.
 //!
 //! ## One full fence per attempt
 //!
@@ -120,21 +98,13 @@
 //!
 //! ## Refcount-free views
 //!
-//! A view *borrows* its partition; it never touches the `Arc` strong
-//! count, a line every thread of the partition would otherwise RMW twice
-//! per transaction. The borrow is covered by the drain: the pointer was
-//! loaded from a binding inside the attempt, and a repartition that
-//! unbinds it drops its reference only after a grace period that waits the
-//! attempt out (`pvar` module docs). So every view dereference — the
-//! statistics flush, the profiler sample's partition ids, the tuner hook's
-//! owning `Arc` — happens before `seq` returns to even; after that the
-//! partition may be gone.
-//!
-//! The view stores it as a raw pointer only because the scratch tables
-//! outlive the attempt; they are emptied when the `Tx` drops. An owning
-//! `Arc` is manufactured in one place: the tuner hook, on every
-//! `stride`-th own commit of a *tunable* partition while a tuner is
-//! installed; the policy runs on it after the attempt.
+//! A view *borrows* its partition (`view.rs`, "Alive"), so every view
+//! dereference — the statistics flush, the profiler sample's partition
+//! ids, the tuner hook's owning `Arc` — happens before `seq` returns to
+//! even; after that the partition may be gone. An owning `Arc` is
+//! manufactured in one place: the tuner hook, on every `stride`-th own
+//! commit of a *tunable* partition while a tuner is installed; the policy
+//! runs on it after the attempt.
 //!
 //! ## Synchronization budget
 //!
@@ -195,7 +165,8 @@
 //!   binding load compared with its partition pointer, exactly the first
 //!   test of `view_of_binding`, so a hit needs no binding recheck for the
 //!   same reason a cached hit there does. A miss calls `view_of_binding`.
-//! * **Read.** `read_fast` runs when all four entry conditions hold:
+//! * **Read.** `read_fast` runs when all four entry conditions hold (the
+//!   orec comes from `View::orec`, `view.rs`, as on every other path):
 //!   1. the write set is empty, so there is no buffered value to return;
 //!   2. the attempt is not profiler-sampled, so no bucket is to be
 //!      recorded;
@@ -324,16 +295,17 @@ use std::time::Instant;
 use crate::arena::{Arena, Handle};
 use crate::cm::{self, XorShift64};
 use crate::config::CmPolicy;
-use crate::config::{self, AcquireMode, DynConfig, ReadMode, ReaderArb};
+use crate::config::{self, AcquireMode, ReadMode, ReaderArb};
 use crate::error::{Abort, AbortKind, TxResult};
-use crate::orec::{is_locked, make_version, owner_of, reader_bit, version_of, Orec, RingSlot};
-use crate::partition::{orec_index, Partition};
+use crate::orec::{is_locked, make_version, owner_of, reader_bit, version_of, Orec};
+use crate::partition::Partition;
 use crate::profiler::{self, BucketTouch, SampleTouch, TxSample};
 use crate::pvar::{Access, PVar, PVarBinding, Read};
 use crate::stats::LocalStats;
 use crate::stm::{StmInner, ThreadCtx};
 use crate::telemetry::{self, EventKind};
 use crate::tuner::{TuneInput, TUNE_STRIDE};
+use crate::view::View;
 use crate::word::TxWord;
 
 /// An invisible-read record: which orec was read, the lock word observed,
@@ -360,45 +332,12 @@ struct WriteEntry {
     touch: u16,
 }
 
-/// Per-partition state of one transaction attempt: the *partition view*.
-///
-/// The config word is loaded and decoded exactly once, on first touch (see
-/// the module docs for why that is sound); every later access resolves to
-/// this cached snapshot.
+/// Per-partition state of one transaction attempt: the partition's
+/// [`View`] plus what this attempt did there.
 struct PartView {
-    /// The partition, *borrowed* for the attempt — a `&'e Partition` at
-    /// view creation, kept as a pointer because the scratch state outlives
-    /// `'e` (module docs, "Refcount-free views"). Also the lookup key.
-    part: *const Partition,
-    cfg: DynConfig,
-    /// Orec-table base pointer, snapshotted with `mask` at view creation
-    /// (stable for the attempt — see the module docs on resizes).
-    table: *const Orec,
-    /// Orec-table index mask (`orec_count - 1`).
-    mask: usize,
-    /// Version-ring base pointer and depth, snapshotted with the table at
-    /// view creation (swapped only inside the same flag→quiesce windows,
-    /// so equally stable for the attempt). Orec *i* owns ring slots
-    /// `i*ring_depth..(i+1)*ring_depth`.
-    ring: *const RingSlot,
-    ring_depth: usize,
-    /// Generation of the config word the view was decoded from. Stable for
-    /// the whole attempt (quiesce protocol); kept for diagnostics and
-    /// debug-mode verification at commit.
-    generation: u32,
+    view: View,
     stats: LocalStats,
     wrote: bool,
-}
-
-impl PartView {
-    #[inline(always)]
-    fn part(&self) -> &Partition {
-        // SAFETY: the drain covers it: `part` was loaded from a binding
-        // inside this attempt, and every caller runs before the attempt's
-        // `leave_attempt` (module docs, "Refcount-free views"), which a
-        // repartition waits for before it drops what it unbound.
-        unsafe { &*self.part }
-    }
 }
 
 /// Type-erased deferred arena operation (see [`crate::arena`]).
@@ -641,8 +580,8 @@ impl<'e, 's> Tx<'e, 's> {
         self.s
             .views
             .iter()
-            .find(|v| v.part == ptr)
-            .map(|v| v.generation)
+            .find(|v| v.view.is(ptr))
+            .map(|v| v.view.generation)
     }
 
     fn begin(&mut self) {
@@ -693,7 +632,7 @@ impl<'e, 's> Tx<'e, 's> {
     #[inline(always)]
     fn view_lookup(&mut self, ptr: *const Partition) -> Option<u16> {
         let li = self.s.last_view as usize;
-        if li < self.s.views.len() && self.s.views[li].part == ptr {
+        if li < self.s.views.len() && self.s.views[li].view.is(ptr) {
             return Some(li as u16);
         }
         if let Some(i) = self.s.view_index.get(ptr as usize) {
@@ -703,54 +642,9 @@ impl<'e, 's> Tx<'e, 's> {
         None
     }
 
-    /// First contact with a partition this attempt: loads the config word
-    /// once, decodes it and records the view. Aborts if the partition is
-    /// mid-switch. See the module docs for why one decode per attempt is
-    /// sound.
-    fn view_create(&mut self, part: &'e Partition) -> Result<u16, Abort> {
-        assert_eq!(
-            part.stm_id, self.stm.id,
-            "partition belongs to a different Stm"
-        );
-        let word = part.config_word();
-        if config::is_switching(word) {
-            // A privatization hold is a switching flag plus the privatized
-            // classification bit: same abort-and-back-off path, counted
-            // separately so operators can tell bulk-operation collisions
-            // from tuning churn.
-            if config::is_privatized(word) {
-                part.stats.privatized_collisions(self.slot, 1);
-            }
-            part.stats.aborts_switching(self.slot, 1);
-            part.stats.starts(self.slot, 1);
-            self.s.engine_fail = true;
-            return Err(Abort(()));
-        }
-        // Snapshot the orec-table registers *after* observing the flag
-        // clear: the resize protocol swaps them only inside a flagged
-        // window our attempt provably does not straddle (module docs).
-        let (table, mask) = part.table_view();
-        let (ring, ring_depth) = part.ring_view();
-        let i = self.s.views.len() as u32;
-        self.s.views.push(PartView {
-            part,
-            cfg: config::decode(word),
-            table,
-            mask,
-            ring,
-            ring_depth,
-            generation: config::generation(word),
-            stats: LocalStats::default(),
-            wrote: false,
-        });
-        self.s
-            .view_index
-            .insert(part as *const Partition as usize, i);
-        self.s.last_view = i;
-        Ok(i as u16)
-    }
-
-    /// Resolves the partition view for a variable from its binding cell.
+    /// Resolves the partition view for a variable from its binding cell,
+    /// opening one ([`View::open`]) on the first touch of the partition
+    /// this attempt; a partition mid-switch aborts the attempt.
     ///
     /// A repartition may rebind the variable concurrently — but only while
     /// every involved partition carries the switching flag, and the rebind
@@ -772,11 +666,24 @@ impl<'e, 's> Tx<'e, 's> {
         if let Some(i) = self.view_lookup(part) {
             return Ok(i);
         }
-        let ti = self.view_create(part)?;
+        let Some(view) = View::open(part, self.stm.id, self.slot) else {
+            self.s.engine_fail = true;
+            return Err(Abort(()));
+        };
+        let i = self.s.views.len() as u32;
+        self.s.views.push(PartView {
+            view,
+            stats: LocalStats::default(),
+            wrote: false,
+        });
+        self.s
+            .view_index
+            .insert(part as *const Partition as usize, i);
+        self.s.last_view = i;
         if !core::ptr::eq(binding.load(), part) {
-            return Err(self.fail(ti, AbortKind::Switching));
+            return Err(self.fail(i as u16, AbortKind::Switching));
         }
-        Ok(ti)
+        Ok(i as u16)
     }
 
     /// Classifies a conflict against `orec` while accessing `addr` using
@@ -799,7 +706,7 @@ impl<'e, 's> Tx<'e, 's> {
     /// Records an abort cause against a partition and flags the attempt as
     /// engine-failed. Returns the `Abort` token to propagate.
     fn fail(&mut self, ti: u16, kind: AbortKind) -> Abort {
-        let st = &self.s.views[ti as usize].part().stats;
+        let st = &self.s.views[ti as usize].view.part().stats;
         match kind {
             AbortKind::WLockConflict => st.aborts_wlock(self.slot, 1),
             AbortKind::RLockConflict => st.aborts_rlock(self.slot, 1),
@@ -839,9 +746,7 @@ impl<'e, 's> Tx<'e, 's> {
         // The MRU hit of `view_of_binding`, inline: same test, same proof;
         // the binding is loaded only when there is an MRU view to test.
         let li = self.s.last_view as usize;
-        let ti = if li < self.s.views.len()
-            && core::ptr::eq(self.s.views[li].part, var.binding.load())
-        {
+        let ti = if li < self.s.views.len() && self.s.views[li].view.is(var.binding.load()) {
             li as u16
         } else {
             self.view_of_binding(&var.binding)?
@@ -869,15 +774,12 @@ impl<'e, 's> Tx<'e, 's> {
         }
         let s = &mut *self.s;
         let v = &mut s.views[ti as usize];
-        if v.cfg.read_mode != ReadMode::Invisible {
+        if v.view.cfg.read_mode != ReadMode::Invisible {
             return None;
         }
         let addr = cell as *const AtomicU64 as usize;
-        // SAFETY: as in `read_at`.
-        let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.cfg.granularity)) };
-        // SAFETY: as in `read_invisible`.
-        let orec_ref = unsafe { &*orec };
-        let (l1, val) = orec_ref.sandwich(cell, &s.rv)?;
+        let orec = v.view.orec(addr);
+        let (l1, val) = orec.sandwich(cell, &s.rv)?;
         v.stats.reads += 1;
         s.read_set.push(ReadEntry {
             orec,
@@ -926,11 +828,8 @@ impl<'e, 's> Tx<'e, 's> {
             return Ok(T::from_word(e.val));
         }
         let (orec, read_mode) = {
-            let v = &self.s.views[ti as usize];
-            // SAFETY: index masked into the view's table, alive for the
-            // partition's lifetime (module docs).
-            let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.cfg.granularity)) };
-            (orec, v.cfg.read_mode)
+            let v = &self.s.views[ti as usize].view;
+            (v.orec(addr) as *const Orec, v.cfg.read_mode)
         };
         let w = match read_mode {
             ReadMode::Invisible => self.read_invisible(ti, orec, cell)?,
@@ -965,10 +864,8 @@ impl<'e, 's> Tx<'e, 's> {
             return Ok(());
         }
         let (orec, acquire) = {
-            let v = &self.s.views[ti as usize];
-            // SAFETY: as in `read_at`.
-            let orec = unsafe { v.table.add(orec_index(v.mask, addr, v.cfg.granularity)) };
-            (orec, v.cfg.acquire)
+            let v = &self.s.views[ti as usize].view;
+            (v.orec(addr) as *const Orec, v.cfg.acquire)
         };
         let wi = self.s.write_set.len();
         self.s.write_set.push(WriteEntry {
@@ -1074,7 +971,7 @@ impl<'e, 's> Tx<'e, 's> {
     /// address the caller was accessing, used to classify a final conflict
     /// abort as true or aliased against the holder's acquisition hint.
     fn wait_or_fail(&mut self, ti: u16, orec: &Orec, kind: AbortKind, addr: usize) -> TxResult<()> {
-        match self.s.views[ti as usize].cfg.cm {
+        match self.s.views[ti as usize].view.cfg.cm {
             CmPolicy::SuicideBackoff => {
                 self.note_conflict(ti, orec, addr);
                 Err(self.fail(ti, kind))
@@ -1134,11 +1031,7 @@ impl<'e, 's> Tx<'e, 's> {
             .s
             .views
             .iter()
-            .position(|v| {
-                let lo = v.table as usize;
-                let hi = lo + (v.mask + 1) * core::mem::size_of::<Orec>();
-                (lo..hi).contains(&(orec as usize))
-            })
+            .position(|v| v.view.owns(orec))
             .map_or(ti, |p| p as u16);
         // SAFETY: read-set orecs belong to touched partitions, alive for
         // the attempt.
@@ -1237,7 +1130,7 @@ impl<'e, 's> Tx<'e, 's> {
             // lock is seen here).
             let others = orec.readers_except(my_bit);
             if others != 0 {
-                match self.s.views[ti as usize].cfg.reader_arb {
+                match self.s.views[ti as usize].view.cfg.reader_arb {
                     ReaderArb::ReaderWins => {
                         return Err(self.fail(ti, AbortKind::RLockConflict));
                     }
@@ -1353,7 +1246,7 @@ impl<'e, 's> Tx<'e, 's> {
         for wi in 0..self.s.write_set.len() {
             let needs = {
                 let e = &self.s.write_set[wi];
-                self.s.views[e.touch as usize].cfg.acquire == AcquireMode::Commit
+                self.s.views[e.touch as usize].view.cfg.acquire == AcquireMode::Commit
                     && !e.acquired_here
             };
             if needs && self.acquire_orec(wi).is_err() {
@@ -1441,16 +1334,13 @@ impl<'e, 's> Tx<'e, 's> {
         floor: &mut u64,
         floor_fresh: &mut bool,
     ) {
-        let v = &self.s.views[ti as usize];
-        let idx = (orec as usize - v.table as usize) / core::mem::size_of::<Orec>();
-        debug_assert!(idx <= v.mask, "write-set orec outside the view's table");
-        let depth = v.ring_depth;
+        let v = &self.s.views[ti as usize].view;
         // SAFETY: orec alive via the touched partition, and held by us.
         let orec = unsafe { &*orec };
-        // SAFETY: the ring has `(mask + 1) * depth` slots and `idx <=
-        // mask`; the allocation is alive for the partition's lifetime and
-        // stable for the attempt (same argument as the orec table).
-        let ring = unsafe { core::slice::from_raw_parts(v.ring.wrapping_add(idx * depth), depth) };
+        // SAFETY: the write entry's orec came from this view's `orec`
+        // (`write_at`).
+        let ring = unsafe { v.ring_of(orec) };
+        let depth = ring.len();
         let cur = orec.ring_cursor();
         let victim = ring[cur].close_stamp();
         debug_assert!(
@@ -1478,16 +1368,9 @@ impl<'e, 's> Tx<'e, 's> {
     }
 
     fn finish_commit(&mut self) {
-        // Debug tripwire for the one-decode-per-attempt argument (module
-        // docs): until our seq returns to even, no touched partition's
-        // generation may have moved past the one the view cached.
         #[cfg(debug_assertions)]
         for t in &self.s.views {
-            debug_assert_eq!(
-                config::generation(t.part().config_word()),
-                t.generation,
-                "partition config switched mid-attempt (quiesce protocol violated)"
-            );
+            t.view.assert_generation();
         }
         let bit = reader_bit(self.slot);
         for &orec in &self.s.visible {
@@ -1507,7 +1390,7 @@ impl<'e, 's> Tx<'e, 's> {
         // Everything that dereferences a view happens before the attempt
         // ends: once `seq` is even, a repartition may free the partition.
         for t in &self.s.views {
-            let st = &t.part().stats;
+            let st = &t.view.part().stats;
             st.starts(self.slot, 1);
             st.commits(self.slot, 1);
             if t.wrote {
@@ -1523,7 +1406,7 @@ impl<'e, 's> Tx<'e, 's> {
             // tunable partition whose own commits reached a stride multiple.
             let stride = window.min(TUNE_STRIDE);
             for v in &self.s.views {
-                let p = v.part();
+                let p = v.view.part();
                 if p.tunable && p.stats.own_commits(self.slot).is_multiple_of(stride) {
                     self.s.tune_claims.push(PVarBinding::arc_of(p));
                 }
@@ -1574,7 +1457,7 @@ impl<'e, 's> Tx<'e, 's> {
             .views
             .iter()
             .map(|t| SampleTouch {
-                partition: t.part().id(),
+                partition: t.view.part().id(),
                 reads: t.stats.reads,
                 writes: t.stats.writes,
                 buckets: Vec::new(),
@@ -1632,8 +1515,8 @@ impl<'e, 's> Tx<'e, 's> {
             unsafe { (a.push_free)(a.arena, a.raw, a.tag) }
         }
         for t in &self.s.views {
-            t.part().stats.starts(self.slot, 1);
-            t.stats.flush(&t.part().stats, self.slot);
+            t.view.part().stats.starts(self.slot, 1);
+            t.stats.flush(&t.view.part().stats, self.slot);
         }
         self.my_slot().leave_attempt();
         self.s.in_attempt = false;
@@ -1688,7 +1571,7 @@ impl<'e, 's> Tx<'e, 's> {
             Ok(())
         } else {
             if let Some(t) = self.s.views.first() {
-                t.part().stats.aborts_validation(self.slot, 1);
+                t.view.part().stats.aborts_validation(self.slot, 1);
             }
             self.s.engine_fail = true;
             Err(Abort(()))
@@ -1753,7 +1636,7 @@ impl Drop for Tx<'_, '_> {
             self.rollback();
         }
         // The views borrow partitions for `'e`, which may end right after
-        // this `Tx` does (see `PartView::part`).
+        // this `Tx` does (see `View::part`).
         self.s.views.clear();
     }
 }
@@ -1816,7 +1699,7 @@ impl ThreadCtx {
                 Err(_) => {
                     if !tx.s.engine_fail {
                         if let Some(t) = tx.s.views.first() {
-                            t.part().stats.aborts_user(tx.slot, 1);
+                            t.view.part().stats.aborts_user(tx.slot, 1);
                         }
                     }
                     tx.rollback();

@@ -277,8 +277,12 @@ impl TRbTree {
                 }
             }
         }
+        // Blacken a red root only: a write would acquire the root's orec,
+        // on which every concurrent insert would then conflict.
         if let Some(r) = self.root_of(a)? {
-            self.set_red(a, r, false)?;
+            if self.is_red(a, Some(r))? {
+                self.set_red(a, r, false)?;
+            }
         }
         Ok(())
     }
@@ -409,8 +413,11 @@ impl TRbTree {
                 }
             }
         }
+        // The loop also exits on a black root `x`, which needs no write.
         if let Some(xn) = x {
-            self.set_red(tx, xn, false)?;
+            if self.is_red(tx, x)? {
+                self.set_red(tx, xn, false)?;
+            }
         }
         Ok(())
     }
@@ -578,6 +585,20 @@ mod tests {
                 v
             }
         }
+    }
+
+    #[test]
+    fn insert_below_a_black_root_writes_only_what_changes() {
+        let stm = Stm::new();
+        let t = fresh(&stm);
+        let ctx = stm.register_thread();
+        ctx.run(|tx| t.put(tx, 10, 1));
+        let before = t.partition().stats().writes;
+        ctx.run(|tx| t.put(tx, 20, 2));
+        // Six fields of the new node and the root's `right`; the root stays
+        // black, so its colour is not written (nor its orec acquired).
+        assert_eq!(t.partition().stats().writes - before, 7);
+        t.check_invariants().unwrap();
     }
 
     #[test]
